@@ -196,16 +196,6 @@ int main(int argc, char **argv) {
     std::cout << '\n';
   }
 
-  // A failed proof prints one line and exits nonzero so scripts and CI
-  // can gate on the tool's exit status.
-  auto CheckVerified = [&](verify::VerifyReport R) {
-    if (R.ok())
-      return;
-    std::cerr << "zplc: verification failed: " << R.Findings.front().str()
-              << '\n';
-    std::exit(1);
-  };
-
   // The pipeline owns ASDG -> strategy -> scalarize from here (opening
   // the same obs spans this tool used to open by hand). Alignment and
   // normalization already ran above, so the pipeline's own pass is off.
@@ -213,13 +203,14 @@ int main(int argc, char **argv) {
   PO.Normalize = false;
   PO.Verify = VerifyLevel;
   driver::Pipeline PL(P, PO);
-  driver::CompileRequest CReq;
-  CReq.Strat = Strat;
-  driver::CompileStatus CSt = PL.tryCompile(CReq);
+  driver::CompileStatus CSt = PL.tryCompile(driver::CompileRequest{
+      Strat, TO.Exec.value_or(xform::ExecMode::Sequential)});
   if (CSt.Code == driver::CompileCode::InvalidProgram) {
     std::cerr << FileName << ": error: " << CSt.Message << '\n';
     return 1;
   }
+  // A failed proof (the parallel race check included) prints one line
+  // and exits nonzero so scripts and CI can gate on the exit status.
   if (!CSt.ok()) {
     std::cerr << "zplc: verification failed: " << CSt.Message << '\n';
     return 1;
@@ -246,7 +237,7 @@ int main(int argc, char **argv) {
               << xform::contractionReport(SR) << '\n';
   }
 
-  lir::LoopProgram LP = std::move(CSt.Artifact->LP);
+  const lir::LoopProgram &LP = CSt.Artifact->LP;
   if (EmitC)
     std::cout << scalarize::emitC(LP, "kernel");
   else if (EmitF77)
@@ -275,15 +266,7 @@ int main(int argc, char **argv) {
     {
       obs::Span ExecSpan("pipeline.execute",
                          xform::getExecModeName(*TO.Exec));
-      if (*TO.Exec == xform::ExecMode::Parallel) {
-        // Plan explicitly so the schedule run is the schedule certified.
-        exec::ParallelSchedule Sched = exec::planParallelism(LP);
-        if (VerifyLevel >= verify::VerifyLevel::Full)
-          CheckVerified(verify::verifyParallelSafety(LP, Sched));
-        Res = exec::runParallel(LP, TO.Seed, exec::ParallelOptions(), Sched);
-      } else {
-        Res = exec::runWithMode(LP, TO.Seed, *TO.Exec);
-      }
+      Res = CSt.Artifact->run(TO.Seed);
     }
     std::cout << "\n// executed (" << xform::getExecModeName(*TO.Exec)
               << ", seed " << TO.Seed << "):\n";

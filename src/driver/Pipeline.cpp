@@ -3,6 +3,7 @@
 #include "driver/Pipeline.h"
 
 #include "comm/CommInsertion.h"
+#include "exec/Eval.h"
 #include "ir/Normalize.h"
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
@@ -172,15 +173,39 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   // legacy handler-and-continue policy), but report the rejection.
   xform::StrategyResult SR = strategy(Req.Strat);
   lir::LoopProgram LP = scalarize(SR);
-  Collecting = SavedCollecting;
 
-  std::vector<std::string> Names;
-  Names.reserve(SR.Contracted.size());
+  CompiledProgram CP(std::move(LP));
+  CP.NumClusters = SR.Partition.numClusters();
+  CP.Mode = Req.Mode;
+  CP.ContractedNames.reserve(SR.Contracted.size());
   for (const ir::ArraySymbol *A : SR.Contracted)
-    Names.push_back(A->getName());
-  St.Artifact.emplace(CompiledProgram{std::move(LP),
-                                      SR.Partition.numClusters(),
-                                      std::move(Names)});
+    CP.ContractedNames.push_back(A->getName());
+  if (Req.Mode == ExecMode::Parallel) {
+    // Plan once, so the schedule every run executes is the schedule the
+    // race detector certified.
+    CP.Parallel = Opts.Parallel;
+    CP.Sched = planParallelism(CP.LP);
+    if (Opts.Verify >= verify::VerifyLevel::Full) {
+      obs::Span S("pipeline.verify", "parallel-safety");
+      check(verify::verifyParallelSafety(CP.LP, *CP.Sched));
+    }
+  } else if (Req.Mode == ExecMode::NativeJit ||
+             Req.Mode == ExecMode::NativeJitSimd) {
+    // A rejected program gets no kernel: the compiler is not run on code
+    // whose proofs failed.
+    if (Findings.Findings.size() == Before) {
+      JitOptions JO = Opts.Jit;
+      if (Req.Mode == ExecMode::NativeJitSimd)
+        JO.Vectorize = true;
+      CP.Kernel = sharedJitEngine(JO).prepare(CP.LP);
+    } else {
+      CP.Kernel.emplace();
+      CP.Kernel->Info.FallbackReason =
+          "kernel not prepared: the compile was rejected";
+    }
+  }
+  Collecting = SavedCollecting;
+  St.Artifact.emplace(std::move(CP));
   St.SR = std::move(SR);
 
   if (Findings.Findings.size() > Before) {
@@ -200,8 +225,9 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   return St;
 }
 
-CompiledProgram Pipeline::compile(Strategy S) {
-  CompileStatus St = tryCompile(CompileRequest{S});
+RunResult Pipeline::run(Strategy S, ExecMode Mode, uint64_t Seed,
+                        JitRunInfo *JitInfo) {
+  CompileStatus St = tryCompile(CompileRequest{S, Mode});
   if (!St.ok()) {
     if (!St.Findings.ok() && Opts.OnVerifyError)
       Opts.OnVerifyError(St.Findings); // legacy policy: notify, continue
@@ -213,51 +239,28 @@ CompiledProgram Pipeline::compile(Strategy S) {
   }
   if (!St.Artifact)
     reportFatalError(("compile failed: " + St.Message).c_str());
-  return std::move(*St.Artifact);
-}
-
-RunResult Pipeline::run(const lir::LoopProgram &LP, ExecMode Mode,
-                        uint64_t Seed, JitRunInfo *JitInfo) {
   obs::Span Sp("pipeline.execute", xform::getExecModeName(Mode));
-  if (Mode == ExecMode::NativeJit)
-    return jit().run(LP, Seed, JitInfo);
-  if (Mode == ExecMode::NativeJitSimd)
-    return jitSimd().run(LP, Seed, JitInfo);
-  if (Mode == ExecMode::Parallel) {
-    // Plan explicitly so the schedule actually executed is the schedule
-    // the race detector certified.
-    ParallelSchedule Sched = planParallelism(LP);
-    if (Opts.Verify >= verify::VerifyLevel::Full) {
-      obs::Span S("pipeline.verify", "parallel-safety");
-      check(verify::verifyParallelSafety(LP, Sched));
-    }
-    return runParallel(LP, Seed, Opts.Parallel, Sched);
+  return St.Artifact->run(Seed, JitInfo);
+}
+
+void CompiledProgram::run(Storage &Store, JitRunInfo *Info) const {
+  switch (Mode) {
+  case ExecMode::Sequential:
+    exec::runOnStorage(LP, Store);
+    return;
+  case ExecMode::Parallel:
+    runParallelOnStorage(LP, Store, Parallel, *Sched);
+    return;
+  case ExecMode::NativeJit:
+  case ExecMode::NativeJitSimd:
+    JitEngine::runPrepared(*Kernel, LP, Store, Info);
+    return;
   }
-  return runWithMode(LP, Seed, Mode, Opts.Parallel);
+  alf_unreachable("unhandled execution mode");
 }
 
-RunResult Pipeline::run(Strategy S, ExecMode Mode, uint64_t Seed,
-                        JitRunInfo *JitInfo) {
-  return run(scalarize(S), Mode, Seed, JitInfo);
-}
-
-JitEngine &Pipeline::jit() {
-  if (!Jit)
-    Jit = std::make_unique<JitEngine>(Opts.Jit);
-  return *Jit;
-}
-
-JitEngine &Pipeline::jitSimd() {
-  if (!JitSimd) {
-    JitOptions JO = Opts.Jit;
-    JO.Vectorize = true;
-    JitSimd = std::make_unique<JitEngine>(JO);
-  }
-  return *JitSimd;
-}
-
-RunResult Pipeline::runProgram(ir::Program &P, Strategy S, ExecMode Mode,
-                               const PipelineOptions &Opts, uint64_t Seed) {
-  Pipeline PL(P, Opts);
-  return PL.run(S, Mode, Seed);
+RunResult CompiledProgram::run(uint64_t Seed, JitRunInfo *Info) const {
+  Storage Store = allocateStorage(LP, Seed);
+  run(Store, Info);
+  return collectResults(LP, Store);
 }

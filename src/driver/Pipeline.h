@@ -15,12 +15,15 @@
 /// analysis:
 ///
 ///   driver::Pipeline PL(*P);
-///   auto LP  = PL.scalarize(Strategy::C2);             // LoopProgram
-///   auto Res = PL.run(Strategy::C2, ExecMode::NativeJit, Seed);
+///   driver::CompileStatus St =
+///       PL.tryCompile({Strategy::C2, ExecMode::NativeJit});
+///   exec::RunResult Res = St.Artifact->run(Seed);
 ///
-/// Execution dispatches through exec::runWithMode; for NativeJit the
-/// pipeline keeps one JitEngine alive for its whole lifetime, so a sweep
-/// over strategies and seeds pays each kernel compile once.
+/// tryCompile makes every decision once — partition, contraction, the
+/// parallel schedule, the JIT kernel — and returns a CompiledProgram
+/// whose run() is the library's one way to execute. JIT kernels come
+/// from the process-wide exec::sharedJitEngine, so a sweep over
+/// strategies and seeds pays each kernel compile once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +39,6 @@
 #include "xform/Strategy.h"
 
 #include <functional>
-#include <memory>
 #include <optional>
 
 namespace alf {
@@ -86,15 +88,42 @@ struct PipelineOptions {
   std::function<void(const verify::VerifyReport &)> OnVerifyError;
 };
 
-/// One strategy's full compilation artifact, movable so callers can cache
-/// it and re-execute without re-analysis: the scalarized loop program plus
-/// the summary numbers the analysis produced. The loop program references
-/// symbols of the pipeline's ir::Program, so a cached artifact must not
-/// outlive that program (the runtime engine's trace cache owns both).
+/// One strategy's compilation artifact, prepared for one execution mode
+/// and movable so callers can cache it and re-run it without
+/// re-analysis: the scalarized loop program, the summary numbers the
+/// analysis produced, and whatever the mode needs at run time — the
+/// parallel schedule or the loaded JIT kernel. The loop program
+/// references symbols of the pipeline's ir::Program, so a cached
+/// artifact must not outlive that program (the runtime engine's trace
+/// cache and the daemon's kernel cache own both). run() is const and
+/// safe to call from many threads at once.
 struct CompiledProgram {
+  explicit CompiledProgram(lir::LoopProgram LP) : LP(std::move(LP)) {}
+
   lir::LoopProgram LP;
   unsigned NumClusters = 0;                 ///< fused clusters (the paper's l)
   std::vector<std::string> ContractedNames; ///< fully contracted arrays
+
+  /// The execution mode run() uses (CompileRequest::Mode).
+  xform::ExecMode Mode = xform::ExecMode::Sequential;
+
+  /// ExecMode::Parallel: the worker count, and the schedule planned once
+  /// (and race-checked under VerifyLevel::Full) at compile time.
+  exec::ParallelOptions Parallel;
+  std::optional<exec::ParallelSchedule> Sched;
+
+  /// ExecMode::NativeJit/NativeJitSimd: the kernel emitted, hashed and
+  /// loaded once. Not prepared when a proof rejected the compile; runs
+  /// then fall back to the interpreter with the reason recorded.
+  std::optional<exec::PreparedKernel> Kernel;
+
+  /// Executes the artifact in place on \p Store under Mode. \p Info, when
+  /// non-null, receives the JIT outcome (JIT modes only): Compiled and the
+  /// cache hits describe how the kernel was prepared, UsedJit this run.
+  void run(exec::Storage &Store, exec::JitRunInfo *Info = nullptr) const;
+
+  /// Allocates storage seeded by \p Seed, runs, and collects the results.
+  exec::RunResult run(uint64_t Seed, exec::JitRunInfo *Info = nullptr) const;
 };
 
 /// What one Pipeline::tryCompile call asks for. A struct (rather than a
@@ -102,6 +131,11 @@ struct CompiledProgram {
 /// extend without touching every caller.
 struct CompileRequest {
   xform::Strategy Strat = xform::Strategy::C2;
+
+  /// The mode the artifact is prepared for. Sequential needs no
+  /// preparation; Parallel plans the schedule; the JIT modes emit and
+  /// load the kernel.
+  xform::ExecMode Mode = xform::ExecMode::Sequential;
 };
 
 /// Why a tryCompile call did not produce a certified artifact.
@@ -176,20 +210,10 @@ public:
   /// possibly inspected or adjusted).
   lir::LoopProgram scalarize(const xform::StrategyResult &SR);
 
-  /// Analysis + strategy + scalarization bundled into one movable
-  /// artifact. This is the unit the runtime engine's trace cache stores:
-  /// a warm flush re-executes the artifact's loop program (via the
-  /// *OnStorage entry points) without touching the ASDG or the strategy
-  /// machinery again.
-  ///
-  /// Thin wrapper over tryCompile keeping the legacy failure policy: a
-  /// rejection runs OnVerifyError when installed (and still returns the
-  /// artifact), else reportFatalError. New callers — anything serving
-  /// untrusted input — should use tryCompile and branch on the status.
-  CompiledProgram compile(xform::Strategy S);
-
   /// Status-returning compile: runs IR verification, analysis, strategy
-  /// selection and scalarization, and reports invalid programs and
+  /// selection and scalarization, prepares the artifact for Req.Mode
+  /// (under VerifyLevel::Full a parallel schedule is race-checked like
+  /// any other proof), and reports invalid programs and
   /// verification rejections as a structured CompileStatus instead of
   /// aborting or invoking OnVerifyError. This is the re-entrant entry
   /// point the serving layer compiles every client request through: the
@@ -201,24 +225,14 @@ public:
   /// since all strategies consume the same graph.
   CompileStatus tryCompile(const CompileRequest &Req);
 
-  /// Runs \p S under \p Mode on inputs seeded by \p Seed. All modes have
-  /// the same observable semantics (NativeJit falls back to the
-  /// interpreter when the system compiler is unusable; \p JitInfo, when
-  /// non-null, records what happened).
+  /// tryCompile of \p S under \p Mode, then one run on inputs seeded by
+  /// \p Seed, keeping the legacy failure policy: a rejection runs
+  /// OnVerifyError when installed (and still runs the artifact), else
+  /// reportFatalError. All modes have the same observable semantics (the
+  /// JIT modes fall back to the interpreter when the system compiler is
+  /// unusable; \p JitInfo, when non-null, records what happened).
   exec::RunResult run(xform::Strategy S, xform::ExecMode Mode,
                       uint64_t Seed = 0, exec::JitRunInfo *JitInfo = nullptr);
-
-  /// As above, for an already scalarized program of this pipeline.
-  exec::RunResult run(const lir::LoopProgram &LP, xform::ExecMode Mode,
-                      uint64_t Seed = 0, exec::JitRunInfo *JitInfo = nullptr);
-
-  /// The JIT engine backing ExecMode::NativeJit runs, created on first
-  /// use from the options' JitOptions.
-  exec::JitEngine &jit();
-
-  /// The vectorizing engine backing ExecMode::NativeJitSimd runs: the
-  /// options' JitOptions with Vectorize forced on, created on first use.
-  exec::JitEngine &jitSimd();
 
   const PipelineOptions &options() const { return Opts; }
 
@@ -226,13 +240,6 @@ public:
   /// and strategies served by this pipeline); empty when everything the
   /// pipeline produced was certified.
   const verify::VerifyReport &verifyFindings() const { return Findings; }
-
-  /// One-shot convenience: Pipeline(P, Opts).run(S, Mode, Seed).
-  static exec::RunResult runProgram(ir::Program &P, xform::Strategy S,
-                                    xform::ExecMode Mode,
-                                    const PipelineOptions &Opts =
-                                        PipelineOptions(),
-                                    uint64_t Seed = 0);
 
 private:
   void prepare();
@@ -249,8 +256,6 @@ private:
   bool Collecting = false;     ///< tryCompile in progress; see check().
   bool GraphRejected = false;  ///< A verify pass rejected the shared ASDG.
   std::optional<analysis::ASDG> G;
-  std::unique_ptr<exec::JitEngine> Jit;
-  std::unique_ptr<exec::JitEngine> JitSimd;
   verify::VerifyReport Findings;
 };
 

@@ -15,6 +15,7 @@
 #include <dlfcn.h>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <unistd.h>
 
 using namespace alf;
@@ -326,11 +327,8 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
   WhyNot = "entry symbol '" + Module.EntryName + "' missing from kernel";
 }
 
-void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
-                             JitRunInfo *OutInfo) {
-  ++NumJitRuns;
-  JitRunInfo Info;
-  std::string WhyNot;
+PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
+  PreparedKernel K;
   scalarize::CEmitOptions EmitOpts;
   EmitOpts.Vectorize = Opts.Vectorize;
   EmitOpts.VectorWidth = Opts.VectorWidth;
@@ -338,67 +336,90 @@ void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
     obs::Span S(Opts.Vectorize ? "jit.vectorize" : "jit.emit");
     return scalarize::emitCModule(LP, KernelName, EmitOpts);
   }();
-  if (Opts.Vectorize && Module.ok()) {
-    Info.VectorizedNests = Module.NumVectorizedNests;
-    Info.VectorFallbacks = Module.NumVectorFallbacks;
-    Info.Reassociated = Module.Reassociated;
+  if (!Module.ok()) {
+    K.Info.FallbackReason = "emission failed: " + Module.Error;
+    return K;
+  }
+  if (Opts.Vectorize) {
+    K.Info.VectorizedNests = Module.NumVectorizedNests;
+    K.Info.VectorFallbacks = Module.NumVectorFallbacks;
+    K.Info.Reassociated = Module.Reassociated;
     NumVectorizedNests += Module.NumVectorizedNests;
     NumVectorizeFallbacks += Module.NumVectorFallbacks;
-    if (Module.NumVectorizedNests)
-      ++NumVectorizedRuns;
     for (unsigned I = 0; I < Module.NumVectorFallbacks; ++I)
       obs::instant("jit.vectorize.fallback");
   }
-  LoadedKernel *Kernel = nullptr;
-  if (!Module.ok())
-    WhyNot = "emission failed: " + Module.Error;
-  else
-    Kernel = kernelFor(Module, Info, WhyNot);
+  std::string WhyNot;
+  LoadedKernel *Kernel = kernelFor(Module, K.Info, WhyNot);
+  if (!Kernel) {
+    K.Info.FallbackReason = std::move(WhyNot);
+    return K;
+  }
+  K.Entry = Kernel->Entry;
+  K.Arrays = std::move(Module.Arrays);
+  K.Scalars = std::move(Module.Scalars);
+  return K;
+}
+
+void JitEngine::runPrepared(const PreparedKernel &K, const LoopProgram &LP,
+                            Storage &Store, JitRunInfo *OutInfo) {
+  ++NumJitRuns;
+  if (K.Info.VectorizedNests)
+    ++NumVectorizedRuns;
 
   // Marshal the caller-owned buffers in the module's argument order. The
   // emitter's layouts are computed from the same footprint bounds (and
   // partial-contraction overrides) Storage allocates with, so raw
   // pointers line up element for element.
   std::vector<double *> Arrays;
-  if (Kernel) {
-    Arrays.reserve(Module.Arrays.size());
-    for (const ArraySymbol *A : Module.Arrays) {
+  const ArraySymbol *Missing = nullptr;
+  if (K.Entry) {
+    Arrays.reserve(K.Arrays.size());
+    for (const ArraySymbol *A : K.Arrays) {
       ArrayBuffer *Buf = Store.buffer(A);
       if (!Buf) {
-        WhyNot = "array '" + A->getName() + "' missing from storage";
-        Kernel = nullptr;
+        Missing = A;
         break;
       }
       Arrays.push_back(Buf->data());
     }
   }
-  if (!Kernel) {
+  if (!K.Entry || Missing) {
     ++NumJitFallbacks;
-    Info.FallbackReason = WhyNot;
-    if (OutInfo)
-      *OutInfo = Info;
+    if (OutInfo) {
+      *OutInfo = K.Info;
+      if (Missing)
+        OutInfo->FallbackReason =
+            "array '" + Missing->getName() + "' missing from storage";
+    }
     exec::runOnStorage(LP, Store);
     return;
   }
 
   std::vector<double> Scalars;
-  Scalars.reserve(Module.Scalars.size());
-  for (const ScalarSymbol *S : Module.Scalars)
+  Scalars.reserve(K.Scalars.size());
+  for (const ScalarSymbol *S : K.Scalars)
     Scalars.push_back(Store.getScalar(S));
 
   {
     obs::Span S("jit.dispatch");
     if (S.active())
       S.setBytes(Store.totalBytes());
-    Kernel->Entry(Arrays.data(), Scalars.data());
+    K.Entry(Arrays.data(), Scalars.data());
   }
 
-  for (size_t I = 0; I < Module.Scalars.size(); ++I)
-    Store.setScalar(Module.Scalars[I], Scalars[I]);
+  for (size_t I = 0; I < K.Scalars.size(); ++I)
+    Store.setScalar(K.Scalars[I], Scalars[I]);
 
-  Info.UsedJit = true;
-  if (OutInfo)
-    *OutInfo = Info;
+  if (OutInfo) {
+    *OutInfo = K.Info;
+    OutInfo->UsedJit = true;
+  }
+}
+
+void JitEngine::runOnStorage(const LoopProgram &LP, Storage &Store,
+                             JitRunInfo *OutInfo) {
+  runPrepared(prepare(LP), LP, Store, OutInfo);
 }
 
 RunResult JitEngine::run(const LoopProgram &LP, uint64_t Seed,
@@ -417,20 +438,26 @@ std::string JitEngine::cachePathFor(const LoopProgram &LP) {
                    contentHash(Module.Source, Opts, compilerVersion()));
 }
 
-RunResult exec::runNativeJit(const LoopProgram &LP, uint64_t Seed,
-                             JitRunInfo *Info) {
-  static JitEngine SharedEngine;
-  return SharedEngine.run(LP, Seed, Info);
-}
-
-RunResult exec::runNativeJitSimd(const LoopProgram &LP, uint64_t Seed,
-                                 JitRunInfo *Info) {
-  static JitEngine SharedEngine([] {
-    JitOptions Opts;
-    Opts.Vectorize = true;
-    return Opts;
-  }());
-  return SharedEngine.run(LP, Seed, Info);
+JitEngine &exec::sharedJitEngine(const JitOptions &Opts) {
+  std::string Key = formatString(
+      "%s\x1f%s\x1f%s\x1f%u\x1f%d\x1f%u\x1f%llu\x1f%d\x1f%s",
+      Opts.CacheDir.c_str(), Opts.Compiler.c_str(), Opts.Flags.c_str(),
+      Opts.CompileTimeoutSec, Opts.Vectorize ? 1 : 0, Opts.VectorWidth,
+      static_cast<unsigned long long>(Opts.MaxCacheBytes),
+      Opts.Sanitize ? 1 : 0, Opts.SanitizeFlags.c_str());
+  // Leaked on purpose: prepared kernels cached in other long-lived state
+  // (daemon entries, runtime trace caches) point into these engines, and
+  // no static destructor may unload them while such state is still live.
+  struct Registry {
+    std::mutex Mu;
+    std::map<std::string, std::unique_ptr<JitEngine>> Engines;
+  };
+  static Registry *R = new Registry;
+  std::lock_guard<std::mutex> Lock(R->Mu);
+  std::unique_ptr<JitEngine> &E = R->Engines[Key];
+  if (!E)
+    E = std::make_unique<JitEngine>(Opts);
+  return *E;
 }
 
 SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,

@@ -107,10 +107,12 @@ struct SanitizedRunResult {
   std::string Output; ///< Emission/compile diagnostics or the report.
 };
 
-/// What happened on one JitEngine::run call (for tests and reports).
+/// What happened on one JitEngine::run call (for tests and reports). For
+/// a run of a prepared kernel, Compiled and the cache hits describe how
+/// the kernel was prepared.
 struct JitRunInfo {
   bool UsedJit = false;        ///< Kernel executed natively.
-  bool Compiled = false;       ///< This run invoked the compiler.
+  bool Compiled = false;       ///< Preparing the kernel invoked the compiler.
   bool CacheHitMemory = false; ///< Served from this engine's loaded kernels.
   bool CacheHitDisk = false;   ///< Loaded a previously compiled .so.
   std::string FallbackReason;  ///< Why the interpreter ran instead ("" = jit).
@@ -122,6 +124,22 @@ struct JitRunInfo {
   bool Reassociated = false;    ///< A float + fold was lane-split.
 };
 
+/// One LoopProgram's kernel, prepared once by JitEngine::prepare: C
+/// emitted, content-hashed, compiled or found in a cache, and loaded.
+/// Running it (JitEngine::runPrepared) is argument marshalling plus one
+/// call. Entry points into a kernel its engine installed, so a prepared
+/// kernel must not outlive that engine (sharedJitEngine's never die). A
+/// null Entry means a rung of the fallback ladder failed; runs then use
+/// the interpreter and report Info.FallbackReason.
+struct PreparedKernel {
+  void (*Entry)(double **, double *) = nullptr;
+  std::vector<const ir::ArraySymbol *> Arrays;   ///< arrays[] order
+  std::vector<const ir::ScalarSymbol *> Scalars; ///< scalars[] order
+  /// What preparing did: Compiled, the cache hits, SoPath, the fallback
+  /// reason and the vectorize counts. UsedJit is left to the runs.
+  JitRunInfo Info;
+};
+
 /// A JIT compilation engine: owns the loaded kernels of one process and
 /// the handle bookkeeping. Thread-safe; one engine can serve every
 /// strategy of a sweep so repeated shapes hit the in-memory cache.
@@ -129,7 +147,7 @@ struct JitRunInfo {
 /// Thread-safety contract (the serving layer dispatches many worker
 /// threads into one engine):
 ///
-///  - run/runOnStorage/kernelFor may be called concurrently from any
+///  - run/runOnStorage/prepare may be called concurrently from any
 ///    number of threads. Kernel lookup and installation are guarded by
 ///    the engine mutex; compilation, disk-cache I/O and dlopen run
 ///    UNLOCKED so a ~300 ms compile of one kernel never blocks warm
@@ -146,7 +164,8 @@ struct JitRunInfo {
 ///  - Installed LoadedKernel entries are never erased before the engine
 ///    is destroyed, and std::map never moves mapped values, so the
 ///    pointer kernelFor returns stays valid (and Entry is immutable) for
-///    the engine's lifetime; dispatch through it needs no lock.
+///    the engine's lifetime; dispatch through it (runPrepared) needs no
+///    lock.
 ///  - The disk-cache LRU bound (MaxCacheBytes) may evict an entry that a
 ///    concurrent thread or process is between installing and dlopening.
 ///    Eviction deletes oldest-mtime first and a just-installed entry is
@@ -177,6 +196,17 @@ public:
   /// interpreter on the same storage when the JIT ladder fails.
   void runOnStorage(const lir::LoopProgram &LP, Storage &Store,
                     JitRunInfo *Info = nullptr);
+
+  /// The first half of runOnStorage: emits, hashes and loads \p LP's
+  /// kernel (compiling on a miss). Call once, then runPrepared per run.
+  PreparedKernel prepare(const lir::LoopProgram &LP);
+
+  /// The second half of runOnStorage: binds \p Store's buffers and
+  /// scalar slots to \p K's arguments and calls the kernel, or runs the
+  /// interpreter when \p K carries no entry point. \p Info, when
+  /// non-null, receives K.Info with UsedJit set by this run.
+  static void runPrepared(const PreparedKernel &K, const lir::LoopProgram &LP,
+                          Storage &Store, JitRunInfo *Info = nullptr);
 
   /// The on-disk cache entry \p LP's kernel maps to under this engine's
   /// options (exists only after a successful compile). Tests use this to
@@ -217,19 +247,11 @@ private:
   bool CompilerVersionProbed = false;
 };
 
-/// Runs \p LP through a process-wide shared engine with default options
-/// (honoring $ALF_JIT_CACHE_DIR). This is what ExecMode::NativeJit
-/// dispatches to.
-RunResult runNativeJit(const lir::LoopProgram &LP, uint64_t Seed,
-                       JitRunInfo *Info = nullptr);
-
-/// Like runNativeJit, but through a second process-wide shared engine
-/// with the vectorizing emission mode on (JitOptions::Vectorize). This is
-/// what ExecMode::NativeJitSimd dispatches to. The two shared engines
-/// never collide in the kernel cache: vectorized modules differ in source
-/// and flags, so their content hashes differ.
-RunResult runNativeJitSimd(const lir::LoopProgram &LP, uint64_t Seed,
-                           JitRunInfo *Info = nullptr);
+/// The process-wide engine for \p Opts, created on first use; one engine
+/// per distinct option set (Vectorize included, so the scalar and SIMD
+/// tiers stay apart). Engines are never destroyed, so kernels prepared
+/// through them stay valid for the life of the process. Thread-safe.
+JitEngine &sharedJitEngine(const JitOptions &Opts);
 
 /// The sanitizer-tier dynamic oracle: emits \p LP's kernel together with
 /// its self-seeding main() harness (scalarize::emitCWithHarnessChecked,

@@ -3,10 +3,8 @@
 #include "exec/ParallelExecutor.h"
 
 #include "exec/Eval.h"
-#include "exec/NativeJit.h"
 #include "obs/Obs.h"
 #include "support/Casting.h"
-#include "support/ErrorHandling.h"
 #include "support/Statistic.h"
 #include "support/ThreadPool.h"
 #include "xform/Report.h"
@@ -226,34 +224,4 @@ RunResult exec::runParallel(const LoopProgram &LP, uint64_t Seed,
 RunResult exec::runParallel(const LoopProgram &LP, uint64_t Seed,
                             const ParallelOptions &Opts) {
   return runParallel(LP, Seed, Opts, planParallelism(LP));
-}
-
-std::string exec::describeSchedule(const LoopProgram &LP,
-                                   const ParallelSchedule &Sched,
-                                   ExecMode Mode) {
-  std::string Report = "exec mode: ";
-  Report += getExecModeName(Mode);
-  Report += '\n';
-  if (Mode == ExecMode::NativeJit)
-    Report += "(nests compile into one native kernel; per-nest parallel "
-              "plans do not apply)\n";
-  else if (Mode == ExecMode::NativeJitSimd)
-    Report += "(nests compile into one native kernel with SIMD inner "
-              "loops; per-nest parallel plans do not apply)\n";
-  return Report + describeSchedule(LP, Sched);
-}
-
-RunResult exec::runWithMode(const LoopProgram &LP, uint64_t Seed,
-                            ExecMode Mode, const ParallelOptions &Opts) {
-  switch (Mode) {
-  case ExecMode::Sequential:
-    return run(LP, Seed);
-  case ExecMode::Parallel:
-    return runParallel(LP, Seed, Opts);
-  case ExecMode::NativeJit:
-    return runNativeJit(LP, Seed);
-  case ExecMode::NativeJitSimd:
-    return runNativeJitSimd(LP, Seed);
-  }
-  alf_unreachable("unhandled execution mode");
 }

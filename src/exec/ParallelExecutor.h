@@ -29,7 +29,6 @@
 #include "exec/Interpreter.h"
 #include "scalarize/LoopIR.h"
 #include "xform/Parallelize.h"
-#include "xform/Strategy.h"
 
 #include <string>
 #include <vector>
@@ -66,14 +65,6 @@ ParallelSchedule planParallelism(const lir::LoopProgram &LP);
 std::string describeSchedule(const lir::LoopProgram &LP,
                              const ParallelSchedule &Sched);
 
-/// Like describeSchedule, prefixed with the execution mode the program
-/// will run under; for ExecMode::NativeJit the per-nest parallel plans do
-/// not apply (the whole program executes as one compiled kernel) and the
-/// report says so.
-std::string describeSchedule(const lir::LoopProgram &LP,
-                             const ParallelSchedule &Sched,
-                             xform::ExecMode Mode);
-
 /// Runs \p LP under \p Sched with \p Opts.NumThreads workers. Same
 /// observable semantics as exec::run on the same seed.
 RunResult runParallel(const lir::LoopProgram &LP, uint64_t Seed,
@@ -90,13 +81,6 @@ void runParallelOnStorage(const lir::LoopProgram &LP, Storage &Store,
 
 /// Convenience: plan, then run.
 RunResult runParallel(const lir::LoopProgram &LP, uint64_t Seed,
-                      const ParallelOptions &Opts = ParallelOptions());
-
-/// Dispatches on the execution mode: the sequential interpreter, the
-/// parallel executor, or the native JIT backend (which itself falls back
-/// to the interpreter when no system compiler is available).
-RunResult runWithMode(const lir::LoopProgram &LP, uint64_t Seed,
-                      xform::ExecMode Mode,
                       const ParallelOptions &Opts = ParallelOptions());
 
 } // namespace exec

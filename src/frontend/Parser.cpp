@@ -5,6 +5,9 @@
 #include "frontend/Lexer.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
+#include <charconv>
+#include <limits>
 #include <map>
 
 using namespace alf;
@@ -206,7 +209,8 @@ private:
     std::vector<int32_t> Elems;
     while (true) {
       int64_t V = 0;
-      if (!parseInt(V, "direction element"))
+      if (!parseInt(V, "direction element",
+                    std::numeric_limits<int32_t>::max()))
         return syncToSemi();
       Elems.push_back(static_cast<int32_t>(V));
       if (at(TokenKind::Comma)) {
@@ -245,7 +249,13 @@ private:
     expect(TokenKind::Semi, "';'");
   }
 
-  bool parseInt(int64_t &Out, const char *What) {
+  /// Parses an optionally negated integer literal whose magnitude is at
+  /// most \p MaxMagnitude (one more when negated). The value comes from
+  /// the spelling, not the lexer's double, which rounds integers past
+  /// 2^53 and keeps fractions; a fraction or an out-of-range literal is
+  /// an error at the literal.
+  bool parseInt(int64_t &Out, const char *What,
+                uint64_t MaxMagnitude = std::numeric_limits<int64_t>::max()) {
     bool Negative = false;
     if (at(TokenKind::Minus)) {
       advance();
@@ -255,9 +265,22 @@ private:
       error(formatString("expected %s", What));
       return false;
     }
-    Out = static_cast<int64_t>(advance().NumValue);
-    if (Negative)
-      Out = -Out;
+    const std::string &Text = peek().Text;
+    size_t Dot = std::min(Text.find('.'), Text.size());
+    if (Text.find_first_not_of('0', Dot + 1) != std::string::npos) {
+      error(formatString("%s %s is not an integer", What, Text.c_str()));
+      return false;
+    }
+    uint64_t Mag = 0;
+    bool Parsed =
+        std::from_chars(Text.data(), Text.data() + Dot, Mag).ec == std::errc();
+    if (!Parsed || Mag > MaxMagnitude + (Negative ? 1 : 0)) {
+      error(formatString("%s %s%s is out of range", What,
+                         Negative ? "-" : "", Text.c_str()));
+      return false;
+    }
+    advance();
+    Out = static_cast<int64_t>(Negative ? 0 - Mag : Mag);
     return true;
   }
 
@@ -285,7 +308,7 @@ private:
     std::vector<int32_t> Elems;
     while (true) {
       int64_t V = 0;
-      if (!parseInt(V, "offset element"))
+      if (!parseInt(V, "offset element", std::numeric_limits<int32_t>::max()))
         return false;
       Elems.push_back(static_cast<int32_t>(V));
       if (at(TokenKind::Comma)) {

@@ -5,9 +5,6 @@
 #include "analysis/Footprint.h"
 #include "driver/Pipeline.h"
 #include "exec/Eval.h"
-#include "exec/Interpreter.h"
-#include "exec/NativeJit.h"
-#include "exec/ParallelExecutor.h"
 #include "exec/Storage.h"
 #include "obs/Obs.h"
 #include "runtime/Trace.h"
@@ -128,21 +125,19 @@ public:
   // --- trace cache ---
   /// Everything a structurally repeated trace can reuse: the rebuilt
   /// program (owning the symbols every other field references), the
-  /// compiled loop program, its footprints, an optional parallel
-  /// schedule, and the slot -> symbol binding tables.
+  /// artifact prepared for the engine's mode (loop program plus schedule
+  /// or loaded kernel), its footprints, and the slot -> symbol binding
+  /// tables.
   struct CacheEntry {
     std::unique_ptr<ir::Program> P;
     std::optional<driver::CompiledProgram> CP;
     analysis::FootprintInfo FI;
-    std::optional<exec::ParallelSchedule> Sched;
     std::vector<const ir::ArraySymbol *> SlotArrays;
     std::vector<const ir::ScalarSymbol *> ConstSyms;
     std::vector<const ir::ScalarSymbol *> InputSyms;
     std::vector<const ir::ScalarSymbol *> ReduceSyms;
   };
   std::map<std::string, std::unique_ptr<CacheEntry>> Cache;
-  std::unique_ptr<exec::JitEngine> Jit;
-  std::unique_ptr<exec::JitEngine> JitSimd; // Opts.Jit with Vectorize on
 
   explicit EngineImpl(EngineOptions InOpts) : Opts(std::move(InOpts)) {}
 
@@ -161,7 +156,7 @@ private:
   std::string serializeKey() const;
   std::unique_ptr<CacheEntry> buildEntry();
   ir::ExprPtr toExpr(const TExpr &T, const CacheEntry &E) const;
-  void execute(CacheEntry &E, FlushInfo &Info);
+  void execute(const CacheEntry &E, FlushInfo &Info);
   void copyIn(exec::ArrayBuffer &Buf, const ArrayState &St) const;
   void copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const;
 };
@@ -364,9 +359,8 @@ std::unique_ptr<EngineImpl::CacheEntry> EngineImpl::buildEntry() {
   PO.Jit = Opts.Jit;
   PO.Verify = Opts.Verify;
   driver::Pipeline PL(*E->P, PO);
-  driver::CompileRequest CReq;
-  CReq.Strat = Opts.Strat;
-  driver::CompileStatus St = PL.tryCompile(CReq);
+  driver::CompileStatus St =
+      PL.tryCompile(driver::CompileRequest{Opts.Strat, Opts.Mode});
   if (!St.ok() || !St.Artifact) {
     // A trace the engine recorded itself should always compile; a
     // rejection here means the recorder produced an invalid program or a
@@ -380,8 +374,6 @@ std::unique_ptr<EngineImpl::CacheEntry> EngineImpl::buildEntry() {
   // Footprints after normalization (prepare() ran inside tryCompile), so
   // the bounds cover any compiler temporaries it inserted.
   E->FI = analysis::FootprintInfo::compute(*E->P);
-  if (Opts.Mode == xform::ExecMode::Parallel)
-    E->Sched = exec::planParallelism(E->CP->LP);
   return E;
 }
 
@@ -475,7 +467,7 @@ void EngineImpl::copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const {
   }
 }
 
-void EngineImpl::execute(CacheEntry &E, FlushInfo &Info) {
+void EngineImpl::execute(const CacheEntry &E, FlushInfo &Info) {
   const lir::LoopProgram &LP = E.CP->LP;
 
   // Allocate per the cached footprints, then rebind: every buffer starts
@@ -504,51 +496,13 @@ void EngineImpl::execute(CacheEntry &E, FlushInfo &Info) {
   for (size_t I = 0; I < ReduceStates.size(); ++I)
     Store.setScalar(E.ReduceSyms[I], 0.0);
 
-  switch (Opts.Mode) {
-  case xform::ExecMode::Sequential:
-    exec::runOnStorage(LP, Store);
-    break;
-  case xform::ExecMode::Parallel:
-    if (!E.Sched) {
-      E.Sched = exec::planParallelism(LP);
-      // The pipeline only race-checks schedules it plans itself; the
-      // engine plans lazily per cache entry, so certify here.
-      if (Opts.Verify >= verify::VerifyLevel::Full) {
-        verify::VerifyReport R = verify::verifyParallelSafety(LP, *E.Sched);
-        if (!R.ok())
-          reportFatalError(("translation validation failed: " +
-                            R.Findings.front().str())
-                               .c_str());
-      }
-    }
-    exec::runParallelOnStorage(LP, Store, Opts.Parallel, *E.Sched);
-    break;
-  case xform::ExecMode::NativeJit: {
-    if (!Jit)
-      Jit = std::make_unique<exec::JitEngine>(Opts.Jit);
-    exec::JitRunInfo JI;
-    Jit->runOnStorage(LP, Store, &JI);
-    Info.Compiled = JI.Compiled;
-    Info.UsedJit = JI.UsedJit;
-    if (JI.Compiled)
-      ++Stats.KernelCompiles;
-    break;
-  }
-  case xform::ExecMode::NativeJitSimd: {
-    if (!JitSimd) {
-      exec::JitOptions JO = Opts.Jit;
-      JO.Vectorize = true;
-      JitSimd = std::make_unique<exec::JitEngine>(JO);
-    }
-    exec::JitRunInfo JI;
-    JitSimd->runOnStorage(LP, Store, &JI);
-    Info.Compiled = JI.Compiled;
-    Info.UsedJit = JI.UsedJit;
-    if (JI.Compiled)
-      ++Stats.KernelCompiles;
-    break;
-  }
-  }
+  exec::JitRunInfo JI;
+  E.CP->run(Store, &JI);
+  Info.UsedJit = JI.UsedJit;
+  // The kernel was compiled (if at all) when this entry was built.
+  Info.Compiled = !Info.CacheHit && JI.Compiled;
+  if (Info.Compiled)
+    ++Stats.KernelCompiles;
 
   // Materialize survivors and resolve reductions. Read-only slots keep
   // their handle's data untouched; written ones adopt or merge the

@@ -27,7 +27,7 @@
 /// contents and of constant values (constants are lowered to bound-late
 /// parameter scalars). A steady-state loop that issues the same trace
 /// shape every iteration pays analysis, scalarization and (under
-/// ExecMode::NativeJit) kernel compilation exactly once.
+/// ExecMode::NativeJit) kernel emission and compilation exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -199,8 +199,9 @@ struct EngineOptions {
   xform::Strategy Strat = xform::Strategy::C2F3;
 
   /// Executor for flushed traces. NativeJit composes with the trace
-  /// cache: a structurally repeated trace reuses the already-loaded
-  /// kernel, so warm flushes invoke no compiler.
+  /// cache: a structurally repeated trace reruns the kernel its cached
+  /// artifact already loaded, so warm flushes neither emit C nor invoke
+  /// the compiler.
   xform::ExecMode Mode = xform::ExecMode::Sequential;
 
   /// Auto-flush when the trace reaches this many statements (0 = only

@@ -26,7 +26,6 @@
 #define ALF_SERVE_KERNELCACHE_H
 
 #include "driver/Pipeline.h"
-#include "exec/ParallelExecutor.h"
 #include "ir/Program.h"
 #include "support/ThreadPool.h"
 #include "verify/Verify.h"
@@ -72,9 +71,10 @@ struct CompileKey {
 };
 
 /// One cached compile outcome — success or failure. Immutable once
-/// published; connection threads execute CP's loop program concurrently
-/// (the loop IR has no mutable state on the execute path). P owns the
-/// symbols CP references, so the two live and die together here.
+/// published; connection threads run CP concurrently (CompiledProgram::run
+/// is const: the loop IR, the schedule and the prepared kernel have no
+/// mutable state on the execute path). P owns the symbols CP references,
+/// so the two live and die together here.
 struct CompiledEntry {
   bool OK = false;
   std::string ErrorCode;    ///< "parse" or a driver::getCompileCodeName
@@ -88,10 +88,6 @@ struct CompiledEntry {
 
   std::unique_ptr<ir::Program> P;
   std::optional<driver::CompiledProgram> CP;
-
-  /// For ExecMode::Parallel: the schedule planned (and, at Full verify,
-  /// race-checked) once at compile time and reused by every execution.
-  std::optional<exec::ParallelSchedule> Sched;
 
   unsigned NumClusters = 0;
   std::vector<std::string> ContractedNames;

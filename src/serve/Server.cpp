@@ -69,10 +69,6 @@ Server::Server(ServerOptions InOpts) : Opts(std::move(InOpts)) {
   Opts.CompileThreads = std::max(1u, Opts.CompileThreads);
   CompileQueue = std::make_unique<TaskQueue>(Opts.CompileThreads);
   Cache = std::make_unique<KernelCache>(Opts.CacheShards, CompileQueue.get());
-  Jit = std::make_unique<exec::JitEngine>(Opts.Jit);
-  exec::JitOptions SimdOpts = Opts.Jit;
-  SimdOpts.Vectorize = true;
-  JitSimd = std::make_unique<exec::JitEngine>(SimdOpts);
 }
 
 Server::~Server() {
@@ -219,7 +215,7 @@ json::Value Server::handleRequest(const json::Value &Req) {
   if (*Op == "compile") {
     NumCompileReqs.fetch_add(1, std::memory_order_relaxed);
     obs::Span S("serve.request.compile");
-    return handleCompile(Req, /*ForExecute=*/false, nullptr);
+    return handleCompile(Req, nullptr, nullptr);
   }
   NumExecuteReqs.fetch_add(1, std::memory_order_relaxed);
   obs::Span S("serve.request.execute");
@@ -286,8 +282,8 @@ json::Value Server::statsJson() const {
 }
 
 json::Value Server::handleCompile(
-    const json::Value &Req, bool ForExecute,
-    std::shared_ptr<const CompiledEntry> *OutEntry) {
+    const json::Value &Req, std::shared_ptr<const CompiledEntry> *OutEntry,
+    CacheOutcome *OutOutcome) {
   std::optional<std::string> Program = Req.getString("program");
   if (!Program)
     return makeError("malformed", "request has no \"program\" member");
@@ -359,9 +355,8 @@ json::Value Server::handleCompile(
         PO.Jit = Opts.Jit;
         PO.Parallel = Opts.Parallel;
         driver::Pipeline PL(*E.P, PO);
-        driver::CompileRequest CReq;
-        CReq.Strat = Key.Strat;
-        driver::CompileStatus St = PL.tryCompile(CReq);
+        driver::CompileStatus St =
+            PL.tryCompile(driver::CompileRequest{Key.Strat, Key.Mode});
         if (!St.ok()) {
           E.ErrorCode = driver::getCompileCodeName(St.Code);
           E.ErrorMessage = St.Message;
@@ -373,25 +368,6 @@ json::Value Server::handleCompile(
         E.CP = std::move(St.Artifact);
         E.NumClusters = E.CP->NumClusters;
         E.ContractedNames = E.CP->ContractedNames;
-        if (Key.Mode == xform::ExecMode::Parallel) {
-          // Plan (and under Full verify, race-check) the schedule once;
-          // every execution reuses the certified plan.
-          exec::ParallelSchedule Sched = exec::planParallelism(E.CP->LP);
-          if (Key.Verify >= verify::VerifyLevel::Full) {
-            verify::VerifyReport R =
-                verify::verifyParallelSafety(E.CP->LP, Sched);
-            if (!R.ok()) {
-              E.ErrorCode = "verify-rejected";
-              E.ErrorMessage = R.Findings.front().str();
-              for (const verify::VerifyFinding &F : R.Findings)
-                E.ErrorFindings.push_back(F.str());
-              E.CP.reset();
-              E.CompileNs = nowNs() - T0;
-              return E;
-            }
-          }
-          E.Sched = std::move(Sched);
-        }
         E.OK = true;
         E.CompileNs = nowNs() - T0;
         return E;
@@ -400,6 +376,8 @@ json::Value Server::handleCompile(
 
   if (OutEntry)
     *OutEntry = Entry;
+  if (OutOutcome)
+    *OutOutcome = Outcome;
   if (!Entry->OK) {
     json::Value V = makeError(Entry->ErrorCode, Entry->ErrorMessage);
     // Rejections carry every finding, so a client sees the whole static
@@ -430,14 +408,13 @@ json::Value Server::handleCompile(
   V.set("contracted", Contracted);
   V.set("compile_us", json::Value::number(
                           static_cast<double>(Entry->CompileNs) / 1000.0));
-  (void)ForExecute; // same payload either way; execute appends results
   return V;
 }
 
 json::Value Server::handleExecute(const json::Value &Req) {
   std::shared_ptr<const CompiledEntry> Entry;
-  json::Value CompileResp =
-      handleCompile(Req, /*ForExecute=*/true, &Entry);
+  CacheOutcome Outcome = CacheOutcome::Hit;
+  json::Value CompileResp = handleCompile(Req, &Entry, &Outcome);
   std::optional<bool> OK = CompileResp.getBool("ok");
   if (!OK || !*OK || !Entry || !Entry->OK)
     return CompileResp;
@@ -446,24 +423,8 @@ json::Value Server::handleExecute(const json::Value &Req) {
   if (std::optional<double> S = Req.getNumber("seed"))
     Seed = static_cast<uint64_t>(*S);
 
-  std::optional<xform::ExecMode> Mode =
-      xform::execModeNamed(*CompileResp.getString("exec"));
-  exec::RunResult RR;
   exec::JitRunInfo JitInfo;
-  switch (*Mode) {
-  case xform::ExecMode::Sequential:
-    RR = exec::run(Entry->CP->LP, Seed);
-    break;
-  case xform::ExecMode::Parallel:
-    RR = exec::runParallel(Entry->CP->LP, Seed, Opts.Parallel, *Entry->Sched);
-    break;
-  case xform::ExecMode::NativeJit:
-    RR = Jit->run(Entry->CP->LP, Seed, &JitInfo);
-    break;
-  case xform::ExecMode::NativeJitSimd:
-    RR = JitSimd->run(Entry->CP->LP, Seed, &JitInfo);
-    break;
-  }
+  exec::RunResult RR = Entry->CP->run(Seed, &JitInfo);
 
   json::Value V = CompileResp;
   json::Value Scalars = json::Value::object();
@@ -482,14 +443,18 @@ json::Value Server::handleExecute(const json::Value &Req) {
     Arrays.set(Name, A);
   }
   V.set("arrays", Arrays);
-  if (*Mode == xform::ExecMode::NativeJit ||
-      *Mode == xform::ExecMode::NativeJitSimd) {
+  xform::ExecMode Mode = Entry->CP->Mode;
+  if (Mode == xform::ExecMode::NativeJit ||
+      Mode == xform::ExecMode::NativeJitSimd) {
     json::Value J = json::Value::object();
     J.set("used_jit", json::Value::boolean(JitInfo.UsedJit));
-    J.set("compiled", json::Value::boolean(JitInfo.Compiled));
+    // The kernel was compiled (if at all) by the compile that filled this
+    // cache entry, so only the request whose miss ran it reports it.
+    J.set("compiled", json::Value::boolean(Outcome == CacheOutcome::Miss &&
+                                           JitInfo.Compiled));
     if (!JitInfo.FallbackReason.empty())
       J.set("fallback", json::Value::str(JitInfo.FallbackReason));
-    if (*Mode == xform::ExecMode::NativeJitSimd) {
+    if (Mode == xform::ExecMode::NativeJitSimd) {
       J.set("vectorized_nests",
             json::Value::number(
                 static_cast<double>(JitInfo.VectorizedNests)));

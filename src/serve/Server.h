@@ -21,9 +21,11 @@
 /// shared KernelCache whose misses run on a TaskQueue of
 /// CompileThreads workers — so a cold ~300 ms compile occupies a
 /// compile-queue slot, not a connection thread's attention, and warm
-/// executes of already-cached programs proceed concurrently. A shared
-/// JitEngine backs ExecMode::NativeJit (its own single-flight keeps a
-/// kernel herd to one cc invocation). Admission control caps concurrent
+/// executes of already-cached programs proceed concurrently. For the
+/// JIT modes the compile also emits and loads the kernel, so `cc` runs on
+/// the compile queue too and a warm execute is marshal plus kernel call
+/// (the process-wide JitEngine's single-flight keeps a kernel herd to one
+/// cc invocation). Admission control caps concurrent
 /// in-flight requests (busy error) and program bytes (too-large before
 /// any parsing, enforced by the frame cap).
 ///
@@ -116,8 +118,9 @@ private:
   void acceptLoop();
   void handleConnection(int Fd);
   json::Value handleRequest(const json::Value &Req);
-  json::Value handleCompile(const json::Value &Req, bool ForExecute,
-                            std::shared_ptr<const CompiledEntry> *OutEntry);
+  json::Value handleCompile(const json::Value &Req,
+                            std::shared_ptr<const CompiledEntry> *OutEntry,
+                            CacheOutcome *OutOutcome);
   json::Value handleExecute(const json::Value &Req);
   json::Value handleStats() const;
   json::Value handleHealth() const;
@@ -137,8 +140,6 @@ private:
 
   std::unique_ptr<TaskQueue> CompileQueue;
   std::unique_ptr<KernelCache> Cache;
-  std::unique_ptr<exec::JitEngine> Jit;
-  std::unique_ptr<exec::JitEngine> JitSimd; // Opts.Jit with Vectorize on
 
   // Request counters (stats op).
   std::atomic<uint64_t> NumRequests{0}, NumCompileReqs{0}, NumExecuteReqs{0},

@@ -6,9 +6,12 @@
 #include "analysis/ASDG.h"
 #include "ir/Normalize.h"
 #include "ir/Verifier.h"
+#include "support/Casting.h"
 #include "xform/Strategy.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace alf;
 using namespace alf::frontend;
@@ -280,6 +283,45 @@ TEST(ParserTest, ErrorsCarryPositions) {
   ASSERT_FALSE(Result.Errors.empty());
   // The missing ';' is discovered at line 2.
   EXPECT_EQ(Result.Errors[0].substr(0, 2), "2:");
+}
+
+// Integer literals come from their spelling, not the lexer's double:
+// the largest int64_t bound survives exactly (it used to round to 2^63
+// and wrap to "empty range 1..-9223372036854775808"), and anything past
+// it, or past int32_t in an offset, is a diagnostic at the literal.
+TEST(ParserTest, IntegerLiteralsAreExactOrRejected) {
+  ParseResult Max = parseProgram(
+      "region G : [1..9223372036854775807];\narray A : G;\n[G] A := 1;\n");
+  ASSERT_TRUE(Max.succeeded()) << ::testing::PrintToString(Max.Errors);
+  const auto *S = dyn_cast<NormalizedStmt>(Max.Prog->getStmt(0));
+  ASSERT_NE(S, nullptr);
+  EXPECT_EQ(S->getRegion()->hi(0), std::numeric_limits<int64_t>::max());
+
+  ParseResult Over = parseProgram("region G : [1..9223372036854775808];");
+  EXPECT_FALSE(Over.succeeded());
+  ASSERT_FALSE(Over.Errors.empty());
+  EXPECT_EQ(Over.Errors[0], "1:16: range upper bound 9223372036854775808 "
+                            "is out of range");
+
+  ParseResult Offset = parseProgram(
+      "region R : [1..8];\narray A : R;\n[R] A := A@(4294967296);\n");
+  EXPECT_FALSE(Offset.succeeded());
+  ASSERT_FALSE(Offset.Errors.empty());
+  EXPECT_EQ(Offset.Errors[0],
+            "3:13: offset element 4294967296 is out of range");
+}
+
+// A fractional bound used to truncate silently: [1..4.5] ran 4 elements.
+TEST(ParserTest, FractionalRangeBoundIsRejected) {
+  ParseResult R = parseProgram("region R : [1..4.5];");
+  EXPECT_FALSE(R.succeeded());
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_EQ(R.Errors[0], "1:16: range upper bound 4.5 is not an integer");
+
+  // A zero fraction still spells an integer.
+  EXPECT_TRUE(
+      parseProgram("region R : [1..4.0];\narray A : R;\n[R] A := 1;\n")
+          .succeeded());
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "exec/NativeJit.h"
 
 #include "analysis/ASDG.h"
+#include "driver/Pipeline.h"
 #include "exec/ParallelExecutor.h"
 #include "ir/Normalize.h"
 #include "obs/Obs.h"
@@ -321,11 +322,15 @@ TEST(NativeJitTest, DiskHitRefreshesRecencyForEviction) {
 
 TEST(NativeJitTest, ExecModeDispatchesToJit) {
   auto P = tp::makeTomcatvFragment();
-  auto LP = makeLoopProgram(*P, Strategy::C2F3);
+  driver::Pipeline PL(*P);
+  driver::CompileStatus St = PL.tryCompile(
+      driver::CompileRequest{Strategy::C2F3, ExecMode::NativeJit});
+  ASSERT_TRUE(St.ok()) << St.Message;
+  ASSERT_TRUE(St.Artifact->Kernel.has_value());
   // Works with or without a compiler: NativeJit degrades to the
-  // interpreter, so runWithMode always agrees with exec::run.
-  RunResult Seq = run(LP, 21);
-  RunResult Jit = runWithMode(LP, 21, ExecMode::NativeJit);
+  // interpreter, so the artifact's run always agrees with exec::run.
+  RunResult Seq = run(St.Artifact->LP, 21);
+  RunResult Jit = St.Artifact->run(21);
   std::string Why;
   EXPECT_TRUE(resultsMatch(Seq, Jit, 0.0, &Why)) << Why;
 }
@@ -384,10 +389,15 @@ TEST(NativeJitTest, PlantedCarriedDependenceForcesScalarFallback) {
 // degrades to the interpreter exactly like NativeJit.
 TEST(NativeJitTest, ExecModeDispatchesToJitSimd) {
   auto P = tp::makeTomcatvFragment();
-  auto LP = makeLoopProgram(*P, Strategy::C2F3);
+  driver::Pipeline PL(*P);
+  driver::CompileStatus St = PL.tryCompile(
+      driver::CompileRequest{Strategy::C2F3, ExecMode::NativeJitSimd});
+  ASSERT_TRUE(St.ok()) << St.Message;
+  ASSERT_TRUE(St.Artifact->Kernel.has_value());
+  const lir::LoopProgram &LP = St.Artifact->LP;
   ASSERT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
   RunResult Seq = run(LP, 23);
-  RunResult Simd = runWithMode(LP, 23, ExecMode::NativeJitSimd);
+  RunResult Simd = St.Artifact->run(23);
   std::string Why;
   EXPECT_TRUE(resultsMatch(Seq, Simd, 0.0, &Why)) << Why;
 }

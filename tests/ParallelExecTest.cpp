@@ -9,6 +9,7 @@
 
 #include "exec/ParallelExecutor.h"
 
+#include "driver/Pipeline.h"
 #include "exec/Interpreter.h"
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
@@ -312,12 +313,19 @@ TEST(ParallelExecTest, ExecModeDispatchAndNames) {
   EXPECT_FALSE(execModeNamed("warp").has_value());
 
   auto P = tp::makeUserTempPair();
-  ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
-  RunResult Seq = runWithMode(LP, 9, ExecMode::Sequential);
-  ParallelOptions Opts;
-  Opts.NumThreads = 4;
-  RunResult Par = runWithMode(LP, 9, ExecMode::Parallel, Opts);
+  driver::PipelineOptions PO;
+  PO.Parallel.NumThreads = 4;
+  driver::Pipeline PL(*P, PO);
+  driver::CompileStatus SeqSt =
+      PL.tryCompile(driver::CompileRequest{Strategy::C2, ExecMode::Sequential});
+  driver::CompileStatus ParSt =
+      PL.tryCompile(driver::CompileRequest{Strategy::C2, ExecMode::Parallel});
+  ASSERT_TRUE(SeqSt.ok()) << SeqSt.Message;
+  ASSERT_TRUE(ParSt.ok()) << ParSt.Message;
+  EXPECT_FALSE(SeqSt.Artifact->Sched.has_value()); // no work for Sequential
+  ASSERT_TRUE(ParSt.Artifact->Sched.has_value());
+  RunResult Seq = SeqSt.Artifact->run(9);
+  RunResult Par = ParSt.Artifact->run(9);
   EXPECT_TRUE(resultsMatch(Seq, Par));
 }
 

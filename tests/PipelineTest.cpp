@@ -12,6 +12,7 @@
 #include "comm/CommInsertion.h"
 #include "exec/Interpreter.h"
 #include "ir/Normalize.h"
+#include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
 #include "xform/IlpStrategy.h"
 
@@ -89,7 +90,10 @@ TEST(PipelineTest, StrategyAndAsdgAreServedFromSharedAnalysis) {
   StrategyResult SR = PL.strategy(Strategy::C2);
   EXPECT_FALSE(SR.Partition.numClusters() == 0);
   auto LP = PL.scalarize(SR);
-  RunResult Res = PL.run(LP, ExecMode::Sequential, 3);
+  CompileStatus St = PL.tryCompile(CompileRequest{Strategy::C2});
+  ASSERT_TRUE(St.ok()) << St.Message;
+  EXPECT_EQ(St.Artifact->LP.str(), LP.str());
+  RunResult Res = St.Artifact->run(3);
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(LP, 3), Res, 0.0, &Why)) << Why;
 }
@@ -172,10 +176,48 @@ TEST(TryCompileTest, LegacyCompileWrapperStillRunsOnVerifyError) {
   Opts.OnVerifyError = [&Calls](const verify::VerifyReport &) { ++Calls; };
   Pipeline PL(*P, Opts);
   xform::setIlpCorruptionForTest(true);
-  CompiledProgram CP = PL.compile(Strategy::IlpOptimal);
+  RunResult Res = PL.run(Strategy::IlpOptimal, ExecMode::Sequential, 3);
   xform::setIlpCorruptionForTest(false);
   EXPECT_EQ(Calls, 1u); // handler fired instead of a fatal error
-  EXPECT_GE(CP.NumClusters, 1u);
+  EXPECT_FALSE(Res.LiveOut.empty()); // and the artifact still ran
+}
+
+// A prepared jit-simd artifact is emitted, hashed and loaded once, by
+// tryCompile: every later run is marshal plus kernel call, emits no C,
+// and reproduces the first run bit for bit. Without a compiler the
+// artifact runs the interpreter, which also emits nothing.
+TEST(TryCompileTest, RepeatedJitSimdRunsEmitNothingAndAgree) {
+  obs::reset();
+  obs::ScopedLevel Level(obs::ObsLevel::Counters);
+  auto Emitted = [] {
+    uint64_t N = 0;
+    for (const char *Name : {"jit.emit", "jit.vectorize"})
+      if (std::optional<obs::MetricRow> Row = obs::metricsFor(Name))
+        N += Row->Count;
+    return N;
+  };
+  auto P = tp::makeTomcatvFragment();
+  Pipeline PL(*P);
+  CompileStatus St = PL.tryCompile(
+      CompileRequest{Strategy::C2F3, ExecMode::NativeJitSimd});
+  ASSERT_TRUE(St.ok()) << St.Message;
+  uint64_t AfterCompile = Emitted();
+
+  JitRunInfo First;
+  RunResult FirstRes = St.Artifact->run(11, &First);
+  if (JitEngine::compilerAvailable()) {
+    EXPECT_EQ(AfterCompile, 1u);
+    EXPECT_TRUE(First.UsedJit) << First.FallbackReason;
+  }
+  for (int I = 0; I < 3; ++I) {
+    JitRunInfo Info;
+    RunResult Res = St.Artifact->run(11, &Info);
+    EXPECT_EQ(Info.UsedJit, First.UsedJit);
+    std::string Why;
+    EXPECT_TRUE(resultsMatch(FirstRes, Res, 0.0, &Why)) << Why;
+  }
+  EXPECT_EQ(Emitted(), AfterCompile);
+  obs::reset();
 }
 
 TEST(PipelineTest, OneShotRunProgram) {
@@ -187,9 +229,7 @@ TEST(PipelineTest, OneShotRunProgram) {
   std::string Why;
   EXPECT_TRUE(resultsMatch(
       run(LP, 9),
-      Pipeline::runProgram(*A, Strategy::F1, ExecMode::Sequential,
-                           PipelineOptions(), 9),
-      0.0, &Why))
+      Pipeline(*A).run(Strategy::F1, ExecMode::Sequential, 9), 0.0, &Why))
       << Why;
 }
 

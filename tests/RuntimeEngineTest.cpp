@@ -284,6 +284,45 @@ TEST(RuntimeEngineTest, WarmJitFlushesCompileNothing) {
   std::filesystem::remove_all(CacheDir, EC);
 }
 
+// A cached trace's artifact carries its loaded kernel, so a warm flush is
+// marshal plus kernel call: only the first flush emits C (and compiles),
+// every later one records no jit.emit span.
+TEST(RuntimeEngineTest, WarmJitFlushesEmitNothing) {
+  if (!exec::JitEngine::compilerAvailable())
+    GTEST_SKIP() << "no usable system C compiler";
+  std::string CacheDir =
+      (std::filesystem::temp_directory_path() /
+       ("alf-rt-emit-test-" + std::to_string(getpid())))
+          .string();
+  std::filesystem::remove_all(CacheDir);
+  obs::reset();
+  obs::ScopedLevel Level(obs::ObsLevel::Trace);
+  auto Emits = [] {
+    std::optional<obs::MetricRow> Row = obs::metricsFor("jit.emit");
+    return Row ? Row->Count : 0;
+  };
+
+  EngineOptions O;
+  O.Mode = xform::ExecMode::NativeJit;
+  O.Jit.CacheDir = CacheDir;
+  Engine E(O);
+  Array A = rampInput(E, 16);
+  for (int Iter = 0; Iter < 4; ++Iter) {
+    Array B =
+        E.compute(r1(1, 14), (shift(A, {-1}) + shift(A, {1})) * Ex(0.5));
+    E.flush();
+    ASSERT_TRUE(E.lastFlush().UsedJit);
+    EXPECT_EQ(E.lastFlush().Compiled, Iter == 0);
+    EXPECT_EQ(Emits(), 1u) << "flush " << Iter << " re-emitted the kernel";
+    EXPECT_DOUBLE_EQ(B.get({7}), 7.0);
+  }
+  EXPECT_EQ(E.stats().KernelCompiles, 1u);
+
+  obs::reset();
+  std::error_code EC;
+  std::filesystem::remove_all(CacheDir, EC);
+}
+
 TEST(RuntimeEngineTest, FlushNeverTruncatesMaterializedArrays) {
   Engine E;
   Array A = rampInput(E, 6);

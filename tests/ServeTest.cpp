@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -579,6 +580,91 @@ TEST_F(ServerTest, JitAndJitSimdAreDistinctCacheEntriesBothWarm) {
           .getString("cache")
           .value_or(""),
       "hit");
+}
+
+// alfd compiles kernels where it compiles programs: a cold jit or
+// jit-simd execute runs cc inside its cache miss on a compile-queue
+// thread, never on the connection thread serving the request. Only the
+// request whose miss ran cc reports "compiled"; the warm replay reports
+// every other jit field unchanged.
+TEST(ServeCompileQueueTest, ColdJitExecuteRunsCcOnTheCompileQueue) {
+  if (!exec::JitEngine::compilerAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  char Tmpl[] = "/tmp/alf-servetest-XXXXXX";
+  ASSERT_NE(mkdtemp(Tmpl), nullptr);
+  std::string Dir = Tmpl;
+  obs::reset();
+  obs::ScopedLevel Level(obs::ObsLevel::Trace);
+  {
+    ServerOptions SO;
+    SO.SocketPath = Dir + "/alfd.sock";
+    SO.CompileThreads = 2;
+    SO.Jit.CacheDir = Dir + "/kernels"; // cold: cc must run
+    Server Srv(std::move(SO));
+    std::string Error;
+    ASSERT_TRUE(Srv.start(&Error)) << Error;
+    auto RoundTrip = [&](const json::Value &Req) {
+      Client C;
+      EXPECT_TRUE(C.connect(Srv.options().SocketPath, &Error)) << Error;
+      json::Value Resp;
+      EXPECT_TRUE(C.request(Req, Resp, &Error)) << Error;
+      return Resp;
+    };
+    for (const std::string Exec : {"jit", "jit-simd"}) {
+      json::Value Cold =
+          RoundTrip(Client::makeExecute(ServerSource, "c2", Exec, "", 7));
+      json::Value Warm =
+          RoundTrip(Client::makeExecute(ServerSource, "c2", Exec, "", 7));
+      ASSERT_EQ(Cold.getBool("ok").value_or(false), true)
+          << Exec << ": " << Cold.getString("message").value_or("");
+      ASSERT_EQ(Warm.getBool("ok").value_or(false), true) << Exec;
+      EXPECT_EQ(Cold.getString("cache").value_or(""), "miss") << Exec;
+      EXPECT_EQ(Warm.getString("cache").value_or(""), "hit") << Exec;
+      const json::Value *CJ = Cold.get("jit");
+      const json::Value *WJ = Warm.get("jit");
+      ASSERT_NE(CJ, nullptr) << Exec;
+      ASSERT_NE(WJ, nullptr) << Exec;
+      EXPECT_EQ(CJ->getBool("compiled").value_or(false), true) << Exec;
+      EXPECT_EQ(WJ->getBool("compiled").value_or(true), false) << Exec;
+      for (const json::Value *J : {CJ, WJ}) {
+        EXPECT_EQ(J->getBool("used_jit").value_or(false), true) << Exec;
+        EXPECT_EQ(J->get("fallback"), nullptr) << Exec;
+        if (Exec == "jit-simd") {
+          EXPECT_GE(J->getNumber("vectorized_nests").value_or(0), 1) << Exec;
+          EXPECT_TRUE(J->getNumber("vector_fallbacks").has_value()) << Exec;
+          EXPECT_TRUE(J->getBool("reassociated").has_value()) << Exec;
+        }
+      }
+      EXPECT_EQ(Cold.get("scalars")->getNumber("s").value_or(-1),
+                Warm.get("scalars")->getNumber("s").value_or(-2))
+          << Exec;
+    }
+    Srv.stop();
+    Srv.wait();
+  }
+
+  std::set<unsigned> ConnectionTids, CompileQueueTids;
+  std::vector<unsigned> CcTids;
+  for (const obs::TraceEvent &E : obs::traceEvents()) {
+    std::string Name = E.Name;
+    if (Name == "serve.request.execute")
+      ConnectionTids.insert(E.Tid);
+    else if (Name == "pipeline.asdg") // only compiles run the pipeline
+      CompileQueueTids.insert(E.Tid);
+    else if (Name == "jit.compile")
+      CcTids.push_back(E.Tid);
+  }
+  EXPECT_EQ(CcTids.size(), 2u) << "one cc per tier";
+  EXPECT_EQ(ConnectionTids.size(), 4u) << "one connection per request";
+  for (unsigned Tid : CcTids) {
+    EXPECT_EQ(ConnectionTids.count(Tid), 0u)
+        << "cc ran on a connection thread";
+    EXPECT_EQ(CompileQueueTids.count(Tid), 1u)
+        << "cc ran off the compile queue";
+  }
+  obs::reset();
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
 }
 
 TEST_F(ServerTest, UnsafeProgramIsVettedBeforeCompileAndNegativelyCached) {

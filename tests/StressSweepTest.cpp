@@ -84,6 +84,17 @@ driver::PipelineOptions fullVerifyOptions(verify::VerifyReport &Collected,
   return PO;
 }
 
+/// tryCompile of \p S prepared for \p Mode. Findings go to \p Collected,
+/// as fullVerifyOptions' handler sends those of the pipeline's other
+/// entry points.
+driver::CompileStatus compileFor(driver::Pipeline &PL, Strategy S,
+                                 ExecMode Mode,
+                                 verify::VerifyReport &Collected) {
+  driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S, Mode});
+  Collected.take(St.Findings);
+  return St;
+}
+
 TEST_P(StressSweepTest, AllStrategiesAndExecutorsAgree) {
   uint64_t Seed = GetParam();
   GeneratorConfig Cfg = sweepConfig(Seed);
@@ -99,18 +110,21 @@ TEST_P(StressSweepTest, AllStrategiesAndExecutorsAgree) {
   RunResult BaseRes = run(Base, RunSeed);
 
   // Every strategy, sequential and parallel, against the baseline oracle.
-  // PL.run(ExecMode::Parallel) race-checks each schedule before running.
+  // An artifact prepared for ExecMode::Parallel race-checked its schedule
+  // at compile time.
   for (Strategy S : allStrategiesForTest()) {
-    StrategyResult SR = PL.strategy(S);
-    ASSERT_TRUE(isValidPartition(SR.Partition))
+    driver::CompileStatus St =
+        compileFor(PL, S, ExecMode::Parallel, Collected);
+    ASSERT_TRUE(St.Artifact && St.SR)
+        << getStrategyName(S) << ": " << St.Message << "\n" << P->str();
+    ASSERT_TRUE(isValidPartition(St.SR->Partition))
         << getStrategyName(S) << "\n" << P->str();
-    auto LP = PL.scalarize(SR);
+    const auto &LP = St.Artifact->LP;
     std::string Why;
     ASSERT_TRUE(resultsMatch(BaseRes, run(LP, RunSeed), 0.0, &Why))
         << getStrategyName(S) << " sequential diverged: " << Why << "\n"
         << P->str();
-    ASSERT_TRUE(resultsMatch(
-        BaseRes, PL.run(LP, ExecMode::Parallel, RunSeed), 0.0, &Why))
+    ASSERT_TRUE(resultsMatch(BaseRes, St.Artifact->run(RunSeed), 0.0, &Why))
         << getStrategyName(S) << " parallel (" << NumThreads
         << " threads) diverged: " << Why << "\n"
         << P->str();
@@ -163,24 +177,27 @@ TEST_P(StressSweepTest, SemiringAgrees) {
   RunResult BaseRes = run(Base, RunSeed);
 
   for (Strategy S : allStrategiesForTest()) {
-    StrategyResult SR = PL.strategy(S);
-    ASSERT_TRUE(isValidPartition(SR.Partition))
+    driver::CompileStatus St =
+        compileFor(PL, S, ExecMode::Parallel, Collected);
+    ASSERT_TRUE(St.Artifact && St.SR)
+        << getStrategyName(S) << ": " << St.Message << "\n" << P->str();
+    ASSERT_TRUE(isValidPartition(St.SR->Partition))
         << getStrategyName(S) << "\n" << P->str();
-    auto LP = PL.scalarize(SR);
+    const auto &LP = St.Artifact->LP;
     std::string Why;
     ASSERT_TRUE(resultsMatch(BaseRes, run(LP, RunSeed), 0.0, &Why))
         << getStrategyName(S) << " sequential diverged under "
         << Cfg.ReduceSemiring->Name << ": " << Why << "\n" << P->str();
-    ASSERT_TRUE(resultsMatch(
-        BaseRes, PL.run(LP, ExecMode::Parallel, RunSeed), 0.0, &Why))
+    ASSERT_TRUE(resultsMatch(BaseRes, St.Artifact->run(RunSeed), 0.0, &Why))
         << getStrategyName(S) << " parallel diverged under "
         << Cfg.ReduceSemiring->Name << ": " << Why << "\n" << P->str();
   }
 
   if (Seed % 10 == 0 && JitEngine::compilerAvailable()) {
-    auto LP = PL.scalarize(Strategy::C2);
     JitRunInfo Info;
-    RunResult JitRes = runNativeJit(LP, RunSeed, &Info);
+    RunResult JitRes =
+        compileFor(PL, Strategy::C2, ExecMode::NativeJit, Collected)
+            .Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit)
         << "jit fell back: " << Info.FallbackReason << "\n" << P->str();
     std::string Why;
@@ -195,8 +212,9 @@ TEST_P(StressSweepTest, SemiringAgrees) {
 
 // The same sweep through the native JIT backend. A strategy subset keeps
 // the number of distinct kernels (hence compiler invocations on a cold
-// cache) bounded; the process-wide engine honors $ALF_JIT_CACHE_DIR, so
-// CI reruns hit the disk cache and compile nothing.
+// cache) bounded; the process-wide engine the artifacts are prepared by
+// honors $ALF_JIT_CACHE_DIR, so CI reruns hit the disk cache and compile
+// nothing.
 TEST_P(StressSweepTest, NativeJitAgrees) {
   if (!JitEngine::compilerAvailable())
     GTEST_SKIP() << "no usable system C compiler";
@@ -213,9 +231,11 @@ TEST_P(StressSweepTest, NativeJitAgrees) {
   RunResult BaseRes = run(Base, RunSeed);
 
   for (Strategy S : {Strategy::Baseline, Strategy::C2, Strategy::C2F3}) {
-    auto LP = PL.scalarize(S);
+    driver::CompileStatus St =
+        compileFor(PL, S, ExecMode::NativeJit, Collected);
+    ASSERT_TRUE(St.Artifact) << getStrategyName(S) << ": " << St.Message;
     JitRunInfo Info;
-    RunResult JitRes = runNativeJit(LP, RunSeed, &Info);
+    RunResult JitRes = St.Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit)
         << getStrategyName(S)
         << " fell back to the interpreter: " << Info.FallbackReason << "\n"
@@ -332,10 +352,12 @@ TEST(StressSweepSimdTest, SimdAgrees) {
 
     bool Vectorized = false, Reassociated = false, FellBack = false;
     for (Strategy S : {Strategy::Baseline, Strategy::C2}) {
-      auto LP = PL.scalarize(S);
-      support::Tolerance Tol = scalarize::simdToleranceFor(LP);
+      driver::CompileStatus St =
+          compileFor(PL, S, ExecMode::NativeJitSimd, Collected);
+      ASSERT_TRUE(St.Artifact) << getStrategyName(S) << ": " << St.Message;
+      support::Tolerance Tol = scalarize::simdToleranceFor(St.Artifact->LP);
       JitRunInfo Info;
-      RunResult SimdRes = runNativeJitSimd(LP, RunSeed, &Info);
+      RunResult SimdRes = St.Artifact->run(RunSeed, &Info);
       ASSERT_TRUE(Info.UsedJit)
           << getStrategyName(S)
           << " fell back to the interpreter: " << Info.FallbackReason
@@ -402,7 +424,7 @@ TEST(StressSweepSimdTest, SimdAgrees) {
 // The optimality property test for the branch-and-bound partitioner
 // (xform/IlpStrategy): on every seed, the ILP partition must (a) pass
 // the same VerifyLevel::Full re-proof as any other strategy (checked by
-// PL.strategy through the collecting handler), (b) produce programs
+// tryCompile and collected from its findings), (b) produce programs
 // bit-identical to both the baseline oracle and the greedy c2 partition
 // across the interpreter, the parallel executor and (on a subset) the
 // native JIT, and (c) achieve an objective — contracted bytes — at
@@ -422,8 +444,14 @@ TEST_P(StressSweepTest, IlpStrategyAgrees) {
   auto Base = PL.scalarize(Strategy::Baseline);
   RunResult BaseRes = run(Base, RunSeed);
 
-  StrategyResult Greedy = PL.strategy(Strategy::C2);
-  StrategyResult Ilp = PL.strategy(Strategy::IlpOptimal);
+  driver::CompileStatus GreedySt =
+      compileFor(PL, Strategy::C2, ExecMode::Sequential, Collected);
+  driver::CompileStatus IlpSt =
+      compileFor(PL, Strategy::IlpOptimal, ExecMode::Parallel, Collected);
+  ASSERT_TRUE(GreedySt.Artifact && IlpSt.Artifact)
+      << GreedySt.Message << IlpSt.Message << "\n" << P->str();
+  const StrategyResult &Greedy = *GreedySt.SR;
+  const StrategyResult &Ilp = *IlpSt.SR;
   ASSERT_TRUE(isValidPartition(Ilp.Partition)) << P->str();
 
   // The optimality property: never a smaller objective than greedy.
@@ -435,21 +463,21 @@ TEST_P(StressSweepTest, IlpStrategyAgrees) {
   // Differential execution: greedy-partitioned and ILP-partitioned
   // programs must be bit-identical to the unoptimized baseline (and so
   // to each other) on every executor.
-  auto GreedyLP = PL.scalarize(Greedy);
-  auto IlpLP = PL.scalarize(Ilp);
+  const auto &GreedyLP = GreedySt.Artifact->LP;
+  const auto &IlpLP = IlpSt.Artifact->LP;
   std::string Why;
   ASSERT_TRUE(resultsMatch(BaseRes, run(GreedyLP, RunSeed), 0.0, &Why))
       << "greedy sequential diverged: " << Why << "\n" << P->str();
   ASSERT_TRUE(resultsMatch(BaseRes, run(IlpLP, RunSeed), 0.0, &Why))
       << "ilp sequential diverged: " << Why << "\n" << P->str();
-  ASSERT_TRUE(resultsMatch(BaseRes,
-                           PL.run(IlpLP, ExecMode::Parallel, RunSeed), 0.0,
-                           &Why))
+  ASSERT_TRUE(resultsMatch(BaseRes, IlpSt.Artifact->run(RunSeed), 0.0, &Why))
       << "ilp parallel (" << NumThreads << " threads) diverged: " << Why
       << "\n" << P->str();
   if (Seed % 10 == 0 && JitEngine::compilerAvailable()) {
     JitRunInfo Info;
-    RunResult JitRes = runNativeJit(IlpLP, RunSeed, &Info);
+    RunResult JitRes =
+        compileFor(PL, Strategy::IlpOptimal, ExecMode::NativeJit, Collected)
+            .Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit) << "ilp jit fell back: " << Info.FallbackReason
                               << "\n" << P->str();
     ASSERT_TRUE(resultsMatch(BaseRes, JitRes, 0.0, &Why))
@@ -647,11 +675,13 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
   verify::VerifyReport Collected;
   driver::Pipeline PL(*P, fullVerifyOptions(Collected, 4));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
-  auto LP = PL.scalarize(Strategy::C2F3);
   uint64_t RunSeed = Seed ^ 0xfeed;
 
+  // Compile and run under the current obs level, so preparation (the JIT
+  // emission included) is traced along with the run.
   auto RunMode = [&](ExecMode Mode) {
-    return PL.run(LP, Mode, RunSeed);
+    return compileFor(PL, Strategy::C2F3, Mode, Collected)
+        .Artifact->run(RunSeed);
   };
 
   std::vector<ExecMode> Modes = {ExecMode::Sequential, ExecMode::Parallel};

@@ -39,6 +39,7 @@
 #include "ir/Region.h"
 #include "obs/Obs.h"
 #include "runtime/Runtime.h"
+#include "support/ErrorHandling.h"
 #include "support/Json.h"
 #include "support/StringUtil.h"
 #include "xform/IlpStrategy.h"
@@ -115,8 +116,17 @@ std::string lowerName(std::string S) {
   return S;
 }
 
-/// Compile (untimed) then time sequential execution of one paper
-/// benchmark under the given strategy.
+/// The pinned suite's programs always compile; a failure is a bug.
+driver::CompiledProgram compileOrDie(driver::Pipeline &PL, Strategy S,
+                                     ExecMode Mode) {
+  driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S, Mode});
+  if (!St.ok() || !St.Artifact)
+    reportFatalError(("compile failed: " + St.Message).c_str());
+  return std::move(*St.Artifact);
+}
+
+/// Compile for \p Mode (untimed), then time runs of the artifact of one
+/// paper benchmark under the given strategy.
 Case execCase(const BenchmarkInfo &B, int64_t N, Strategy S, ExecMode Mode,
               std::string NameSuffix) {
   std::string Name = "exec." + lowerName(B.Name) + "." +
@@ -124,11 +134,11 @@ Case execCase(const BenchmarkInfo &B, int64_t N, Strategy S, ExecMode Mode,
   return {Name, [&B, N, S, Mode](unsigned Repeats) {
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
-            lir::LoopProgram LP = PL.scalarize(S);
+            driver::CompiledProgram CP = compileOrDie(PL, S, Mode);
             CaseResult R;
             for (unsigned I = 0; I < Repeats; ++I) {
               uint64_t T0 = nowNs();
-              RunResult Res = PL.run(LP, Mode, BenchSeed);
+              RunResult Res = CP.run(BenchSeed);
               R.Ns.push_back(nowNs() - T0);
               R.Checksum = checksum(Res);
             }
@@ -152,7 +162,8 @@ Case compileCase(const BenchmarkInfo &B, int64_t N, Strategy S,
               PO.Verify = V;
               uint64_t T0 = nowNs();
               driver::Pipeline PL(*P, PO);
-              driver::CompiledProgram CP = PL.compile(S);
+              driver::CompiledProgram CP =
+                  compileOrDie(PL, S, ExecMode::Sequential);
               R.Ns.push_back(nowNs() - T0);
               R.Checksum = static_cast<double>(CP.NumClusters);
             }

@@ -184,18 +184,15 @@ int main(int argc, char **argv) {
   if (EmitC && !HaveCC)
     std::cerr << "note: no system C compiler; skipping --emit-c checks\n";
 
-  // One engine for the whole run: repeated kernels hit the in-memory
-  // cache, and a warm on-disk cache (e.g. in CI) skips compiles entirely.
-  std::unique_ptr<JitEngine> Jit;
+  // JIT artifacts come from the process-wide engine: repeated kernels hit
+  // its in-memory cache, and a warm on-disk cache (e.g. in CI) skips
+  // compiles entirely.
+  bool Jit = false;
   if (Mode == ExecMode::NativeJit || Mode == ExecMode::NativeJitSimd) {
-    if (JitEngine::compilerAvailable()) {
-      JitOptions JO;
-      JO.Vectorize = Mode == ExecMode::NativeJitSimd;
-      Jit = std::make_unique<JitEngine>(JO);
-    } else {
+    Jit = JitEngine::compilerAvailable();
+    if (!Jit)
       std::cerr << "note: no system C compiler; skipping --exec="
                 << getExecModeName(Mode) << " checks\n";
-    }
   }
 
   Stats S;
@@ -226,6 +223,7 @@ int main(int argc, char **argv) {
     auto P = generateRandomProgram(Cfg);
     driver::PipelineOptions PO;
     PO.Verify = VerifyLevel;
+    PO.Parallel.NumThreads = Threads;
     driver::Pipeline PL(*P, PO);
     if (!isWellFormed(PL.program()))
       fail(*P, "normalized program failed verification");
@@ -234,10 +232,10 @@ int main(int argc, char **argv) {
     // Every compile goes through the status-returning entry point: a
     // rejected proof surfaces as CompileStatus instead of aborting, so
     // the offending program can be printed for reproduction.
-    auto compileOrFail = [&](Strategy Strat) -> driver::CompileStatus {
-      driver::CompileRequest Req;
-      Req.Strat = Strat;
-      driver::CompileStatus St = PL.tryCompile(Req);
+    auto compileOrFail = [&](Strategy Strat,
+                             ExecMode M) -> driver::CompileStatus {
+      driver::CompileStatus St =
+          PL.tryCompile(driver::CompileRequest{Strat, M});
       if (!St.ok() || !St.Artifact || !St.SR)
         fail(*P, (St.Code == driver::CompileCode::VerifyRejected
                       ? "verification failed: "
@@ -246,7 +244,8 @@ int main(int argc, char **argv) {
       return St;
     };
 
-    driver::CompileStatus BaseSt = compileOrFail(Strategy::Baseline);
+    driver::CompileStatus BaseSt =
+        compileOrFail(Strategy::Baseline, ExecMode::Sequential);
     const ASDG &G = PL.asdg();
     RunResult BaseRes = run(BaseSt.Artifact->LP, ProgSeed ^ 0xfeed);
 
@@ -254,7 +253,11 @@ int main(int argc, char **argv) {
     if (OnlyStrategy)
       Strategies = {*OnlyStrategy};
     for (Strategy Strat : Strategies) {
-      driver::CompileStatus St = compileOrFail(Strat);
+      // The artifact is prepared for the parallel executor (schedule
+      // planned and, under --verify=full, race-checked) when that stage
+      // runs; its loop program also feeds the sequential oracle.
+      driver::CompileStatus St = compileOrFail(
+          Strat, Threads > 0 ? ExecMode::Parallel : ExecMode::Sequential);
       const StrategyResult &SR = *St.SR;
       if (!isValidPartition(SR.Partition))
         fail(*P, formatString("invalid partition under %s",
@@ -294,7 +297,8 @@ int main(int argc, char **argv) {
                 support::Tolerance::ReassociatedFloat)
           JitTol = 1e-6;
         JitRunInfo Info;
-        RunResult JitRes = Jit->run(LP, ProgSeed ^ 0xfeed, &Info);
+        RunResult JitRes = compileOrFail(Strat, Mode).Artifact->run(
+            ProgSeed ^ 0xfeed, &Info);
         if (!resultsMatch(BaseRes, JitRes, JitTol, &Why))
           fail(*P, formatString("%s jit diverged: %s", getStrategyName(Strat),
                                 Why.c_str()));
@@ -308,18 +312,9 @@ int main(int argc, char **argv) {
       // Multithreaded tiled execution of the same program; results must
       // be bit-identical to the sequential oracle.
       if (Threads > 0) {
-        ParallelSchedule Sched = planParallelism(LP);
-        if (VerifyLevel >= verify::VerifyLevel::Full) {
-          verify::VerifyReport R = verify::verifyParallelSafety(LP, Sched);
-          if (!R.ok())
-            fail(*P, "verification failed: " + R.Findings.front().str());
-        }
-        S.ParallelNests += Sched.numParallelNests();
-        ParallelOptions Opts;
-        Opts.NumThreads = Threads;
-        if (!resultsMatch(BaseRes, runParallel(LP, ProgSeed ^ 0xfeed, Opts,
-                                               Sched),
-                          0.0, &Why))
+        S.ParallelNests += St.Artifact->Sched->numParallelNests();
+        if (!resultsMatch(BaseRes, St.Artifact->run(ProgSeed ^ 0xfeed), 0.0,
+                          &Why))
           fail(*P, formatString("%s parallel (%u threads) diverged: %s",
                                 getStrategyName(Strat), Threads, Why.c_str()));
         ++S.ParallelRuns;
@@ -408,7 +403,8 @@ int main(int argc, char **argv) {
               << getStatisticValue("jit", "NumJitCacheMemoryHits")
               << " memory hits, "
               << getStatisticValue("jit", "NumJitCacheDiskHits")
-              << " disk hits; cache: " << Jit->cacheDir() << ")\n";
+              << " disk hits; cache: "
+              << sharedJitEngine(JitOptions()).cacheDir() << ")\n";
   if (!tool::emitObsOutputs(TO, std::cout, std::cerr, "alf_stress"))
     return 1;
   if (!TO.TraceFile.empty())
