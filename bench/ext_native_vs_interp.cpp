@@ -6,7 +6,7 @@
 // interpreter, and then timed under both executors; the table reports the
 // native speedup per strategy. A second pass with a fresh engine over the
 // same (now warm) kernel cache re-runs everything and asserts — via the
-// "jit" Statistic group — that the compiler was never invoked again.
+// `jit.compiles` obs counter — that the compiler was never invoked again.
 //
 // Exits nonzero on any divergence or on a compile during the warm pass;
 // exits 0 with a note when the machine has no usable C compiler.
@@ -16,7 +16,7 @@
 #include "benchprogs/Benchmarks.h"
 
 #include "driver/Pipeline.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
@@ -122,7 +122,7 @@ int main() {
 
   // Pass 2: a fresh engine over the warm cache must serve every kernel
   // from disk without one compiler invocation.
-  uint64_t CompilesBefore = getStatisticValue("jit", "NumJitCompiles");
+  uint64_t CompilesBefore = obs::counterValue("jit.compiles");
   {
     JitEngine Engine(JOpts);
     for (const BenchmarkInfo &B : allBenchmarks()) {
@@ -141,7 +141,7 @@ int main() {
     }
   }
   uint64_t WarmCompiles =
-      getStatisticValue("jit", "NumJitCompiles") - CompilesBefore;
+      obs::counterValue("jit.compiles") - CompilesBefore;
   if (WarmCompiles != 0) {
     std::cerr << "FAIL: warm-cache rerun invoked the compiler "
               << WarmCompiles << " time(s)\n";
@@ -150,9 +150,9 @@ int main() {
 
   std::cout << Pairs << " benchmark/strategy pairs verified bit-identical; "
             << "warm-cache rerun performed 0 compiler invocations ("
-            << getStatisticValue("jit", "NumJitCacheDiskHits")
+            << obs::counterValue("jit.cache.disk_hit")
             << " disk hits, "
-            << getStatisticValue("jit", "NumJitCacheMemoryHits")
+            << obs::counterValue("jit.cache.memory_hit")
             << " memory hits overall)\n";
   return 0;
 }

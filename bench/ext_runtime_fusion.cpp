@@ -22,7 +22,7 @@
 
 #include "runtime/Runtime.h"
 
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
@@ -153,10 +153,10 @@ int main() {
   Jit.Mode = xform::ExecMode::NativeJit;
   Jit.Jit.CacheDir = CacheDir;
 
-  uint64_t CompilesBefore = getStatisticValue("jit", "NumJitCompiles");
+  uint64_t CompilesBefore = obs::counterValue("jit.compiles");
   SweepRun JitRun = runSweeps(Jit);
   uint64_t Compiles =
-      getStatisticValue("jit", "NumJitCompiles") - CompilesBefore;
+      obs::counterValue("jit.compiles") - CompilesBefore;
 
   if (JitRun.FinalGrid != EagerRun.FinalGrid) {
     std::cerr << "FAIL: native traced grid diverged from eager grid\n";

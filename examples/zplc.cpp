@@ -46,7 +46,6 @@
 #include "scalarize/CEmitter.h"
 #include "scalarize/FortranEmitter.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
 #include "support/StringUtil.h"
 #include "verify/Lint.h"
 #include "verify/Verify.h"
@@ -163,9 +162,7 @@ int main(int argc, char **argv) {
   // --semiring rebinds every reduction's algebra before any analysis
   // runs, so the override flows through strategy, verify and execution.
   if (TO.SemiringSel)
-    for (unsigned Id = 0; Id < P.numStmts(); ++Id)
-      if (auto *RS = dyn_cast<ir::ReduceStmt>(P.getStmt(Id)))
-        RS->setSemiring(*TO.SemiringSel);
+    P.setReductionSemiring(*TO.SemiringSel);
 
   if (Lint) {
     // Lint looks at the program exactly as written (pre-normalization,
@@ -284,7 +281,7 @@ int main(int argc, char **argv) {
   }
   if (Stats) {
     std::cout << '\n';
-    alf::printStatistics(std::cout);
+    obs::writeCounterTable(std::cout);
   }
   if (TO.Metrics)
     std::cout << '\n';

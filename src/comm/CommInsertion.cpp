@@ -2,7 +2,7 @@
 
 #include "comm/CommInsertion.h"
 
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 
 #include <map>
 #include <tuple>
@@ -88,8 +88,8 @@ CommPlan comm::insertLoopLevelComm(LoopProgram &LP) {
         if (It != Valid.end() && It->second >= Width) {
           ++Plan.RedundantElided; // redundancy elimination
           {
-            ALF_STATISTIC(NumElided, "comm",
-                          "Redundant halo exchanges elided");
+            ALF_COUNTER(NumElided, "comm.elided",
+                        "Redundant halo exchanges elided");
             ++NumElided;
           }
           continue;
@@ -103,7 +103,8 @@ CommPlan comm::insertLoopLevelComm(LoopProgram &LP) {
         ++Pos; // the nest moved one slot right
         ++Plan.Exchanges;
         {
-          ALF_STATISTIC(NumExchanges, "comm", "Halo exchanges inserted");
+          ALF_COUNTER(NumExchanges, "comm.exchanges",
+                      "Halo exchanges inserted");
           ++NumExchanges;
         }
         Valid[Halo] = Width;

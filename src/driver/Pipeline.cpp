@@ -9,15 +9,14 @@
 #include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
 #include "support/ErrorHandling.h"
-#include "support/Statistic.h"
 
 using namespace alf;
 using namespace alf::driver;
 using namespace alf::exec;
 using namespace alf::xform;
 
-ALF_STATISTIC(NumPipelineVerifyFailures, "verify",
-              "Pipeline stages rejected by a verification pass");
+ALF_COUNTER(NumPipelineVerifyFailures, "verify.pipeline_failures",
+            "Pipeline stages rejected by a verification pass");
 
 Pipeline::Pipeline(ir::Program &P, PipelineOptions InOpts)
     : P(P), Opts(std::move(InOpts)) {}

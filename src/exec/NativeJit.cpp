@@ -6,7 +6,6 @@
 #include "obs/Obs.h"
 #include "scalarize/CEmitter.h"
 #include "support/Process.h"
-#include "support/Statistic.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -25,30 +24,31 @@ using namespace alf::lir;
 
 namespace {
 
-ALF_STATISTIC(NumJitRuns, "jit", "Executions dispatched to the native backend");
-ALF_STATISTIC(NumJitCompiles, "jit", "Kernel compiler invocations");
-ALF_STATISTIC(NumJitCompileFailures, "jit",
-              "Compiler invocations that failed or timed out");
-ALF_STATISTIC(NumJitCacheMemoryHits, "jit",
-              "Kernels served from the in-memory cache");
-ALF_STATISTIC(NumJitCacheDiskHits, "jit",
-              "Kernels loaded from the on-disk cache");
-ALF_STATISTIC(NumJitCacheCorrupt, "jit",
-              "Corrupt on-disk cache entries discarded");
-ALF_STATISTIC(NumJitFallbacks, "jit",
-              "Runs that fell back to the sequential interpreter");
-ALF_STATISTIC(NumJitCacheEvictions, "jit",
-              "On-disk cache entries evicted by the size bound");
-ALF_STATISTIC(NumSanitizedRuns, "jit",
-              "Out-of-process sanitizer oracle executions");
-ALF_STATISTIC(NumSanitizedReports, "jit",
-              "Sanitizer oracle runs that reported a violation");
-ALF_STATISTIC(NumVectorizedNests, "jit.vectorize",
-              "Loop nests emitted as SIMD loops");
-ALF_STATISTIC(NumVectorizeFallbacks, "jit.vectorize",
-              "Loop nests the SIMD legality check refused");
-ALF_STATISTIC(NumVectorizedRuns, "jit.vectorize",
-              "Vectorize-mode runs with at least one SIMD nest");
+ALF_COUNTER(NumJitRuns, "jit.runs",
+            "Executions dispatched to the native backend");
+ALF_COUNTER(NumJitCompiles, "jit.compiles", "Kernel compiler invocations");
+ALF_COUNTER(NumJitCompileFailures, "jit.compile_failures",
+            "Compiler invocations that failed or timed out");
+ALF_COUNTER(NumJitCacheMemoryHits, "jit.cache.memory_hit",
+            "Kernels served from the in-memory cache");
+ALF_COUNTER(NumJitCacheDiskHits, "jit.cache.disk_hit",
+            "Kernels loaded from the on-disk cache");
+ALF_COUNTER(NumJitCacheCorrupt, "jit.cache.corrupt",
+            "Corrupt on-disk cache entries discarded");
+ALF_COUNTER(NumJitFallbacks, "jit.fallbacks",
+            "Runs that fell back to the sequential interpreter");
+ALF_COUNTER(NumJitCacheEvictions, "jit.cache.evictions",
+            "On-disk cache entries evicted by the size bound");
+ALF_COUNTER(NumSanitizedRuns, "jit.sanitized_runs",
+            "Out-of-process sanitizer oracle executions");
+ALF_COUNTER(NumSanitizedReports, "jit.sanitizer_reports",
+            "Sanitizer oracle runs that reported a violation");
+ALF_COUNTER(NumVectorizedNests, "jit.vectorize.nests",
+            "Loop nests emitted as SIMD loops");
+ALF_COUNTER(NumVectorizeFallbacks, "jit.vectorize.fallback",
+            "Loop nests the SIMD legality check refused");
+ALF_COUNTER(NumVectorizedRuns, "jit.vectorize.runs",
+            "Vectorize-mode runs with at least one SIMD nest");
 
 /// The kernel function name inside every emitted module.
 constexpr const char *KernelName = "alf_kernel";
@@ -200,8 +200,7 @@ JitEngine::LoadedKernel *JitEngine::kernelFor(const scalarize::CModule &Module,
       auto It = Kernels.find(Hash);
       if (It != Kernels.end()) {
         Info.CacheHitMemory = true;
-        ++NumJitCacheMemoryHits;
-        obs::instant("jit.cache.memory_hit");
+        obs::instant(NumJitCacheMemoryHits);
         return &It->second;
       }
       if (!InFlight.count(Hash)) {
@@ -255,8 +254,7 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
     if (Handle) {
       if (LoadEntry(Handle)) {
         Info.CacheHitDisk = true;
-        ++NumJitCacheDiskHits;
-        obs::instant("jit.cache.disk_hit");
+        obs::instant(NumJitCacheDiskHits);
         // Refresh the entry's age so the LRU eviction bound keeps hot
         // kernels and drops cold ones.
         std::filesystem::last_write_time(
@@ -345,9 +343,8 @@ PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
     K.Info.VectorFallbacks = Module.NumVectorFallbacks;
     K.Info.Reassociated = Module.Reassociated;
     NumVectorizedNests += Module.NumVectorizedNests;
-    NumVectorizeFallbacks += Module.NumVectorFallbacks;
     for (unsigned I = 0; I < Module.NumVectorFallbacks; ++I)
-      obs::instant("jit.vectorize.fallback");
+      obs::instant(NumVectorizeFallbacks);
   }
   std::string WhyNot;
   LoadedKernel *Kernel = kernelFor(Module, K.Info, WhyNot);

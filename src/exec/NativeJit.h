@@ -21,7 +21,8 @@
 /// The fallback ladder keeps the backend total: emission failure, missing
 /// compiler, compile failure/timeout, dlopen or dlsym failure each
 /// degrade to the sequential interpreter with the reason recorded (and
-/// counted in the "jit" Statistic group), so callers always get a result.
+/// counted by the `jit.fallbacks` obs counter), so callers always get a
+/// result.
 /// Results are bit-identical to the interpreter: the emitted helpers
 /// mirror the interpreter's guarded arithmetic and kernels are compiled
 /// with `-ffp-contract=off` and without fast-math.

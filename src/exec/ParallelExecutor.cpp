@@ -5,7 +5,6 @@
 #include "exec/Eval.h"
 #include "obs/Obs.h"
 #include "support/Casting.h"
-#include "support/Statistic.h"
 #include "support/ThreadPool.h"
 #include "xform/Report.h"
 
@@ -130,12 +129,12 @@ ParallelSchedule::planForNest(const LoopProgram &LP, unsigned I) const {
 }
 
 ParallelSchedule exec::planParallelism(const LoopProgram &LP) {
-  ALF_STATISTIC(NestsOuterParallel, "parallel",
-                "Nests with a dependence-free outermost loop");
-  ALF_STATISTIC(NestsInnerParallel, "parallel",
-                "Nests parallelized under per-iteration barriers");
-  ALF_STATISTIC(NestsSequential, "parallel",
-                "Nests kept sequential by the legality analysis");
+  ALF_COUNTER(NestsOuterParallel, "parallel.nests_outer",
+              "Nests with a dependence-free outermost loop");
+  ALF_COUNTER(NestsInnerParallel, "parallel.nests_inner",
+              "Nests parallelized under per-iteration barriers");
+  ALF_COUNTER(NestsSequential, "parallel.nests_sequential",
+              "Nests kept sequential by the legality analysis");
 
   ParallelSchedule Sched;
   for (const auto &NodePtr : LP.nodes()) {
@@ -185,7 +184,7 @@ std::string exec::describeSchedule(const LoopProgram &LP,
 void exec::runParallelOnStorage(const LoopProgram &LP, Storage &Store,
                                 const ParallelOptions &Opts,
                                 const ParallelSchedule &Sched) {
-  ALF_STATISTIC(NumParallelRuns, "parallel", "Parallel executor runs");
+  ALF_COUNTER(NumParallelRuns, "parallel.runs", "Parallel executor runs");
   ++NumParallelRuns;
 
   obs::Span Outer("exec.parallel");

@@ -56,8 +56,8 @@ struct ParallelSchedule {
 };
 
 /// Computes the parallelism decision of every nest of \p LP and records
-/// the outcome in the "parallel" Statistic group (nests-outer-parallel,
-/// nests-inner-parallel, nests-sequential).
+/// the outcome in the `parallel.nests_outer`, `parallel.nests_inner` and
+/// `parallel.nests_sequential` obs counters.
 ParallelSchedule planParallelism(const lir::LoopProgram &LP);
 
 /// One-line-per-nest report of the schedule: which nests run parallel,

@@ -3,7 +3,7 @@
 #include "ir/Normalize.h"
 
 #include "ir/Program.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 
 using namespace alf;
@@ -27,8 +27,8 @@ unsigned ir::normalizeProgram(Program &P) {
     ArraySymbol *Temp = P.makeCompilerTemp(TempName, S->getLHS()->getRank());
     ++Inserted;
     {
-      ALF_STATISTIC(NumCompilerTemps, "normalize",
-                    "Compiler temporaries inserted");
+      ALF_COUNTER(NumCompilerTemps, "normalize.compiler_temps",
+                  "Compiler temporaries inserted");
       ++NumCompilerTemps;
     }
 

@@ -163,6 +163,12 @@ void Program::renumber() {
     Stmts[I]->setId(I);
 }
 
+void Program::setReductionSemiring(const semiring::Semiring &SR) {
+  for (auto &S : Stmts)
+    if (auto *RS = dyn_cast<ReduceStmt>(S.get()))
+      RS->setSemiring(SR);
+}
+
 void Program::print(std::ostream &OS) const {
   OS << "program " << Name << " {\n";
   for (const auto &Sym : Symbols) {

@@ -150,6 +150,11 @@ public:
   /// Reassigns dense statement ids after mutation.
   void renumber();
 
+  /// Rebinds every reduction to fold with \p SR's algebra. Overrides
+  /// (zplc --semiring, alfd's "semiring" field) call this before any
+  /// analysis, so strategy, verification and execution all see it.
+  void setReductionSemiring(const semiring::Semiring &SR);
+
   /// Writes the whole program as source-like text.
   void print(std::ostream &OS) const;
 

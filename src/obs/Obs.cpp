@@ -5,12 +5,15 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
 using namespace alf;
 using namespace alf::obs;
@@ -22,15 +25,62 @@ namespace {
 /// the cap events are dropped (and counted); metrics keep aggregating.
 constexpr size_t MaxEvents = 1 << 20;
 
-/// Per-name aggregation. Samples are kept raw for exact percentiles;
-/// at phase granularity the vectors stay small, and reset() clears them
-/// (the bench runner resets between benchmarks).
+/// Log-scale duration histogram of fixed size (about 4 KiB): exact below
+/// 16 ns, then 8 equal sub-buckets per power of two. A bucket is at most
+/// 1/8 of its lower bound wide, so its midpoint is within 1/16 of every
+/// value that lands in it.
+class Histogram {
+  static constexpr unsigned SubBits = 3;
+  static constexpr unsigned Sub = 1u << SubBits;
+  static constexpr unsigned Exact = 2 * Sub;
+  static constexpr unsigned NumBuckets = Exact + (64 - SubBits - 1) * Sub;
+
+  std::array<uint64_t, NumBuckets> Buckets{};
+
+  static unsigned bucketOf(uint64_t V) {
+    if (V < Exact)
+      return static_cast<unsigned>(V);
+    unsigned E = 63 - static_cast<unsigned>(__builtin_clzll(V));
+    unsigned Low = static_cast<unsigned>(V >> (E - SubBits)) & (Sub - 1);
+    return Exact + (E - SubBits - 1) * Sub + Low;
+  }
+
+  static uint64_t midpointOf(unsigned B) {
+    if (B < Exact)
+      return B;
+    unsigned E = (B - Exact) / Sub + SubBits + 1;
+    uint64_t Width = uint64_t(1) << (E - SubBits);
+    return (Sub + (B - Exact) % Sub) * Width + Width / 2;
+  }
+
+public:
+  void add(uint64_t V) { ++Buckets[bucketOf(V)]; }
+
+  /// Nearest-rank percentile \p P of \p Count samples, clamped to the
+  /// samples' range [\p Min, \p Max] (so a one-sample row is exact).
+  uint64_t percentile(double P, uint64_t Count, uint64_t Min,
+                      uint64_t Max) const {
+    if (Count == 0)
+      return 0;
+    uint64_t Rank = std::min(static_cast<uint64_t>(P * Count), Count - 1);
+    uint64_t Seen = 0;
+    for (unsigned B = 0; B < NumBuckets; ++B) {
+      Seen += Buckets[B];
+      if (Seen > Rank)
+        return std::clamp(midpointOf(B), Min, Max);
+    }
+    return Max;
+  }
+};
+
+/// Per-name aggregation of spans.
 struct Agg {
   uint64_t Count = 0;
   uint64_t TotalNs = 0;
+  uint64_t MinNs = UINT64_MAX;
   uint64_t MaxNs = 0;
   uint64_t Bytes = 0;
-  std::vector<uint64_t> Samples;
+  Histogram Hist;
 };
 
 struct Registry {
@@ -38,6 +88,9 @@ struct Registry {
   std::vector<TraceEvent> Events;
   uint64_t Dropped = 0;
   std::map<std::string, Agg> Metrics;
+  /// Row of each name literal seen, so recording never builds a string.
+  std::unordered_map<const char *, Agg *> RowOf;
+  std::vector<Counter *> Counters;
   unsigned NextTid = 0;
 };
 
@@ -74,78 +127,48 @@ ThreadState &threadState() {
   return TS;
 }
 
-/// Records one finished event: always into the metrics, into the event
-/// buffer only when \p WantTrace.
-void record(const char *Name, std::string Detail, char Ph, uint64_t StartNs,
-            uint64_t DurNs, uint64_t Bytes, unsigned Tid, unsigned Depth,
-            bool WantTrace) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  Agg &A = R.Metrics[Name];
-  ++A.Count;
-  A.TotalNs += DurNs;
-  A.MaxNs = std::max(A.MaxNs, DurNs);
-  A.Bytes += Bytes;
-  A.Samples.push_back(DurNs);
-  if (!WantTrace)
-    return;
+/// Appends one trace event; the caller holds the registry mutex.
+void appendEvent(Registry &R, const char *Name, std::string &&Detail,
+                 char Ph, uint64_t StartNs, uint64_t DurNs, uint64_t Bytes,
+                 const ThreadState &TS) {
   if (R.Events.size() >= MaxEvents) {
     ++R.Dropped;
     return;
   }
-  TraceEvent E;
-  E.Name = Name;
-  E.Detail = std::move(Detail);
-  E.Ph = Ph;
-  E.StartNs = StartNs;
-  E.DurNs = DurNs;
-  E.Bytes = Bytes;
-  E.Tid = Tid;
-  E.Depth = Depth;
-  R.Events.push_back(std::move(E));
+  R.Events.push_back(TraceEvent{Name, std::move(Detail), Ph, StartNs, DurNs,
+                                Bytes, TS.Tid, TS.Depth});
 }
 
-/// Percentile by nearest-rank over a sorted copy.
-uint64_t percentile(std::vector<uint64_t> Samples, double P) {
-  if (Samples.empty())
-    return 0;
-  std::sort(Samples.begin(), Samples.end());
-  size_t Rank = static_cast<size_t>(P * static_cast<double>(Samples.size()));
-  if (Rank >= Samples.size())
-    Rank = Samples.size() - 1;
-  return Samples[Rank];
+/// Records one finished span: always into its metrics row, into the
+/// event buffer only when \p WantTrace.
+void record(const char *Name, std::string &&Detail, uint64_t StartNs,
+            uint64_t DurNs, uint64_t Bytes, const ThreadState &TS,
+            bool WantTrace) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  Agg *&A = R.RowOf[Name];
+  if (!A)
+    A = &R.Metrics[Name];
+  ++A->Count;
+  A->TotalNs += DurNs;
+  A->MinNs = std::min(A->MinNs, DurNs);
+  A->MaxNs = std::max(A->MaxNs, DurNs);
+  A->Bytes += Bytes;
+  A->Hist.add(DurNs);
+  if (WantTrace)
+    appendEvent(R, Name, std::move(Detail), 'X', StartNs, DurNs, Bytes, TS);
 }
 
-/// Escapes \p S for a JSON string literal (control chars, quote,
-/// backslash).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
+MetricRow rowOf(const std::string &Name, const Agg &A) {
+  MetricRow Row;
+  Row.Name = Name;
+  Row.Count = A.Count;
+  Row.TotalNs = A.TotalNs;
+  Row.MaxNs = A.MaxNs;
+  Row.Bytes = A.Bytes;
+  Row.P50Ns = A.Hist.percentile(0.50, A.Count, A.MinNs, A.MaxNs);
+  Row.P95Ns = A.Hist.percentile(0.95, A.Count, A.MinNs, A.MaxNs);
+  return Row;
 }
 
 } // namespace
@@ -199,8 +222,15 @@ void obs::setLevel(ObsLevel L) {
 }
 
 //===----------------------------------------------------------------------===//
-// Span / instant
+// Counters, spans and instants
 //===----------------------------------------------------------------------===//
+
+Counter::Counter(const char *InName, const char *InDesc)
+    : Name(InName), Desc(InDesc) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  R.Counters.push_back(this);
+}
 
 Span::Span(const char *Name) : Name(Name) {
   if (!obs::enabled())
@@ -222,18 +252,19 @@ Span::~Span() {
   uint64_t EndNs = nowNs();
   ThreadState &TS = threadState();
   --TS.Depth;
-  record(Name, std::move(Detail), 'X', StartNs, EndNs - StartNs, Bytes,
-         TS.Tid, TS.Depth, WantTrace);
+  record(Name, std::move(Detail), StartNs, EndNs - StartNs, Bytes, TS,
+         WantTrace);
 }
 
-void obs::instant(const char *Name) { instant(Name, std::string()); }
-
-void obs::instant(const char *Name, std::string Detail) {
-  if (!enabled())
+void obs::instant(Counter &C, std::string Detail) {
+  ++C;
+  if (!tracing())
     return;
-  ThreadState &TS = threadState();
-  record(Name, std::move(Detail), 'i', nowNs(), 0, 0, TS.Tid, TS.Depth,
-         tracing());
+  uint64_t Now = nowNs();
+  const ThreadState &TS = threadState();
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  appendEvent(R, C.name(), std::move(Detail), 'i', Now, 0, 0, TS);
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,27 +294,56 @@ std::vector<MetricRow> obs::metricsTable() {
   std::lock_guard<std::mutex> Lock(R.Mutex);
   std::vector<MetricRow> Rows;
   Rows.reserve(R.Metrics.size());
-  for (const auto &[Name, A] : R.Metrics) {
-    MetricRow Row;
-    Row.Name = Name;
-    Row.Count = A.Count;
-    Row.TotalNs = A.TotalNs;
-    Row.MaxNs = A.MaxNs;
-    Row.Bytes = A.Bytes;
-    Row.P50Ns = percentile(A.Samples, 0.50);
-    Row.P95Ns = percentile(A.Samples, 0.95);
-    Rows.push_back(std::move(Row));
-  }
-  // std::map iteration is already name-sorted; keep that contract
-  // explicit for readers.
+  // std::map iteration is name-sorted, which is the contract.
+  for (const auto &[Name, A] : R.Metrics)
+    Rows.push_back(rowOf(Name, A));
   return Rows;
 }
 
 std::optional<MetricRow> obs::metricsFor(const std::string &Name) {
-  for (MetricRow &Row : metricsTable())
-    if (Row.Name == Name)
-      return std::move(Row);
-  return std::nullopt;
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  auto It = R.Metrics.find(Name);
+  if (It != R.Metrics.end())
+    return rowOf(Name, It->second);
+  std::optional<MetricRow> Row;
+  for (const Counter *C : R.Counters) {
+    if (Name != C->name())
+      continue;
+    if (!Row) {
+      Row.emplace();
+      Row->Name = Name;
+      Row->IsCounter = true;
+    }
+    Row->Count += C->value();
+  }
+  return Row;
+}
+
+uint64_t obs::counterValue(const std::string &Name) {
+  std::optional<MetricRow> Row = metricsFor(Name);
+  return Row && Row->IsCounter ? Row->Count : 0;
+}
+
+json::Value obs::toJson(const MetricRow &Row, TimeUnit Unit) {
+  auto Num = [](uint64_t N) {
+    return json::Value::number(static_cast<double>(N));
+  };
+  if (Row.IsCounter)
+    return Num(Row.Count);
+  bool Us = Unit == TimeUnit::Us;
+  auto Time = [&](uint64_t Ns) {
+    return json::Value::number(static_cast<double>(Ns) / (Us ? 1e3 : 1.0));
+  };
+  std::string Suffix = Us ? "_us" : "_ns";
+  json::Value V = json::Value::object();
+  V.set("count", Num(Row.Count));
+  V.set("total" + Suffix, Time(Row.TotalNs));
+  V.set("p50" + Suffix, Time(Row.P50Ns));
+  V.set("p95" + Suffix, Time(Row.P95Ns));
+  V.set("max" + Suffix, Time(Row.MaxNs));
+  V.set("bytes", Num(Row.Bytes));
+  return V;
 }
 
 void obs::writeMetricsTable(std::ostream &OS) {
@@ -301,6 +361,25 @@ void obs::writeMetricsTable(std::ostream &OS) {
                        static_cast<unsigned long long>(Row.Bytes));
 }
 
+void obs::writeCounterTable(std::ostream &OS) {
+  std::vector<const Counter *> Sorted;
+  {
+    Registry &R = registry();
+    std::lock_guard<std::mutex> Lock(R.Mutex);
+    Sorted.assign(R.Counters.begin(), R.Counters.end());
+  }
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const Counter *L, const Counter *R) {
+              return std::strcmp(L->name(), R->name()) < 0;
+            });
+  OS << "=== Counters ===\n";
+  for (const Counter *C : Sorted)
+    if (C->value())
+      OS << formatString("%8llu %-36s %s\n",
+                         static_cast<unsigned long long>(C->value()),
+                         C->name(), C->desc());
+}
+
 void obs::writeChromeTrace(std::ostream &OS) {
   std::vector<TraceEvent> Events = traceEvents();
   OS << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -312,7 +391,7 @@ void obs::writeChromeTrace(std::ostream &OS) {
     // Chrome wants ts/dur in microseconds; fractional keeps ns fidelity.
     OS << formatString("\n{\"name\":\"%s\",\"cat\":\"alf\",\"ph\":\"%c\","
                        "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
-                       jsonEscape(E.Name).c_str(), E.Ph,
+                       json::escapeString(E.Name).c_str(), E.Ph,
                        static_cast<double>(E.StartNs) / 1e3,
                        static_cast<double>(E.DurNs) / 1e3, E.Tid);
     if (E.Ph == 'i')
@@ -322,7 +401,7 @@ void obs::writeChromeTrace(std::ostream &OS) {
       OS << formatString(",\"bytes\":%llu",
                          static_cast<unsigned long long>(E.Bytes));
     if (!E.Detail.empty())
-      OS << ",\"detail\":\"" << jsonEscape(E.Detail) << '"';
+      OS << ",\"detail\":\"" << json::escapeString(E.Detail) << '"';
     OS << "}}";
   }
   OS << "\n]}\n";
@@ -346,5 +425,8 @@ void obs::reset() {
   std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Events.clear();
   R.Dropped = 0;
+  R.RowOf.clear();
   R.Metrics.clear();
+  for (Counter *C : R.Counters)
+    C->Value.store(0, std::memory_order_relaxed);
 }

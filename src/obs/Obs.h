@@ -5,12 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pipeline's observability layer: lightweight RAII spans recorded
-/// into a per-process buffer, exported as Chrome `trace_event` JSON
-/// (load the file at chrome://tracing or ui.perfetto.dev) and as an
-/// aggregated per-phase/per-kernel metrics table (count, total/p50/p95
-/// wall time, bytes moved). Everything is gated behind a single global
-/// level so instrumented code pays one relaxed atomic load when
+/// The process's one metrics registry and its tracing layer. It holds
+/// two kinds of rows:
+///
+///   counters — named static `obs::Counter` objects (ALF_COUNTER) that
+///              passes, the runtime and the daemon bump as they work. A
+///              bump is one relaxed atomic add: always on, no name lookup,
+///              no level check. `zplc --stats` prints them.
+///   spans    — lightweight RAII spans, aggregated per name into count,
+///              total/p50/p95/max wall time and bytes moved.
+///              Percentiles come from a fixed-size log-scale histogram,
+///              so a row's memory never grows with its sample count.
+///              `--metrics` prints them.
+///
+/// Spans are exported as Chrome `trace_event` JSON too (load the file at
+/// chrome://tracing or ui.perfetto.dev). They are gated behind a single
+/// global level so instrumented code pays one relaxed atomic load when
 /// observability is off:
 ///
 ///   ObsLevel::Off       — spans are inert; nothing is recorded.
@@ -20,19 +30,23 @@
 ///
 /// Usage:
 /// \code
+///   ALF_COUNTER(NumMerges, "fusion.merges", "Cluster merges performed");
+///   ++NumMerges;                             // always counted
 ///   {
 ///     obs::Span S("pipeline.asdg");          // timed while in scope
 ///     ... build ...
 ///     S.setBytes(G.sizeBytes());             // optional volume
 ///   }
-///   obs::instant("jit.cache.memory_hit");    // zero-duration event
+///   obs::instant(NumCacheHits);              // count, plus a trace mark
 /// \endcode
 ///
-/// Span names are dotted phase paths ("pipeline.scalarize",
+/// Row names are dotted phase paths ("pipeline.scalarize",
 /// "exec.interpreter", "kernel.nest0", "runtime.flush"); the metrics
 /// table aggregates by exact name. The default level comes from the
 /// ALF_OBS environment variable ("off" | "counters" | "trace"), else
 /// Off; tools expose it as `--trace=out.json` (implies Trace).
+/// toJson() is the registry's one JSON rendering and reset() clears all
+/// of it.
 ///
 /// Thread behaviour: spans may open and close on any thread. Each
 /// thread gets a small stable tid (registration order) and its own
@@ -45,6 +59,8 @@
 
 #ifndef ALF_OBS_OBS_H
 #define ALF_OBS_OBS_H
+
+#include "support/Json.h"
 
 #include <atomic>
 #include <cstdint>
@@ -106,6 +122,43 @@ public:
   ScopedLevel &operator=(const ScopedLevel &) = delete;
 };
 
+/// Clears recorded events and metrics and zeroes every counter (not the
+/// level, not thread ids).
+void reset();
+
+/// One process-wide named counter. Define it with ALF_COUNTER, at
+/// namespace or function scope; it joins the registry when constructed.
+/// Increments are relaxed atomics, so counters bumped from the parallel
+/// executor's workers or the daemon's connection threads stay exact.
+class Counter {
+public:
+  /// \p Name and \p Desc must have static storage duration.
+  Counter(const char *Name, const char *Desc);
+
+  Counter(const Counter &) = delete;
+  Counter &operator=(const Counter &) = delete;
+
+  Counter &operator++() {
+    Value.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  Counter &operator+=(uint64_t N) {
+    Value.fetch_add(N, std::memory_order_relaxed);
+    return *this;
+  }
+
+  uint64_t value() const { return Value.load(std::memory_order_relaxed); }
+  const char *name() const { return Name; }
+  const char *desc() const { return Desc; }
+
+private:
+  friend void reset();
+
+  const char *Name;
+  const char *Desc;
+  std::atomic<uint64_t> Value{0};
+};
+
 /// One RAII span: wall time from construction to destruction, attributed
 /// to \p Name. \p Name must have static storage duration (pass string
 /// literals); \p Detail may be dynamic and lands in the trace event's
@@ -135,11 +188,10 @@ private:
   bool WantTrace = false;
 };
 
-/// Records a zero-duration instant event (a "something happened" mark:
-/// cache hit, fallback, eviction). Counts into the metrics table at
-/// Counters and above; becomes a `ph:"i"` trace event at Trace.
-void instant(const char *Name);
-void instant(const char *Name, std::string Detail);
+/// Bumps \p C and, at Trace, also records a zero-duration `ph:"i"` trace
+/// event named after it: the one call site for an event that is both
+/// counted and worth seeing on the timeline (cache hits, fallbacks).
+void instant(Counter &C, std::string Detail = std::string());
 
 /// One recorded trace event, exposed for tests. Times are nanoseconds
 /// since the process's trace epoch.
@@ -162,9 +214,13 @@ size_t numTraceEvents();
 /// table keeps aggregating regardless).
 uint64_t numDroppedEvents();
 
-/// One row of the aggregated metrics table.
+/// One registry row: a counter (Count is its value, the rest zero) or
+/// the aggregate of a span name. P50Ns and P95Ns come from the
+/// row's log-scale histogram: within 1/8 relative error of the exact
+/// nearest-rank percentile, and never above MaxNs.
 struct MetricRow {
   std::string Name;
+  bool IsCounter = false;
   uint64_t Count = 0;
   uint64_t TotalNs = 0;
   uint64_t P50Ns = 0;
@@ -173,14 +229,30 @@ struct MetricRow {
   uint64_t Bytes = 0;
 };
 
-/// All rows, sorted by name (deterministic across runs).
+/// All span rows, sorted by name (deterministic across runs).
 std::vector<MetricRow> metricsTable();
 
-/// The row of one span/instant name; nullopt when never recorded.
+/// The span row of \p Name, else its counter row (counters
+/// sharing a name are summed); nullopt when neither exists.
 std::optional<MetricRow> metricsFor(const std::string &Name);
 
-/// Writes the metrics table as aligned text (tools' --metrics output).
+/// The value of the counter(s) named \p Name; 0 when none is registered.
+uint64_t counterValue(const std::string &Name);
+
+/// Units toJson() writes span times in.
+enum class TimeUnit { Ns, Us };
+
+/// The registry's one JSON rendering of a row. A counter renders as its
+/// value; a span row as {"count", "total_<unit>", "p50_<unit>",
+/// "p95_<unit>", "max_<unit>", "bytes"} with times in \p Unit.
+json::Value toJson(const MetricRow &Row, TimeUnit Unit);
+
+/// Writes the span table as aligned text (tools' --metrics output).
 void writeMetricsTable(std::ostream &OS);
+
+/// Writes every nonzero counter as aligned text in name order (the
+/// order is a contract, so reports diff cleanly; zplc --stats output).
+void writeCounterTable(std::ostream &OS);
 
 /// Writes the whole trace in Chrome trace_event JSON object format:
 /// `{"displayTimeUnit":"ms","traceEvents":[...]}`, each event carrying
@@ -193,10 +265,11 @@ void writeChromeTrace(std::ostream &OS);
 /// I/O failure.
 bool writeChromeTraceFile(const std::string &Path);
 
-/// Clears recorded events and metrics (not the level, not thread ids).
-void reset();
-
 } // namespace obs
 } // namespace alf
+
+/// Defines a static obs::Counter \p VAR named \p NAME.
+#define ALF_COUNTER(VAR, NAME, DESC)                                        \
+  static ::alf::obs::Counter VAR(NAME, DESC)
 
 #endif // ALF_OBS_OBS_H

@@ -9,7 +9,6 @@
 #include "obs/Obs.h"
 #include "runtime/Trace.h"
 #include "support/ErrorHandling.h"
-#include "support/Statistic.h"
 #include "support/StringUtil.h"
 
 #include <cassert>
@@ -22,15 +21,15 @@ using namespace alf::runtime::detail;
 
 namespace {
 
-ALF_STATISTIC(NumRuntimeFlushes, "runtime", "Trace flushes executed");
-ALF_STATISTIC(NumRuntimeStmts, "runtime",
-              "Array statements recorded into traces");
-ALF_STATISTIC(NumRuntimeCacheHits, "runtime",
-              "Flushes served by the structural trace cache");
-ALF_STATISTIC(NumRuntimeCacheMisses, "runtime",
-              "Flushes that analyzed and compiled a new trace shape");
-ALF_STATISTIC(NumRuntimeContracted, "runtime",
-              "Traced arrays contracted away, summed over flushes");
+ALF_COUNTER(NumRuntimeFlushes, "runtime.flushes", "Trace flushes executed");
+ALF_COUNTER(NumRuntimeStmts, "runtime.record",
+            "Array statements recorded into traces");
+ALF_COUNTER(NumRuntimeCacheHits, "runtime.cache.hit",
+            "Flushes served by the structural trace cache");
+ALF_COUNTER(NumRuntimeCacheMisses, "runtime.cache.miss",
+            "Flushes that analyzed and compiled a new trace shape");
+ALF_COUNTER(NumRuntimeContracted, "runtime.contracted",
+            "Traced arrays contracted away, summed over flushes");
 
 } // namespace
 
@@ -229,8 +228,7 @@ std::unique_ptr<TExpr> EngineImpl::lower(const ExNode &N) {
 
 void EngineImpl::recorded() {
   ++Stats.StmtsRecorded;
-  ++NumRuntimeStmts;
-  obs::instant("runtime.record");
+  obs::instant(NumRuntimeStmts);
   if (Opts.MaxTraceLen && Trace.size() >= Opts.MaxTraceLen)
     flush(FlushTrigger::Cap);
 }
@@ -550,7 +548,7 @@ void EngineImpl::flush(FlushTrigger T) {
     Fresh = buildEntry();
     E = Fresh.get();
   }
-  obs::instant(Hit ? "runtime.cache.hit" : "runtime.cache.miss");
+  obs::instant(Hit ? NumRuntimeCacheHits : NumRuntimeCacheMisses);
 
   FlushInfo Info;
   Info.TraceLen = static_cast<unsigned>(Trace.size());
@@ -572,13 +570,10 @@ void EngineImpl::flush(FlushTrigger T) {
   Last = Info;
   ++Stats.Flushes;
   ++NumRuntimeFlushes;
-  if (Hit) {
+  if (Hit)
     ++Stats.CacheHits;
-    ++NumRuntimeCacheHits;
-  } else {
+  else
     ++Stats.CacheMisses;
-    ++NumRuntimeCacheMisses;
-  }
   NumRuntimeContracted += Info.Contracted;
 }
 

@@ -183,8 +183,8 @@ struct FlushInfo {
   FlushTrigger Trigger = FlushTrigger::None;
 };
 
-/// Cumulative per-engine counters (global counterparts live in the
-/// "runtime" Statistic group).
+/// Cumulative per-engine counters (process-wide counterparts are the
+/// `runtime.*` obs counters).
 struct EngineStats {
   uint64_t Flushes = 0;
   uint64_t CacheHits = 0;

@@ -4,7 +4,7 @@
 
 #include "analysis/Footprint.h"
 #include "support/ErrorHandling.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 
 #include <algorithm>
 #include <map>
@@ -197,8 +197,8 @@ scalarize::scalarizeChecked(const ASDG &G, const StrategyResult &SR,
   // Pre-register every contracted array so reads and writes agree on the
   // replacement scalar regardless of emission order.
   {
-    ALF_STATISTIC(NumArraysContracted, "contract",
-                  "Arrays contracted to scalars");
+    ALF_COUNTER(NumArraysContracted, "contract.arrays",
+                "Arrays contracted to scalars");
     NumArraysContracted += SR.Contracted.size();
   }
   for (const ArraySymbol *A : SR.Contracted)
@@ -291,7 +291,7 @@ scalarize::scalarizeChecked(const ASDG &G, const StrategyResult &SR,
       Nest->Body.push_back(std::move(SS));
     }
     {
-      ALF_STATISTIC(NumLoopNests, "scalarize", "Loop nests emitted");
+      ALF_COUNTER(NumLoopNests, "scalarize.loop_nests", "Loop nests emitted");
       ++NumLoopNests;
     }
     LP.addNode(std::move(Nest));

@@ -9,6 +9,17 @@
 using namespace alf;
 using namespace alf::serve;
 
+namespace {
+
+ALF_COUNTER(NumCacheHits, "serve.cache.hit",
+            "Requests served by a ready cache entry");
+ALF_COUNTER(NumCacheMisses, "serve.cache.miss",
+            "Requests whose cache miss ran the compile");
+ALF_COUNTER(NumCacheCoalesced, "serve.cache.coalesced",
+            "Requests that waited on another request's compile");
+
+} // namespace
+
 const char *serve::getCacheOutcomeName(CacheOutcome O) {
   switch (O) {
   case CacheOutcome::Hit:
@@ -66,25 +77,13 @@ KernelCache::get(const CompileKey &Key, const CompileFn &Compile,
     std::unique_lock<std::mutex> Lock(Sl->Mu);
     bool Waited = !Sl->Done;
     Sl->Ready.wait(Lock, [&] { return Sl->Done; });
-    if (Waited) {
-      ++NumCoalesced;
-      obs::instant("serve.cache.coalesced");
-      // A coalesced wait is still a request served without compiling;
-      // count it as a hit too so the hit rate reads naturally.
-      obs::instant("serve.cache.hit");
-      if (Outcome)
-        *Outcome = CacheOutcome::Coalesced;
-    } else {
-      ++NumHits;
-      obs::instant("serve.cache.hit");
-      if (Outcome)
-        *Outcome = CacheOutcome::Hit;
-    }
+    obs::instant(Waited ? NumCacheCoalesced : NumCacheHits);
+    if (Outcome)
+      *Outcome = Waited ? CacheOutcome::Coalesced : CacheOutcome::Hit;
     return Sl->Entry;
   }
 
-  ++NumMisses;
-  obs::instant("serve.cache.miss");
+  obs::instant(NumCacheMisses);
   if (Outcome)
     *Outcome = CacheOutcome::Miss;
 
@@ -120,10 +119,3 @@ size_t KernelCache::size() const {
   return N;
 }
 
-KernelCache::Stats KernelCache::stats() const {
-  Stats St;
-  St.Hits = NumHits.load(std::memory_order_relaxed);
-  St.Misses = NumMisses.load(std::memory_order_relaxed);
-  St.Coalesced = NumCoalesced.load(std::memory_order_relaxed);
-  return St;
-}

@@ -31,7 +31,6 @@
 #include "verify/Verify.h"
 #include "xform/Strategy.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -89,8 +88,6 @@ struct CompiledEntry {
   std::unique_ptr<ir::Program> P;
   std::optional<driver::CompiledProgram> CP;
 
-  unsigned NumClusters = 0;
-  std::vector<std::string> ContractedNames;
   uint64_t CompileNs = 0; ///< wall time of the winning compile
 };
 
@@ -111,12 +108,6 @@ class KernelCache {
 public:
   using CompileFn = std::function<CompiledEntry()>;
 
-  struct Stats {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Coalesced = 0;
-  };
-
   /// \p Dispatch, when non-null, runs every compile (bounding their
   /// concurrency); it must outlive the cache. Null compiles inline on
   /// the calling thread.
@@ -128,18 +119,15 @@ public:
   /// Returns the entry for \p Key, running \p Compile iff this is the
   /// first request for it. Hit and Coalesced callers never run
   /// \p Compile. Blocks until the entry is ready. \p Outcome (optional)
-  /// reports how the call was served; obs instants `serve.cache.hit`
-  /// (hits and coalesced waits — requests served without compiling),
-  /// `serve.cache.miss` and `serve.cache.coalesced` feed the metrics
-  /// table.
+  /// reports how the call was served, and the process-wide obs counters
+  /// `serve.cache.hit`, `serve.cache.miss` and `serve.cache.coalesced`
+  /// count it.
   std::shared_ptr<const CompiledEntry> get(const CompileKey &Key,
                                            const CompileFn &Compile,
                                            CacheOutcome *Outcome = nullptr);
 
   /// Entries resident (ready or in flight).
   size_t size() const;
-
-  Stats stats() const;
 
 private:
   struct Slot {
@@ -159,7 +147,6 @@ private:
 
   std::vector<std::unique_ptr<Shard>> Shards;
   TaskQueue *Dispatch;
-  std::atomic<uint64_t> NumHits{0}, NumMisses{0}, NumCoalesced{0};
 };
 
 } // namespace serve

@@ -5,7 +5,6 @@
 #include "exec/Storage.h"
 #include "frontend/Parser.h"
 #include "obs/Obs.h"
-#include "support/Statistic.h"
 
 #include <cerrno>
 #include <chrono>
@@ -18,11 +17,20 @@
 using namespace alf;
 using namespace alf::serve;
 
-ALF_STATISTIC(NumServeRequests, "serve", "Requests handled by the daemon");
-ALF_STATISTIC(NumServeCompiles, "serve",
-              "Cache-miss compiles run by the daemon");
-
 namespace {
+
+ALF_COUNTER(NumRequests, "serve.requests", "Requests handled by the daemon");
+ALF_COUNTER(NumCompileReqs, "serve.requests.compile",
+            "Compile requests admitted");
+ALF_COUNTER(NumExecuteReqs, "serve.requests.execute",
+            "Execute requests admitted");
+ALF_COUNTER(NumConnections, "serve.connections", "Connections accepted");
+ALF_COUNTER(NumRejectedBusy, "serve.admission.rejected_busy",
+            "Requests refused because too many were in flight");
+ALF_COUNTER(NumRejectedTooLarge, "serve.admission.rejected_too_large",
+            "Requests refused for an oversized program");
+ALF_COUNTER(NumMalformed, "serve.admission.malformed",
+            "Frames refused as malformed");
 
 uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -42,19 +50,15 @@ public:
   ~InFlightToken() { Counter.fetch_sub(1, std::memory_order_relaxed); }
 };
 
-json::Value metricRowJson(const std::string &Name) {
-  json::Value V = json::Value::object();
-  std::optional<obs::MetricRow> Row = obs::metricsFor(Name);
-  if (!Row)
-    return V;
-  V.set("count", json::Value::number(static_cast<double>(Row->Count)));
-  V.set("p50_us",
-        json::Value::number(static_cast<double>(Row->P50Ns) / 1000.0));
-  V.set("p95_us",
-        json::Value::number(static_cast<double>(Row->P95Ns) / 1000.0));
-  V.set("max_us",
-        json::Value::number(static_cast<double>(Row->MaxNs) / 1000.0));
-  return V;
+/// One stats-op group: member Key shows registry row Name (a row never
+/// recorded shows as zeros).
+json::Value statsGroup(
+    std::initializer_list<std::pair<const char *, const char *>> Members) {
+  json::Value G = json::Value::object();
+  for (const auto &[Key, Name] : Members)
+    G.set(Key, obs::toJson(obs::metricsFor(Name).value_or(obs::MetricRow()),
+                           obs::TimeUnit::Us));
+  return G;
 }
 
 } // namespace
@@ -138,7 +142,7 @@ void Server::acceptLoop() {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       continue;
-    NumConnections.fetch_add(1, std::memory_order_relaxed);
+    ++NumConnections;
     // Register under the lock with the thread already started, so
     // teardown (which swaps the list under the same lock after joining
     // this acceptor) always sees a joinable worker.
@@ -158,12 +162,12 @@ void Server::handleConnection(int Fd) {
     if (R == FrameRead::Eof || R == FrameRead::IoError)
       break;
     if (R == FrameRead::TooLarge) {
-      NumRejectedTooLarge.fetch_add(1, std::memory_order_relaxed);
+      ++NumRejectedTooLarge;
       writeFrame(Fd, makeError("too-large", Why));
       break; // the stream is out of sync; hang up
     }
     if (R == FrameRead::Malformed) {
-      NumMalformed.fetch_add(1, std::memory_order_relaxed);
+      ++NumMalformed;
       writeFrame(Fd, makeError("malformed", Why));
       break;
     }
@@ -179,8 +183,7 @@ void Server::handleConnection(int Fd) {
 }
 
 json::Value Server::handleRequest(const json::Value &Req) {
-  NumRequests.fetch_add(1, std::memory_order_relaxed);
-  ++NumServeRequests;
+  ++NumRequests;
   std::optional<std::string> Op = Req.getString("op");
   if (!Op)
     return makeError("malformed", "request has no \"op\" member");
@@ -205,7 +208,7 @@ json::Value Server::handleRequest(const json::Value &Req) {
   // Admission: cap concurrent compile/execute work. health/stats stay
   // exempt so operators can always look in.
   if (NumInFlight.load(std::memory_order_relaxed) >= Opts.MaxInFlight) {
-    NumRejectedBusy.fetch_add(1, std::memory_order_relaxed);
+    ++NumRejectedBusy;
     return makeError("busy",
                      "more than " + std::to_string(Opts.MaxInFlight) +
                          " requests in flight");
@@ -213,11 +216,11 @@ json::Value Server::handleRequest(const json::Value &Req) {
   InFlightToken Token(NumInFlight);
 
   if (*Op == "compile") {
-    NumCompileReqs.fetch_add(1, std::memory_order_relaxed);
+    ++NumCompileReqs;
     obs::Span S("serve.request.compile");
     return handleCompile(Req, nullptr, nullptr);
   }
-  NumExecuteReqs.fetch_add(1, std::memory_order_relaxed);
+  ++NumExecuteReqs;
   obs::Span S("serve.request.execute");
   return handleExecute(Req);
 }
@@ -237,47 +240,29 @@ json::Value Server::handleStats() const {
 }
 
 json::Value Server::statsJson() const {
-  json::Value V = json::Value::object();
-
-  json::Value Reqs = json::Value::object();
-  Reqs.set("total", json::Value::number(static_cast<double>(
-                        NumRequests.load(std::memory_order_relaxed))));
-  Reqs.set("compile", json::Value::number(static_cast<double>(
-                          NumCompileReqs.load(std::memory_order_relaxed))));
-  Reqs.set("execute", json::Value::number(static_cast<double>(
-                          NumExecuteReqs.load(std::memory_order_relaxed))));
-  Reqs.set("connections", json::Value::number(static_cast<double>(
-                              NumConnections.load(std::memory_order_relaxed))));
+  json::Value Reqs = statsGroup({{"total", "serve.requests"},
+                                 {"compile", "serve.requests.compile"},
+                                 {"execute", "serve.requests.execute"},
+                                 {"connections", "serve.connections"}});
   Reqs.set("in_flight", json::Value::number(static_cast<double>(
                             NumInFlight.load(std::memory_order_relaxed))));
-  V.set("requests", Reqs);
-
-  KernelCache::Stats CS = Cache->stats();
-  json::Value CacheV = json::Value::object();
+  json::Value CacheV = statsGroup({{"hits", "serve.cache.hit"},
+                                   {"misses", "serve.cache.miss"},
+                                   {"coalesced", "serve.cache.coalesced"}});
   CacheV.set("entries",
              json::Value::number(static_cast<double>(Cache->size())));
-  CacheV.set("hits", json::Value::number(static_cast<double>(CS.Hits)));
-  CacheV.set("misses", json::Value::number(static_cast<double>(CS.Misses)));
-  CacheV.set("coalesced",
-             json::Value::number(static_cast<double>(CS.Coalesced)));
+
+  json::Value V = json::Value::object();
+  V.set("requests", Reqs);
   V.set("cache", CacheV);
-
-  json::Value Adm = json::Value::object();
-  Adm.set("rejected_busy",
-          json::Value::number(static_cast<double>(
-              NumRejectedBusy.load(std::memory_order_relaxed))));
-  Adm.set("rejected_too_large",
-          json::Value::number(static_cast<double>(
-              NumRejectedTooLarge.load(std::memory_order_relaxed))));
-  Adm.set("malformed", json::Value::number(static_cast<double>(
-                           NumMalformed.load(std::memory_order_relaxed))));
-  V.set("admission", Adm);
-
-  json::Value Lat = json::Value::object();
-  Lat.set("execute", metricRowJson("serve.request.execute"));
-  Lat.set("compile", metricRowJson("serve.request.compile"));
-  Lat.set("jit_compile", metricRowJson("jit.compile"));
-  V.set("latency", Lat);
+  V.set("admission",
+        statsGroup(
+            {{"rejected_busy", "serve.admission.rejected_busy"},
+             {"rejected_too_large", "serve.admission.rejected_too_large"},
+             {"malformed", "serve.admission.malformed"}}));
+  V.set("latency", statsGroup({{"execute", "serve.request.execute"},
+                               {"compile", "serve.request.compile"},
+                               {"jit_compile", "jit.compile"}}));
   return V;
 }
 
@@ -288,7 +273,7 @@ json::Value Server::handleCompile(
   if (!Program)
     return makeError("malformed", "request has no \"program\" member");
   if (Program->size() > Opts.MaxProgramBytes) {
-    NumRejectedTooLarge.fetch_add(1, std::memory_order_relaxed);
+    ++NumRejectedTooLarge;
     return makeError("too-large",
                      "program of " + std::to_string(Program->size()) +
                          " bytes exceeds the " +
@@ -330,7 +315,6 @@ json::Value Server::handleCompile(
   std::shared_ptr<const CompiledEntry> Entry = Cache->get(
       Key,
       [&]() -> CompiledEntry {
-        ++NumServeCompiles;
         CompiledEntry E;
         uint64_t T0 = nowNs();
         frontend::ParseResult PR = frontend::parseProgram(
@@ -344,12 +328,7 @@ json::Value Server::handleCompile(
         }
         E.P = std::move(PR.Prog);
         if (SemiringSel)
-          // Rebind every reduction's algebra before any analysis, so the
-          // override flows through strategy, verification and execution
-          // exactly as zplc's --semiring does.
-          for (unsigned Id = 0; Id < E.P->numStmts(); ++Id)
-            if (auto *RS = dyn_cast<ir::ReduceStmt>(E.P->getStmt(Id)))
-              RS->setSemiring(*SemiringSel);
+          E.P->setReductionSemiring(*SemiringSel);
         driver::PipelineOptions PO;
         PO.Verify = Key.Verify;
         PO.Jit = Opts.Jit;
@@ -366,8 +345,6 @@ json::Value Server::handleCompile(
           return E;
         }
         E.CP = std::move(St.Artifact);
-        E.NumClusters = E.CP->NumClusters;
-        E.ContractedNames = E.CP->ContractedNames;
         E.OK = true;
         E.CompileNs = nowNs() - T0;
         return E;
@@ -401,9 +378,9 @@ json::Value Server::handleCompile(
   V.set("verify",
         json::Value::str(verify::getVerifyLevelName(Key.Verify)));
   V.set("clusters",
-        json::Value::number(static_cast<double>(Entry->NumClusters)));
+        json::Value::number(static_cast<double>(Entry->CP->NumClusters)));
   json::Value Contracted = json::Value::array();
-  for (const std::string &Name : Entry->ContractedNames)
+  for (const std::string &Name : Entry->CP->ContractedNames)
     Contracted.push(json::Value::str(Name));
   V.set("contracted", Contracted);
   V.set("compile_us", json::Value::number(

@@ -10,7 +10,8 @@
 ///
 ///   health   -> {"ok", "service":"alfd", "protocol":N}
 ///   stats    -> request counters, cache hit/miss/coalesced, admission
-///               rejections, request-latency p50/p95 from the obs table
+///               rejections and request-latency p50/p95, all read from the
+///               process-wide obs registry
 ///   compile  -> parse + Pipeline::tryCompile through the kernel cache;
 ///               reports the cache outcome and the strategy's numbers
 ///   execute  -> compile (cached) then run under the requested exec
@@ -141,11 +142,8 @@ private:
   std::unique_ptr<TaskQueue> CompileQueue;
   std::unique_ptr<KernelCache> Cache;
 
-  // Request counters (stats op).
-  std::atomic<uint64_t> NumRequests{0}, NumCompileReqs{0}, NumExecuteReqs{0},
-      NumRejectedBusy{0}, NumRejectedTooLarge{0}, NumMalformed{0};
+  /// Requests admitted and not yet answered (admission control's gauge).
   std::atomic<uint64_t> NumInFlight{0};
-  std::atomic<uint64_t> NumConnections{0};
 };
 
 } // namespace serve

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "verify/AccessModel.h"
 #include "verify/Verify.h"
@@ -21,11 +21,12 @@
 using namespace alf;
 using namespace alf::verify;
 
-ALF_STATISTIC(NumOracleRuns, "verify", "Dependence-oracle validations run");
-ALF_STATISTIC(NumOracleLabels, "verify",
-              "Dependence labels re-derived by the oracle");
-ALF_STATISTIC(NumOracleFindings, "verify",
-              "Missing or spurious dependences detected");
+ALF_COUNTER(NumOracleRuns, "verify.oracle_runs",
+            "Dependence-oracle validations run");
+ALF_COUNTER(NumOracleLabels, "verify.oracle_labels",
+            "Dependence labels re-derived by the oracle");
+ALF_COUNTER(NumOracleFindings, "verify.oracle_findings",
+            "Missing or spurious dependences detected");
 
 namespace {
 constexpr const char *PassName = "dependence-oracle";

@@ -18,7 +18,7 @@
 
 #include "semiring/Semiring.h"
 #include "support/Casting.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "verify/AccessModel.h"
 #include "verify/Verify.h"
@@ -34,19 +34,20 @@ using namespace alf;
 using namespace alf::ir;
 using namespace alf::verify;
 
-ALF_STATISTIC(NumStrategyProofs, "verify",
-              "Strategy results re-proved (Definitions 5 and 6)");
-ALF_STATISTIC(NumClusterProofs, "verify",
-              "Fusion clusters re-proved against Definition 5");
-ALF_STATISTIC(NumContractionProofs, "verify",
-              "Contracted arrays re-proved against Definition 6");
-ALF_STATISTIC(NumRaceChecksRun, "verify", "Parallel schedules race-checked");
-ALF_STATISTIC(NumNestsCertifiedParallel, "verify",
-              "Loop nests certified free of cross-iteration conflicts");
-ALF_STATISTIC(NumLegalityFindings, "verify",
-              "Fusion/contraction/race legality failures");
-ALF_STATISTIC(NumSemiringProofs, "verify",
-              "Reduction semirings re-checked against their declared laws");
+ALF_COUNTER(NumStrategyProofs, "verify.strategy_proofs",
+            "Strategy results re-proved (Definitions 5 and 6)");
+ALF_COUNTER(NumClusterProofs, "verify.cluster_proofs",
+            "Fusion clusters re-proved against Definition 5");
+ALF_COUNTER(NumContractionProofs, "verify.contraction_proofs",
+            "Contracted arrays re-proved against Definition 6");
+ALF_COUNTER(NumRaceChecksRun, "verify.race_checks",
+            "Parallel schedules race-checked");
+ALF_COUNTER(NumNestsCertifiedParallel, "verify.nests_certified_parallel",
+            "Loop nests certified free of cross-iteration conflicts");
+ALF_COUNTER(NumLegalityFindings, "verify.legality_findings",
+            "Fusion/contraction/race legality failures");
+ALF_COUNTER(NumSemiringProofs, "verify.semiring_proofs",
+            "Reduction semirings re-checked against their declared laws");
 
 namespace {
 

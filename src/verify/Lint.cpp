@@ -3,7 +3,7 @@
 #include "verify/Lint.h"
 
 #include "support/Casting.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -14,9 +14,9 @@ using namespace alf;
 using namespace alf::ir;
 using namespace alf::verify;
 
-ALF_STATISTIC(NumLintRuns, "verify", "Programs linted");
-ALF_STATISTIC(NumLintErrors, "verify", "Lint errors reported");
-ALF_STATISTIC(NumLintWarnings, "verify", "Lint warnings reported");
+ALF_COUNTER(NumLintRuns, "verify.lint_runs", "Programs linted");
+ALF_COUNTER(NumLintErrors, "verify.lint_errors", "Lint errors reported");
+ALF_COUNTER(NumLintWarnings, "verify.lint_warnings", "Lint warnings reported");
 
 const char *verify::getLintSeverityName(LintSeverity S) {
   return S == LintSeverity::Error ? "error" : "warning";

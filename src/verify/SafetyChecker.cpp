@@ -37,7 +37,7 @@
 #include "analysis/Footprint.h"
 #include "analysis/Intervals.h"
 #include "support/Casting.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "verify/Verify.h"
 
@@ -52,14 +52,15 @@ using namespace alf::ir;
 using namespace alf::lir;
 using namespace alf::verify;
 
-ALF_STATISTIC(NumSafetyChecks, "verify", "Safety-checker runs");
-ALF_STATISTIC(NumSafetyFindings, "verify", "Safety-checker findings");
-ALF_STATISTIC(NumBoundsProofs, "verify",
-              "Load/store bounds obligations discharged");
-ALF_STATISTIC(NumBoundsProofsSymbolic, "verify",
-              "Bounds obligations discharged symbolically (all extents)");
-ALF_STATISTIC(NumInitObligations, "verify",
-              "Use-before-definition obligations discharged");
+ALF_COUNTER(NumSafetyChecks, "verify.safety.checks", "Safety-checker runs");
+ALF_COUNTER(NumSafetyFindings, "verify.safety.findings",
+            "Safety-checker findings");
+ALF_COUNTER(NumBoundsProofs, "verify.safety.bounds_proofs",
+            "Load/store bounds obligations discharged");
+ALF_COUNTER(NumBoundsProofsSymbolic, "verify.safety.bounds_proofs_symbolic",
+            "Bounds obligations discharged symbolically (all extents)");
+ALF_COUNTER(NumInitObligations, "verify.safety.init_obligations",
+            "Use-before-definition obligations discharged");
 
 namespace {
 

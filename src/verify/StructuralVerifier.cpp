@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Casting.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "verify/AccessModel.h"
 #include "verify/Verify.h"
@@ -22,9 +22,10 @@ using namespace alf;
 using namespace alf::ir;
 using namespace alf::verify;
 
-ALF_STATISTIC(NumStructuralChecks, "verify", "Structural validations run");
-ALF_STATISTIC(NumStructuralFindings, "verify",
-              "Structural validation failures");
+ALF_COUNTER(NumStructuralChecks, "verify.structural_checks",
+            "Structural validations run");
+ALF_COUNTER(NumStructuralFindings, "verify.structural_findings",
+            "Structural validation failures");
 
 namespace {
 

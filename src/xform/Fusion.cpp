@@ -2,7 +2,7 @@
 
 #include "xform/Fusion.h"
 
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 
 using namespace alf;
 using namespace alf::analysis;
@@ -20,13 +20,13 @@ ArrayFilter xform::compilerTempsOnly() {
 /// Shared driver for the Figure 3 greedy loop. When \p RequireContractible
 /// is true this is FUSION-FOR-CONTRACTION; when false it is fusion for
 /// locality (the CONTRACTIBLE? test of line 7 eliminated).
-ALF_STATISTIC(NumCandidatesConsidered, "fusion",
-              "Arrays considered by the greedy fusion loop");
-ALF_STATISTIC(NumMergesPerformed, "fusion", "Cluster merges performed");
-ALF_STATISTIC(NumRejectedContractible, "fusion",
-              "Merges rejected by CONTRACTIBLE?");
-ALF_STATISTIC(NumRejectedLegality, "fusion",
-              "Merges rejected by FUSION-PARTITION?");
+ALF_COUNTER(NumCandidatesConsidered, "fusion.candidates",
+            "Arrays considered by the greedy fusion loop");
+ALF_COUNTER(NumMergesPerformed, "fusion.merges", "Cluster merges performed");
+ALF_COUNTER(NumRejectedContractible, "fusion.rejected_contractible",
+            "Merges rejected by CONTRACTIBLE?");
+ALF_COUNTER(NumRejectedLegality, "fusion.rejected_legality",
+            "Merges rejected by FUSION-PARTITION?");
 
 static unsigned runGreedyFusion(FusionPartition &P,
                                 const ArrayFilter &Candidates,

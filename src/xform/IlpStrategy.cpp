@@ -29,7 +29,6 @@
 #include "xform/IlpStrategy.h"
 
 #include "obs/Obs.h"
-#include "support/Statistic.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -42,15 +41,17 @@ using namespace alf::analysis;
 using namespace alf::ir;
 using namespace alf::xform;
 
-ALF_STATISTIC(NumIlpSolves, "strategy", "Branch-and-bound solves run");
-ALF_STATISTIC(NumIlpNodes, "strategy", "Branch-and-bound nodes explored");
-ALF_STATISTIC(NumIlpPruned, "strategy", "Subtrees pruned by the bound");
-ALF_STATISTIC(NumIlpLegalityRejects, "strategy",
-              "Joins rejected by Definition 5");
-ALF_STATISTIC(NumIlpBudgetExhausted, "strategy",
-              "Solves that hit the node budget and fell back to greedy");
-ALF_STATISTIC(NumIlpImproved, "strategy",
-              "Solves that beat the greedy objective");
+ALF_COUNTER(NumIlpSolves, "strategy.ilp.solves", "Branch-and-bound solves run");
+ALF_COUNTER(NumIlpNodes, "strategy.ilp.nodes",
+            "Branch-and-bound nodes explored");
+ALF_COUNTER(NumIlpPruned, "strategy.ilp.pruned",
+            "Subtrees pruned by the bound");
+ALF_COUNTER(NumIlpLegalityRejects, "strategy.ilp.legality_rejects",
+            "Joins rejected by Definition 5");
+ALF_COUNTER(NumIlpBudgetExhausted, "strategy.ilp.budget_exhausted",
+            "Solves that hit the node budget and fell back to greedy");
+ALF_COUNTER(NumIlpImproved, "strategy.ilp.improved",
+            "Solves that beat the greedy objective");
 
 static std::atomic<bool> CorruptForTest{false};
 
@@ -187,17 +188,13 @@ public:
     if (N > 0)
       search(0);
 
-    if (St.BudgetExhausted) {
-      ++NumIlpBudgetExhausted;
-      obs::instant("strategy.ilp.budget_exhausted");
-    }
+    if (St.BudgetExhausted)
+      obs::instant(NumIlpBudgetExhausted);
     St.ImprovedOverGreedy = BestObj > St.GreedyObjectiveBytes;
-    if (St.ImprovedOverGreedy) {
-      ++NumIlpImproved;
-      obs::instant("strategy.ilp.improved",
-                   formatString("greedy=%.0f ilp=%.0f",
-                                St.GreedyObjectiveBytes, BestObj));
-    }
+    if (St.ImprovedOverGreedy)
+      obs::instant(NumIlpImproved, formatString("greedy=%.0f ilp=%.0f",
+                                                St.GreedyObjectiveBytes,
+                                                BestObj));
     St.ObjectiveBytes = BestObj;
     St.CacheCost = BestCost;
     ++NumIlpSolves;

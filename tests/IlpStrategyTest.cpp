@@ -13,7 +13,7 @@
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "ir/Verifier.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "verify/Verify.h"
 #include "xform/Fusion.h"
 
@@ -239,7 +239,7 @@ TEST(IlpStrategyTest, MatchesBruteForceOnGeneratedPrograms) {
 }
 
 TEST(IlpStrategyTest, BudgetFallbackDegradesToGreedy) {
-  resetStatistics();
+  obs::reset();
   auto P = makeFanInTradeoff();
   ASDG G = ASDG::build(*P);
 
@@ -255,8 +255,8 @@ TEST(IlpStrategyTest, BudgetFallbackDegradesToGreedy) {
   EXPECT_TRUE(contains(SR.Contracted, "X")); // the greedy solution
 
   // The fallback is visible as a "strategy" statistic.
-  EXPECT_GE(getStatisticValue("strategy", "NumIlpBudgetExhausted"), 1u);
-  EXPECT_GE(getStatisticValue("strategy", "NumIlpSolves"), 1u);
+  EXPECT_GE(obs::counterValue("strategy.ilp.budget_exhausted"), 1u);
+  EXPECT_GE(obs::counterValue("strategy.ilp.solves"), 1u);
 }
 
 TEST(IlpStrategyTest, StrategyNameAndLookup) {

@@ -16,7 +16,6 @@
 #include "ir/Normalize.h"
 #include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
 #include "xform/Strategy.h"
 
 #include "TestPrograms.h"
@@ -141,13 +140,13 @@ TEST(NativeJitTest, CorruptCacheEntryIsDiscardedAndRecompiled) {
   ASSERT_FALSE(So.empty());
   { std::ofstream(So, std::ios::trunc) << "not a shared object"; }
 
-  uint64_t CorruptBefore = getStatisticValue("jit", "NumJitCacheCorrupt");
+  uint64_t CorruptBefore = obs::counterValue("jit.cache.corrupt");
   JitRunInfo Info;
   RunResult Jit = Engine.run(LP, 3, &Info);
   EXPECT_TRUE(Info.UsedJit) << Info.FallbackReason;
   EXPECT_TRUE(Info.Compiled);
   EXPECT_FALSE(Info.CacheHitDisk);
-  EXPECT_EQ(getStatisticValue("jit", "NumJitCacheCorrupt"),
+  EXPECT_EQ(obs::counterValue("jit.cache.corrupt"),
             CorruptBefore + 1);
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(LP, 3), Jit, 0.0, &Why)) << Why;
@@ -163,13 +162,13 @@ TEST(NativeJitTest, CompileFailureFallsBackToInterpreter) {
   auto P = tp::makeFigure2();
   auto LP = makeLoopProgram(*P);
 
-  uint64_t FallbacksBefore = getStatisticValue("jit", "NumJitFallbacks");
+  uint64_t FallbacksBefore = obs::counterValue("jit.fallbacks");
   JitRunInfo Info;
   RunResult Res = Engine.run(LP, 11, &Info);
   EXPECT_FALSE(Info.UsedJit);
   EXPECT_NE(Info.FallbackReason.find("not available"), std::string::npos)
       << Info.FallbackReason;
-  EXPECT_EQ(getStatisticValue("jit", "NumJitFallbacks"), FallbacksBefore + 1);
+  EXPECT_EQ(obs::counterValue("jit.fallbacks"), FallbacksBefore + 1);
 
   // The fallback result is the interpreter's, exactly.
   std::string Why;
@@ -189,14 +188,14 @@ TEST(NativeJitTest, BadFlagsCountAsCompileFailure) {
   auto LP = makeLoopProgram(*P);
 
   uint64_t FailuresBefore =
-      getStatisticValue("jit", "NumJitCompileFailures");
+      obs::counterValue("jit.compile_failures");
   JitRunInfo Info;
   RunResult Res = Engine.run(LP, 13, &Info);
   EXPECT_FALSE(Info.UsedJit);
   EXPECT_TRUE(Info.Compiled);
   EXPECT_NE(Info.FallbackReason.find("compile failed"), std::string::npos)
       << Info.FallbackReason;
-  EXPECT_EQ(getStatisticValue("jit", "NumJitCompileFailures"),
+  EXPECT_EQ(obs::counterValue("jit.compile_failures"),
             FailuresBefore + 1);
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(LP, 13), Res, 0.0, &Why)) << Why;
@@ -233,7 +232,7 @@ TEST(NativeJitTest, SizeBoundEvictsOldestKeepsNewest) {
   // A bound too small for even one kernel still keeps the entry just
   // installed: evicting the kernel we are about to run would thrash.
   Opts.MaxCacheBytes = 1;
-  uint64_t EvictBefore = getStatisticValue("jit", "NumJitCacheEvictions");
+  uint64_t EvictBefore = obs::counterValue("jit.cache.evictions");
   JitEngine Bounded(Opts);
   auto PC = tp::makeTomcatvFragment();
   auto LPC = makeLoopProgram(*PC, Strategy::C2F3);
@@ -244,7 +243,7 @@ TEST(NativeJitTest, SizeBoundEvictsOldestKeepsNewest) {
   EXPECT_TRUE(std::filesystem::exists(Info.SoPath));
   EXPECT_FALSE(std::filesystem::exists(SoA)); // both older entries evicted
   EXPECT_FALSE(std::filesystem::exists(SoB));
-  EXPECT_EQ(getStatisticValue("jit", "NumJitCacheEvictions"),
+  EXPECT_EQ(obs::counterValue("jit.cache.evictions"),
             EvictBefore + 2);
 }
 
@@ -362,7 +361,7 @@ TEST(NativeJitTest, PlantedCarriedDependenceForcesScalarFallback) {
   ASSERT_GT(Clean.VectorizedNests, 0u);
 
   uint64_t FallbacksBefore =
-      getStatisticValue("jit.vectorize", "NumVectorizeFallbacks");
+      obs::counterValue("jit.vectorize.fallback");
   scalarize::setVectorizeFaultForTest(
       scalarize::VectorizeFault::CarriedInnermost);
   JitRunInfo Info;
@@ -374,7 +373,7 @@ TEST(NativeJitTest, PlantedCarriedDependenceForcesScalarFallback) {
   ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
   EXPECT_EQ(Info.VectorizedNests, 0u);
   EXPECT_GE(Info.VectorFallbacks, Clean.VectorizedNests);
-  EXPECT_GE(getStatisticValue("jit.vectorize", "NumVectorizeFallbacks"),
+  EXPECT_GE(obs::counterValue("jit.vectorize.fallback"),
             FallbacksBefore + Info.VectorFallbacks);
 
   // The refused nests ran in their scalar spelling; this program is
@@ -459,7 +458,7 @@ TEST(NativeJitTest, ObsMetricsDistinguishCompileFromCacheHit) {
   ASSERT_TRUE(Dispatch.has_value());
   EXPECT_EQ(Dispatch->Count, 1u);
   EXPECT_GT(Dispatch->Bytes, 0u);
-  EXPECT_FALSE(obs::metricsFor("jit.cache.memory_hit").has_value());
+  EXPECT_EQ(obs::counterValue("jit.cache.memory_hit"), 0u);
 
   // Warm: the same engine serves the kernel from memory. Zero compiles,
   // nonzero cache hits. Emission still happens once per run because the

@@ -3,20 +3,28 @@
 // Pins the obs subsystem's external contracts: the Chrome trace_event
 // JSON schema (event names, ph/ts/tid fields and the exact empty-trace
 // serialization), well-formed span nesting, the aggregated metrics
-// table, and — the zero-cost-when-off guarantee — that a full pipeline
-// run at ObsLevel::Off records nothing at all.
+// table with its bounded memory and bucketed percentiles, exact
+// counters under concurrency, and — the zero-cost-when-off guarantee —
+// that a full pipeline run at ObsLevel::Off records no span at all.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ASDG.h"
 #include "driver/Pipeline.h"
 #include "frontend/Parser.h"
+#include "ir/Normalize.h"
 #include "obs/Obs.h"
+#include "scalarize/Scalarize.h"
 #include "support/Json.h"
+
+#include "TestPrograms.h"
 
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <malloc.h>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -118,7 +126,8 @@ TEST_F(ObsTest, ChromeTraceSchemaGolden) {
   {
     obs::ScopedLevel Scoped(obs::ObsLevel::Trace);
     runPipelineOnce(xform::ExecMode::Sequential);
-    obs::instant("test.marker", "detail text");
+    ALF_COUNTER(Marker, "test.marker", "A traced test event");
+    obs::instant(Marker, "detail text");
   }
   std::ostringstream OS;
   obs::writeChromeTrace(OS);
@@ -236,7 +245,8 @@ TEST_F(ObsTest, InstantEventsCarryThreadDepth) {
   obs::ScopedLevel Scoped(obs::ObsLevel::Trace);
   {
     obs::Span Outer("test.outer");
-    obs::instant("test.inner_mark");
+    ALF_COUNTER(InnerMark, "test.inner_mark", "A traced test event");
+    obs::instant(InnerMark);
   }
   std::vector<obs::TraceEvent> Events = obs::traceEvents();
   ASSERT_EQ(Events.size(), 2u);
@@ -295,6 +305,118 @@ TEST_F(ObsTest, MetricsTableSortedByName) {
       [](const obs::MetricRow &A, const obs::MetricRow &B) {
         return A.Name < B.Name;
       }));
+}
+
+/// Bytes of heap in use: arena chunks plus mmap-served large blocks.
+long heapInUse() {
+  struct mallinfo2 Info = mallinfo2();
+  return static_cast<long>(Info.uordblks + Info.hblkhd);
+}
+
+TEST_F(ObsTest, SpanRowMemoryStaysFlat) {
+  obs::ScopedLevel Scoped(obs::ObsLevel::Counters);
+  { obs::Span First("test.flat"); } // creates the row
+  const int Spans = 1000000;
+  long Before = heapInUse();
+  for (int I = 0; I < Spans; ++I)
+    obs::Span S("test.flat");
+  long Grown = heapInUse() - Before;
+  EXPECT_LT(Grown, 64 * 1024) << "heap grew with the number of spans";
+  std::optional<obs::MetricRow> Row = obs::metricsFor("test.flat");
+  ASSERT_TRUE(Row.has_value());
+  EXPECT_EQ(Row->Count, static_cast<uint64_t>(Spans) + 1);
+}
+
+TEST_F(ObsTest, PercentilesWithinAnEighthOfExact) {
+  {
+    obs::ScopedLevel Scoped(obs::ObsLevel::Trace);
+    volatile uint64_t Sink = 0;
+    for (unsigned I = 0; I < 2000; ++I) {
+      obs::Span S("test.spread");
+      for (unsigned J = 0; J < (I % 50) * 40; ++J)
+        Sink = Sink + J;
+    }
+  }
+  // The trace keeps every exact duration; the row only its histogram.
+  std::vector<uint64_t> Durs;
+  for (const obs::TraceEvent &E : obs::traceEvents())
+    Durs.push_back(E.DurNs);
+  ASSERT_EQ(Durs.size(), 2000u);
+  std::sort(Durs.begin(), Durs.end());
+  std::optional<obs::MetricRow> Row = obs::metricsFor("test.spread");
+  ASSERT_TRUE(Row.has_value());
+  EXPECT_EQ(Row->MaxNs, Durs.back());
+  for (auto [Got, P] : {std::pair{Row->P50Ns, 0.50}, {Row->P95Ns, 0.95}}) {
+    double Want = static_cast<double>(Durs[static_cast<size_t>(P * 2000)]);
+    EXPECT_LE(std::fabs(static_cast<double>(Got) - Want), Want / 8)
+        << "p" << P * 100;
+    EXPECT_LE(Got, Row->MaxNs);
+  }
+}
+
+TEST_F(ObsTest, ConcurrentCountersAndSpansAreExact) {
+  ALF_COUNTER(ThreadBumps, "test.threads.bumps", "Bumped from 8 threads");
+  obs::ScopedLevel Scoped(obs::ObsLevel::Counters);
+  constexpr unsigned NumThreads = 8, PerThread = 100000;
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([] {
+      for (unsigned I = 0; I < PerThread; ++I) {
+        ++ThreadBumps;
+        obs::Span S("test.threads.span");
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(obs::counterValue("test.threads.bumps"), NumThreads * PerThread);
+  std::optional<obs::MetricRow> Row = obs::metricsFor("test.threads.span");
+  ASSERT_TRUE(Row.has_value());
+  EXPECT_EQ(Row->Count, NumThreads * PerThread);
+}
+
+//===----------------------------------------------------------------------===//
+// Counters
+//===----------------------------------------------------------------------===//
+
+TEST_F(ObsTest, CountersIncrementAndReset) {
+  ALF_COUNTER(TestCounter, "test.counter", "A test counter");
+  obs::reset();
+  uint64_t Before = TestCounter.value();
+  ++TestCounter;
+  TestCounter += 4;
+  EXPECT_EQ(TestCounter.value(), Before + 5);
+  EXPECT_EQ(obs::counterValue("test.counter"), Before + 5);
+  obs::reset();
+  EXPECT_EQ(TestCounter.value(), 0u);
+}
+
+TEST_F(ObsTest, PassesReportTheirWork) {
+  obs::reset();
+  auto P = tp::makeTomcatvFragment(8);
+  ir::normalizeProgram(*P);
+  analysis::ASDG G = analysis::ASDG::build(*P);
+  auto LP = scalarize::scalarizeWithStrategy(G, xform::Strategy::C2);
+  (void)LP;
+  EXPECT_EQ(obs::counterValue("normalize.compiler_temps"), 2u);
+  EXPECT_GE(obs::counterValue("fusion.merges"), 1u);
+  EXPECT_EQ(obs::counterValue("contract.arrays"), 3u);
+  EXPECT_GE(obs::counterValue("scalarize.loop_nests"), 1u);
+}
+
+TEST_F(ObsTest, PrintSkipsZeroCounters) {
+  obs::reset();
+  ALF_COUNTER(NeverBumpedHere, "test.never", "Should not appear when zero");
+  (void)NeverBumpedHere;
+  std::ostringstream OS;
+  obs::writeCounterTable(OS);
+  EXPECT_EQ(OS.str().find("Should not appear when zero"),
+            std::string::npos);
+  ALF_COUNTER(BumpedHere, "test.bumped", "Should appear in the report");
+  ++BumpedHere;
+  std::ostringstream OS2;
+  obs::writeCounterTable(OS2);
+  EXPECT_NE(OS2.str().find("Should appear in the report"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, ResetClearsEverything) {

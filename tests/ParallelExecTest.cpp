@@ -14,7 +14,7 @@
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "support/ThreadPool.h"
 #include "xform/Parallelize.h"
 
@@ -330,7 +330,7 @@ TEST(ParallelExecTest, ExecModeDispatchAndNames) {
 }
 
 TEST(ParallelExecTest, ScheduleIsReportedAndCounted) {
-  resetStatistics();
+  obs::reset();
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
@@ -340,11 +340,11 @@ TEST(ParallelExecTest, ScheduleIsReportedAndCounted) {
   EXPECT_NE(Report.find("outer-parallel"), std::string::npos) << Report;
   EXPECT_NE(Report.find("no dependence carried"), std::string::npos) << Report;
 
-  EXPECT_GE(getStatisticValue("parallel", "NestsOuterParallel"), 1u);
+  EXPECT_GE(obs::counterValue("parallel.nests_outer"), 1u);
   ParallelOptions Opts;
   Opts.NumThreads = 2;
   runParallel(LP, 1, Opts, Sched);
-  EXPECT_GE(getStatisticValue("parallel", "NumParallelRuns"), 1u);
+  EXPECT_GE(obs::counterValue("parallel.runs"), 1u);
 }
 
 } // namespace

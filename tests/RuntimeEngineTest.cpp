@@ -13,7 +13,6 @@
 
 #include "exec/NativeJit.h"
 #include "obs/Obs.h"
-#include "support/Statistic.h"
 
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -345,30 +344,30 @@ TEST(RuntimeEngineTest, FlushNeverTruncatesMaterializedArrays) {
 }
 
 TEST(RuntimeEngineTest, StatisticsAccumulate) {
-  uint64_t Flushes0 = getStatisticValue("runtime", "NumRuntimeFlushes");
-  uint64_t Stmts0 = getStatisticValue("runtime", "NumRuntimeStmts");
+  uint64_t Flushes0 = obs::counterValue("runtime.flushes");
+  uint64_t Stmts0 = obs::counterValue("runtime.record");
   Engine E;
   Array A = rampInput(E, 6);
   Array B = E.compute(r1(1, 4), Ex(A) + Ex(1.0));
   E.flush();
   (void)B;
-  EXPECT_EQ(getStatisticValue("runtime", "NumRuntimeFlushes"), Flushes0 + 1);
-  EXPECT_EQ(getStatisticValue("runtime", "NumRuntimeStmts"), Stmts0 + 1);
+  EXPECT_EQ(obs::counterValue("runtime.flushes"), Flushes0 + 1);
+  EXPECT_EQ(obs::counterValue("runtime.record"), Stmts0 + 1);
   EXPECT_EQ(E.stats().Flushes, 1u);
   EXPECT_EQ(E.stats().StmtsRecorded, 1u);
   EXPECT_EQ(E.stats().CacheHits + E.stats().CacheMisses, E.stats().Flushes);
 }
 
-// The obs counters for record/flush/memoize events must agree with the
-// "runtime" statistics group over the same window: one miss on the first
+// The obs rows for record/flush/memoize events must agree with the
+// `runtime.*` counters over the same window: one miss on the first
 // trace shape, one memoized hit on the structurally identical second one.
 TEST(RuntimeEngineTest, ObsCountersMatchRuntimeStatistics) {
   obs::ScopedLevel Lvl(obs::ObsLevel::Counters);
   obs::reset();
-  uint64_t Flushes0 = getStatisticValue("runtime", "NumRuntimeFlushes");
-  uint64_t Stmts0 = getStatisticValue("runtime", "NumRuntimeStmts");
-  uint64_t Hits0 = getStatisticValue("runtime", "NumRuntimeCacheHits");
-  uint64_t Misses0 = getStatisticValue("runtime", "NumRuntimeCacheMisses");
+  uint64_t Flushes0 = obs::counterValue("runtime.flushes");
+  uint64_t Stmts0 = obs::counterValue("runtime.record");
+  uint64_t Hits0 = obs::counterValue("runtime.cache.hit");
+  uint64_t Misses0 = obs::counterValue("runtime.cache.miss");
 
   Engine E;
   Array A = rampInput(E, 8);
@@ -380,12 +379,12 @@ TEST(RuntimeEngineTest, ObsCountersMatchRuntimeStatistics) {
   (void)C;
 
   uint64_t FlushDelta =
-      getStatisticValue("runtime", "NumRuntimeFlushes") - Flushes0;
-  uint64_t StmtDelta = getStatisticValue("runtime", "NumRuntimeStmts") - Stmts0;
+      obs::counterValue("runtime.flushes") - Flushes0;
+  uint64_t StmtDelta = obs::counterValue("runtime.record") - Stmts0;
   uint64_t HitDelta =
-      getStatisticValue("runtime", "NumRuntimeCacheHits") - Hits0;
+      obs::counterValue("runtime.cache.hit") - Hits0;
   uint64_t MissDelta =
-      getStatisticValue("runtime", "NumRuntimeCacheMisses") - Misses0;
+      obs::counterValue("runtime.cache.miss") - Misses0;
   ASSERT_EQ(FlushDelta, 2u);
   ASSERT_EQ(StmtDelta, 2u);
   ASSERT_EQ(MissDelta, 1u);

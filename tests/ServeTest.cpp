@@ -17,7 +17,6 @@
 #include "exec/NativeJit.h"
 #include "frontend/Parser.h"
 #include "obs/Obs.h"
-#include "support/Statistic.h"
 #include "support/ThreadPool.h"
 #include "support/Ulp.h"
 
@@ -203,6 +202,9 @@ CompileKey keyFor(uint64_t Hash) {
 
 TEST(KernelCacheTest, ThunderingHerdCompilesOnce) {
   KernelCache Cache(/*NumShards=*/4);
+  uint64_t HitsBefore = obs::counterValue("serve.cache.hit");
+  uint64_t MissesBefore = obs::counterValue("serve.cache.miss");
+  uint64_t CoalescedBefore = obs::counterValue("serve.cache.coalesced");
   std::atomic<unsigned> Compiles{0};
   const unsigned NumThreads = 16;
 
@@ -219,7 +221,7 @@ TEST(KernelCacheTest, ThunderingHerdCompilesOnce) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             CompiledEntry E;
             E.OK = true;
-            E.NumClusters = 3;
+            E.CompileNs = 3;
             return E;
           },
           &Outcomes[I]);
@@ -236,9 +238,10 @@ TEST(KernelCacheTest, ThunderingHerdCompilesOnce) {
     Misses += Outcomes[I] == CacheOutcome::Miss;
   }
   EXPECT_EQ(Misses, 1u);
-  KernelCache::Stats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Hits + S.Coalesced, NumThreads - 1);
+  EXPECT_EQ(obs::counterValue("serve.cache.miss") - MissesBefore, 1u);
+  EXPECT_EQ(obs::counterValue("serve.cache.hit") - HitsBefore +
+                obs::counterValue("serve.cache.coalesced") - CoalescedBefore,
+            NumThreads - 1);
 }
 
 TEST(KernelCacheTest, DistinctKeysCompileIndependently) {
@@ -329,7 +332,7 @@ TEST(JitSingleFlightTest, HerdOfIdenticalKernelsCompilesOnce) {
   JO.CacheDir = Tmpl;
   exec::JitEngine Jit(JO);
 
-  uint64_t CompilesBefore = getStatisticValue("jit", "NumJitCompiles");
+  uint64_t CompilesBefore = obs::counterValue("jit.compiles");
   const unsigned NumThreads = 8;
   std::vector<exec::RunResult> Results(NumThreads);
   std::vector<exec::JitRunInfo> Infos(NumThreads);
@@ -350,7 +353,7 @@ TEST(JitSingleFlightTest, HerdOfIdenticalKernelsCompilesOnce) {
     EXPECT_EQ(Results[I].LiveOut, Results[0].LiveOut);
   }
   EXPECT_EQ(Compiled, 1u) << "exactly one thread may invoke the compiler";
-  EXPECT_EQ(getStatisticValue("jit", "NumJitCompiles") - CompilesBefore, 1u);
+  EXPECT_EQ(obs::counterValue("jit.compiles") - CompilesBefore, 1u);
 
   std::error_code EC;
   std::filesystem::remove_all(Tmpl, EC);
@@ -776,6 +779,39 @@ TEST_F(ServerTest, ConcurrentIdenticalCompilesSingleFlight) {
   }
   EXPECT_EQ(Misses, 1u);
   EXPECT_EQ(Served, NumThreads - 1);
+}
+
+// Golden: the stats payload's key paths that alfd_load, the serve
+// benchmark workload and the tests above read by name.
+TEST_F(ServerTest, StatsPayloadKeyPathsGolden) {
+  roundTrip(Client::makeCompile(ServerSource, "c2"));
+  roundTrip(Client::makeExecute(ServerSource, "c2", "sequential", "", 1));
+  { obs::Span S("jit.compile"); } // a jit_compile row without running cc
+  json::Value Stats = roundTrip(Client::makeStats());
+  EXPECT_EQ(Stats.getBool("ok").value_or(false), true);
+
+  const std::vector<std::pair<const char *, std::vector<const char *>>>
+      Counters = {
+          {"requests",
+           {"total", "compile", "execute", "connections", "in_flight"}},
+          {"cache", {"entries", "hits", "misses", "coalesced"}},
+          {"admission", {"rejected_busy", "rejected_too_large", "malformed"}},
+      };
+  for (const auto &[Group, Keys] : Counters) {
+    const json::Value *G = Stats.get(Group);
+    ASSERT_NE(G, nullptr) << Group;
+    for (const char *Key : Keys)
+      EXPECT_TRUE(G->getNumber(Key).has_value()) << Group << '.' << Key;
+  }
+  const json::Value *Latency = Stats.get("latency");
+  ASSERT_NE(Latency, nullptr);
+  for (const char *Row : {"execute", "compile", "jit_compile"}) {
+    const json::Value *R = Latency->get(Row);
+    ASSERT_NE(R, nullptr) << "latency." << Row;
+    for (const char *Key : {"count", "p50_us", "p95_us", "max_us"})
+      EXPECT_TRUE(R->getNumber(Key).has_value())
+          << "latency." << Row << '.' << Key;
+  }
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon) {

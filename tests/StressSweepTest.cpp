@@ -29,7 +29,6 @@
 #include "runtime/Runtime.h"
 #include "scalarize/CEmitter.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
 #include "support/Ulp.h"
 #include "verify/Verify.h"
 #include "xform/IlpStrategy.h"
@@ -319,7 +318,7 @@ bool ulpResultsMatch(const RunResult &A, const RunResult &B,
 // A single test (not a per-seed TEST_P shard) so the sweep can assert
 // the aggregate property the ISSUE demands: at least one seed's nests
 // actually vectorized — via JitRunInfo and, independently, via the
-// process-wide "jit.vectorize" statistics group. Nests the legality
+// process-wide `jit.vectorize.nests` counter. Nests the legality
 // check refuses fall back to the scalar spelling inside the same kernel
 // and must still match exactly, and a seed subset re-runs the vectorized
 // emission under the ASan/UBSan harness oracle so lane loads/stores and
@@ -331,7 +330,7 @@ TEST(StressSweepSimdTest, SimdAgrees) {
   const uint64_t MaxUlps = 16384; // ~4e-12 relative: reassociation noise,
                                   // not a wrong-code bug, fits far below
   uint64_t VecBefore =
-      getStatisticValue("jit.vectorize", "NumVectorizedNests");
+      obs::counterValue("jit.vectorize.nests");
   unsigned SeedsVectorized = 0, SeedsReassociated = 0, SeedsFellBack = 0;
   uint64_t MaxSeen = 0;
 
@@ -412,7 +411,7 @@ TEST(StressSweepSimdTest, SimdAgrees) {
   // group the backend maintains.
   EXPECT_GE(SeedsVectorized, 1u)
       << "no seed produced a single vectorized nest";
-  EXPECT_GT(getStatisticValue("jit.vectorize", "NumVectorizedNests"),
+  EXPECT_GT(obs::counterValue("jit.vectorize.nests"),
             VecBefore)
       << "jit.vectorize statistics never moved";
   RecordProperty("seeds_vectorized", static_cast<int>(SeedsVectorized));

@@ -15,7 +15,7 @@
 #include "exec/ParallelExecutor.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
+#include "obs/Obs.h"
 #include "verify/Verify.h"
 #include "xform/FusionPartition.h"
 #include "xform/IlpStrategy.h"
@@ -422,16 +422,16 @@ TEST(VerifyTest, PipelineReportsUnsafeProgramAtSafetyLevel) {
 }
 
 TEST(VerifyTest, VerifyStatisticsAccumulate) {
-  uint64_t ProofsBefore = getStatisticValue("verify", "NumStrategyProofs");
-  uint64_t OracleBefore = getStatisticValue("verify", "NumOracleRuns");
+  uint64_t ProofsBefore = obs::counterValue("verify.strategy_proofs");
+  uint64_t OracleBefore = obs::counterValue("verify.oracle_runs");
   auto P = tp::makeUserTempPair();
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
   (void)verify::verifyDependences(G);
   StrategyResult SR = applyStrategy(G, Strategy::C2);
   (void)verify::verifyStrategy(G, SR);
-  EXPECT_GT(getStatisticValue("verify", "NumStrategyProofs"), ProofsBefore);
-  EXPECT_GT(getStatisticValue("verify", "NumOracleRuns"), OracleBefore);
+  EXPECT_GT(obs::counterValue("verify.strategy_proofs"), ProofsBefore);
+  EXPECT_GT(obs::counterValue("verify.oracle_runs"), OracleBefore);
 }
 
 } // namespace

@@ -545,14 +545,8 @@ json::Value resultsToJson(const std::vector<Case> &Suite,
 
   json::Value Metrics = json::Value::array();
   for (const obs::MetricRow &Row : obs::metricsTable()) {
-    json::Value M = json::Value::object();
+    json::Value M = obs::toJson(Row, obs::TimeUnit::Ns);
     M.set("name", json::Value::str(Row.Name));
-    M.set("count", json::Value::number(static_cast<double>(Row.Count)));
-    M.set("total_ns",
-          json::Value::number(static_cast<double>(Row.TotalNs)));
-    M.set("p50_ns", json::Value::number(static_cast<double>(Row.P50Ns)));
-    M.set("p95_ns", json::Value::number(static_cast<double>(Row.P95Ns)));
-    M.set("bytes", json::Value::number(static_cast<double>(Row.Bytes)));
     Metrics.push(std::move(M));
   }
   Root.set("metrics", std::move(Metrics));

@@ -57,7 +57,6 @@
 #include "obs/Obs.h"
 #include "scalarize/CEmitter.h"
 #include "scalarize/Scalarize.h"
-#include "support/Statistic.h"
 #include "support/StringUtil.h"
 #include "verify/Verify.h"
 #include "xform/IlpStrategy.h"
@@ -384,25 +383,25 @@ int main(int argc, char **argv) {
             << "  C compilations:  " << S.CCompiles << '\n';
   if (VerifyLevel >= verify::VerifyLevel::Full)
     std::cout << "  verified:        "
-              << getStatisticValue("verify", "NumStrategyProofs")
+              << obs::counterValue("verify.strategy_proofs")
               << " strategy proofs, "
-              << getStatisticValue("verify", "NumOracleLabels")
+              << obs::counterValue("verify.oracle_labels")
               << " oracle labels, "
-              << getStatisticValue("verify", "NumNestsCertifiedParallel")
+              << obs::counterValue("verify.nests_certified_parallel")
               << " nests certified parallel\n";
   if (S.IlpRuns > 0)
     std::cout << "  ilp runs:        " << S.IlpRuns << " ("
               << S.IlpImprovements << " beat greedy; "
-              << getStatisticValue("strategy", "NumIlpNodes") << " nodes, "
-              << getStatisticValue("strategy", "NumIlpPruned") << " pruned, "
-              << getStatisticValue("strategy", "NumIlpBudgetExhausted")
+              << obs::counterValue("strategy.ilp.nodes") << " nodes, "
+              << obs::counterValue("strategy.ilp.pruned") << " pruned, "
+              << obs::counterValue("strategy.ilp.budget_exhausted")
               << " budget-exhausted)\n";
   if (Jit)
     std::cout << "  jit runs:        " << S.JitRuns << " ("
-              << getStatisticValue("jit", "NumJitCompiles") << " compiles, "
-              << getStatisticValue("jit", "NumJitCacheMemoryHits")
+              << obs::counterValue("jit.compiles") << " compiles, "
+              << obs::counterValue("jit.cache.memory_hit")
               << " memory hits, "
-              << getStatisticValue("jit", "NumJitCacheDiskHits")
+              << obs::counterValue("jit.cache.disk_hit")
               << " disk hits; cache: "
               << sharedJitEngine(JitOptions()).cacheDir() << ")\n";
   if (!tool::emitObsOutputs(TO, std::cout, std::cerr, "alf_stress"))
