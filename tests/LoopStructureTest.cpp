@@ -8,6 +8,15 @@ using namespace alf;
 using namespace alf::ir;
 using namespace alf::xform;
 
+namespace alf {
+namespace ir {
+// Lets gtest print an Offset by value. Without it the parameterized sweep
+// below names each case by the raw bytes of its heap pointers, so the test
+// names change from one process to the next.
+void PrintTo(const Offset &O, std::ostream *OS) { *OS << O.str(); }
+} // namespace ir
+} // namespace alf
+
 namespace {
 
 TEST(LoopStructureVectorTest, Identity) {
