@@ -101,12 +101,8 @@ double greedyWithOrder(const ASDG &G,
                        std::vector<const ArraySymbol *> Order) {
   FusionPartition FP = FusionPartition::trivial(G);
   for (const ArraySymbol *Var : Order) {
-    std::set<unsigned> C = FP.clustersReferencing(Var);
+    std::set<unsigned> C = FP.fusionCandidates(Var);
     if (C.empty())
-      continue;
-    std::set<unsigned> Grown = FP.grow(C);
-    C.insert(Grown.begin(), Grown.end());
-    if (C.size() < 2)
       continue;
     if (!isContractible(FP, C, Var) || !isLegalFusion(FP, C))
       continue;

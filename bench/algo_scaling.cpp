@@ -42,7 +42,7 @@ void BM_BuildASDG(benchmark::State &State) {
   }
   State.SetComplexityN(State.range(0));
 }
-BENCHMARK(BM_BuildASDG)->RangeMultiplier(2)->Range(8, 128)->Complexity();
+BENCHMARK(BM_BuildASDG)->RangeMultiplier(2)->Range(8, 512)->Complexity();
 
 void BM_FusionForContraction(benchmark::State &State) {
   auto P = makeProgram(static_cast<unsigned>(State.range(0)));
@@ -56,7 +56,7 @@ void BM_FusionForContraction(benchmark::State &State) {
 }
 BENCHMARK(BM_FusionForContraction)
     ->RangeMultiplier(2)
-    ->Range(8, 128)
+    ->Range(8, 512)
     ->Complexity();
 
 void BM_FindLoopStructure(benchmark::State &State) {
@@ -86,7 +86,7 @@ void BM_GreedyPairwise(benchmark::State &State) {
   }
   State.SetComplexityN(State.range(0));
 }
-BENCHMARK(BM_GreedyPairwise)->RangeMultiplier(2)->Range(8, 64)->Complexity();
+BENCHMARK(BM_GreedyPairwise)->RangeMultiplier(2)->Range(8, 512)->Complexity();
 
 } // namespace
 

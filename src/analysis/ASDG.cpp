@@ -29,8 +29,6 @@ ASDG ASDG::build(const ir::Program &Prog) {
   ASDG G;
   G.P = &Prog;
   unsigned N = Prog.numStmts();
-  G.OutEdgeIds.resize(N);
-  G.InEdgeIds.resize(N);
 
   // Pre-collect the accesses of every statement.
   std::vector<std::vector<Access>> Accesses(N);
@@ -63,14 +61,11 @@ ASDG ASDG::build(const ir::Program &Prog) {
             Labels.push_back(std::move(Label));
         }
       }
-      if (Labels.empty())
-        continue;
-      unsigned EdgeId = static_cast<unsigned>(G.Edges.size());
-      G.Edges.push_back(DepEdge{Src, Tgt, std::move(Labels)});
-      G.OutEdgeIds[Src].push_back(EdgeId);
-      G.InEdgeIds[Tgt].push_back(EdgeId);
+      if (!Labels.empty())
+        G.Edges.push_back(DepEdge{Src, Tgt, std::move(Labels)});
     }
   }
+  G.indexEdges();
 
   // Reference index for statementsReferencing().
   G.RefIndex.resize(Prog.numSymbols());
@@ -83,29 +78,42 @@ ASDG ASDG::build(const ir::Program &Prog) {
   return G;
 }
 
+void ASDG::indexEdges() {
+  unsigned N = numNodes();
+  OutEdgeIds.assign(N, {});
+  InEdgeIds.assign(N, {});
+  VarEdgeIds.assign(P->numSymbols(), {});
+  for (unsigned EdgeId = 0; EdgeId < Edges.size(); ++EdgeId) {
+    const DepEdge &E = Edges[EdgeId];
+    if (E.Src < N)
+      OutEdgeIds[E.Src].push_back(EdgeId);
+    if (E.Tgt < N)
+      InEdgeIds[E.Tgt].push_back(EdgeId);
+    for (const DepLabel &L : E.Labels) {
+      std::vector<unsigned> &Ids = VarEdgeIds[L.Var->getId()];
+      if (Ids.empty() || Ids.back() != EdgeId)
+        Ids.push_back(EdgeId);
+    }
+  }
+}
+
 void ASDG::dropEdgeForTest(unsigned EdgeId) {
   if (EdgeId >= Edges.size())
     return;
   Edges.erase(Edges.begin() + EdgeId);
-  for (auto *Index : {&OutEdgeIds, &InEdgeIds})
-    for (std::vector<unsigned> &Ids : *Index) {
-      std::vector<unsigned> Kept;
-      for (unsigned Id : Ids) {
-        if (Id == EdgeId)
-          continue;
-        Kept.push_back(Id > EdgeId ? Id - 1 : Id);
-      }
-      Ids = std::move(Kept);
-    }
+  indexEdges();
 }
 
 void ASDG::injectEdgeForTest(DepEdge E) {
-  unsigned EdgeId = static_cast<unsigned>(Edges.size());
-  if (E.Src < OutEdgeIds.size())
-    OutEdgeIds[E.Src].push_back(EdgeId);
-  if (E.Tgt < InEdgeIds.size())
-    InEdgeIds[E.Tgt].push_back(EdgeId);
   Edges.push_back(std::move(E));
+  indexEdges();
+}
+
+const std::vector<unsigned> &ASDG::edgesOf(const ir::Symbol *Var) const {
+  static const std::vector<unsigned> Empty;
+  if (Var->getId() >= VarEdgeIds.size())
+    return Empty;
+  return VarEdgeIds[Var->getId()];
 }
 
 const std::vector<unsigned> &
@@ -117,8 +125,9 @@ ASDG::statementsReferencing(const ir::Symbol *Var) const {
 }
 
 double ASDG::referenceWeight(const ir::Symbol *Var) const {
+  // Only statements referencing Var contribute, so visit just those.
   double Weight = 0.0;
-  for (unsigned I = 0; I < numNodes(); ++I) {
+  for (unsigned I : statementsReferencing(Var)) {
     const Stmt *S = P->getStmt(I);
     if (const auto *NS = dyn_cast<NormalizedStmt>(S)) {
       double RegionSize = static_cast<double>(NS->getRegion()->size());

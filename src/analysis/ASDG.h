@@ -65,9 +65,14 @@ class ASDG {
   std::vector<DepEdge> Edges;
   std::vector<std::vector<unsigned>> OutEdgeIds;
   std::vector<std::vector<unsigned>> InEdgeIds;
+  // Per symbol id: the edges carrying a label due to that symbol
+  // (ascending). Rebuilt with OutEdgeIds/InEdgeIds by indexEdges().
+  std::vector<std::vector<unsigned>> VarEdgeIds;
   // Cached reference index: statements referencing each symbol
   // (ascending), by symbol id. Built once during build().
   std::vector<std::vector<unsigned>> RefIndex;
+
+  void indexEdges();
 
 public:
   /// Builds the ASDG of \p Prog. The program must be well formed (run the
@@ -89,6 +94,10 @@ public:
   const std::vector<unsigned> &inEdges(unsigned Node) const {
     return InEdgeIds[Node];
   }
+
+  /// Indices into edges() of the edges carrying at least one label due to
+  /// \p Var, ascending. O(1): served from an index built with the graph.
+  const std::vector<unsigned> &edgesOf(const ir::Symbol *Var) const;
 
   /// Ids of statements containing any reference to \p Var (reads, writes,
   /// communication and opaque accesses included). O(1): served from an

@@ -211,7 +211,7 @@ scalarize::scalarizeChecked(const ASDG &G, const StrategyResult &SR,
     return Fail("cycle among fusible clusters");
 
   for (unsigned Cluster : ClusterOrder) {
-    std::vector<unsigned> Members = P.members(Cluster);
+    const std::vector<unsigned> &Members = P.members(Cluster);
 
     // Non-normalized statements live in singleton clusters.
     if (Members.size() == 1) {
@@ -235,11 +235,9 @@ scalarize::scalarizeChecked(const ASDG &G, const StrategyResult &SR,
     }
 
     // Intra-cluster topological order of the member statements.
-    std::set<unsigned> InCluster(Members.begin(), Members.end());
     std::vector<std::pair<unsigned, unsigned>> IntraEdges;
-    for (const DepEdge &E : G.edges())
-      if (InCluster.count(E.Src) && InCluster.count(E.Tgt))
-        IntraEdges.push_back({E.Src, E.Tgt});
+    for (unsigned EdgeId : P.internalEdges({Cluster}))
+      IntraEdges.push_back({G.getEdge(EdgeId).Src, G.getEdge(EdgeId).Tgt});
     std::vector<unsigned> StmtOrder = topoSort(Members, IntraEdges);
     if (StmtOrder.size() != Members.size())
       return Fail("dependence cycle among the statements of one cluster");

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <new>
+#include <stdexcept>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -400,8 +402,19 @@ json::Value Server::handleExecute(const json::Value &Req) {
   if (std::optional<double> S = Req.getNumber("seed"))
     Seed = static_cast<uint64_t>(*S);
 
+  // A program whose storage cannot be allocated (a region past
+  // vector::max_size, or more memory than the host has) fails this
+  // request only; the daemon keeps serving everyone else.
   exec::JitRunInfo JitInfo;
-  exec::RunResult RR = Entry->CP->run(Seed, &JitInfo);
+  exec::RunResult RR;
+  try {
+    RR = Entry->CP->run(Seed, &JitInfo);
+  } catch (const std::bad_alloc &) {
+    return makeError("resource-limit", "storage allocation failed");
+  } catch (const std::length_error &E) {
+    return makeError("resource-limit",
+                     std::string("storage allocation failed: ") + E.what());
+  }
 
   json::Value V = CompileResp;
   json::Value Scalars = json::Value::object();

@@ -109,17 +109,10 @@ public:
       return true;
     // The vendor cannot emit a fused nest with a loop-carried
     // anti-dependence across source statements.
-    std::set<unsigned> Stmts;
-    for (unsigned Cl : C)
-      for (unsigned StmtId : FP.members(Cl))
-        Stmts.insert(StmtId);
-    for (const DepEdge &E : G.edges()) {
-      if (!Stmts.count(E.Src) || !Stmts.count(E.Tgt))
-        continue;
-      for (const DepLabel &L : E.Labels)
+    for (unsigned EdgeId : FP.internalEdges(C))
+      for (const DepLabel &L : G.getEdge(EdgeId).Labels)
         if (L.Type == DepType::Anti && (!L.UDV || !L.UDV->isZero()))
           return false;
-    }
     return true;
   }
 
@@ -127,12 +120,8 @@ public:
     for (const ArraySymbol *Var : G.arraysByDecreasingWeight()) {
       if (!Candidates(Var))
         continue;
-      std::set<unsigned> C = FP.clustersReferencing(Var);
+      std::set<unsigned> C = FP.fusionCandidates(Var);
       if (C.empty())
-        continue;
-      std::set<unsigned> Grown = FP.grow(C);
-      C.insert(Grown.begin(), Grown.end());
-      if (C.size() < 2)
         continue;
       if (!Policy.StatementFusion && !singleSourceGroup(C))
         continue;

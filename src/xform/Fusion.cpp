@@ -39,15 +39,10 @@ static unsigned runGreedyFusion(FusionPartition &P,
     if (!Candidates(Var))
       continue;
 
-    // Line 5: clusters containing a reference to Var.
-    std::set<unsigned> C = P.clustersReferencing(Var);
+    // Lines 5-6: clusters containing a reference to Var, closed under
+    // GROW so the merge cannot create cycles.
+    std::set<unsigned> C = P.fusionCandidates(Var);
     if (C.empty())
-      continue;
-
-    // Line 6: close under GROW so the merge cannot create cycles.
-    std::set<unsigned> Grown = P.grow(C);
-    C.insert(Grown.begin(), Grown.end());
-    if (C.size() < 2)
       continue; // nothing to fuse
     ++NumCandidatesConsidered;
 
@@ -102,20 +97,24 @@ unsigned xform::fuseAllPairwise(FusionPartition &P) {
     return Common;
   };
 
+  // A cluster of this pass's snapshot that a merge has since absorbed.
+  auto Absorbed = [&P](unsigned Cluster) {
+    return P.clusterOf(Cluster) != Cluster;
+  };
+
   unsigned Merges = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     std::vector<unsigned> Clusters = P.clusters();
-    std::set<unsigned> Dead;
     for (size_t I = 0; I < Clusters.size(); ++I) {
-      if (Dead.count(Clusters[I]))
+      if (Absorbed(Clusters[I]))
         continue;
       const ir::Region *RI = RegionOf(Clusters[I]);
       if (!RI)
         continue;
       for (size_t J = I + 1; J < Clusters.size(); ++J) {
-        if (Dead.count(Clusters[J]) || Dead.count(Clusters[I]))
+        if (Absorbed(Clusters[J]) || Absorbed(Clusters[I]))
           break;
         const ir::Region *RJ = RegionOf(Clusters[J]);
         if (!RJ || *RI != *RJ)
@@ -126,9 +125,6 @@ unsigned xform::fuseAllPairwise(FusionPartition &P) {
         if (!isLegalFusion(P, C))
           continue;
         unsigned Survivor = P.merge(C);
-        for (unsigned Cl : C)
-          if (Cl != Survivor)
-            Dead.insert(Cl);
         ++Merges;
         Changed = true;
         if (Survivor != Clusters[I])

@@ -5,21 +5,23 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 
 using namespace alf;
 using namespace alf::analysis;
 using namespace alf::ir;
 using namespace alf::xform;
 
+/// Sorts \p V and drops duplicates.
+static void sortUnique(std::vector<unsigned> &V) {
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
 FusionPartition FusionPartition::trivial(const ASDG &Graph) {
-  FusionPartition P;
-  P.G = &Graph;
-  P.ClusterOf.resize(Graph.numNodes());
+  std::vector<unsigned> Identity(Graph.numNodes());
   for (unsigned I = 0; I < Graph.numNodes(); ++I)
-    P.ClusterOf[I] = I;
-  return P;
+    Identity[I] = I;
+  return fromAssignment(Graph, std::move(Identity));
 }
 
 FusionPartition FusionPartition::fromAssignment(const ASDG &Graph,
@@ -36,33 +38,92 @@ FusionPartition FusionPartition::fromAssignment(const ASDG &Graph,
            "cluster id must name an active cluster");
   }
 #endif
+  P.buildQuotient();
   return P;
 }
 
-std::vector<unsigned> FusionPartition::clusters() const {
+void FusionPartition::buildQuotient() {
+  unsigned N = numStmts();
+  Members.assign(N, {});
+  Succ.assign(N, {});
+  Pred.assign(N, {});
+  Active.clear();
   // A cluster's id is the smallest member statement's id, so the set of
   // active ids is exactly {i : ClusterOf[i] == i}.
-  std::vector<unsigned> Result;
-  for (unsigned I = 0; I < ClusterOf.size(); ++I)
+  for (unsigned I = 0; I < N; ++I) {
     if (ClusterOf[I] == I)
-      Result.push_back(I);
-  return Result;
-}
-
-std::vector<unsigned> FusionPartition::members(unsigned Cluster) const {
-  std::vector<unsigned> Result;
-  for (unsigned I = 0; I < ClusterOf.size(); ++I)
-    if (ClusterOf[I] == Cluster)
-      Result.push_back(I);
-  return Result;
+      Active.push_back(I);
+    Members[ClusterOf[I]].push_back(I);
+  }
+  for (const DepEdge &E : G->edges()) {
+    unsigned SC = ClusterOf[E.Src], TC = ClusterOf[E.Tgt];
+    if (SC == TC)
+      continue;
+    Succ[SC].push_back(TC);
+    Pred[TC].push_back(SC);
+  }
+  for (unsigned Cl : Active) {
+    sortUnique(Succ[Cl]);
+    sortUnique(Pred[Cl]);
+  }
+  Acyclic = Active.empty() || !hasCycleCollapsing({Active.front()});
 }
 
 unsigned FusionPartition::merge(const std::set<unsigned> &C) {
   assert(!C.empty() && "cannot merge an empty cluster set");
   unsigned Target = *C.begin(); // smallest id (set is ordered)
-  for (unsigned I = 0; I < ClusterOf.size(); ++I)
-    if (C.count(ClusterOf[I]))
-      ClusterOf[I] = Target;
+
+  // Merging a GROW-closed set keeps an acyclic quotient acyclic, and
+  // merging any other set makes it cyclic. A quotient that was already
+  // cyclic is checked again after the merge.
+  bool WasAcyclic = Acyclic;
+  if (WasAcyclic)
+    Acyclic = growList(C).empty();
+
+  std::vector<unsigned> &Merged = Members[Target];
+  std::vector<unsigned> NewSucc, NewPred;
+  for (unsigned Cl : C) {
+    assert(ClusterOf[Cl] == Cl && "merge of an inactive cluster id");
+    for (unsigned T : Succ[Cl])
+      if (!C.count(T))
+        NewSucc.push_back(T);
+    for (unsigned S : Pred[Cl])
+      if (!C.count(S))
+        NewPred.push_back(S);
+    if (Cl == Target)
+      continue;
+    for (unsigned StmtId : Members[Cl])
+      ClusterOf[StmtId] = Target;
+    Merged.insert(Merged.end(), Members[Cl].begin(), Members[Cl].end());
+    Members[Cl].clear();
+    Succ[Cl].clear();
+    Pred[Cl].clear();
+  }
+  std::sort(Merged.begin(), Merged.end());
+  sortUnique(NewSucc);
+  sortUnique(NewPred);
+
+  // The neighbours' lists name absorbed clusters; point them at Target.
+  auto Relabel = [&C, Target](std::vector<unsigned> &Adj) {
+    for (unsigned &Cl : Adj)
+      if (C.count(Cl))
+        Cl = Target;
+    sortUnique(Adj);
+  };
+  for (unsigned T : NewSucc)
+    Relabel(Pred[T]);
+  for (unsigned S : NewPred)
+    Relabel(Succ[S]);
+  Succ[Target] = std::move(NewSucc);
+  Pred[Target] = std::move(NewPred);
+
+  Active.erase(std::remove_if(Active.begin(), Active.end(),
+                              [&C, Target](unsigned Cl) {
+                                return Cl != Target && C.count(Cl);
+                              }),
+               Active.end());
+  if (!WasAcyclic)
+    Acyclic = !hasCycleCollapsing({Target});
   return Target;
 }
 
@@ -74,67 +135,143 @@ FusionPartition::clustersReferencing(const ir::Symbol *Var) const {
   return Result;
 }
 
-std::vector<std::pair<unsigned, unsigned>>
-FusionPartition::clusterEdges() const {
-  std::set<std::pair<unsigned, unsigned>> Distinct;
-  for (const DepEdge &E : G->edges()) {
-    unsigned SC = ClusterOf[E.Src], TC = ClusterOf[E.Tgt];
-    if (SC != TC)
-      Distinct.insert({SC, TC});
-  }
-  return std::vector<std::pair<unsigned, unsigned>>(Distinct.begin(),
-                                                    Distinct.end());
+std::set<unsigned>
+FusionPartition::fusionCandidates(const ir::Symbol *Var) const {
+  std::set<unsigned> C = clustersReferencing(Var);
+  if (C.empty())
+    return C;
+  for (unsigned Cl : growList(C))
+    C.insert(Cl);
+  if (C.size() < 2)
+    C.clear();
+  return C;
 }
 
-std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
+std::vector<std::pair<unsigned, unsigned>>
+FusionPartition::clusterEdges() const {
+  std::vector<std::pair<unsigned, unsigned>> Edges;
+  for (unsigned S : Active)
+    for (unsigned T : Succ[S])
+      Edges.push_back({S, T});
+  return Edges;
+}
+
+std::vector<unsigned>
+FusionPartition::reach(const std::set<unsigned> &C,
+                       const std::vector<std::vector<unsigned>> &Adj,
+                       std::vector<char> &Seen, bool &BackIntoC) const {
+  std::vector<unsigned> Work(C.begin(), C.end()), Reached;
+  for (unsigned Cl : C)
+    Seen[Cl] = 1;
+  BackIntoC = false;
+  while (!Work.empty()) {
+    unsigned Cl = Work.back();
+    Work.pop_back();
+    for (unsigned Next : Adj[Cl]) {
+      if (Seen[Next]) {
+        BackIntoC |= Seen[Next] == 1 && Seen[Cl] == 2;
+        continue;
+      }
+      Seen[Next] = 2;
+      Work.push_back(Next);
+      Reached.push_back(Next);
+    }
+  }
+  return Reached;
+}
+
+std::vector<unsigned>
+FusionPartition::growList(const std::set<unsigned> &C) const {
   // Forward-reachable from C and backward-reachable to C on the quotient
   // graph; the intersection (minus C) is GROW. One application is closed:
   // any cluster reachable from C + GROW and reaching C + GROW is already
   // forward- and backward-reachable from/to C itself.
-  auto Edges = clusterEdges();
-  std::map<unsigned, std::vector<unsigned>> Succ, Pred;
-  for (auto [S, T] : Edges) {
-    Succ[S].push_back(T);
-    Pred[T].push_back(S);
-  }
-
-  auto Reach = [&C](const std::map<unsigned, std::vector<unsigned>> &Adj) {
-    std::set<unsigned> Seen(C.begin(), C.end());
-    std::deque<unsigned> Work(C.begin(), C.end());
-    while (!Work.empty()) {
-      unsigned Node = Work.front();
-      Work.pop_front();
-      auto It = Adj.find(Node);
-      if (It == Adj.end())
-        continue;
-      for (unsigned Next : It->second)
-        if (Seen.insert(Next).second)
-          Work.push_back(Next);
-    }
-    return Seen;
-  };
-
-  std::set<unsigned> Fwd = Reach(Succ);
-  std::set<unsigned> Bwd = Reach(Pred);
-  std::set<unsigned> Result;
-  for (unsigned Cl : Fwd)
-    if (Bwd.count(Cl) && !C.count(Cl))
-      Result.insert(Cl);
+  std::vector<char> Fwd(numStmts(), 0), Bwd(numStmts(), 0);
+  bool BackIntoC = false;
+  reach(C, Succ, Fwd, BackIntoC);
+  if (!BackIntoC)
+    return {};
+  std::vector<unsigned> Result;
+  for (unsigned Cl : reach(C, Pred, Bwd, BackIntoC))
+    if (Fwd[Cl])
+      Result.push_back(Cl);
   return Result;
+}
+
+std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
+  std::vector<unsigned> Grown = growList(C);
+  return std::set<unsigned>(Grown.begin(), Grown.end());
+}
+
+bool FusionPartition::hasCycleCollapsing(const std::set<unsigned> &C) const {
+  unsigned Rep = *C.begin();
+  auto Node = [&C, Rep](unsigned Cl) { return C.count(Cl) ? Rep : Cl; };
+  std::vector<unsigned> RepSucc;
+  for (unsigned Cl : C)
+    for (unsigned T : Succ[Cl])
+      if (!C.count(T))
+        RepSucc.push_back(T);
+
+  // Iterative three-colour DFS (0 white, 1 on the stack, 2 done).
+  std::vector<char> Color(numStmts(), 0);
+  std::vector<std::pair<unsigned, size_t>> Stack;
+  for (unsigned Start : Active) {
+    if (Node(Start) != Start || Color[Start])
+      continue;
+    Color[Start] = 1;
+    Stack.push_back({Start, 0});
+    while (!Stack.empty()) {
+      auto [Cl, Idx] = Stack.back();
+      const std::vector<unsigned> &Next = Cl == Rep ? RepSucc : Succ[Cl];
+      if (Idx == Next.size()) {
+        Color[Cl] = 2;
+        Stack.pop_back();
+        continue;
+      }
+      ++Stack.back().second;
+      unsigned T = Node(Next[Idx]);
+      if (Color[T] == 1)
+        return true; // back edge
+      if (Color[T] == 0) {
+        Color[T] = 1;
+        Stack.push_back({T, 0});
+      }
+    }
+  }
+  return false;
+}
+
+bool FusionPartition::mergeCreatesCycle(const std::set<unsigned> &C) const {
+  // On an acyclic quotient, a cycle through the fused node passes through
+  // a cluster outside C that C reaches and that reaches C: a GROW member.
+  // A partition built by fromAssignment may already be cyclic; then fall
+  // back to one DFS with C collapsed.
+  if (Acyclic)
+    return !growList(C).empty();
+  return hasCycleCollapsing(C);
+}
+
+std::vector<unsigned>
+FusionPartition::internalEdges(const std::set<unsigned> &C) const {
+  std::vector<unsigned> Ids;
+  for (unsigned Cl : C)
+    for (unsigned StmtId : Members[Cl])
+      for (unsigned EdgeId : G->outEdges(StmtId))
+        if (C.count(ClusterOf[G->getEdge(EdgeId).Tgt]))
+          Ids.push_back(EdgeId);
+  std::sort(Ids.begin(), Ids.end());
+  return Ids;
 }
 
 std::optional<std::vector<Offset>>
 FusionPartition::internalUDVs(const std::set<unsigned> &C) const {
   std::vector<Offset> UDVs;
-  for (const DepEdge &E : G->edges()) {
-    if (!C.count(ClusterOf[E.Src]) || !C.count(ClusterOf[E.Tgt]))
-      continue;
-    for (const DepLabel &L : E.Labels) {
+  for (unsigned EdgeId : internalEdges(C))
+    for (const DepLabel &L : G->getEdge(EdgeId).Labels) {
       if (!L.UDV)
         return std::nullopt; // unrepresentable internal dependence
       UDVs.push_back(*L.UDV);
     }
-  }
   return UDVs;
 }
 
@@ -156,53 +293,6 @@ void FusionPartition::print(std::ostream &OS) const {
 //===----------------------------------------------------------------------===//
 // Legality predicates
 //===----------------------------------------------------------------------===//
-
-/// Returns true if the quotient graph of \p P, with the clusters of \p C
-/// regarded as one node, contains a cycle.
-static bool mergeWouldCreateCycle(const FusionPartition &P,
-                                  const std::set<unsigned> &C) {
-  unsigned Rep = *C.begin();
-  auto Quot = [&](unsigned Cl) { return C.count(Cl) ? Rep : Cl; };
-
-  std::map<unsigned, std::set<unsigned>> Succ;
-  std::set<unsigned> Nodes;
-  for (auto [S, T] : P.clusterEdges()) {
-    unsigned QS = Quot(S), QT = Quot(T);
-    Nodes.insert(QS);
-    Nodes.insert(QT);
-    if (QS != QT)
-      Succ[QS].insert(QT);
-  }
-
-  // Iterative three-color DFS.
-  std::map<unsigned, int> Color; // 0 white, 1 gray, 2 black
-  for (unsigned Start : Nodes) {
-    if (Color[Start] != 0)
-      continue;
-    std::vector<std::pair<unsigned, bool>> Stack{{Start, false}};
-    while (!Stack.empty()) {
-      auto [Node, Done] = Stack.back();
-      Stack.pop_back();
-      if (Done) {
-        Color[Node] = 2;
-        continue;
-      }
-      if (Color[Node] == 2)
-        continue;
-      if (Color[Node] == 1)
-        continue;
-      Color[Node] = 1;
-      Stack.push_back({Node, true});
-      for (unsigned Next : Succ[Node]) {
-        if (Color[Next] == 1)
-          return true; // back edge
-        if (Color[Next] == 0)
-          Stack.push_back({Next, false});
-      }
-    }
-  }
-  return false;
-}
 
 /// The region a statement iterates over if it may join a multi-statement
 /// fusible cluster (normalized statements and reductions), else null.
@@ -251,17 +341,6 @@ bool xform::isLegalFusionWithFlowRule(
     }
   }
 
-  // Condition (ii): intra-cluster flow dependences must satisfy the flow
-  // rule (null UDVs in the standard Definition 5).
-  std::set<unsigned> InCluster(Stmts.begin(), Stmts.end());
-  for (const DepEdge &E : G.edges()) {
-    if (!InCluster.count(E.Src) || !InCluster.count(E.Tgt))
-      continue;
-    for (const DepLabel &L : E.Labels)
-      if (L.Type == DepType::Flow && (!L.UDV || !FlowOk(*L.UDV)))
-        return false;
-  }
-
   // Communication placement: a fusible cluster may not span a
   // communication statement in program order. Scalarization preserves the
   // placement of exchanges (their pipelining overlap windows were chosen
@@ -280,32 +359,53 @@ bool xform::isLegalFusionWithFlowRule(
         return false;
   }
 
-  // Condition (iii): no inter-cluster cycles after the merge.
-  if (mergeWouldCreateCycle(P, C))
-    return false;
+  // Condition (ii): intra-cluster flow dependences must satisfy the flow
+  // rule (null UDVs in the standard Definition 5). Condition (iv) needs
+  // the distinct intra-cluster UDVs, and none may be unrepresentable.
+  // Both read only the edges leaving the merged statements.
+  std::vector<bool> InC(P.numStmts(), false);
+  for (unsigned Cl : C)
+    InC[Cl] = true;
+  std::vector<Offset> UDVs;
+  for (unsigned StmtId : Stmts)
+    for (unsigned EdgeId : G.outEdges(StmtId)) {
+      const DepEdge &E = G.getEdge(EdgeId);
+      if (!InC[P.clusterOf(E.Tgt)])
+        continue;
+      for (const DepLabel &L : E.Labels) {
+        if (!L.UDV)
+          return false;
+        if (L.Type == DepType::Flow && !FlowOk(*L.UDV))
+          return false;
+        if (std::find(UDVs.begin(), UDVs.end(), *L.UDV) == UDVs.end())
+          UDVs.push_back(*L.UDV);
+      }
+    }
 
   // Condition (iv): a loop structure vector exists that preserves all
-  // intra-cluster dependences.
-  auto UDVs = P.internalUDVs(C);
-  if (!UDVs)
-    return false;
+  // intra-cluster dependences. A single non-normalized statement has no
+  // loop nest and holds vacuously.
+  LoopStructureVector LSV;
   unsigned Rank = 0;
   for (unsigned StmtId : Stmts)
     if (const Region *R = fusableRegion(Prog.getStmt(StmtId))) {
       Rank = R->rank();
       break;
     }
-  if (Rank == 0) {
-    // Single non-normalized statement: vacuously legal, no loop nest.
-    if (OutLSV)
-      *OutLSV = LoopStructureVector();
-    return true;
+  if (Rank != 0) {
+    auto Found = findLoopStructure(UDVs, Rank);
+    if (!Found)
+      return false;
+    LSV = std::move(*Found);
   }
-  auto LSV = findLoopStructure(*UDVs, Rank);
-  if (!LSV)
+
+  // Condition (iii): no inter-cluster cycles after the merge. Checked
+  // last: callers mostly pass sets already closed under GROW, for which
+  // it holds on an acyclic partition.
+  if (P.mergeCreatesCycle(C))
     return false;
   if (OutLSV)
-    *OutLSV = *LSV;
+    *OutLSV = std::move(LSV);
   return true;
 }
 
@@ -328,7 +428,7 @@ bool xform::isContractibleWithRule(
   if (Var->isLiveOut())
     return false;
 
-  std::vector<unsigned> Referencing = G.statementsReferencing(Var);
+  const std::vector<unsigned> &Referencing = G.statementsReferencing(Var);
   if (Referencing.empty())
     return false;
 
@@ -357,17 +457,15 @@ bool xform::isContractibleWithRule(
 
   // Definition 6 (i): the endpoints of every dependence due to Var lie in
   // one fusible cluster (the merged one), and (ii) every such UDV is null.
-  for (const DepEdge &E : G.edges()) {
-    for (const DepLabel &L : E.Labels) {
-      if (L.Var != Var)
-        continue;
-      unsigned SC = P.clusterOf(E.Src), TC = P.clusterOf(E.Tgt);
-      bool SameCluster = (SC == TC) || (C.count(SC) && C.count(TC));
-      if (!SameCluster)
+  for (unsigned EdgeId : G.edgesOf(Var)) {
+    const DepEdge &E = G.getEdge(EdgeId);
+    unsigned SC = P.clusterOf(E.Src), TC = P.clusterOf(E.Tgt);
+    bool SameCluster = (SC == TC) || (C.count(SC) && C.count(TC));
+    if (!SameCluster)
+      return false;
+    for (const DepLabel &L : E.Labels)
+      if (L.Var == Var && (!L.UDV || !DistOk(*L.UDV)))
         return false;
-      if (!L.UDV || !DistOk(*L.UDV))
-        return false;
-    }
   }
   return true;
 }
@@ -383,10 +481,5 @@ bool xform::isValidPartition(const FusionPartition &P) {
   for (unsigned Cl : P.clusters())
     if (!isLegalFusion(P, std::set<unsigned>{Cl}))
       return false;
-  // Whole-partition acyclicity: checked via a merge of a singleton (which
-  // leaves the quotient graph unchanged).
-  auto Clusters = P.clusters();
-  if (Clusters.empty())
-    return true;
-  return !mergeWouldCreateCycle(P, std::set<unsigned>{Clusters.front()});
+  return P.isAcyclic();
 }

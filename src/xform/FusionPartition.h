@@ -33,9 +33,40 @@ namespace xform {
 /// Cluster ids are statement ids of representative members; after merges,
 /// a cluster's id is the smallest statement id it contains (Figure 3 line
 /// 8 assigns the union into the Pk with the smallest k).
+///
+/// The cluster quotient graph is kept up to date across merge() rather
+/// than rebuilt per query: each cluster holds its members in program
+/// order and its sorted distinct quotient successors and predecessors.
+/// A query then costs O(l + e') on the l clusters and e' quotient edges
+/// (GROW, condition (iii)) or touches only the dependences of the
+/// statements or array it is about (conditions (ii) and (iv),
+/// CONTRACTIBLE?).
 class FusionPartition {
   const analysis::ASDG *G = nullptr;
   std::vector<unsigned> ClusterOf; // statement id -> cluster id
+  // Indexed by cluster id; empty for ids that are not active clusters.
+  std::vector<std::vector<unsigned>> Members, Succ, Pred;
+  std::vector<unsigned> Active; // active cluster ids, ascending
+  bool Acyclic = true;          // the quotient graph has no cycle
+
+  /// Members, adjacency, Active and Acyclic from ClusterOf.
+  void buildQuotient();
+
+  /// Searches from \p C along \p Adj (Succ or Pred) and returns the
+  /// clusters reached outside C. \p Seen (indexed by cluster id) ends up
+  /// 1 on C and 2 on the clusters returned. Sets \p BackIntoC when one of
+  /// them has an edge into C, which is exactly when GROW(C) is non-empty.
+  std::vector<unsigned> reach(const std::set<unsigned> &C,
+                              const std::vector<std::vector<unsigned>> &Adj,
+                              std::vector<char> &Seen, bool &BackIntoC) const;
+
+  /// GROW(C), unordered: one forward reachability, and one backward
+  /// reachability when the forward one finds a path back into C.
+  std::vector<unsigned> growList(const std::set<unsigned> &C) const;
+
+  /// Whether the quotient graph with the clusters of \p C regarded as one
+  /// node has a cycle (a single cluster: the graph as it is). One DFS.
+  bool hasCycleCollapsing(const std::set<unsigned> &C) const;
 
 public:
   /// The trivial partition: one statement per cluster (Figure 3 line 1).
@@ -45,7 +76,8 @@ public:
   /// entry must already satisfy the representation invariant merge()
   /// maintains: a cluster's id is its smallest member's statement id.
   /// The branch-and-bound partitioner (IlpStrategy) materializes its
-  /// search states through this.
+  /// search states through this. The assignment may make the quotient
+  /// graph cyclic; isAcyclic() records whether it does.
   static FusionPartition fromAssignment(const analysis::ASDG &Graph,
                                         std::vector<unsigned> Assignment);
 
@@ -57,15 +89,19 @@ public:
   unsigned clusterOf(unsigned StmtId) const { return ClusterOf[StmtId]; }
 
   /// Active cluster ids, ascending.
-  std::vector<unsigned> clusters() const;
+  const std::vector<unsigned> &clusters() const { return Active; }
 
   /// Number of clusters (the paper's l).
-  unsigned numClusters() const {
-    return static_cast<unsigned>(clusters().size());
-  }
+  unsigned numClusters() const { return static_cast<unsigned>(Active.size()); }
 
   /// Statement ids in cluster \p Cluster, ascending (program order).
-  std::vector<unsigned> members(unsigned Cluster) const;
+  const std::vector<unsigned> &members(unsigned Cluster) const {
+    return Members[Cluster];
+  }
+
+  /// Whether the quotient graph is acyclic (always, for partitions built
+  /// by trivial() and refined only through legal merges).
+  bool isAcyclic() const { return Acyclic; }
 
   /// Merges all clusters in \p C into the one with the smallest id.
   /// Returns the surviving cluster id.
@@ -75,8 +111,13 @@ public:
   /// line 5).
   std::set<unsigned> clustersReferencing(const ir::Symbol *Var) const;
 
+  /// Figure 3 lines 5-6: the clusters referencing \p Var, closed under
+  /// GROW so fusing them cannot create a cycle. Empty when that leaves
+  /// fewer than two clusters (nothing to fuse).
+  std::set<unsigned> fusionCandidates(const ir::Symbol *Var) const;
+
   /// Distinct inter-cluster dependence edges (SrcCluster, TgtCluster),
-  /// SrcCluster != TgtCluster.
+  /// SrcCluster != TgtCluster, sorted.
   std::vector<std::pair<unsigned, unsigned>> clusterEdges() const;
 
   /// GROW (Figure 3): clusters not in \p C that are reachable from a
@@ -84,6 +125,15 @@ public:
   /// would sit on an inter-cluster cycle if C were fused. One application
   /// is a closure (see implementation comment).
   std::set<unsigned> grow(const std::set<unsigned> &C) const;
+
+  /// Definition 5 (iii) violated by the merge: the quotient graph with
+  /// the clusters of \p C fused has a cycle. On an acyclic partition this
+  /// is exactly "GROW(C) is non-empty".
+  bool mergeCreatesCycle(const std::set<unsigned> &C) const;
+
+  /// Indices into graph().edges() of the dependences with both endpoints
+  /// in the clusters of \p C, ascending.
+  std::vector<unsigned> internalEdges(const std::set<unsigned> &C) const;
 
   /// All unconstrained distance vectors on dependences internal to the
   /// hypothetical cluster formed by fusing the clusters of \p C. Returns

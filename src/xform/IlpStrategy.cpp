@@ -155,9 +155,9 @@ bool pairCanEverCoCluster(const ASDG &G, unsigned SA, unsigned SB) {
     if (isa<CommStmt>(Prog.getStmt(Pos)))
       return false;
   std::vector<Offset> UDVs;
-  for (const DepEdge &E : G.edges()) {
-    bool Between = (E.Src == Lo && E.Tgt == Hi);
-    if (!Between)
+  for (unsigned EdgeId : G.outEdges(Lo)) {
+    const DepEdge &E = G.getEdge(EdgeId);
+    if (E.Tgt != Hi)
       continue;
     for (const DepLabel &L : E.Labels) {
       if (!L.UDV)

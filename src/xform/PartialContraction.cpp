@@ -72,12 +72,8 @@ unsigned xform::fuseForPartialContraction(FusionPartition &P,
   const analysis::ASDG &G = P.graph();
   unsigned Merges = 0;
   for (const ArraySymbol *Var : G.arraysByDecreasingWeight()) {
-    std::set<unsigned> C = P.clustersReferencing(Var);
+    std::set<unsigned> C = P.fusionCandidates(Var);
     if (C.empty())
-      continue;
-    std::set<unsigned> Grown = P.grow(C);
-    C.insert(Grown.begin(), Grown.end());
-    if (C.size() < 2)
       continue;
     if (!isPartiallyContractible(P, C, Var, Seq))
       continue;
@@ -110,7 +106,7 @@ std::vector<PartialPlan> xform::planPartialContraction(
 
     // The cluster holding every reference to Var, its loop structure, and
     // the per-dimension maximum dependence distance of Var.
-    std::vector<unsigned> Refs = G.statementsReferencing(Var);
+    const std::vector<unsigned> &Refs = G.statementsReferencing(Var);
     if (Refs.empty())
       continue;
     unsigned Cluster = P.clusterOf(Refs.front());
@@ -123,8 +119,8 @@ std::vector<PartialPlan> xform::planPartialContraction(
       continue;
 
     std::vector<int64_t> MaxDist(Rank, 0);
-    for (const analysis::DepEdge &E : G.edges())
-      for (const analysis::DepLabel &L : E.Labels) {
+    for (unsigned EdgeId : G.edgesOf(Var))
+      for (const analysis::DepLabel &L : G.getEdge(EdgeId).Labels) {
         if (L.Var != Var || !L.UDV)
           continue;
         for (unsigned D = 0; D < Rank; ++D)

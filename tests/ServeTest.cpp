@@ -711,6 +711,23 @@ array T : R temp;
       << Full.getString("message").value_or("");
 }
 
+TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
+  // 9e18 elements exceed vector::max_size, so storage allocation throws
+  // std::length_error. The request fails with a stable code under every
+  // exec mode, and the same daemon keeps answering.
+  const std::string Huge = "region G : [1..3000000000, 1..3000000000];\n"
+                           "array a, b : G;\n"
+                           "[G] b := a + 1;\n";
+  for (const char *Mode : {"sequential", "parallel", "jit", "jit-simd"}) {
+    json::Value Resp = roundTrip(Client::makeExecute(Huge, "c2", Mode));
+    EXPECT_EQ(Resp.getBool("ok").value_or(true), false) << Mode;
+    EXPECT_EQ(Resp.getString("error").value_or(""), "resource-limit")
+        << Mode << ": " << Resp.getString("message").value_or("");
+    json::Value Health = roundTrip(Client::makeHealth());
+    EXPECT_EQ(Health.getBool("ok").value_or(false), true) << Mode;
+  }
+}
+
 TEST_F(ServerTest, MalformedFrameIsAnsweredThenDropped) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);
