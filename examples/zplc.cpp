@@ -6,7 +6,7 @@
 // Jacobi demo.
 //
 // Usage:  ./zplc [file.zpl] [--strategy=c2|baseline|c1|f1|f2|f3|c2+f3|c2+f4|ilp]
-//                [--dump-asdg] [--dump-source] [--emit-c] [--emit-f77]
+//                [--dump-asdg] [--dump-source] [--emit-c]
 //                [--explain] [--stats] [--simulate] [--lint]
 //                [--exec=sequential|parallel|jit|jit-simd] [--seed=S]
 //                [--semiring=plus-times|min-plus|max-times|max-plus|or-and]
@@ -21,6 +21,8 @@
 // --exec runs the compiled program and prints its live-out scalars and
 // array checksums; `--exec=jit` compiles the kernels natively with the
 // system compiler (falling back to the interpreter when there is none).
+// Storage too large to allocate prints a `resource-limit` error and
+// exits 1.
 //
 // --lint reports frontend diagnostics (uninitialized reads, dead
 // statements, rank mismatches) as `file:line:col: severity: message` and
@@ -44,7 +46,6 @@
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
 #include "scalarize/CEmitter.h"
-#include "scalarize/FortranEmitter.h"
 #include "scalarize/Scalarize.h"
 #include "support/StringUtil.h"
 #include "verify/Lint.h"
@@ -57,6 +58,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 using namespace alf;
 
@@ -80,8 +82,7 @@ int main(int argc, char **argv) {
   std::string Source = DemoSource;
   std::string FileName = "<demo>";
   bool DumpASDG = false, DumpSource = false, EmitC = false,
-       EmitF77 = false, Explain = false, Stats = false,
-       Simulate = false, Lint = false;
+       Explain = false, Stats = false, Simulate = false, Lint = false;
   tool::ToolOptions TO; // shared flags; zplc's verify default is full
 
   for (int I = 1; I < argc; ++I) {
@@ -106,10 +107,6 @@ int main(int argc, char **argv) {
     }
     if (Arg == "--emit-c") {
       EmitC = true;
-      continue;
-    }
-    if (Arg == "--emit-f77") {
-      EmitF77 = true;
       continue;
     }
     if (Arg == "--explain") {
@@ -237,8 +234,6 @@ int main(int argc, char **argv) {
   const lir::LoopProgram &LP = CSt.Artifact->LP;
   if (EmitC)
     std::cout << scalarize::emitC(LP, "kernel");
-  else if (EmitF77)
-    std::cout << scalarize::emitFortran(LP, "KERNEL");
   else
     LP.print(std::cout);
   if (Simulate) {
@@ -263,7 +258,20 @@ int main(int argc, char **argv) {
     {
       obs::Span ExecSpan("pipeline.execute",
                          xform::getExecModeName(*TO.Exec));
-      Res = CSt.Artifact->run(TO.Seed);
+      // A region too large to allocate is a diagnostic, as alfd's
+      // resource-limit answer is, not a crash.
+      try {
+        Res = CSt.Artifact->run(TO.Seed);
+      } catch (const std::bad_alloc &) {
+        std::cerr << FileName
+                  << ": error: resource-limit: storage allocation failed\n";
+        return 1;
+      } catch (const std::length_error &E) {
+        std::cerr << FileName
+                  << ": error: resource-limit: storage allocation failed: "
+                  << E.what() << '\n';
+        return 1;
+      }
     }
     std::cout << "\n// executed (" << xform::getExecModeName(*TO.Exec)
               << ", seed " << TO.Seed << "):\n";

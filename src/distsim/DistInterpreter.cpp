@@ -438,7 +438,7 @@ RunResult distsim::runDistributed(const LoopProgram &LP, const ProcGrid &Grid,
       };
       Walk(0);
     }
-    Result.LiveOut.emplace(A->getName(), Global.raw());
+    Result.LiveOut.emplace(A->getName(), Global.take());
   }
   for (const Symbol *Sym : Ctx.P.symbols())
     if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym))

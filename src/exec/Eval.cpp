@@ -170,14 +170,14 @@ Storage exec::allocateStorage(const LoopProgram &LP, uint64_t Seed) {
       });
 }
 
-RunResult exec::collectResults(const LoopProgram &LP, const Storage &Store) {
+RunResult exec::collectResults(const LoopProgram &LP, Storage &Store) {
   const Program &P = LP.source();
   RunResult Result;
   for (const ArraySymbol *A : P.arrays()) {
     if (!A->isLiveOut())
       continue;
-    if (const ArrayBuffer *Buf = Store.buffer(A))
-      Result.LiveOut.emplace(A->getName(), Buf->raw());
+    if (ArrayBuffer *Buf = Store.buffer(A))
+      Result.LiveOut.emplace(A->getName(), Buf->take());
   }
   for (const Symbol *Sym : P.symbols())
     if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym))

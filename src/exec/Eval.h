@@ -94,7 +94,10 @@ void iterateNest(const lir::LoopNest &Nest, EvalContext &Ctx);
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Extracts the observable result (live-out arrays, program scalars).
-RunResult collectResults(const lir::LoopProgram &LP, const Storage &Store);
+/// Consumes \p Store's live-out buffers: each one moves into the result
+/// without a copy, so it must not be read again (asserted in debug
+/// builds). Store.totalBytes() and the other buffers are unchanged.
+RunResult collectResults(const lir::LoopProgram &LP, Storage &Store);
 
 } // namespace exec
 } // namespace alf

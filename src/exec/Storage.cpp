@@ -2,21 +2,44 @@
 
 #include "exec/Storage.h"
 
-#include <cassert>
+#include "obs/Obs.h"
+
+#include <stdexcept>
 
 using namespace alf;
 using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 
+ALF_COUNTER(NumBytesCopied, "exec.storage.bytes_copied",
+            "Bytes copied between array storage and results or handles");
+
+void exec::countCopiedBytes(uint64_t Bytes) { NumBytesCopied += Bytes; }
+
+/// Element count of \p Bounds. A wrapped product would allocate a short
+/// buffer that every kernel then writes past, so overflow throws the
+/// std::length_error an oversized vector would.
+static size_t checkedElementCount(const Region &Bounds) {
+  int64_t N = 1;
+  for (unsigned D = 0; D < Bounds.rank(); ++D) {
+    int64_t Extent;
+    if (__builtin_sub_overflow(Bounds.hi(D), Bounds.lo(D), &Extent) ||
+        __builtin_add_overflow(Extent, 1, &Extent) ||
+        __builtin_mul_overflow(N, Extent, &N))
+      throw std::length_error("array element count overflows int64_t");
+  }
+  return static_cast<size_t>(N);
+}
+
 ArrayBuffer::ArrayBuffer(const ArraySymbol *Sym, const Region &Bounds,
                          uint64_t BaseAddr)
     : Sym(Sym), Bounds(Bounds), BaseAddr(BaseAddr) {
+  size_t N = checkedElementCount(Bounds);
   unsigned Rank = Bounds.rank();
   Strides.assign(Rank, 1);
   for (int D = static_cast<int>(Rank) - 2; D >= 0; --D)
     Strides[D] = Strides[D + 1] * Bounds.extent(D + 1);
-  Data.assign(static_cast<size_t>(Bounds.size()), 0.0);
+  Data.assign(N, 0.0);
 }
 
 int64_t ArrayBuffer::linearIndex(const std::vector<int64_t> &Idx) const {
@@ -78,8 +101,6 @@ Storage Storage::allocate(
     ++Placed;
     if (A->isLiveIn())
       Buf.fillRandom(Seed ^ hashName(A->getName()));
-    else
-      Buf.fillZero();
     S.TotalBytes += Buf.sizeBytes();
     S.Buffers.emplace(A->getId(), std::move(Buf));
   }

@@ -21,6 +21,7 @@
 #include "ir/Program.h"
 #include "support/Random.h"
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,9 +38,13 @@ class ArrayBuffer {
   std::vector<int64_t> Strides; // row-major element strides
   std::vector<double> Data;
   uint64_t BaseAddr = 0;
+  bool Taken = false; // payload moved out by take()
 
 public:
   ArrayBuffer() = default;
+  /// Allocates a zero-filled buffer over \p Bounds. Throws
+  /// std::length_error, as std::vector does, when the element count
+  /// overflows int64_t or exceeds what a vector can hold.
   ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds,
               uint64_t BaseAddr);
 
@@ -58,19 +63,36 @@ public:
   }
 
   double load(const std::vector<int64_t> &Idx) const {
+    assert(!Taken && "read of a taken array buffer");
     return Data[linearIndex(Idx)];
   }
   void store(const std::vector<int64_t> &Idx, double V) {
+    assert(!Taken && "write to a taken array buffer");
     Data[linearIndex(Idx)] = V;
   }
 
-  const std::vector<double> &raw() const { return Data; }
+  const std::vector<double> &raw() const {
+    assert(!Taken && "read of a taken array buffer");
+    return Data;
+  }
 
   /// Mutable base pointer of the row-major payload. The native JIT backend
   /// hands this to the compiled kernel, which reads and writes the buffer
   /// in place (the layout the C emitter computes from footprint bounds is
   /// identical to this buffer's).
-  double *data() { return Data.data(); }
+  double *data() {
+    assert(!Taken && "access to a taken array buffer");
+    return Data.data();
+  }
+
+  /// Moves the payload out without copying it; collectResults hands
+  /// live-out arrays to RunResult this way. The buffer must not be read,
+  /// written or taken again (asserted in debug builds).
+  std::vector<double> take() {
+    assert(!Taken && "array buffer taken twice");
+    Taken = true;
+    return std::move(Data);
+  }
 
   /// Fills the buffer with deterministic pseudo-random values in
   /// [-1, 1), seeded by \p Seed (callers mix in the array name so every
@@ -90,7 +112,8 @@ class Storage {
 public:
   /// Allocates every array accepted by \p Allocate (contracted arrays are
   /// excluded by the callers) with footprint bounds, and initializes:
-  /// live-in arrays and scalars from \p Seed, everything else zero.
+  /// live-in arrays and scalars from \p Seed, everything else zero (the
+  /// buffer constructor's fill; nothing is zeroed twice).
   /// \p BoundsOverride, when provided, replaces an array's allocation
   /// bounds (partially contracted arrays use rolling-buffer bounds).
   static Storage
@@ -121,9 +144,16 @@ public:
   /// thread-private overlay entries back by id).
   void setScalarById(unsigned Id, double V) { Scalars[Id] = V; }
 
-  /// Total bytes of array storage allocated.
+  /// Total bytes of array storage allocated; unchanged when
+  /// collectResults later takes the live-out buffers.
   uint64_t totalBytes() const { return TotalBytes; }
 };
+
+/// Adds \p Bytes to the always-on `exec.storage.bytes_copied` counter:
+/// bytes copied between an ArrayBuffer and a RunResult or a runtime
+/// handle. The run(Seed) paths move live-outs and count nothing; the
+/// runtime engine's flush still copies its slots in and out.
+void countCopiedBytes(uint64_t Bytes);
 
 /// Deterministic 64-bit hash of a string (FNV-1a); used to derive
 /// per-array initialization seeds that are stable across strategies.

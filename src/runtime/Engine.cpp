@@ -400,12 +400,15 @@ void EngineImpl::copyIn(exec::ArrayBuffer &Buf, const ArrayState &St) const {
   const ir::Region &B = Buf.bounds();
   unsigned Rank = B.rank();
   std::vector<int64_t> Lo(Rank), Hi(Rank);
+  uint64_t Elems = 1;
   for (unsigned D = 0; D < Rank; ++D) {
     Lo[D] = std::max(B.lo(D), St.Bounds.lo(D));
     Hi[D] = std::min(B.hi(D), St.Bounds.hi(D));
     if (Lo[D] > Hi[D])
       return; // disjoint
+    Elems *= static_cast<uint64_t>(Hi[D] - Lo[D] + 1);
   }
+  exec::countCopiedBytes(Elems * sizeof(double));
   std::vector<int64_t> At = Lo;
   for (;;) {
     Buf.store(At, St.load(At));
@@ -428,6 +431,7 @@ void EngineImpl::copyIn(exec::ArrayBuffer &Buf, const ArrayState &St) const {
 /// truncate a larger materialized array.
 void EngineImpl::copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const {
   const ir::Region &B = Buf.bounds();
+  exec::countCopiedBytes(Buf.raw().size() * sizeof(double));
   if (!St.Materialized || St.Bounds == B) {
     St.Materialized = true;
     St.Bounds = B;

@@ -13,7 +13,6 @@
 #include "exec/Interpreter.h"
 #include "ir/Normalize.h"
 #include "scalarize/CEmitter.h"
-#include "scalarize/FortranEmitter.h"
 #include "scalarize/Scalarize.h"
 #include "xform/Strategy.h"
 
@@ -113,9 +112,6 @@ TEST(Rank3Test, BackendsEmitTripleNests) {
   std::string C = scalarize::emitC(LP, "kernel3d");
   EXPECT_NE(C.find("for (i3 ="), std::string::npos);
   EXPECT_NE(C.find("[(i1+0 - (0))*36"), std::string::npos) << C;
-  std::string F = scalarize::emitFortran(LP, "K3D");
-  EXPECT_NE(F.find("DO I3 ="), std::string::npos);
-  EXPECT_NE(F.find("U(I1,I2,I3"), std::string::npos) << F;
 }
 
 } // namespace

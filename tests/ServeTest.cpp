@@ -712,19 +712,24 @@ array T : R temp;
 }
 
 TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
-  // 9e18 elements exceed vector::max_size, so storage allocation throws
-  // std::length_error. The request fails with a stable code under every
-  // exec mode, and the same daemon keeps answering.
-  const std::string Huge = "region G : [1..3000000000, 1..3000000000];\n"
-                           "array a, b : G;\n"
-                           "[G] b := a + 1;\n";
-  for (const char *Mode : {"sequential", "parallel", "jit", "jit-simd"}) {
-    json::Value Resp = roundTrip(Client::makeExecute(Huge, "c2", Mode));
-    EXPECT_EQ(Resp.getBool("ok").value_or(true), false) << Mode;
-    EXPECT_EQ(Resp.getString("error").value_or(""), "resource-limit")
-        << Mode << ": " << Resp.getString("message").value_or("");
-    json::Value Health = roundTrip(Client::makeHealth());
-    EXPECT_EQ(Health.getBool("ok").value_or(false), true) << Mode;
+  // 9e18 elements exceed vector::max_size; 2^64 elements wrap int64_t to
+  // 0, which would allocate an empty buffer that the kernel writes past.
+  // Storage allocation throws std::length_error for both, the request
+  // fails with a stable code under every exec mode, and the same daemon
+  // keeps answering.
+  for (const char *Extent : {"3000000000", "4294967296"}) {
+    const std::string Huge = std::string("region G : [1..") + Extent +
+                             ", 1.." + Extent +
+                             "];\narray a, b : G;\n[G] b := a + 1;\n";
+    for (const char *Mode : {"sequential", "parallel", "jit", "jit-simd"}) {
+      json::Value Resp = roundTrip(Client::makeExecute(Huge, "c2", Mode));
+      EXPECT_EQ(Resp.getBool("ok").value_or(true), false) << Mode;
+      EXPECT_EQ(Resp.getString("error").value_or(""), "resource-limit")
+          << Extent << " " << Mode << ": "
+          << Resp.getString("message").value_or("");
+      json::Value Health = roundTrip(Client::makeHealth());
+      EXPECT_EQ(Health.getBool("ok").value_or(false), true) << Mode;
+    }
   }
 }
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
+#include <stdexcept>
 
 using namespace alf;
 using namespace alf::analysis;
@@ -55,6 +57,30 @@ TEST(ArrayBufferTest, FillRandomDeterministic) {
   for (int64_t I = 1; I <= 64; ++I)
     AnyDiff |= B1.load({I}) != B2.load({I});
   EXPECT_TRUE(AnyDiff);
+}
+
+TEST(ArrayBufferTest, TakeMovesThePayloadOut) {
+  Program P("t");
+  ArraySymbol *A = P.makeArray("A", 1);
+  ArrayBuffer Buf(A, Region({1}, {10}), 0);
+  Buf.fillRandom(5);
+  std::vector<double> Expected = Buf.raw();
+  EXPECT_EQ(Buf.take(), Expected);
+  EXPECT_DEBUG_DEATH(Buf.load({1}), "taken array buffer");
+  EXPECT_DEBUG_DEATH(Buf.take(), "taken twice");
+}
+
+TEST(ArrayBufferTest, OverflowingElementCountThrows) {
+  // 2^32 x 2^32 wraps int64_t to 0; a wrapped count must never size a
+  // buffer.
+  Program P("t");
+  ArraySymbol *A = P.makeArray("A", 2);
+  const int64_t Big = int64_t(1) << 32;
+  EXPECT_THROW(ArrayBuffer(A, Region({1, 1}, {Big, Big}), 0),
+               std::length_error);
+  ArraySymbol *B = P.makeArray("B", 1);
+  EXPECT_THROW(ArrayBuffer(B, Region({INT64_MIN}, {INT64_MAX}), 0),
+               std::length_error);
 }
 
 TEST(StorageTest, AllocatesByFilterAndSeedsLiveIn) {
