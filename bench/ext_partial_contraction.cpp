@@ -13,7 +13,6 @@
 #include "benchprogs/Benchmarks.h"
 
 #include "analysis/ASDG.h"
-#include "analysis/Footprint.h"
 #include "exec/PerfModel.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
@@ -33,15 +32,10 @@ using namespace alf::xform;
 namespace {
 
 uint64_t allocatedBytes(const lir::LoopProgram &LP) {
-  FootprintInfo FI = FootprintInfo::compute(LP.source());
   uint64_t Bytes = 0;
-  for (const ArraySymbol *A : LP.allocatedArrays()) {
-    if (const xform::PartialPlan *Plan = LP.partialPlanFor(A)) {
-      Bytes += Plan->bufferBytes();
-      continue;
-    }
-    Bytes += FI.bytesFor(A);
-  }
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (const Region *Bounds = LP.storageBounds(A))
+      Bytes += static_cast<uint64_t>(Bounds->size()) * A->getElemSize();
   return Bytes;
 }
 

@@ -10,7 +10,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ASDG.h"
-#include "analysis/Footprint.h"
 #include "exec/PerfModel.h"
 #include "ir/Program.h"
 #include "scalarize/Scalarize.h"
@@ -32,11 +31,9 @@ namespace {
 
 /// Arrays that actually require storage after a pipeline.
 size_t storedArrays(const lir::LoopProgram &LP) {
-  analysis::FootprintInfo FI =
-      analysis::FootprintInfo::compute(LP.source());
   size_t Count = 0;
-  for (const ArraySymbol *A : LP.allocatedArrays())
-    if (FI.boundsFor(A))
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (LP.storageBounds(A))
       ++Count;
   return Count;
 }

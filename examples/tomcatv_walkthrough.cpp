@@ -61,11 +61,15 @@ int main() {
   for (Strategy S : allStrategies()) {
     auto SP = scalarize::scalarizeWithStrategy(G, S);
     exec::PerfStats Stats = exec::simulate(SP, M, Grid);
+    size_t Stored = 0;
+    for (const ir::ArraySymbol *A : SP.source().arrays())
+      if (SP.storageBounds(A))
+        ++Stored;
     if (S == Strategy::Baseline)
       Base = Stats;
     Table.addRow(
         {getStrategyName(S),
-         formatString("%zu", SP.allocatedArrays().size()),
+         formatString("%zu", Stored),
          formatString("%llu", static_cast<unsigned long long>(Stats.Refs)),
          formatString("%.1f%%", 100.0 * Stats.l1MissRatio()),
          formatString("%.2f", Stats.totalNs() / 1e6),

@@ -255,23 +255,19 @@ int main(int argc, char **argv) {
   }
   if (TO.Exec) {
     exec::RunResult Res;
-    {
-      obs::Span ExecSpan("pipeline.execute",
-                         xform::getExecModeName(*TO.Exec));
-      // A region too large to allocate is a diagnostic, as alfd's
-      // resource-limit answer is, not a crash.
-      try {
-        Res = CSt.Artifact->run(TO.Seed);
-      } catch (const std::bad_alloc &) {
-        std::cerr << FileName
-                  << ": error: resource-limit: storage allocation failed\n";
-        return 1;
-      } catch (const std::length_error &E) {
-        std::cerr << FileName
-                  << ": error: resource-limit: storage allocation failed: "
-                  << E.what() << '\n';
-        return 1;
-      }
+    // A region too large to allocate is a diagnostic, as alfd's
+    // resource-limit answer is, not a crash.
+    try {
+      Res = CSt.Artifact->run(TO.Seed);
+    } catch (const std::bad_alloc &) {
+      std::cerr << FileName
+                << ": error: resource-limit: storage allocation failed\n";
+      return 1;
+    } catch (const std::length_error &E) {
+      std::cerr << FileName
+                << ": error: resource-limit: storage allocation failed: "
+                << E.what() << '\n';
+      return 1;
     }
     std::cout << "\n// executed (" << xform::getExecModeName(*TO.Exec)
               << ", seed " << TO.Seed << "):\n";

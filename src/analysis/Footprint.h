@@ -7,10 +7,10 @@
 /// \file
 /// Computes, for each array of a program, the rectangular index set the
 /// program actually touches: the union over all references of the
-/// statement's region shifted by the reference offset. The interpreter
-/// allocates arrays with these bounds (offset references reach outside the
-/// statement region, the "halo"), and the memory-accounting experiment
-/// (Figure 8) sizes arrays from them.
+/// statement's region shifted by the reference offset. A LoopProgram
+/// records these bounds as its arrays' storage (offset references reach
+/// outside the statement region, the "halo"), and the memory-accounting
+/// experiment (Figure 8) sizes arrays from them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,6 @@
 
 #include "distsim/DistInterpreter.h"
 
-#include "analysis/Footprint.h"
 #include "exec/Storage.h"
 #include "support/ErrorHandling.h"
 #include "support/Random.h"
@@ -12,7 +11,6 @@
 #include <map>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::distsim;
 using namespace alf::exec;
 using namespace alf::ir;
@@ -39,14 +37,12 @@ struct DistContext {
   unsigned Rank = 0;                      ///< dimensionality of the domain
   std::vector<int64_t> DomainLo, DomainHi; ///< global iteration domain
   std::map<unsigned, std::vector<int64_t>> HaloWidth; ///< per array id
-  FootprintInfo FI;
   std::vector<ProcState> Procs;
   std::map<const ScalarSymbol *, double> Scalars;
 
   explicit DistContext(const LoopProgram &LP, const ProcGrid &Grid,
                        uint64_t Seed)
-      : LP(LP), P(LP.source()), Grid(Grid), Seed(Seed),
-        FI(FootprintInfo::compute(P)) {}
+      : LP(LP), P(LP.source()), Grid(Grid), Seed(Seed) {}
 
   double readScalar(const ScalarSymbol *S) const {
     auto It = Scalars.find(S);
@@ -155,9 +151,7 @@ void buildProcs(DistContext &Ctx) {
                                     Ctx.Grid.Extents[D], Proc.Coords[D]);
 
     for (const ArraySymbol *A : Ctx.P.arrays()) {
-      if (Ctx.LP.isContracted(A))
-        continue;
-      const Region *Footprint = Ctx.FI.boundsFor(A);
+      const Region *Footprint = Ctx.LP.storageBounds(A);
       if (!Footprint)
         continue;
       if (A->getRank() != Ctx.Rank)
@@ -400,7 +394,7 @@ RunResult distsim::runDistributed(const LoopProgram &LP, const ProcGrid &Grid,
   for (const ArraySymbol *A : Ctx.P.arrays()) {
     if (!A->isLiveOut())
       continue;
-    const Region *Footprint = Ctx.FI.boundsFor(A);
+    const Region *Footprint = Ctx.LP.storageBounds(A);
     if (!Footprint)
       continue;
     ArrayBuffer Global(A, *Footprint, 0);

@@ -224,24 +224,6 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   return St;
 }
 
-RunResult Pipeline::run(Strategy S, ExecMode Mode, uint64_t Seed,
-                        JitRunInfo *JitInfo) {
-  CompileStatus St = tryCompile(CompileRequest{S, Mode});
-  if (!St.ok()) {
-    if (!St.Findings.ok() && Opts.OnVerifyError)
-      Opts.OnVerifyError(St.Findings); // legacy policy: notify, continue
-    else if (St.Code == CompileCode::VerifyRejected)
-      reportFatalError(
-          ("translation validation failed: " + St.Message).c_str());
-    else
-      reportFatalError(("compile failed: " + St.Message).c_str());
-  }
-  if (!St.Artifact)
-    reportFatalError(("compile failed: " + St.Message).c_str());
-  obs::Span Sp("pipeline.execute", xform::getExecModeName(Mode));
-  return St.Artifact->run(Seed, JitInfo);
-}
-
 void CompiledProgram::run(Storage &Store, JitRunInfo *Info) const {
   switch (Mode) {
   case ExecMode::Sequential:
@@ -259,6 +241,7 @@ void CompiledProgram::run(Storage &Store, JitRunInfo *Info) const {
 }
 
 RunResult CompiledProgram::run(uint64_t Seed, JitRunInfo *Info) const {
+  obs::Span Sp("pipeline.execute", xform::getExecModeName(Mode));
   Storage Store = allocateStorage(LP, Seed);
   run(Store, Info);
   return collectResults(LP, Store);

@@ -122,7 +122,8 @@ struct CompiledProgram {
   /// cache hits describe how the kernel was prepared, UsedJit this run.
   void run(exec::Storage &Store, exec::JitRunInfo *Info = nullptr) const;
 
-  /// Allocates storage seeded by \p Seed, runs, and collects the results.
+  /// Allocates storage seeded by \p Seed, runs, and collects the results,
+  /// all inside one `pipeline.execute` span.
   exec::RunResult run(uint64_t Seed, exec::JitRunInfo *Info = nullptr) const;
 };
 
@@ -224,15 +225,6 @@ public:
   /// the pipeline: every later tryCompile on it reports VerifyRejected,
   /// since all strategies consume the same graph.
   CompileStatus tryCompile(const CompileRequest &Req);
-
-  /// tryCompile of \p S under \p Mode, then one run on inputs seeded by
-  /// \p Seed, keeping the legacy failure policy: a rejection runs
-  /// OnVerifyError when installed (and still runs the artifact), else
-  /// reportFatalError. All modes have the same observable semantics (the
-  /// JIT modes fall back to the interpreter when the system compiler is
-  /// unusable; \p JitInfo, when non-null, records what happened).
-  exec::RunResult run(xform::Strategy S, xform::ExecMode Mode,
-                      uint64_t Seed = 0, exec::JitRunInfo *JitInfo = nullptr);
 
   const PipelineOptions &options() const { return Opts; }
 

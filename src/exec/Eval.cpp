@@ -8,7 +8,6 @@
 #include <functional>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 using namespace alf::lir;
@@ -155,19 +154,6 @@ void exec::execOpaqueStmt(const OpaqueStmt &O, EvalContext &Ctx) {
   double Scale = 1.0 / static_cast<double>(R->size());
   for (size_t I = 0; I < O.scalarWrites().size(); ++I)
     Ctx.writeScalar(O.scalarWrites()[I], ScalarAccum[I] * Scale);
-}
-
-Storage exec::allocateStorage(const LoopProgram &LP, uint64_t Seed) {
-  const Program &P = LP.source();
-  FootprintInfo FI = FootprintInfo::compute(P);
-  return Storage::allocate(
-      P, FI, Seed,
-      [&LP](const ArraySymbol *A) { return !LP.isContracted(A); },
-      [&LP](const ArraySymbol *A) -> std::optional<Region> {
-        if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
-          return Plan->bufferRegion();
-        return std::nullopt;
-      });
 }
 
 RunResult exec::collectResults(const LoopProgram &LP, Storage &Store) {

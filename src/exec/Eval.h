@@ -88,11 +88,6 @@ void runNestLoopsRestricted(const lir::LoopNest &Nest, EvalContext &Ctx,
 /// sequentially in LSV order.
 void iterateNest(const lir::LoopNest &Nest, EvalContext &Ctx);
 
-/// Allocates and seeds storage for \p LP exactly as every executor must:
-/// contracted arrays get none, partially contracted arrays get their
-/// rolling-buffer bounds, live-in data is seeded from \p Seed by name.
-Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
-
 /// Extracts the observable result (live-out arrays, program scalars).
 /// Consumes \p Store's live-out buffers: each one moves into the result
 /// without a copy, so it must not be read again (asserted in debug

@@ -8,29 +8,12 @@
 #include "support/StringUtil.h"
 
 #include <cmath>
+#include <string>
 
 using namespace alf;
 using namespace alf::exec;
 using namespace alf::ir;
 using namespace alf::lir;
-
-namespace {
-
-/// Static-storage span names for per-kernel attribution (obs::Span keeps
-/// the pointer, so the names must outlive every span). Clusters beyond
-/// the table share one bucket; at that point per-kernel timing has
-/// stopped being readable anyway.
-const char *nestSpanName(unsigned ClusterId) {
-  static const char *const Names[] = {
-      "kernel.nest0",  "kernel.nest1",  "kernel.nest2",  "kernel.nest3",
-      "kernel.nest4",  "kernel.nest5",  "kernel.nest6",  "kernel.nest7",
-      "kernel.nest8",  "kernel.nest9",  "kernel.nest10", "kernel.nest11",
-      "kernel.nest12", "kernel.nest13", "kernel.nest14", "kernel.nest15"};
-  constexpr unsigned N = sizeof(Names) / sizeof(Names[0]);
-  return ClusterId < N ? Names[ClusterId] : "kernel.nest_other";
-}
-
-} // namespace
 
 void exec::runOnStorage(const LoopProgram &LP, Storage &Store) {
   obs::Span Outer("exec.interpreter");
@@ -43,7 +26,10 @@ void exec::runOnStorage(const LoopProgram &LP, Storage &Store) {
 
   for (const auto &NodePtr : LP.nodes()) {
     if (const auto *Nest = dyn_cast<LoopNest>(NodePtr.get())) {
-      obs::Span S(nestSpanName(Nest->ClusterId));
+      // One row for every nest; the trace tells nests apart by cluster id.
+      obs::Span S("kernel.nest", obs::tracing()
+                                     ? std::to_string(Nest->ClusterId)
+                                     : std::string());
       iterateNest(*Nest, Ctx);
       continue;
     }

@@ -365,8 +365,7 @@ void JitEngine::runPrepared(const PreparedKernel &K, const LoopProgram &LP,
     ++NumVectorizedRuns;
 
   // Marshal the caller-owned buffers in the module's argument order. The
-  // emitter's layouts are computed from the same footprint bounds (and
-  // partial-contraction overrides) Storage allocates with, so raw
+  // emitter and Storage both lay arrays out over LP.storageBounds, so raw
   // pointers line up element for element.
   std::vector<double *> Arrays;
   const ArraySymbol *Missing = nullptr;

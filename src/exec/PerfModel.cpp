@@ -2,7 +2,6 @@
 
 #include "exec/PerfModel.h"
 
-#include "analysis/Footprint.h"
 #include "exec/Storage.h"
 #include "support/ErrorHandling.h"
 
@@ -11,7 +10,6 @@
 #include <map>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 using namespace alf::lir;
@@ -88,17 +86,8 @@ struct Simulator {
 
 PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
                          const ProcGrid &Grid) {
-  const Program &P = LP.source();
-  FootprintInfo FI = FootprintInfo::compute(P);
   // Allocation gives synthetic addresses; values are not used.
-  Storage Store = Storage::allocate(
-      P, FI, /*Seed=*/1,
-      [&LP](const ArraySymbol *A) { return !LP.isContracted(A); },
-      [&LP](const ArraySymbol *A) -> std::optional<Region> {
-        if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
-          return Plan->bufferRegion();
-        return std::nullopt;
-      });
+  Storage Store = allocateStorage(LP, /*Seed=*/1);
 
   Simulator Sim(M, Grid);
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 
@@ -31,15 +30,18 @@ static size_t checkedElementCount(const Region &Bounds) {
   return static_cast<size_t>(N);
 }
 
-ArrayBuffer::ArrayBuffer(const ArraySymbol *Sym, const Region &Bounds,
-                         uint64_t BaseAddr)
-    : Sym(Sym), Bounds(Bounds), BaseAddr(BaseAddr) {
-  size_t N = checkedElementCount(Bounds);
+ArrayBuffer::ArrayBuffer(const ArraySymbol *Sym, const Region &Bounds)
+    : Sym(Sym), Bounds(Bounds) {
+  checkedElementCount(Bounds); // throws before a stride product overflows
   unsigned Rank = Bounds.rank();
   Strides.assign(Rank, 1);
   for (int D = static_cast<int>(Rank) - 2; D >= 0; --D)
     Strides[D] = Strides[D + 1] * Bounds.extent(D + 1);
-  Data.assign(N, 0.0);
+}
+
+void ArrayBuffer::allocatePayload(uint64_t Base) {
+  BaseAddr = Base;
+  Data.assign(checkedElementCount(Bounds), 0.0);
 }
 
 int64_t ArrayBuffer::linearIndex(const std::vector<int64_t> &Idx) const {
@@ -73,12 +75,24 @@ uint64_t exec::hashName(const std::string &Name) {
   return H;
 }
 
-Storage Storage::allocate(
-    const Program &P, const FootprintInfo &FI, uint64_t Seed,
-    const std::function<bool(const ArraySymbol *)> &Allocate,
-    const std::function<std::optional<Region>(const ArraySymbol *)>
-        &BoundsOverride) {
+Storage exec::allocateStorage(const lir::LoopProgram &LP, uint64_t Seed) {
+  const Program &P = LP.source();
   Storage S;
+  // Scalars named by the program (parameters) get deterministic values in
+  // [0.5, 1.5) so divisions stay well conditioned.
+  for (const Symbol *Sym : P.symbols()) {
+    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym)) {
+      SplitMix64 Rng(Seed ^ hashName(Sc->getName()));
+      S.Scalars[Sc->getId()] = 0.5 + Rng.nextDouble();
+    }
+  }
+  // Every small allocation comes before the first payload, so the
+  // payloads sit next to each other and the heap can hand them back to
+  // the system together once the storage dies; a small block left
+  // between two payloads would pin the freed memory around it.
+  for (const ArraySymbol *A : P.arrays())
+    if (const Region *Bounds = LP.storageBounds(A))
+      S.Buffers.emplace(A->getId(), ArrayBuffer(A, *Bounds));
   // Lay arrays out back to back, line-aligned, starting at a nonzero base
   // so address 0 is never used. A per-array stagger (a varying odd number
   // of cache lines) breaks the pathological case where equal-sized arrays
@@ -87,30 +101,16 @@ Storage Storage::allocate(
   uint64_t NextBase = 4096;
   unsigned Placed = 0;
   for (const ArraySymbol *A : P.arrays()) {
-    if (!Allocate(A))
+    ArrayBuffer *Buf = S.buffer(A);
+    if (!Buf)
       continue;
-    const Region *Bounds = FI.boundsFor(A);
-    if (!Bounds)
-      continue; // never referenced: no storage
-    std::optional<Region> Override;
-    if (BoundsOverride)
-      Override = BoundsOverride(A);
-    ArrayBuffer Buf(A, Override ? *Override : *Bounds, NextBase);
-    NextBase += (Buf.sizeBytes() + 63) / 64 * 64;
+    Buf->allocatePayload(NextBase);
+    NextBase += (Buf->sizeBytes() + 63) / 64 * 64;
     NextBase += ((Placed * 7 + 3) % 61) * 64;
     ++Placed;
     if (A->isLiveIn())
-      Buf.fillRandom(Seed ^ hashName(A->getName()));
-    S.TotalBytes += Buf.sizeBytes();
-    S.Buffers.emplace(A->getId(), std::move(Buf));
-  }
-  // Scalars named by the program (parameters) get deterministic values in
-  // [0.5, 1.5) so divisions stay well conditioned.
-  for (const Symbol *Sym : P.symbols()) {
-    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym)) {
-      SplitMix64 Rng(Seed ^ hashName(Sc->getName()));
-      S.Scalars[Sc->getId()] = 0.5 + Rng.nextDouble();
-    }
+      Buf->fillRandom(Seed ^ hashName(A->getName()));
+    S.TotalBytes += Buf->sizeBytes();
   }
   return S;
 }

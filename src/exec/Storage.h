@@ -6,30 +6,31 @@
 ///
 /// \file
 /// Storage for the arrays of a program during interpretation and
-/// performance simulation. Every allocated (non-contracted) array gets a
-/// flat row-major buffer covering its footprint bounds (statement regions
-/// expanded by reference offsets) plus a base address in a synthetic
-/// address space, so the cache simulator sees realistic conflict and
-/// capacity behaviour.
+/// performance simulation. Every array with storage gets a flat row-major
+/// buffer over its LoopProgram::storageBounds (the footprint, or the
+/// rolling buffer of a partially contracted array) plus a base address
+/// in a synthetic address space, so the cache simulator sees realistic
+/// conflict and capacity behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALF_EXEC_STORAGE_H
 #define ALF_EXEC_STORAGE_H
 
-#include "analysis/Footprint.h"
 #include "ir/Program.h"
+#include "scalarize/LoopIR.h"
 #include "support/Random.h"
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 namespace alf {
 namespace exec {
+
+class Storage;
+Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Row-major storage for one array.
 class ArrayBuffer {
@@ -40,13 +41,21 @@ class ArrayBuffer {
   uint64_t BaseAddr = 0;
   bool Taken = false; // payload moved out by take()
 
+  /// Bounds and strides only; allocatePayload adds the data.
+  ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds);
+  void allocatePayload(uint64_t Base);
+  friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
+
 public:
   ArrayBuffer() = default;
   /// Allocates a zero-filled buffer over \p Bounds. Throws
   /// std::length_error, as std::vector does, when the element count
   /// overflows int64_t or exceeds what a vector can hold.
   ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds,
-              uint64_t BaseAddr);
+              uint64_t BaseAddr)
+      : ArrayBuffer(Sym, Bounds) {
+    allocatePayload(BaseAddr);
+  }
 
   const ir::ArraySymbol *symbol() const { return Sym; }
   const ir::Region &bounds() const { return Bounds; }
@@ -78,8 +87,7 @@ public:
 
   /// Mutable base pointer of the row-major payload. The native JIT backend
   /// hands this to the compiled kernel, which reads and writes the buffer
-  /// in place (the layout the C emitter computes from footprint bounds is
-  /// identical to this buffer's).
+  /// in place (the C emitter addresses the same storageBounds row-major).
   double *data() {
     assert(!Taken && "access to a taken array buffer");
     return Data.data();
@@ -109,20 +117,9 @@ class Storage {
   std::map<unsigned, double> Scalars;            // by symbol id
   uint64_t TotalBytes = 0;
 
-public:
-  /// Allocates every array accepted by \p Allocate (contracted arrays are
-  /// excluded by the callers) with footprint bounds, and initializes:
-  /// live-in arrays and scalars from \p Seed, everything else zero (the
-  /// buffer constructor's fill; nothing is zeroed twice).
-  /// \p BoundsOverride, when provided, replaces an array's allocation
-  /// bounds (partially contracted arrays use rolling-buffer bounds).
-  static Storage
-  allocate(const ir::Program &P, const analysis::FootprintInfo &FI,
-           uint64_t Seed,
-           const std::function<bool(const ir::ArraySymbol *)> &Allocate,
-           const std::function<std::optional<ir::Region>(
-               const ir::ArraySymbol *)> &BoundsOverride = nullptr);
+  friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
+public:
   ArrayBuffer *buffer(const ir::ArraySymbol *A) {
     auto It = Buffers.find(A->getId());
     return It == Buffers.end() ? nullptr : &It->second;
@@ -148,6 +145,14 @@ public:
   /// collectResults later takes the live-out buffers.
   uint64_t totalBytes() const { return TotalBytes; }
 };
+
+/// Allocates and seeds storage for \p LP exactly as every executor must:
+/// each array gets a buffer over its storageBounds (contracted and
+/// unreferenced arrays get none, partially contracted arrays their
+/// rolling buffer), live-in arrays and program scalars are seeded from
+/// \p Seed by name, everything else is zero (the buffer constructor's
+/// fill; nothing is zeroed twice).
+Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Adds \p Bytes to the always-on `exec.storage.bytes_copied` counter:
 /// bytes copied between an ArrayBuffer and a RunResult or a runtime

@@ -62,11 +62,14 @@ public:
   /// Number of indices along dimension \p D.
   int64_t extent(unsigned D) const { return hi(D) - lo(D) + 1; }
 
-  /// Total number of index tuples in the region.
+  /// Total number of index tuples in the region, saturated at INT64_MAX
+  /// when the product overflows (storage allocation then rejects the
+  /// region with std::length_error).
   int64_t size() const {
     int64_t Product = 1;
     for (unsigned D = 0; D < rank(); ++D)
-      Product *= extent(D);
+      if (__builtin_mul_overflow(Product, extent(D), &Product))
+        return INT64_MAX;
     return Product;
   }
 

@@ -41,8 +41,9 @@
 /// \endcode
 ///
 /// Row names are dotted phase paths ("pipeline.scalarize",
-/// "exec.interpreter", "kernel.nest0", "runtime.flush"); the metrics
-/// table aggregates by exact name. The default level comes from the
+/// "exec.interpreter", "kernel.nest", "runtime.flush"); the metrics
+/// table aggregates by exact name, and a span's detail (the cluster id of
+/// a "kernel.nest") tells its trace events apart. The default level comes from the
 /// ALF_OBS environment variable ("off" | "counters" | "trace"), else
 /// Off; tools expose it as `--trace=out.json` (implies Trace).
 /// toJson() is the registry's one JSON rendering and reset() clears all

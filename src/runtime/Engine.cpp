@@ -2,7 +2,6 @@
 
 #include "runtime/Runtime.h"
 
-#include "analysis/Footprint.h"
 #include "driver/Pipeline.h"
 #include "exec/Eval.h"
 #include "exec/Storage.h"
@@ -124,13 +123,12 @@ public:
   // --- trace cache ---
   /// Everything a structurally repeated trace can reuse: the rebuilt
   /// program (owning the symbols every other field references), the
-  /// artifact prepared for the engine's mode (loop program plus schedule
-  /// or loaded kernel), its footprints, and the slot -> symbol binding
-  /// tables.
+  /// artifact prepared for the engine's mode (loop program, with its
+  /// storage layout, plus schedule or loaded kernel), and the slot ->
+  /// symbol binding tables.
   struct CacheEntry {
     std::unique_ptr<ir::Program> P;
     std::optional<driver::CompiledProgram> CP;
-    analysis::FootprintInfo FI;
     std::vector<const ir::ArraySymbol *> SlotArrays;
     std::vector<const ir::ScalarSymbol *> ConstSyms;
     std::vector<const ir::ScalarSymbol *> InputSyms;
@@ -369,9 +367,6 @@ std::unique_ptr<EngineImpl::CacheEntry> EngineImpl::buildEntry() {
                          .c_str());
   }
   E->CP = std::move(St.Artifact);
-  // Footprints after normalization (prepare() ran inside tryCompile), so
-  // the bounds cover any compiler temporaries it inserted.
-  E->FI = analysis::FootprintInfo::compute(*E->P);
   return E;
 }
 
@@ -472,16 +467,10 @@ void EngineImpl::copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const {
 void EngineImpl::execute(const CacheEntry &E, FlushInfo &Info) {
   const lir::LoopProgram &LP = E.CP->LP;
 
-  // Allocate per the cached footprints, then rebind: every buffer starts
-  // zeroed and live-in slots copy their handle's materialized values in.
-  exec::Storage Store = exec::Storage::allocate(
-      *E.P, E.FI, /*Seed=*/0,
-      [&LP](const ir::ArraySymbol *A) { return !LP.isContracted(A); },
-      [&LP](const ir::ArraySymbol *A) -> std::optional<ir::Region> {
-        if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
-          return Plan->bufferRegion();
-        return std::nullopt;
-      });
+  // Allocate per the cached loop program's storage layout, then rebind:
+  // every buffer starts zeroed and live-in slots copy their handle's
+  // materialized values in.
+  exec::Storage Store = exec::allocateStorage(LP, /*Seed=*/0);
   for (size_t I = 0; I < Slots.size(); ++I) {
     exec::ArrayBuffer *Buf = Store.buffer(E.SlotArrays[I]);
     if (!Buf)

@@ -2,7 +2,6 @@
 
 #include "scalarize/CEmitter.h"
 
-#include "analysis/Footprint.h"
 #include "analysis/Intervals.h"
 #include "support/ErrorHandling.h"
 #include "support/StringUtil.h"
@@ -44,7 +43,7 @@ void collectScalarRefs(const Expr *Root,
   }
 }
 
-/// Layout of one emitted array: footprint bounds and row-major strides.
+/// Layout of one emitted array: its storage bounds and row-major strides.
 struct Layout {
   Region Bounds;
   std::vector<int64_t> Strides;
@@ -62,7 +61,6 @@ class Emitter {
   const LoopProgram &LP;
   const Program &P;
   CEmitOptions Opts;
-  FootprintInfo FI;
   std::map<unsigned, Layout> Layouts; // by array symbol id
   std::ostringstream OS;
 
@@ -77,17 +75,10 @@ class Emitter {
 
 public:
   explicit Emitter(const LoopProgram &LP, CEmitOptions Opts = CEmitOptions())
-      : LP(LP), P(LP.source()), Opts(Opts), FI(FootprintInfo::compute(P)) {
-    for (const ArraySymbol *A : P.arrays()) {
-      if (LP.isContracted(A))
-        continue;
-      if (const xform::PartialPlan *Plan = LP.partialPlanFor(A)) {
-        Layouts.emplace(A->getId(), Layout(Plan->bufferRegion()));
-        continue;
-      }
-      if (const Region *B = FI.boundsFor(A))
+      : LP(LP), P(LP.source()), Opts(Opts) {
+    for (const ArraySymbol *A : P.arrays())
+      if (const Region *B = LP.storageBounds(A))
         Layouts.emplace(A->getId(), Layout(*B));
-    }
   }
 
   /// Allocated arrays in symbol order.
@@ -116,7 +107,7 @@ public:
 
   /// Pre-flight check that every construct the emitter will render is
   /// supported: each array referenced from a nest body must have storage
-  /// (a footprint layout) — contracted arrays were already rewritten to
+  /// (a storage-bounds layout) — contracted arrays were already rewritten to
   /// scalars during scalarization, so a missing layout means the program
   /// reached the backend in a shape it cannot express. Returns "" when
   /// emission will succeed.

@@ -8,7 +8,7 @@
 /// Emits a compilable C99 translation unit from a scalarized LoopProgram —
 /// the code an array-language compiler hands to the node compiler. Arrays
 /// become flat row-major `double *` parameters laid out over their
-/// footprint bounds; contracted arrays become locals; reductions become
+/// LoopProgram::storageBounds; contracted arrays become locals; reductions become
 /// accumulator loops; program scalars are passed by pointer (in/out).
 ///
 /// `emitCWithHarness` additionally emits a `main` that allocates and
@@ -71,9 +71,8 @@ struct CEmitResult {
 ///
 ///   void <FnName>_entry(double **arrays, double *scalars);
 ///
-/// `arrays[i]` is the caller-owned row-major buffer of `Arrays[i]`
-/// (footprint bounds, or the rolling-buffer bounds of a partially
-/// contracted array — identical to exec::Storage's allocation).
+/// `arrays[i]` is the caller-owned row-major buffer of `Arrays[i]` over
+/// its LoopProgram::storageBounds, exactly as exec::Storage allocates it.
 /// `scalars[i]` is the in/out value of `Scalars[i]`.
 struct CModule {
   std::string Source;

@@ -23,14 +23,6 @@ const ScalarSymbol *LoopProgram::addContraction(const ArraySymbol *A) {
   return Raw;
 }
 
-std::vector<const ArraySymbol *> LoopProgram::allocatedArrays() const {
-  std::vector<const ArraySymbol *> Result;
-  for (const ArraySymbol *A : Src->arrays())
-    if (!isContracted(A))
-      Result.push_back(A);
-  return Result;
-}
-
 /// Renders an expression with array references spelled as C subscripts
 /// ("A[i1-1][i2]"), scalar references by name.
 static std::string renderExpr(const Expr *E) {

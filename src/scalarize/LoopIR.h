@@ -16,6 +16,7 @@
 #ifndef ALF_SCALARIZE_LOOPIR_H
 #define ALF_SCALARIZE_LOOPIR_H
 
+#include "analysis/Footprint.h"
 #include "ir/Program.h"
 #include "xform/LoopStructure.h"
 #include "xform/PartialContraction.h"
@@ -151,7 +152,8 @@ public:
 };
 
 /// A fully scalarized program: the loop nests of all clusters in
-/// topological order plus the scalars created by contraction.
+/// topological order, the scalars created by contraction, and the storage
+/// layout every backend allocates and addresses arrays by.
 class LoopProgram {
   const ir::Program *Src = nullptr;
   std::vector<std::unique_ptr<LNode>> Nodes;
@@ -159,9 +161,14 @@ class LoopProgram {
   std::vector<std::unique_ptr<ir::Region>> OwnedRegions;
   std::map<const ir::ArraySymbol *, const ir::ScalarSymbol *> ContractionMap;
   std::map<const ir::ArraySymbol *, xform::PartialPlan> PartialMap;
+  analysis::FootprintInfo Footprints;
+  std::map<const ir::ArraySymbol *, ir::Region> BufferBounds; ///< partial
 
 public:
-  explicit LoopProgram(const ir::Program &SrcProg) : Src(&SrcProg) {}
+  /// Computes the source program's footprints, the storage every array
+  /// starts with; addContraction and addPartialPlan then drop or shrink it.
+  explicit LoopProgram(const ir::Program &SrcProg)
+      : Src(&SrcProg), Footprints(analysis::FootprintInfo::compute(SrcProg)) {}
 
   const ir::Program &source() const { return *Src; }
 
@@ -202,8 +209,10 @@ public:
   }
 
   /// Registers a rolling-buffer plan for a partially contracted array
-  /// (the paper's lower-dimensional contraction extension).
+  /// (the paper's lower-dimensional contraction extension); the array's
+  /// storage shrinks to the plan's buffer region.
   void addPartialPlan(xform::PartialPlan Plan) {
+    BufferBounds.emplace(Plan.Array, Plan.bufferRegion());
     PartialMap.emplace(Plan.Array, std::move(Plan));
   }
 
@@ -218,8 +227,19 @@ public:
     return PartialMap;
   }
 
-  /// Arrays that still require storage (not contracted).
-  std::vector<const ir::ArraySymbol *> allocatedArrays() const;
+  /// The bounds \p A is allocated and addressed with: null when A was
+  /// contracted or the program never references it, the rolling-buffer
+  /// region when A is partially contracted, else A's footprint (statement
+  /// regions widened by reference offsets). Storage allocation, the C
+  /// emitter, the performance model, the runtime engine and distsim all
+  /// read this one answer, so their layouts agree by construction.
+  const ir::Region *storageBounds(const ir::ArraySymbol *A) const {
+    const ir::Region *Footprint = Footprints.boundsFor(A);
+    if (!Footprint || isContracted(A))
+      return nullptr;
+    auto It = BufferBounds.find(A);
+    return It == BufferBounds.end() ? Footprint : &It->second;
+  }
 
   /// Writes C-like loop nests.
   void print(std::ostream &OS) const;

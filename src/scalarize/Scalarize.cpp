@@ -2,7 +2,6 @@
 
 #include "scalarize/Scalarize.h"
 
-#include "analysis/Footprint.h"
 #include "support/ErrorHandling.h"
 #include "obs/Obs.h"
 
@@ -88,8 +87,6 @@ void applyCorruptionForTest(LoopProgram &LP) {
     return;
   }
 
-  analysis::FootprintInfo FI = analysis::FootprintInfo::compute(LP.source());
-
   if (TestCorruption == ScalarizeCorruption::OffByOneBound) {
     // Target an access that already touches its array's allocation edge
     // along dimension 0, so the grown bound escapes the footprint rather
@@ -101,7 +98,7 @@ void applyCorruptionForTest(LoopProgram &LP) {
       auto Escapes = [&](const ArraySymbol *A, const Offset &Off) {
         if (LP.partialPlanFor(A) || Off.rank() != Nest->R->rank())
           return false;
-        const Region *Alloc = FI.boundsFor(A);
+        const Region *Alloc = LP.storageBounds(A);
         return Alloc && Alloc->rank() == Nest->R->rank() &&
                Nest->R->hi(0) + 1 + Off[0] > Alloc->hi(0);
       };

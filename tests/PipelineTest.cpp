@@ -72,9 +72,13 @@ TEST(PipelineTest, ArrayLevelCommPolicyMatchesManualInsertion) {
 TEST(PipelineTest, AllExecModesAgree) {
   auto P = tp::makeUserTempPair();
   Pipeline PL(*P);
-  RunResult Seq = PL.run(Strategy::C2, ExecMode::Sequential, 5);
+  CompileStatus SeqSt = PL.tryCompile(CompileRequest{Strategy::C2});
+  ASSERT_TRUE(SeqSt.ok()) << SeqSt.Message;
+  RunResult Seq = SeqSt.Artifact->run(5);
   for (ExecMode Mode : allExecModes()) {
-    RunResult Res = PL.run(Strategy::C2, Mode, 5);
+    CompileStatus St = PL.tryCompile(CompileRequest{Strategy::C2, Mode});
+    ASSERT_TRUE(St.ok()) << getExecModeName(Mode) << ": " << St.Message;
+    RunResult Res = St.Artifact->run(5);
     std::string Why;
     EXPECT_TRUE(resultsMatch(Seq, Res, 0.0, &Why))
         << getExecModeName(Mode) << ": " << Why;
@@ -168,20 +172,6 @@ TEST(TryCompileTest, CompileCodeNamesAreStableWireStrings) {
                "verify-rejected");
 }
 
-TEST(TryCompileTest, LegacyCompileWrapperStillRunsOnVerifyError) {
-  auto P = tp::makeTomcatvFragment();
-  PipelineOptions Opts;
-  Opts.Verify = verify::VerifyLevel::Full;
-  unsigned Calls = 0;
-  Opts.OnVerifyError = [&Calls](const verify::VerifyReport &) { ++Calls; };
-  Pipeline PL(*P, Opts);
-  xform::setIlpCorruptionForTest(true);
-  RunResult Res = PL.run(Strategy::IlpOptimal, ExecMode::Sequential, 3);
-  xform::setIlpCorruptionForTest(false);
-  EXPECT_EQ(Calls, 1u); // handler fired instead of a fatal error
-  EXPECT_FALSE(Res.LiveOut.empty()); // and the artifact still ran
-}
-
 // A prepared jit-simd artifact is emitted, hashed and loaded once, by
 // tryCompile: every later run is marshal plus kernel call, emits no C,
 // and reproduces the first run bit for bit. Without a compiler the
@@ -226,10 +216,11 @@ TEST(PipelineTest, OneShotRunProgram) {
   ir::normalizeProgram(*B);
   analysis::ASDG G = analysis::ASDG::build(*B);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::F1);
+  Pipeline PL(*A);
+  CompileStatus St = PL.tryCompile(CompileRequest{Strategy::F1});
+  ASSERT_TRUE(St.ok()) << St.Message;
   std::string Why;
-  EXPECT_TRUE(resultsMatch(
-      run(LP, 9),
-      Pipeline(*A).run(Strategy::F1, ExecMode::Sequential, 9), 0.0, &Why))
+  EXPECT_TRUE(resultsMatch(run(LP, 9), St.Artifact->run(9), 0.0, &Why))
       << Why;
 }
 

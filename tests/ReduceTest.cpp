@@ -110,7 +110,9 @@ TEST(ReduceTest, ContractionPreservesReductionValue) {
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(Base, 9), run(Opt, 9), 1e-9, &Why)) << Why;
   // Both temps contracted: only A allocated.
-  EXPECT_EQ(Opt.allocatedArrays().size(), 1u);
+  EXPECT_EQ(Opt.storageBounds(T1), nullptr);
+  EXPECT_EQ(Opt.storageBounds(T2), nullptr);
+  EXPECT_NE(Opt.storageBounds(A), nullptr);
 }
 
 TEST(ReduceTest, ScalarInitEmittedInPrinter) {

@@ -25,12 +25,21 @@ unsigned countLoopNests(const LoopProgram &LP) {
   return Count;
 }
 
+/// Arrays the loop program gives storage.
+unsigned countStoredArrays(const LoopProgram &LP) {
+  unsigned Count = 0;
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (LP.storageBounds(A))
+      ++Count;
+  return Count;
+}
+
 TEST(ScalarizeTest, BaselineOneNestPerStatement) {
   auto P = tp::makeFigure2();
   ASDG G = ASDG::build(*P);
   LoopProgram LP = scalarizeWithStrategy(G, Strategy::Baseline);
   EXPECT_EQ(countLoopNests(LP), 3u);
-  EXPECT_TRUE(LP.allocatedArrays().size() == 3u);
+  EXPECT_EQ(countStoredArrays(LP), 3u);
 }
 
 TEST(ScalarizeTest, UserTempPairBecomesOneNestWithScalar) {
@@ -48,7 +57,8 @@ TEST(ScalarizeTest, UserTempPairBecomesOneNestWithScalar) {
   // B no longer requires storage.
   const auto *B = cast<ArraySymbol>(P->findSymbol("B"));
   EXPECT_TRUE(LP.isContracted(B));
-  EXPECT_EQ(LP.allocatedArrays().size(), 2u);
+  EXPECT_EQ(LP.storageBounds(B), nullptr);
+  EXPECT_EQ(countStoredArrays(LP), 2u);
 }
 
 TEST(ScalarizeTest, StatementsOrderedByDependences) {
@@ -88,7 +98,7 @@ TEST(ScalarizeTest, ReversedLoopForAntiDependence) {
   const auto *Nest = cast<LoopNest>(LP.nodes().front().get());
   EXPECT_EQ(Nest->LSV, LoopStructureVector({-1, 2}));
   // The compiler temporary is contracted.
-  EXPECT_EQ(LP.allocatedArrays().size(), 1u);
+  EXPECT_EQ(countStoredArrays(LP), 1u);
 }
 
 TEST(ScalarizeTest, CommAndOpaqueNodesPreserved) {
@@ -107,6 +117,43 @@ TEST(ScalarizeTest, CommAndOpaqueNodesPreserved) {
   EXPECT_TRUE(isa<CommOp>(LP.nodes()[1].get()));
   EXPECT_TRUE(isa<LoopNest>(LP.nodes()[2].get()));
   EXPECT_TRUE(isa<OpaqueOp>(LP.nodes()[3].get()));
+}
+
+TEST(ScalarizeTest, StorageBoundsCoverEveryCase) {
+  // Footprint (halo included) for a plain array, the rolling buffer for a
+  // partially contracted one, nothing for a contracted or an unreferenced
+  // array.
+  Program P("layout");
+  const Region *R = P.regionFromExtents({8, 8});
+  ArraySymbol *A = P.makeArray("A", 2);
+  ArraySymbol *T = P.makeUserTemp("T", 2);
+  ArraySymbol *Q = P.makeUserTemp("Q", 2);
+  ArraySymbol *B = P.makeArray("B", 2);
+  ArraySymbol *U = P.makeArray("U", 2);
+  P.assign(R, T, aref(A, Offset({0, 1})));
+  P.assign(R, Q, aref(T));
+  P.assign(R, B, add(aref(Q), aref(A, Offset({-1, 0}))));
+
+  LoopProgram LP(P);
+  ASSERT_NE(LP.storageBounds(T), nullptr);
+  EXPECT_EQ(*LP.storageBounds(T), *R);
+  LP.addContraction(T);
+  xform::PartialPlan Plan;
+  Plan.Array = Q;
+  Plan.OrigLo = {1, 1};
+  Plan.FullExtents = {8, 8};
+  Plan.BufferExtents = {1, 8};
+  LP.addPartialPlan(Plan);
+
+  ASSERT_NE(LP.storageBounds(A), nullptr);
+  EXPECT_EQ(*LP.storageBounds(A), Region({0, 1}, {8, 9}));
+  ASSERT_NE(LP.storageBounds(B), nullptr);
+  EXPECT_EQ(*LP.storageBounds(B), *R);
+  EXPECT_EQ(LP.storageBounds(T), nullptr);
+  ASSERT_NE(LP.storageBounds(Q), nullptr);
+  EXPECT_EQ(*LP.storageBounds(Q), Region({0, 1}, {0, 8}));
+  EXPECT_EQ(*LP.storageBounds(Q), Plan.bufferRegion());
+  EXPECT_EQ(LP.storageBounds(U), nullptr);
 }
 
 TEST(ScalarizeTest, PrinterEmitsCLikeLoops) {

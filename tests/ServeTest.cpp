@@ -714,18 +714,28 @@ array T : R temp;
 TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
   // 9e18 elements exceed vector::max_size; 2^64 elements wrap int64_t to
   // 0, which would allocate an empty buffer that the kernel writes past.
-  // Storage allocation throws std::length_error for both, the request
-  // fails with a stable code under every exec mode, and the same daemon
-  // keeps answering.
-  for (const char *Extent : {"3000000000", "4294967296"}) {
-    const std::string Huge = std::string("region G : [1..") + Extent +
-                             ", 1.." + Extent +
-                             "];\narray a, b : G;\n[G] b := a + 1;\n";
+  // Storage allocation throws std::length_error for both. An extent, or a
+  // bound plus an offset, past int64_t is an invalid program instead: the
+  // IR verifier rejects it before any footprint arithmetic runs. Each
+  // request fails with a stable code under every exec mode, and the same
+  // daemon keeps answering.
+  std::vector<std::pair<std::string, std::string>> Cases;
+  for (const char *Extent : {"3000000000", "4294967296"})
+    Cases.push_back({std::string("region G : [1..") + Extent + ", 1.." +
+                         Extent + "];\narray a, b : G;\n[G] b := a + 1;\n",
+                     "resource-limit"});
+  Cases.push_back({"region R : [-9223372036854775807..9223372036854775807];"
+                   "\narray a, b : R;\n[R] b := a + 1;\n",
+                   "invalid-program"});
+  Cases.push_back({"region R : [1..9223372036854775807];\narray a, b : R;\n"
+                   "[R] b := a@(1) + 1;\n",
+                   "invalid-program"});
+  for (const auto &[Source, Code] : Cases) {
     for (const char *Mode : {"sequential", "parallel", "jit", "jit-simd"}) {
-      json::Value Resp = roundTrip(Client::makeExecute(Huge, "c2", Mode));
+      json::Value Resp = roundTrip(Client::makeExecute(Source, "c2", Mode));
       EXPECT_EQ(Resp.getBool("ok").value_or(true), false) << Mode;
-      EXPECT_EQ(Resp.getString("error").value_or(""), "resource-limit")
-          << Extent << " " << Mode << ": "
+      EXPECT_EQ(Resp.getString("error").value_or(""), Code)
+          << Source << Mode << ": "
           << Resp.getString("message").value_or("");
       json::Value Health = roundTrip(Client::makeHealth());
       EXPECT_EQ(Health.getBool("ok").value_or(false), true) << Mode;
