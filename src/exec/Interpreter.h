@@ -30,8 +30,10 @@ namespace exec {
 /// The observable outcome of running a program: final contents of every
 /// live-out array (full allocated buffer, which is identical across
 /// strategies because footprints derive from the shared source program).
+/// Each payload is the one the run allocated, moved out of its storage;
+/// a copy of a RunResult copies its payloads to the heap.
 struct RunResult {
-  std::map<std::string, std::vector<double>> LiveOut;
+  std::map<std::string, Payload> LiveOut;
   std::map<std::string, double> ScalarsOut; ///< reduction results etc.
 };
 

@@ -10,7 +10,9 @@
 /// buffer over its LoopProgram::storageBounds (the footprint, or the
 /// rolling buffer of a partially contracted array) plus a base address
 /// in a synthetic address space, so the cache simulator sees realistic
-/// conflict and capacity behaviour.
+/// conflict and capacity behaviour. A storage whose payloads fill at
+/// least one huge page carves them all from one mapping (a Slab), each
+/// at its synthetic address, so the real layout is the simulated one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,8 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace alf {
@@ -32,29 +36,89 @@ namespace exec {
 class Storage;
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
+/// One anonymous mapping holding every payload of a large Storage
+/// (defined in Storage.cpp).
+class Slab;
+
+/// Allocator of array payloads. A default-constructed one allocates from
+/// the heap. One made by allocateStorage also holds a share of the
+/// storage's Slab and a slot inside it, which it hands out exactly once,
+/// to the payload it was made for. Copies of a payload and growth past
+/// the slot go to the heap. The allocator travels with its payload on
+/// move-assignment and swap, so only the allocator that handed out a
+/// slot ever releases it, and releasing the slot drops the share: the
+/// mapping goes when the Storage and every payload still in it are gone.
+template <typename T> class PayloadAllocator {
+  std::shared_ptr<const Slab> Owner; // null when no slot is held
+  T *Slot = nullptr;
+  size_t SlotLen = 0;
+  bool Handed = false;
+
+public:
+  using value_type = T;
+  using propagate_on_container_move_assignment = std::true_type;
+  using propagate_on_container_swap = std::true_type;
+
+  PayloadAllocator() = default;
+  PayloadAllocator(std::shared_ptr<const Slab> Owner, T *Slot, size_t Len)
+      : Owner(std::move(Owner)), Slot(Slot), SlotLen(Len) {}
+
+  T *allocate(size_t N) {
+    if (Owner && !Handed && N == SlotLen) {
+      Handed = true;
+      return Slot;
+    }
+    return std::allocator<T>().allocate(N);
+  }
+
+  void deallocate(T *P, size_t N) {
+    if (Owner && P == Slot) {
+      Owner.reset();
+      Slot = nullptr;
+      return;
+    }
+    std::allocator<T>().deallocate(P, N);
+  }
+
+  /// A copied payload (a copied RunResult) lives on the heap.
+  PayloadAllocator select_on_container_copy_construction() const {
+    return {};
+  }
+
+  bool operator==(const PayloadAllocator &O) const {
+    return Owner == O.Owner && Slot == O.Slot;
+  }
+};
+
+/// The payload of one array: in its storage's Slab or on the heap.
+using Payload = std::vector<double, PayloadAllocator<double>>;
+
 /// Row-major storage for one array.
 class ArrayBuffer {
   const ir::ArraySymbol *Sym = nullptr;
   ir::Region Bounds;
   std::vector<int64_t> Strides; // row-major element strides
-  std::vector<double> Data;
+  Payload Data;
   uint64_t BaseAddr = 0;
   bool Taken = false; // payload moved out by take()
 
   /// Bounds and strides only; allocatePayload adds the data.
   ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds);
-  void allocatePayload(uint64_t Base);
+  /// Allocates the zero-filled payload: at baseAddr() - 4096 inside
+  /// \p Mapping, or on the heap when it is null.
+  void allocatePayload(const std::shared_ptr<const Slab> &Mapping);
   friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 public:
   ArrayBuffer() = default;
-  /// Allocates a zero-filled buffer over \p Bounds. Throws
+  /// Allocates a zero-filled heap buffer over \p Bounds. Throws
   /// std::length_error, as std::vector does, when the element count
   /// overflows int64_t or exceeds what a vector can hold.
   ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds,
               uint64_t BaseAddr)
       : ArrayBuffer(Sym, Bounds) {
-    allocatePayload(BaseAddr);
+    this->BaseAddr = BaseAddr;
+    allocatePayload(nullptr);
   }
 
   const ir::ArraySymbol *symbol() const { return Sym; }
@@ -80,7 +144,7 @@ public:
     Data[linearIndex(Idx)] = V;
   }
 
-  const std::vector<double> &raw() const {
+  const Payload &raw() const {
     assert(!Taken && "read of a taken array buffer");
     return Data;
   }
@@ -96,7 +160,7 @@ public:
   /// Moves the payload out without copying it; collectResults hands
   /// live-out arrays to RunResult this way. The buffer must not be read,
   /// written or taken again (asserted in debug builds).
-  std::vector<double> take() {
+  Payload take() {
     assert(!Taken && "array buffer taken twice");
     Taken = true;
     return std::move(Data);
@@ -151,7 +215,11 @@ public:
 /// unreferenced arrays get none, partially contracted arrays their
 /// rolling buffer), live-in arrays and program scalars are seeded from
 /// \p Seed by name, everything else is zero (the buffer constructor's
-/// fill; nothing is zeroed twice).
+/// fill; nothing is zeroed twice). When the payloads span at least one
+/// 2 MiB huge page they share one Slab, each at baseAddr() - 4096 inside
+/// it (counted by `exec.storage.slab_bytes`); smaller storages use the
+/// heap. A byte total that overflows throws std::length_error and a
+/// failed mapping std::bad_alloc.
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Adds \p Bytes to the always-on `exec.storage.bytes_copied` counter:

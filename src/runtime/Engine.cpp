@@ -430,7 +430,7 @@ void EngineImpl::copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const {
   if (!St.Materialized || St.Bounds == B) {
     St.Materialized = true;
     St.Bounds = B;
-    St.Data = Buf.raw();
+    St.Data.assign(Buf.raw().begin(), Buf.raw().end());
     return;
   }
   unsigned Rank = B.rank();

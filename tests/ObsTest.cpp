@@ -184,6 +184,11 @@ TEST_F(ObsTest, ChromeTraceSchemaGolden) {
         "kernel.nest", "test.marker"})
     EXPECT_TRUE(NameCounts.count(Required))
         << "missing required event " << Required;
+  // The always-on storage counters are registered even while they read 0.
+  for (const char *Required :
+       {"exec.storage.bytes_copied", "exec.storage.slab_bytes"})
+    EXPECT_TRUE(obs::metricsFor(Required).has_value())
+        << "missing required counter " << Required;
   // ALF_VERIFY=full is exported by ctest, so verification spans fire too.
   EXPECT_TRUE(NameCounts.count("pipeline.verify"));
 }

@@ -713,17 +713,21 @@ array T : R temp;
 
 TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
   // 9e18 elements exceed vector::max_size; 2^64 elements wrap int64_t to
-  // 0, which would allocate an empty buffer that the kernel writes past.
-  // Storage allocation throws std::length_error for both. An extent, or a
-  // bound plus an offset, past int64_t is an invalid program instead: the
-  // IR verifier rejects it before any footprint arithmetic runs. Each
-  // request fails with a stable code under every exec mode, and the same
-  // daemon keeps answering.
+  // 0, which would allocate an empty buffer that the kernel writes past;
+  // four 2^59-element arrays each fit, but their 2^64-byte total wraps.
+  // Storage allocation throws std::length_error for all three. An extent,
+  // or a bound plus an offset, past int64_t is an invalid program
+  // instead: the IR verifier rejects it before any footprint arithmetic
+  // runs. Each request fails with a stable code under every exec mode,
+  // and the same daemon keeps answering.
   std::vector<std::pair<std::string, std::string>> Cases;
   for (const char *Extent : {"3000000000", "4294967296"})
     Cases.push_back({std::string("region G : [1..") + Extent + ", 1.." +
                          Extent + "];\narray a, b : G;\n[G] b := a + 1;\n",
                      "resource-limit"});
+  Cases.push_back({"region G : [1..536870912, 1..1073741824];\n"
+                   "array a, b, c, d : G;\n[G] d := a + b + c;\n",
+                   "resource-limit"});
   Cases.push_back({"region R : [-9223372036854775807..9223372036854775807];"
                    "\narray a, b : R;\n[R] b := a + 1;\n",
                    "invalid-program"});

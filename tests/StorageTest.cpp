@@ -2,13 +2,20 @@
 
 #include "exec/Storage.h"
 
+#include "analysis/ASDG.h"
+#include "benchprogs/Benchmarks.h"
+#include "exec/Eval.h"
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "ir/Verifier.h"
+#include "obs/Obs.h"
+#include "scalarize/Scalarize.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -62,7 +69,7 @@ TEST(ArrayBufferTest, TakeMovesThePayloadOut) {
   ArraySymbol *A = P.makeArray("A", 1);
   ArrayBuffer Buf(A, Region({1}, {10}), 0);
   Buf.fillRandom(5);
-  std::vector<double> Expected = Buf.raw();
+  Payload Expected = Buf.raw();
   EXPECT_EQ(Buf.take(), Expected);
   // Without assertions a load from the emptied payload is undefined
   // behaviour (the sanitizer build aborts on it), so only debug builds
@@ -159,6 +166,164 @@ TEST(StorageTest, BoundsOverride) {
   EXPECT_EQ(St.buffer(A)->bounds(), Region({0, 1}, {1, 8}));
   EXPECT_EQ(St.buffer(A)->sizeBytes(), 2u * 8u * 8u);
   EXPECT_EQ(St.buffer(B)->sizeBytes(), 64u * 8u);
+}
+
+TEST(StorageTest, WrappingByteTotalThrowsLengthError) {
+  // Each 2^59-element array fits int64_t and vector::max_size, but four
+  // 2^62-byte payloads sum to 2^64 bytes: the byte total must not wrap
+  // into a small slab that the payloads then overrun.
+  Program P("t");
+  const Region *R = P.regionFromExtents({int64_t(1) << 29, int64_t(1) << 30});
+  ArraySymbol *A = P.makeArray("a", 2);
+  ArraySymbol *B = P.makeArray("b", 2);
+  ArraySymbol *C = P.makeArray("c", 2);
+  ArraySymbol *D = P.makeArray("d", 2);
+  P.assign(R, D, add(add(aref(A), aref(B)), aref(C)));
+  lir::LoopProgram LP(P);
+  EXPECT_THROW(allocateStorage(LP, 1), std::length_error);
+}
+
+/// A benchmark compiled at c2+f3; the program outlives its loop program.
+struct Compiled {
+  std::unique_ptr<Program> P;
+  lir::LoopProgram LP;
+  Compiled(std::unique_ptr<Program> Prog)
+      : P(std::move(Prog)), LP(scalarizeC2F3(*P)) {}
+  static lir::LoopProgram scalarizeC2F3(Program &P) {
+    normalizeProgram(P);
+    analysis::ASDG G = analysis::ASDG::build(P);
+    return scalarize::scalarizeWithStrategy(G, xform::Strategy::C2F3);
+  }
+};
+
+/// Fibro as the kernels benchmark runs it: 54 MiB of storage.
+Compiled fibro() { return Compiled(benchprogs::buildFibro(512)); }
+
+uint64_t slabBytes() { return obs::counterValue("exec.storage.slab_bytes"); }
+
+constexpr uint64_t HugePage = uint64_t(2) << 20;
+
+/// The buffers of \p S in synthetic-address order.
+std::vector<ArrayBuffer *> buffersOf(const lir::LoopProgram &LP, Storage &S) {
+  std::vector<ArrayBuffer *> Bufs;
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (ArrayBuffer *Buf = S.buffer(A))
+      Bufs.push_back(Buf);
+  std::sort(Bufs.begin(), Bufs.end(), [](auto *X, auto *Y) {
+    return X->baseAddr() < Y->baseAddr();
+  });
+  return Bufs;
+}
+
+uintptr_t addressOf(ArrayBuffer *Buf) {
+  return reinterpret_cast<uintptr_t>(Buf->data());
+}
+
+TEST(SlabTest, LargeStorageIsOneStaggeredMapping) {
+  Compiled F = fibro();
+  uint64_t Before = slabBytes();
+  Storage S = allocateStorage(F.LP, 1);
+  std::vector<ArrayBuffer *> Bufs = buffersOf(F.LP, S);
+  ASSERT_GE(Bufs.size(), 2u);
+  const ArrayBuffer *Last = Bufs.back();
+  uint64_t Span = Last->baseAddr() - 4096 + Last->sizeBytes();
+  ASSERT_GE(Span, HugePage);
+  // One mapping, of the layout's span rounded to a page.
+  EXPECT_EQ(slabBytes() - Before, (Span + 4095) / 4096 * 4096);
+
+  // Payload k lies at baseAddr() - 4096 inside a huge-page-aligned slab.
+  uintptr_t Base = addressOf(Bufs.front()) - (Bufs.front()->baseAddr() - 4096);
+  EXPECT_EQ(Base % HugePage, 0u);
+  for (ArrayBuffer *Buf : Bufs) {
+    EXPECT_EQ(addressOf(Buf) - Base, Buf->baseAddr() - 4096)
+        << Buf->symbol()->getName();
+    EXPECT_EQ(addressOf(Buf) % 64, 0u) << Buf->symbol()->getName();
+  }
+  // The stagger keeps consecutive payloads off the same 4 KiB offset,
+  // which would make their streams alias in the load/store unit. Payload
+  // k is followed by (7k+3) mod 61 lines of stagger, which is 0 for
+  // k = 17: fibro's 18th and 19th payloads (whole 4 KiB pages each)
+  // share an offset in the simulated layout, and so in the real one.
+  for (size_t I = 1; I < Bufs.size(); ++I) {
+    if (((I - 1) * 7 + 3) % 61 == 0)
+      continue;
+    EXPECT_NE(addressOf(Bufs[I]) % 4096, addressOf(Bufs[I - 1]) % 4096)
+        << Bufs[I - 1]->symbol()->getName() << " and "
+        << Bufs[I]->symbol()->getName();
+  }
+}
+
+TEST(SlabTest, SmallStorageMapsNothing) {
+  Compiled F(benchprogs::buildFibro(64));
+  uint64_t Before = slabBytes();
+  Storage S = allocateStorage(F.LP, 1);
+  ASSERT_GT(S.totalBytes(), 0u);
+  ASSERT_LT(S.totalBytes(), HugePage);
+  EXPECT_EQ(slabBytes(), Before);
+}
+
+/// Heap copies of every live-out payload of \p R.
+std::map<std::string, std::vector<double>> heapCopy(const RunResult &R) {
+  std::map<std::string, std::vector<double>> Copy;
+  for (const auto &[Name, Data] : R.LiveOut)
+    Copy[Name].assign(Data.begin(), Data.end());
+  return Copy;
+}
+
+void expectValues(const RunResult &R,
+                  const std::map<std::string, std::vector<double>> &Want) {
+  ASSERT_EQ(R.LiveOut.size(), Want.size());
+  for (const auto &[Name, Data] : R.LiveOut)
+    EXPECT_TRUE(std::equal(Data.begin(), Data.end(), Want.at(Name).begin(),
+                           Want.at(Name).end()))
+        << Name;
+}
+
+TEST(SlabTest, TakenLiveOutOutlivesItsStorage) {
+  Compiled F = fibro();
+  RunResult R;
+  std::map<std::string, std::vector<double>> Want;
+  {
+    Storage S = allocateStorage(F.LP, 7);
+    R = collectResults(F.LP, S);
+    Want = heapCopy(R);
+  }
+  ASSERT_FALSE(R.LiveOut.empty());
+  for (const auto &[Name, Data] : R.LiveOut)
+    EXPECT_NE(Data.get_allocator(), PayloadAllocator<double>())
+        << Name << " was not taken from the slab";
+  // Reading every value after the Storage is gone: an early unmap faults
+  // here.
+  expectValues(R, Want);
+}
+
+TEST(SlabTest, CopiedRunResultIsHeapBackedAndOutlivesTheOriginal) {
+  Compiled F = fibro();
+  std::optional<Storage> S = allocateStorage(F.LP, 3);
+  std::optional<RunResult> Original = collectResults(F.LP, *S);
+  std::map<std::string, std::vector<double>> Want = heapCopy(*Original);
+  RunResult Copy = *Original;
+  for (const auto &[Name, Data] : Copy.LiveOut)
+    EXPECT_EQ(Data.get_allocator(), PayloadAllocator<double>()) << Name;
+  S.reset();
+  Original.reset(); // the last share of the slab goes here
+  expectValues(Copy, Want);
+}
+
+TEST(SlabTest, GrowingASlabLiveOutMovesItToTheHeap) {
+  Compiled F = fibro();
+  Storage S = allocateStorage(F.LP, 5);
+  RunResult R = collectResults(F.LP, S);
+  ASSERT_FALSE(R.LiveOut.empty());
+  Payload &Data = R.LiveOut.begin()->second;
+  std::vector<double> Want(Data.begin(), Data.end());
+  ASSERT_NE(Data.get_allocator(), PayloadAllocator<double>());
+  const double *InSlab = Data.data();
+  Data.push_back(42.0); // past capacity: the slot cannot grow
+  EXPECT_NE(Data.data(), InSlab);
+  EXPECT_EQ(Data.get_allocator(), PayloadAllocator<double>());
+  Want.push_back(42.0);
+  EXPECT_TRUE(std::equal(Data.begin(), Data.end(), Want.begin(), Want.end()));
 }
 
 TEST(StorageTest, HashNameStable) {

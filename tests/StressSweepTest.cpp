@@ -621,7 +621,7 @@ TEST_P(StressSweepTest, RuntimeEngineAgrees) {
           continue; // never referenced by any statement
         runtime::Array RA = E.input(A->getName(), It->second->bounds());
         if (A->isLiveIn())
-          RA.setAll(It->second->raw());
+          RA.setAll({It->second->raw().begin(), It->second->raw().end()});
         H.emplace(A->getName(), std::move(RA));
       }
 
@@ -737,7 +737,7 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
           continue;
         runtime::Array RA = E.input(A->getName(), It->second->bounds());
         if (A->isLiveIn())
-          RA.setAll(It->second->raw());
+          RA.setAll({It->second->raw().begin(), It->second->raw().end()});
         H.emplace(A->getName(), std::move(RA));
       }
       for (const Stmt *S : Pristine->stmts()) {
