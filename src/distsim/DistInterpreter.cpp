@@ -2,13 +2,12 @@
 
 #include "distsim/DistInterpreter.h"
 
-#include "exec/Storage.h"
+#include "exec/Eval.h"
 #include "support/ErrorHandling.h"
-#include "support/Random.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
+#include <optional>
 
 using namespace alf;
 using namespace alf::distsim;
@@ -24,31 +23,52 @@ struct ProcState {
   std::vector<unsigned> Coords;
   // Interior (owned) slice of the global domain, per dimension.
   std::vector<BlockRange> Interior;
-  // Local buffers (interior + halo + global-edge cells), by symbol id.
-  std::map<unsigned, ArrayBuffer> Buffers;
+  // Local buffers (interior + halo + global-edge cells); no scalars.
+  Storage Store;
 };
 
 struct DistContext {
   const LoopProgram &LP;
-  const Program &P;
   const ProcGrid &Grid;
-  uint64_t Seed;
 
   unsigned Rank = 0;                      ///< dimensionality of the domain
   std::vector<int64_t> DomainLo, DomainHi; ///< global iteration domain
   std::map<unsigned, std::vector<int64_t>> HaloWidth; ///< per array id
   std::vector<ProcState> Procs;
-  std::map<const ScalarSymbol *, double> Scalars;
 
-  explicit DistContext(const LoopProgram &LP, const ProcGrid &Grid,
-                       uint64_t Seed)
-      : LP(LP), P(LP.source()), Grid(Grid), Seed(Seed) {}
-
-  double readScalar(const ScalarSymbol *S) const {
-    auto It = Scalars.find(S);
-    return It == Scalars.end() ? 0.0 : It->second;
-  }
+  DistContext(const LoopProgram &LP, const ProcGrid &Grid)
+      : LP(LP), Grid(Grid) {}
 };
+
+/// The box [\p Lo, \p Hi], or nothing when a dimension is empty.
+std::optional<Region> boxOf(std::vector<int64_t> Lo, std::vector<int64_t> Hi) {
+  for (unsigned D = 0; D < Lo.size(); ++D)
+    if (Lo[D] > Hi[D])
+      return std::nullopt;
+  return Region(std::move(Lo), std::move(Hi));
+}
+
+/// The cells \p Proc keeps of an array stored over \p Footprint: its
+/// interior widened by \p Width halo cells per dimension, clamped to the
+/// footprint. A processor on the grid's edge also keeps the footprint's
+/// cells beyond the domain. Nothing when the interior is empty.
+std::optional<Region> keptBox(const DistContext &Ctx, const ProcState &Proc,
+                              const Region &Footprint,
+                              const std::vector<int64_t> &Width) {
+  std::vector<int64_t> Lo(Ctx.Rank), Hi(Ctx.Rank);
+  for (unsigned D = 0; D < Ctx.Rank; ++D) {
+    const BlockRange &I = Proc.Interior[D];
+    if (I.empty())
+      return std::nullopt;
+    bool AtLow = Proc.Coords[D] == 0;
+    bool AtHigh = Proc.Coords[D] + 1 == Ctx.Grid.Extents[D];
+    Lo[D] = AtLow ? Footprint.lo(D)
+                  : std::max(Footprint.lo(D), I.Lo - Width[D]);
+    Hi[D] = AtHigh ? Footprint.hi(D)
+                   : std::min(Footprint.hi(D), I.Hi + Width[D]);
+  }
+  return boxOf(std::move(Lo), std::move(Hi));
+}
 
 /// Gathers the global iteration domain (union of nest regions) and the
 /// per-array halo widths (maximum reference offset magnitudes).
@@ -107,40 +127,9 @@ void analyzeProgram(DistContext &Ctx) {
   }
 }
 
-/// Initializes one local buffer cell-by-cell with exactly the values the
-/// sequential interpreter's linear fill produces over the footprint.
-void initBuffer(const DistContext &Ctx, const ArraySymbol *A,
-                const Region &Footprint, ArrayBuffer &Buf) {
-  if (!A->isLiveIn())
-    return; // zero-initialized by construction
-  uint64_t Stream = Ctx.Seed ^ hashName(A->getName());
-
-  // Row-major strides of the *footprint* (the sequential buffer).
-  unsigned Rank = Footprint.rank();
-  std::vector<int64_t> Strides(Rank, 1);
-  for (int D = static_cast<int>(Rank) - 2; D >= 0; --D)
-    Strides[D] = Strides[D + 1] * Footprint.extent(D + 1);
-
-  const Region &B = Buf.bounds();
-  std::vector<int64_t> Coord(Rank);
-  std::function<void(unsigned)> Walk = [&](unsigned D) {
-    if (D == Rank) {
-      uint64_t N = 0;
-      for (unsigned K = 0; K < Rank; ++K)
-        N += static_cast<uint64_t>(Coord[K] - Footprint.lo(K)) * Strides[K];
-      Buf.store(Coord, -1.0 + 2.0 * SplitMix64::doubleAt(Stream, N));
-      return;
-    }
-    for (int64_t I = B.lo(D); I <= B.hi(D); ++I) {
-      Coord[D] = I;
-      Walk(D + 1);
-    }
-  };
-  Walk(0);
-}
-
-/// Builds every processor's interior slices and local buffers.
-void buildProcs(DistContext &Ctx) {
+/// Builds every processor's interior slices and local storage, each local
+/// buffer a copy of \p Global's cells over its bounds.
+void buildProcs(DistContext &Ctx, const Storage &Global) {
   Ctx.Procs.resize(Ctx.Grid.NumProcs);
   for (unsigned Rank = 0; Rank < Ctx.Grid.NumProcs; ++Rank) {
     ProcState &Proc = Ctx.Procs[Rank];
@@ -150,124 +139,26 @@ void buildProcs(DistContext &Ctx) {
       Proc.Interior[D] = blockSlice(Ctx.DomainLo[D], Ctx.DomainHi[D],
                                     Ctx.Grid.Extents[D], Proc.Coords[D]);
 
-    for (const ArraySymbol *A : Ctx.P.arrays()) {
-      const Region *Footprint = Ctx.LP.storageBounds(A);
-      if (!Footprint)
+    for (const ArraySymbol *A : Ctx.LP.source().arrays()) {
+      const ArrayBuffer *Src = Global.buffer(A);
+      if (!Src)
         continue;
       if (A->getRank() != Ctx.Rank)
         alf_unreachable("distributed run requires a single-rank program");
       auto WIt = Ctx.HaloWidth.find(A->getId());
-      std::vector<int64_t> W =
-          WIt == Ctx.HaloWidth.end() ? std::vector<int64_t>(Ctx.Rank, 0)
-                                     : WIt->second;
-
-      std::vector<int64_t> Lo(Ctx.Rank), Hi(Ctx.Rank);
-      bool Empty = false;
-      for (unsigned D = 0; D < Ctx.Rank; ++D) {
-        const BlockRange &I = Proc.Interior[D];
-        if (I.empty()) {
-          Empty = true;
-          break;
-        }
-        bool AtLow = Proc.Coords[D] == 0;
-        bool AtHigh = Proc.Coords[D] + 1 == Ctx.Grid.Extents[D];
-        // Interior extended by the halo, clamped to the footprint;
-        // global-edge processors own the footprint's global halo.
-        Lo[D] = AtLow ? Footprint->lo(D)
-                      : std::max(Footprint->lo(D), I.Lo - W[D]);
-        Hi[D] = AtHigh ? Footprint->hi(D)
-                       : std::min(Footprint->hi(D), I.Hi + W[D]);
-        if (Lo[D] > Hi[D]) {
-          Empty = true;
-          break;
-        }
-      }
-      if (Empty)
+      std::optional<Region> Kept =
+          keptBox(Ctx, Proc, Src->bounds(),
+                  WIt == Ctx.HaloWidth.end()
+                      ? std::vector<int64_t>(Ctx.Rank, 0)
+                      : WIt->second);
+      if (!Kept)
         continue;
-      ArrayBuffer Buf(A, Region(std::move(Lo), std::move(Hi)), 0);
-      initBuffer(Ctx, A, *Footprint, Buf);
-      Proc.Buffers.emplace(A->getId(), std::move(Buf));
+      ArrayBuffer &Local = Proc.Store.addBuffer(ArrayBuffer(A, *Kept, 0));
+      forEachPoint(*Kept, [&](const std::vector<int64_t> &At) {
+        Local.store(At, Src->load(At));
+      });
     }
   }
-
-  // Program scalars: identical to Storage::allocate's initialization.
-  for (const Symbol *Sym : Ctx.P.symbols())
-    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym)) {
-      SplitMix64 Rng(Ctx.Seed ^ hashName(Sc->getName()));
-      Ctx.Scalars[Sc] = 0.5 + Rng.nextDouble();
-    }
-}
-
-double evalExpr(const Expr *E, DistContext &Ctx, ProcState &Proc,
-                const std::vector<int64_t> &Idx) {
-  if (const auto *C = dyn_cast<ConstExpr>(E))
-    return C->getValue();
-  if (const auto *S = dyn_cast<ScalarRefExpr>(E))
-    return Ctx.readScalar(S->getSymbol());
-  if (const auto *A = dyn_cast<ArrayRefExpr>(E)) {
-    auto It = Proc.Buffers.find(A->getSymbol()->getId());
-    if (It == Proc.Buffers.end())
-      alf_unreachable("distributed read of an array without local storage");
-    std::vector<int64_t> At(Idx.size());
-    for (unsigned D = 0; D < Idx.size(); ++D)
-      At[D] = Idx[D] + A->getOffset()[D];
-    return It->second.load(At);
-  }
-  if (const auto *U = dyn_cast<UnaryExpr>(E))
-    return UnaryExpr::evaluate(U->getOpcode(),
-                               evalExpr(U->getOperand(), Ctx, Proc, Idx));
-  const auto *B = cast<BinaryExpr>(E);
-  return BinaryExpr::evaluate(
-      B->getOpcode(), evalExpr(B->getLHS(), Ctx, Proc, Idx),
-      evalExpr(B->getRHS(), Ctx, Proc, Idx));
-}
-
-/// Runs one nest on one processor's slice of the region.
-void runNestOnProc(const LoopNest &Nest, DistContext &Ctx, ProcState &Proc) {
-  const Region &R = *Nest.R;
-  unsigned Rank = R.rank();
-
-  // Local slice: region clipped to the processor's interior.
-  std::vector<int64_t> Lo(Rank), Hi(Rank);
-  for (unsigned D = 0; D < Rank; ++D) {
-    Lo[D] = std::max(R.lo(D), Proc.Interior[D].Lo);
-    Hi[D] = std::min(R.hi(D), Proc.Interior[D].Hi);
-    if (Lo[D] > Hi[D])
-      return; // nothing local to this processor
-  }
-
-  std::vector<int64_t> Idx(Rank);
-  std::function<void(unsigned)> RunLoop = [&](unsigned Loop) {
-    if (Loop == Rank) {
-      for (const ScalarStmt &S : Nest.Body) {
-        double V = evalExpr(S.RHS.get(), Ctx, Proc, Idx);
-        if (S.LHS.isScalar()) {
-          if (S.Accumulate)
-            V = S.SR->combine(Ctx.readScalar(S.LHS.Scalar), V);
-          Ctx.Scalars[S.LHS.Scalar] = V;
-          continue;
-        }
-        auto It = Proc.Buffers.find(S.LHS.Array->getId());
-        if (It == Proc.Buffers.end())
-          alf_unreachable("distributed write without local storage");
-        It->second.store(Idx, V);
-      }
-      return;
-    }
-    unsigned Dim = Nest.LSV.dimOf(Loop);
-    if (Nest.LSV.dirOf(Loop) > 0) {
-      for (int64_t I = Lo[Dim]; I <= Hi[Dim]; ++I) {
-        Idx[Dim] = I;
-        RunLoop(Loop + 1);
-      }
-    } else {
-      for (int64_t I = Hi[Dim]; I >= Lo[Dim]; --I) {
-        Idx[Dim] = I;
-        RunLoop(Loop + 1);
-      }
-    }
-  };
-  RunLoop(0);
 }
 
 /// Executes one halo exchange: every processor receives the \p Width
@@ -279,68 +170,40 @@ void runExchange(DistContext &Ctx, const ArraySymbol *A, unsigned Dim,
   // Two-phase: compute all transfers against the pre-exchange state,
   // then commit (real exchanges happen concurrently).
   struct Write {
-    unsigned Proc;
+    ArrayBuffer *Dst;
     std::vector<int64_t> Coord;
     double Value;
   };
   std::vector<Write> Writes;
 
-  for (unsigned Rank = 0; Rank < Ctx.Grid.NumProcs; ++Rank) {
-    ProcState &Proc = Ctx.Procs[Rank];
+  for (ProcState &Proc : Ctx.Procs) {
     int NbrRank = neighborRank(Ctx.Grid, Proc.Coords, Dim, Sign);
     if (NbrRank < 0)
       continue; // grid boundary: the global halo keeps initial values
-    ProcState &Nbr = Ctx.Procs[static_cast<unsigned>(NbrRank)];
-
-    auto MineIt = Proc.Buffers.find(A->getId());
-    auto TheirsIt = Nbr.Buffers.find(A->getId());
-    if (MineIt == Proc.Buffers.end() || TheirsIt == Nbr.Buffers.end())
+    ArrayBuffer *Mine = Proc.Store.buffer(A);
+    const ArrayBuffer *Theirs =
+        Ctx.Procs[static_cast<unsigned>(NbrRank)].Store.buffer(A);
+    if (!Mine || !Theirs)
       continue;
-    ArrayBuffer &Mine = MineIt->second;
-    const ArrayBuffer &Theirs = TheirsIt->second;
 
-    // The halo slab along Dim.
+    // The halo slab along Dim, over both buffers' common bounds elsewhere.
+    const Region &MB = Mine->bounds(), &TB = Theirs->bounds();
     const BlockRange &I = Proc.Interior[Dim];
-    int64_t SlabLo = Sign > 0 ? I.Hi + 1 : I.Lo - Width;
-    int64_t SlabHi = Sign > 0 ? I.Hi + Width : I.Lo - 1;
-    SlabLo = std::max(SlabLo, Mine.bounds().lo(Dim));
-    SlabHi = std::min(SlabHi, Mine.bounds().hi(Dim));
-    if (SlabLo > SlabHi)
-      continue;
-
-    unsigned RankN = Mine.bounds().rank();
-    std::vector<int64_t> Lo(RankN), Hi(RankN);
-    bool Empty = false;
-    for (unsigned D = 0; D < RankN; ++D) {
-      if (D == Dim) {
-        Lo[D] = SlabLo;
-        Hi[D] = SlabHi;
-      } else {
-        Lo[D] = std::max(Mine.bounds().lo(D), Theirs.bounds().lo(D));
-        Hi[D] = std::min(Mine.bounds().hi(D), Theirs.bounds().hi(D));
-      }
-      if (Lo[D] > Hi[D])
-        Empty = true;
+    std::vector<int64_t> Lo(MB.rank()), Hi(MB.rank());
+    for (unsigned D = 0; D < MB.rank(); ++D) {
+      Lo[D] = std::max(MB.lo(D), TB.lo(D));
+      Hi[D] = std::min(MB.hi(D), TB.hi(D));
     }
-    if (Empty)
-      continue;
-
-    std::vector<int64_t> Coord(RankN);
-    std::function<void(unsigned)> Walk = [&](unsigned D) {
-      if (D == RankN) {
-        Writes.push_back(Write{Rank, Coord, Theirs.load(Coord)});
-        return;
-      }
-      for (int64_t V = Lo[D]; V <= Hi[D]; ++V) {
-        Coord[D] = V;
-        Walk(D + 1);
-      }
-    };
-    Walk(0);
+    Lo[Dim] = std::max(Sign > 0 ? I.Hi + 1 : I.Lo - Width, MB.lo(Dim));
+    Hi[Dim] = std::min(Sign > 0 ? I.Hi + Width : I.Lo - 1, MB.hi(Dim));
+    if (std::optional<Region> Slab = boxOf(std::move(Lo), std::move(Hi)))
+      forEachPoint(*Slab, [&](const std::vector<int64_t> &At) {
+        Writes.push_back(Write{Mine, At, Theirs->load(At)});
+      });
   }
 
   for (const Write &W : Writes)
-    Ctx.Procs[W.Proc].Buffers.at(A->getId()).store(W.Coord, W.Value);
+    W.Dst->store(W.Coord, W.Value);
 }
 
 } // namespace
@@ -350,30 +213,50 @@ RunResult distsim::runDistributed(const LoopProgram &LP, const ProcGrid &Grid,
   if (!LP.partialPlans().empty())
     alf_unreachable("distributed run does not support partial contraction");
 
-  DistContext Ctx(LP, Grid, Seed);
+  DistContext Ctx(LP, Grid);
   analyzeProgram(Ctx);
-  buildProcs(Ctx);
+  // The global arrays and scalars start exactly as every executor's do;
+  // each processor copies its cells out and, at the end, back in.
+  Storage Global = allocateStorage(LP, Seed);
+  buildProcs(Ctx, Global);
+
+  // One scalar environment shared by every processor: the program's
+  // scalars, contracted arrays' replacements and reduction partials.
+  std::map<unsigned, double> Scalars;
+  for (const Symbol *Sym : LP.source().symbols())
+    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym))
+      Scalars[Sc->getId()] = Global.getScalar(Sc);
 
   for (const auto &NodePtr : LP.nodes()) {
     if (const auto *Nest = dyn_cast<LoopNest>(NodePtr.get())) {
       // Reductions: per-processor partials combined in rank order.
-      std::map<const ScalarSymbol *, const semiring::Semiring *> AccSRs;
+      std::map<unsigned, const semiring::Semiring *> AccSRs;
       for (const ScalarStmt &S : Nest->Body)
         if (S.Accumulate)
-          AccSRs[S.LHS.Scalar] = S.SR;
-      std::map<const ScalarSymbol *, double> Totals;
+          AccSRs[S.LHS.Scalar->getId()] = S.SR;
+      std::map<unsigned, double> Totals;
       for (const auto &[Acc, SR] : AccSRs)
         Totals[Acc] = SR->PlusIdentity;
 
+      const Region &R = *Nest->R;
       for (ProcState &Proc : Ctx.Procs) {
         for (const auto &[Acc, SR] : AccSRs)
-          Ctx.Scalars[Acc] = SR->PlusIdentity;
-        runNestOnProc(*Nest, Ctx, Proc);
+          Scalars[Acc] = SR->PlusIdentity;
+        // The nest's region clipped to the processor's interior.
+        std::vector<int64_t> Lo(Ctx.Rank), Hi(Ctx.Rank);
+        for (unsigned D = 0; D < Ctx.Rank; ++D) {
+          Lo[D] = std::max(R.lo(D), Proc.Interior[D].Lo);
+          Hi[D] = std::min(R.hi(D), Proc.Interior[D].Hi);
+        }
+        if (std::optional<Region> Slice = boxOf(std::move(Lo), std::move(Hi))) {
+          EvalContext EC{&Proc.Store, &LP, &Scalars};
+          runNestLoops(*Nest, EC, *Slice);
+        }
         for (const auto &[Acc, SR] : AccSRs)
-          Totals[Acc] = SR->combine(Totals[Acc], Ctx.readScalar(Acc));
+          Totals[Acc] = SR->combine(Totals[Acc], Scalars[Acc]);
       }
       for (const auto &[Acc, Total] : Totals)
-        Ctx.Scalars[Acc] = Total;
+        Scalars[Acc] = Total;
       continue;
     }
     if (const auto *C = dyn_cast<CommOp>(NodePtr.get())) {
@@ -388,54 +271,22 @@ RunResult distsim::runDistributed(const LoopProgram &LP, const ProcGrid &Grid,
     alf_unreachable("distributed run does not support opaque statements");
   }
 
-  // Gather: global buffers start from the sequential initialization, and
-  // every processor deposits its interior cells.
-  RunResult Result;
-  for (const ArraySymbol *A : Ctx.P.arrays()) {
-    if (!A->isLiveOut())
-      continue;
-    const Region *Footprint = Ctx.LP.storageBounds(A);
-    if (!Footprint)
-      continue;
-    ArrayBuffer Global(A, *Footprint, 0);
-    initBuffer(Ctx, A, *Footprint, Global);
-
-    for (ProcState &Proc : Ctx.Procs) {
-      auto It = Proc.Buffers.find(A->getId());
-      if (It == Proc.Buffers.end())
+  // Gather: every processor deposits its interior cells (and, on the
+  // grid's edge, the global halo) into the global arrays.
+  for (ProcState &Proc : Ctx.Procs)
+    for (const ArraySymbol *A : LP.source().arrays()) {
+      const ArrayBuffer *Local = Proc.Store.buffer(A);
+      if (!Local)
         continue;
-      unsigned Rank = Footprint->rank();
-      std::vector<int64_t> Lo(Rank), Hi(Rank);
-      bool Empty = false;
-      for (unsigned D = 0; D < Rank; ++D) {
-        bool AtLow = Proc.Coords[D] == 0;
-        bool AtHigh = Proc.Coords[D] + 1 == Ctx.Grid.Extents[D];
-        Lo[D] = AtLow ? Footprint->lo(D)
-                      : std::max(Footprint->lo(D), Proc.Interior[D].Lo);
-        Hi[D] = AtHigh ? Footprint->hi(D)
-                       : std::min(Footprint->hi(D), Proc.Interior[D].Hi);
-        if (Lo[D] > Hi[D])
-          Empty = true;
-      }
-      if (Empty)
-        continue;
-      std::vector<int64_t> Coord(Rank);
-      std::function<void(unsigned)> Walk = [&](unsigned D) {
-        if (D == Rank) {
-          Global.store(Coord, It->second.load(Coord));
-          return;
-        }
-        for (int64_t V = Lo[D]; V <= Hi[D]; ++V) {
-          Coord[D] = V;
-          Walk(D + 1);
-        }
-      };
-      Walk(0);
+      ArrayBuffer &Dst = *Global.buffer(A);
+      std::optional<Region> Owned = keptBox(Ctx, Proc, Dst.bounds(),
+                                            std::vector<int64_t>(Ctx.Rank, 0));
+      if (Owned)
+        forEachPoint(*Owned, [&](const std::vector<int64_t> &At) {
+          Dst.store(At, Local->load(At));
+        });
     }
-    Result.LiveOut.emplace(A->getName(), Global.take());
-  }
-  for (const Symbol *Sym : Ctx.P.symbols())
-    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym))
-      Result.ScalarsOut.emplace(Sc->getName(), Ctx.readScalar(Sc));
-  return Result;
+  for (const auto &[Id, V] : Scalars)
+    Global.setScalarById(Id, V);
+  return collectResults(LP, Global);
 }

@@ -13,6 +13,13 @@
 /// communication insertion end to end — a missing or stale halo exchange
 /// produces wrong values, not just wrong cost estimates.
 ///
+/// The simulator owns only what is distributed: the block decomposition,
+/// halo widths, per-processor storage, the exchanges and the rank-order
+/// combine of reduction partials. Allocation and seeding
+/// (exec::allocateStorage), nest evaluation (exec::runNestLoops) and
+/// result collection (exec::collectResults) are the sequential
+/// interpreter's own.
+///
 /// Supported programs: loop nests (including reductions, contraction and
 /// loop reversal/interchange) and halo exchanges with zero-offset
 /// assignment targets; opaque statements and partial-contraction plans
@@ -31,9 +38,8 @@ namespace alf {
 namespace distsim {
 
 /// Runs \p LP SPMD-style over \p Grid with inputs seeded by \p Seed
-/// (bit-identical to exec::run's initialization, so results are directly
-/// comparable). Reductions combine partial results across processors in
-/// rank order.
+/// (exec::run's initialization, so results are directly comparable).
+/// Reductions combine partial results across processors in rank order.
 exec::RunResult runDistributed(const lir::LoopProgram &LP,
                                const machine::ProcGrid &Grid, uint64_t Seed);
 

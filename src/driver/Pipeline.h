@@ -81,10 +81,11 @@ struct PipelineOptions {
   /// Structural.
   verify::VerifyLevel Verify = verify::defaultVerifyLevel();
 
-  /// Called with the findings when a verification pass rejects. When
-  /// unset, the pipeline treats a rejection as a fatal internal error
-  /// (reportFatalError). Tools install an exit-nonzero handler; tests
-  /// install a collector.
+  /// Called with the findings when a verification pass rejects outside
+  /// tryCompile. When unset, the pipeline treats a rejection as a fatal
+  /// internal error (reportFatalError). No tool or example sets it: they
+  /// compile through tryCompile, which reports rejections as a
+  /// CompileStatus. Only tests set it, to collect the findings.
   std::function<void(const verify::VerifyReport &)> OnVerifyError;
 };
 

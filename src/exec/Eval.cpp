@@ -5,8 +5,6 @@
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
 
-#include <functional>
-
 using namespace alf;
 using namespace alf::exec;
 using namespace alf::ir;
@@ -65,49 +63,18 @@ void exec::execScalarStmt(const ScalarStmt &S, EvalContext &Ctx,
 }
 
 void exec::runNestLoops(const LoopNest &Nest, EvalContext &Ctx,
-                        std::vector<int64_t> &Idx, unsigned FromLoop) {
-  const Region &R = *Nest.R;
-  if (FromLoop == R.rank()) {
-    for (const ScalarStmt &S : Nest.Body)
-      execScalarStmt(S, Ctx, Idx);
-    return;
-  }
-  unsigned Dim = Nest.LSV.dimOf(FromLoop);
-  if (Nest.LSV.dirOf(FromLoop) > 0) {
-    for (int64_t I = R.lo(Dim); I <= R.hi(Dim); ++I) {
-      Idx[Dim] = I;
-      runNestLoops(Nest, Ctx, Idx, FromLoop + 1);
-    }
-  } else {
-    for (int64_t I = R.hi(Dim); I >= R.lo(Dim); --I) {
-      Idx[Dim] = I;
-      runNestLoops(Nest, Ctx, Idx, FromLoop + 1);
-    }
-  }
-}
-
-void exec::runNestLoopsRestricted(const LoopNest &Nest, EvalContext &Ctx,
-                                  std::vector<int64_t> &Idx,
-                                  unsigned SplitLoop, int64_t Lo, int64_t Hi) {
-  unsigned Dim = Nest.LSV.dimOf(SplitLoop);
-  if (Nest.LSV.dirOf(SplitLoop) > 0) {
-    for (int64_t I = Lo; I <= Hi; ++I) {
-      Idx[Dim] = I;
-      runNestLoops(Nest, Ctx, Idx, SplitLoop + 1);
-    }
-  } else {
-    for (int64_t I = Hi; I >= Lo; --I) {
-      Idx[Dim] = I;
-      runNestLoops(Nest, Ctx, Idx, SplitLoop + 1);
-    }
-  }
+                        const Region &Box) {
+  forEachInLoopOrder(Nest.LSV, Box, Box.rank(),
+                     [&](const std::vector<int64_t> &Idx) {
+                       for (const ScalarStmt &S : Nest.Body)
+                         execScalarStmt(S, Ctx, Idx);
+                     });
 }
 
 void exec::iterateNest(const LoopNest &Nest, EvalContext &Ctx) {
   for (const lir::ScalarInit &SI : Nest.ScalarInits)
     Ctx.writeScalar(SI.Acc, SI.Init);
-  std::vector<int64_t> Idx(Nest.R->rank());
-  runNestLoops(Nest, Ctx, Idx, 0);
+  runNestLoops(Nest, Ctx, *Nest.R);
 }
 
 void exec::execOpaqueStmt(const OpaqueStmt &O, EvalContext &Ctx) {
@@ -127,29 +94,20 @@ void exec::execOpaqueStmt(const OpaqueStmt &O, EvalContext &Ctx) {
     ScalarBase += 0.5 * Ctx.readScalar(S);
 
   std::vector<double> ScalarAccum(O.scalarWrites().size(), 0.0);
-  std::vector<int64_t> Idx(R->rank());
-  std::function<void(unsigned)> Walk = [&](unsigned D) {
-    if (D == R->rank()) {
-      double V = ScalarBase;
-      for (const ArraySymbol *A : O.arrayReads())
-        if (const ArrayBuffer *Buf = Ctx.Store->buffer(A))
-          if (Buf->bounds().rank() == Idx.size())
-            V += 0.5 * Buf->load(Idx);
-      unsigned Ordinal = 0;
-      for (const ArraySymbol *A : O.arrayWrites())
-        if (ArrayBuffer *Buf = Ctx.Store->buffer(A))
-          if (Buf->bounds().rank() == Idx.size())
-            Buf->store(Idx, V + Ordinal++);
-      for (double &Acc : ScalarAccum)
-        Acc += V;
-      return;
-    }
-    for (int64_t I = R->lo(D); I <= R->hi(D); ++I) {
-      Idx[D] = I;
-      Walk(D + 1);
-    }
-  };
-  Walk(0);
+  forEachPoint(*R, [&](const std::vector<int64_t> &Idx) {
+    double V = ScalarBase;
+    for (const ArraySymbol *A : O.arrayReads())
+      if (const ArrayBuffer *Buf = Ctx.Store->buffer(A))
+        if (Buf->bounds().rank() == Idx.size())
+          V += 0.5 * Buf->load(Idx);
+    unsigned Ordinal = 0;
+    for (const ArraySymbol *A : O.arrayWrites())
+      if (ArrayBuffer *Buf = Ctx.Store->buffer(A))
+        if (Buf->bounds().rank() == Idx.size())
+          Buf->store(Idx, V + Ordinal++);
+    for (double &Acc : ScalarAccum)
+      Acc += V;
+  });
 
   double Scale = 1.0 / static_cast<double>(R->size());
   for (size_t I = 0; I < O.scalarWrites().size(); ++I)

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluation core shared by the sequential interpreter and the
-/// parallel executor: expression evaluation, scalar-statement execution,
-/// opaque-statement semantics and loop-nest iteration over a LoopProgram.
-/// An EvalContext names the storage to run against; the parallel
-/// executor additionally installs a per-thread scalar overlay so that
-/// contracted arrays' replacement scalars stay thread-private while
-/// array buffers and read-only parameters remain shared.
+/// The evaluation core shared by the sequential interpreter, the parallel
+/// executor and the distributed simulator: expression evaluation,
+/// scalar-statement execution, opaque-statement semantics and loop-nest
+/// iteration over a LoopProgram (the performance model walks nests in the
+/// same loop order). An EvalContext names the storage to run against.
+/// The parallel executor installs a per-thread scalar overlay, so that
+/// contracted arrays' replacement scalars stay thread-private while array
+/// buffers and read-only parameters remain shared; the distributed
+/// simulator runs each processor on its own storage with one overlay
+/// shared by all of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,19 +73,44 @@ void execScalarStmt(const lir::ScalarStmt &S, EvalContext &Ctx,
 /// Deterministic element-wise semantics for opaque statements.
 void execOpaqueStmt(const ir::OpaqueStmt &O, EvalContext &Ctx);
 
-/// Runs loops [FromLoop..rank) of \p Nest; the Idx components of all
-/// outer loops' dimensions must already be set. FromLoop == rank runs
-/// the body once at Idx.
-void runNestLoops(const lir::LoopNest &Nest, EvalContext &Ctx,
-                  std::vector<int64_t> &Idx, unsigned FromLoop);
+/// Calls \p Visit(Idx) at every point of \p Box in the loop order of
+/// \p Order: loop 0 outermost, each loop walking its dimension of \p Box
+/// in its own direction. Only loops [0, \p Loops) are walked; the other
+/// dimensions of Idx stay at \p Box's lower bounds. Every executor that
+/// walks a nest (the interpreter, the parallel executor's outer loops, the
+/// performance model, the distributed simulator) walks it this way.
+template <typename Fn>
+void forEachInLoopOrder(const xform::LoopStructureVector &Order,
+                        const ir::Region &Box, unsigned Loops, Fn &&Visit) {
+  std::vector<int64_t> Idx(Box.rank());
+  for (unsigned D = 0; D < Box.rank(); ++D)
+    Idx[D] = Box.lo(D);
+  auto Walk = [&](auto &Self, unsigned Loop) -> void {
+    if (Loop == Loops) {
+      Visit(static_cast<const std::vector<int64_t> &>(Idx));
+      return;
+    }
+    unsigned Dim = Order.dimOf(Loop);
+    if (Order.dirOf(Loop) > 0) {
+      for (int64_t I = Box.lo(Dim); I <= Box.hi(Dim); ++I) {
+        Idx[Dim] = I;
+        Self(Self, Loop + 1);
+      }
+    } else {
+      for (int64_t I = Box.hi(Dim); I >= Box.lo(Dim); --I) {
+        Idx[Dim] = I;
+        Self(Self, Loop + 1);
+      }
+    }
+  };
+  Walk(Walk, 0);
+}
 
-/// Like runNestLoops starting at \p SplitLoop, but with that loop
-/// restricted to the absolute inclusive range [\p Lo .. \p Hi] (iterated
-/// in the loop's own direction). The parallel executor hands each worker
-/// one such tile.
-void runNestLoopsRestricted(const lir::LoopNest &Nest, EvalContext &Ctx,
-                            std::vector<int64_t> &Idx, unsigned SplitLoop,
-                            int64_t Lo, int64_t Hi);
+/// Runs \p Nest's body at every point of \p Box (the nest's region, a
+/// processor's slice of it or a parallel tile) in LSV order. Accumulators
+/// are not initialized.
+void runNestLoops(const lir::LoopNest &Nest, EvalContext &Ctx,
+                  const ir::Region &Box);
 
 /// Initializes the nest's reduction accumulators and runs the whole nest
 /// sequentially in LSV order.

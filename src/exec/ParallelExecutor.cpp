@@ -8,7 +8,6 @@
 #include "support/ThreadPool.h"
 #include "xform/Report.h"
 
-#include <functional>
 #include <set>
 
 using namespace alf;
@@ -59,36 +58,22 @@ void runNestParallel(const LoopNest &Nest, EvalContext &Shared,
   int64_t Lo = R.lo(SplitDim), Hi = R.hi(SplitDim);
 
   std::vector<std::map<unsigned, double>> Overlays(Pool.numThreads());
-  std::vector<int64_t> Idx(R.rank());
-
-  std::function<void(unsigned)> Walk = [&](unsigned Loop) {
-    if (Loop == SplitLoop) {
-      Pool.parallelFor(Lo, Hi + 1,
-                       [&](int64_t TileLo, int64_t TileEnd, unsigned Worker) {
-                         EvalContext Ctx;
-                         Ctx.Store = Shared.Store;
-                         Ctx.LP = Shared.LP;
-                         Ctx.ScalarOverlay = &Overlays[Worker];
-                         std::vector<int64_t> TileIdx = Idx;
-                         runNestLoopsRestricted(Nest, Ctx, TileIdx, SplitLoop,
-                                                TileLo, TileEnd - 1);
-                       });
-      return;
-    }
-    unsigned Dim = Nest.LSV.dimOf(Loop);
-    if (Nest.LSV.dirOf(Loop) > 0) {
-      for (int64_t I = R.lo(Dim); I <= R.hi(Dim); ++I) {
-        Idx[Dim] = I;
-        Walk(Loop + 1);
-      }
-    } else {
-      for (int64_t I = R.hi(Dim); I >= R.lo(Dim); --I) {
-        Idx[Dim] = I;
-        Walk(Loop + 1);
-      }
-    }
+  auto RunTiles = [&](const std::vector<int64_t> &Outer) {
+    Pool.parallelFor(Lo, Hi + 1, [&](int64_t TileLo, int64_t TileEnd,
+                                     unsigned Worker) {
+      // The tile: the outer loops at this iteration, the split loop
+      // restricted to the chunk, the inner loops over the whole region
+      // (Outer holds their lower bounds).
+      std::vector<int64_t> TLo = Outer, THi = Outer;
+      for (unsigned L = SplitLoop; L < R.rank(); ++L)
+        THi[Nest.LSV.dimOf(L)] = R.hi(Nest.LSV.dimOf(L));
+      TLo[SplitDim] = TileLo;
+      THi[SplitDim] = TileEnd - 1;
+      EvalContext Ctx{Shared.Store, Shared.LP, &Overlays[Worker]};
+      runNestLoops(Nest, Ctx, Region(std::move(TLo), std::move(THi)));
+    });
   };
-  Walk(0);
+  forEachInLoopOrder(Nest.LSV, R, SplitLoop, RunTiles);
 
   // The sequentially-last iteration of the split loop is Hi for an
   // increasing loop and Lo for a decreasing one; find its tile's worker

@@ -2,11 +2,10 @@
 
 #include "exec/PerfModel.h"
 
-#include "exec/Storage.h"
+#include "exec/Eval.h"
 #include "support/ErrorHandling.h"
 
 #include <cmath>
-#include <functional>
 #include <map>
 
 using namespace alf;
@@ -115,47 +114,31 @@ PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
 
       const Region &R = *Nest->R;
       unsigned Rank = R.rank();
-      std::vector<int64_t> Idx(Rank);
       std::vector<int64_t> At(Rank);
-      std::function<void(unsigned)> RunLoop = [&](unsigned Loop) {
-        if (Loop == Rank) {
-          for (const CompiledStmt &CS : Body) {
-            for (const CompiledRef &Ref : CS.Reads) {
-              if (!Ref.Buf)
-                alf_unreachable("performance model read without storage");
-              for (unsigned D = 0; D < Rank; ++D) {
-                At[D] = Idx[D] + Ref.Off[D];
-                if (Ref.Plan)
-                  At[D] = Ref.Plan->wrap(D, At[D]);
-              }
-              Sim.chargeRef(Ref.Buf->addrOf(At));
+      auto ChargePoint = [&](const std::vector<int64_t> &Idx) {
+        for (const CompiledStmt &CS : Body) {
+          for (const CompiledRef &Ref : CS.Reads) {
+            if (!Ref.Buf)
+              alf_unreachable("performance model read without storage");
+            for (unsigned D = 0; D < Rank; ++D) {
+              At[D] = Idx[D] + Ref.Off[D];
+              if (Ref.Plan)
+                At[D] = Ref.Plan->wrap(D, At[D]);
             }
-            Sim.chargeFlops(CS.Flops);
-            if (CS.LHSBuf) {
-              for (unsigned D = 0; D < Rank; ++D) {
-                At[D] = Idx[D] + CS.LHSOff[D];
-                if (CS.LHSPlan)
-                  At[D] = CS.LHSPlan->wrap(D, At[D]);
-              }
-              Sim.chargeRef(CS.LHSBuf->addrOf(At));
+            Sim.chargeRef(Ref.Buf->addrOf(At));
+          }
+          Sim.chargeFlops(CS.Flops);
+          if (CS.LHSBuf) {
+            for (unsigned D = 0; D < Rank; ++D) {
+              At[D] = Idx[D] + CS.LHSOff[D];
+              if (CS.LHSPlan)
+                At[D] = CS.LHSPlan->wrap(D, At[D]);
             }
-          }
-          return;
-        }
-        unsigned Dim = Nest->LSV.dimOf(Loop);
-        if (Nest->LSV.dirOf(Loop) > 0) {
-          for (int64_t I = R.lo(Dim); I <= R.hi(Dim); ++I) {
-            Idx[Dim] = I;
-            RunLoop(Loop + 1);
-          }
-        } else {
-          for (int64_t I = R.hi(Dim); I >= R.lo(Dim); --I) {
-            Idx[Dim] = I;
-            RunLoop(Loop + 1);
+            Sim.chargeRef(CS.LHSBuf->addrOf(At));
           }
         }
       };
-      RunLoop(0);
+      forEachInLoopOrder(Nest->LSV, R, Rank, ChargePoint);
 
       // Each reduction pays a cross-processor combine after the nest.
       if (NumReduces > 0 && Grid.NumProcs > 1) {

@@ -193,6 +193,16 @@ public:
     return It == Buffers.end() ? nullptr : &It->second;
   }
 
+  /// Adds \p Buf as the buffer of its array, which must have none yet
+  /// (the distributed simulator builds each processor's storage so).
+  ArrayBuffer &addBuffer(ArrayBuffer Buf) {
+    TotalBytes += Buf.sizeBytes();
+    auto [It, Added] = Buffers.emplace(Buf.symbol()->getId(), std::move(Buf));
+    assert(Added && "array already has a buffer");
+    (void)Added;
+    return It->second;
+  }
+
   double getScalar(const ir::ScalarSymbol *S) const {
     auto It = Scalars.find(S->getId());
     return It == Scalars.end() ? 0.0 : It->second;

@@ -82,6 +82,25 @@ public:
   std::string str() const;
 };
 
+/// Calls \p Visit(Idx) at every point of \p R in row-major order, the last
+/// dimension fastest (once, at the empty index, for a rank-0 region).
+template <typename Fn> void forEachPoint(const Region &R, Fn &&Visit) {
+  std::vector<int64_t> Idx(R.rank());
+  for (unsigned D = 0; D < R.rank(); ++D)
+    Idx[D] = R.lo(D);
+  for (;;) {
+    Visit(static_cast<const std::vector<int64_t> &>(Idx));
+    unsigned D = R.rank();
+    while (D > 0 && Idx[D - 1] == R.hi(D - 1)) {
+      --D;
+      Idx[D] = R.lo(D);
+    }
+    if (D == 0)
+      return;
+    ++Idx[D - 1];
+  }
+}
+
 } // namespace ir
 } // namespace alf
 

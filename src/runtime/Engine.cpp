@@ -521,26 +521,14 @@ void EngineImpl::flush(FlushTrigger T) {
   for (ArraySlot &S : Slots)
     S.External = S.State.use_count() > 1;
 
-  CacheEntry *E = nullptr;
-  std::unique_ptr<CacheEntry> Fresh;
-  bool Hit = false;
-  if (Opts.TraceCache) {
-    std::string Key = serializeKey();
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      E = It->second.get();
-      Hit = true;
-    } else {
-      obs::Span BuildSpan("runtime.build");
-      Fresh = buildEntry();
-      E = Cache.emplace(std::move(Key), std::move(Fresh))
-              .first->second.get();
-    }
-  } else {
+  std::string Key = serializeKey();
+  auto It = Cache.find(Key);
+  bool Hit = It != Cache.end();
+  if (!Hit) {
     obs::Span BuildSpan("runtime.build");
-    Fresh = buildEntry();
-    E = Fresh.get();
+    It = Cache.emplace(std::move(Key), buildEntry()).first;
   }
+  CacheEntry *E = It->second.get();
   obs::instant(Hit ? NumRuntimeCacheHits : NumRuntimeCacheMisses);
 
   FlushInfo Info;

@@ -209,9 +209,6 @@ struct EngineOptions {
   /// contraction; shorter ones bound latency and memory.
   unsigned MaxTraceLen = 64;
 
-  /// Memoize compiled traces by structure.
-  bool TraceCache = true;
-
   exec::ParallelOptions Parallel; ///< ExecMode::Parallel knobs
   exec::JitOptions Jit;           ///< ExecMode::NativeJit knobs
 

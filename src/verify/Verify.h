@@ -35,9 +35,11 @@
 ///
 /// The frontend lint (`zplc --lint`) lives in verify/Lint.h.
 ///
-/// Passes never abort: they return a VerifyReport and leave the policy
-/// (abort, exit nonzero, collect) to the caller — driver::Pipeline
-/// installs the policy via PipelineOptions::OnVerifyError.
+/// Passes never abort: they return a VerifyReport and leave the policy to
+/// the caller. driver::Pipeline::tryCompile reports a rejection as a
+/// structured CompileStatus (how zplc, alfd and the tools see it); its
+/// other entry points abort unless PipelineOptions::OnVerifyError, which
+/// only tests set, collects the findings instead.
 ///
 //===----------------------------------------------------------------------===//
 

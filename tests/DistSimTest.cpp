@@ -15,6 +15,7 @@
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
+#include "semiring/Semiring.h"
 
 #include <gtest/gtest.h>
 
@@ -74,9 +75,9 @@ RunResult runSeq(Program &P, Strategy S, uint64_t Seed) {
   return run(LP, Seed);
 }
 
-std::unique_ptr<Program> makeStencilChain(int64_t N) {
+std::unique_ptr<Program> makeStencilChain(int64_t N0, int64_t N1) {
   auto P = std::make_unique<Program>("chain");
-  const Region *R = P->regionFromExtents({N, N});
+  const Region *R = P->regionFromExtents({N0, N1});
   ArraySymbol *A = P->makeArray("A", 2);
   ArraySymbol *T = P->makeUserTemp("T", 2);
   ArraySymbol *B = P->makeArray("B", 2);
@@ -91,7 +92,7 @@ std::unique_ptr<Program> makeStencilChain(int64_t N) {
 
 TEST(DistSimTest, StencilMatchesSequentialAcrossGrids) {
   for (unsigned Procs : {1u, 4u, 9u, 16u}) {
-    auto P = makeStencilChain(12);
+    auto P = makeStencilChain(12, 12);
     RunResult Seq = runSeq(*P, Strategy::Baseline, 21);
     RunResult Dist = runDist(*P, Strategy::Baseline, Procs, 21);
     std::string Why;
@@ -101,12 +102,21 @@ TEST(DistSimTest, StencilMatchesSequentialAcrossGrids) {
 }
 
 TEST(DistSimTest, ContractionAndCommAgree) {
-  auto P = makeStencilChain(12);
-  RunResult Seq = runSeq(*P, Strategy::C2F3, 22);
-  auto P2 = makeStencilChain(12);
-  RunResult Dist = runDist(*P2, Strategy::C2F3, 4, 22);
-  std::string Why;
-  EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why)) << Why;
+  // The 3x5 grids on 4x4 and 8x8 processors leave some processors with
+  // an empty interior: they own no cells and run no iterations.
+  struct Case {
+    int64_t N0, N1;
+    unsigned Procs;
+  };
+  for (Case C : {Case{12, 12, 4}, Case{3, 5, 16}, Case{3, 5, 64}}) {
+    auto P = makeStencilChain(C.N0, C.N1);
+    RunResult Seq = runSeq(*P, Strategy::C2F3, 22);
+    auto P2 = makeStencilChain(C.N0, C.N1);
+    RunResult Dist = runDist(*P2, Strategy::C2F3, C.Procs, 22);
+    std::string Why;
+    EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
+        << C.N0 << "x" << C.N1 << " on " << C.Procs << " procs: " << Why;
+  }
 }
 
 TEST(DistSimTest, MissingExchangeIsDetected) {
@@ -139,12 +149,18 @@ TEST(DistSimTest, ReductionsCombineAcrossProcessors) {
   ArraySymbol *A = P.makeArray("A", 2);
   ScalarSymbol *Sum = P.makeScalar("sum");
   ScalarSymbol *Hi = P.makeScalar("hi");
+  ScalarSymbol *Lo = P.makeScalar("lo");
   P.reduce(R, Sum, ReduceStmt::ReduceOpKind::Sum, mul(aref(A), aref(A)));
   P.reduce(R, Hi, ReduceStmt::ReduceOpKind::Max, aref(A));
+  // A min-plus (tropical) fold combines partials with its own ⊕ and 0̄.
+  P.reduce(R, Lo, semiring::minPlus(), add(aref(A), cst(1.0)));
   RunResult Seq = runSeq(P, Strategy::Baseline, 31);
   RunResult Dist = runDist(P, Strategy::Baseline, 4, 31);
   std::string Why;
   EXPECT_TRUE(resultsMatch(Seq, Dist, 1e-9, &Why)) << Why;
+  // min and max do not depend on the combine order: exact.
+  EXPECT_EQ(Seq.ScalarsOut.at("lo"), Dist.ScalarsOut.at("lo"));
+  EXPECT_EQ(Seq.ScalarsOut.at("hi"), Dist.ScalarsOut.at("hi"));
 }
 
 TEST(DistSimTest, CornerValuesPropagateThroughSequencedExchanges) {
@@ -166,29 +182,39 @@ TEST(DistSimTest, CornerValuesPropagateThroughSequencedExchanges) {
 TEST(DistSimTest, ArrayLevelPipelinedCommAgrees) {
   // Favor-communication pipeline: exchanges inserted at the array level
   // as send/recv pairs, data moving at the receive.
-  auto P = makeStencilChain(12);
+  auto P = makeStencilChain(12, 12);
   comm::insertArrayLevelComm(*P, /*Pipelined=*/true);
   ASDG G = ASDG::build(*P);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
   RunResult Dist = runDistributed(LP, ProcGrid::make(4, 2), 51);
 
-  auto PSeq = makeStencilChain(12);
+  auto PSeq = makeStencilChain(12, 12);
   RunResult Seq = runSeq(*PSeq, Strategy::Baseline, 51);
   std::string Why;
   EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why)) << Why;
 }
 
 TEST(DistSimTest, RankOneProgram) {
-  Program P("r1");
-  const Region *R = P.regionFromExtents({40});
-  ArraySymbol *A = P.makeArray("A", 1);
-  ArraySymbol *B = P.makeArray("B", 1);
-  P.assign(R, A, mul(aref(B), cst(0.5)));
-  P.assign(R, B, add(aref(A, {-2}), aref(A, {2})));
-  RunResult Seq = runSeq(P, Strategy::Baseline, 61);
-  RunResult Dist = runDist(P, Strategy::Baseline, 4, 61);
-  std::string Why;
-  EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why)) << Why;
+  // Extent 6 on 8 or 12 processors leaves the trailing processors with
+  // an empty interior. Their halo is one cell wide: one exchange fills a
+  // halo only as wide as the neighbour's interior.
+  struct Case {
+    int64_t N, Width;
+    unsigned Procs;
+  };
+  for (Case C : {Case{40, 2, 4}, Case{6, 1, 8}, Case{6, 1, 12}}) {
+    Program P("r1");
+    const Region *R = P.regionFromExtents({C.N});
+    ArraySymbol *A = P.makeArray("A", 1);
+    ArraySymbol *B = P.makeArray("B", 1);
+    P.assign(R, A, mul(aref(B), cst(0.5)));
+    P.assign(R, B, add(aref(A, {-C.Width}), aref(A, {C.Width})));
+    RunResult Seq = runSeq(P, Strategy::Baseline, 61);
+    RunResult Dist = runDist(P, Strategy::Baseline, C.Procs, 61);
+    std::string Why;
+    EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
+        << "extent " << C.N << " on " << C.Procs << " procs: " << Why;
+  }
 }
 
 class DistBenchmarks : public ::testing::TestWithParam<unsigned> {};

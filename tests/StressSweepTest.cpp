@@ -584,24 +584,22 @@ TEST_P(StressSweepTest, RuntimeEngineAgrees) {
   struct Policy {
     unsigned MaxTraceLen;
     ExecMode Mode;
-    bool TraceCache;
   };
   std::vector<Policy> Policies = {
-      {1, ExecMode::Sequential, true},   // flush per statement
-      {3, ExecMode::Sequential, true},   // short batches
-      {0, ExecMode::Sequential, false},  // one whole-program flush, no cache
-      {0, ExecMode::Parallel, true},
+      {1, ExecMode::Sequential}, // flush per statement
+      {3, ExecMode::Sequential}, // short batches
+      {0, ExecMode::Sequential}, // one whole-program flush
+      {0, ExecMode::Parallel},
   };
   // A few seeds also run through the native JIT so the sweep covers the
   // kernel path without compiling hundreds of kernels.
   if (Seed % 10 == 0 && JitEngine::compilerAvailable())
-    Policies.push_back({0, ExecMode::NativeJit, true});
+    Policies.push_back({0, ExecMode::NativeJit});
 
   for (const Policy &PC : Policies) {
     runtime::EngineOptions O;
     O.MaxTraceLen = PC.MaxTraceLen;
     O.Mode = PC.Mode;
-    O.TraceCache = PC.TraceCache;
     // Every flush's pipeline re-proves its analysis, strategy and (for
     // the parallel policy) schedule; a failed proof aborts the test.
     O.Verify = verify::VerifyLevel::Full;
@@ -649,7 +647,7 @@ TEST_P(StressSweepTest, RuntimeEngineAgrees) {
 
       if (Pass == 0)
         MissesAfterCold = E.stats().CacheMisses;
-      else if (PC.TraceCache)
+      else
         // The warm replay is structurally identical: every flush must be
         // served by the trace cache.
         EXPECT_EQ(E.stats().CacheMisses, MissesAfterCold)
