@@ -43,7 +43,6 @@ PerfStats figures::simulateFavorComm(const BenchmarkInfo &B,
   auto P = B.Build(perProcessorSize(B));
   PipelineOptions Opts;
   Opts.Comm = CommPolicy::ArrayLevel;
-  Opts.PipelinedComm = true;
   Pipeline PL(*P, Opts);
   return simulate(PL.scalarize(Strategy::C2F3), M,
                   ProcGrid::make(Procs, B.Rank));

@@ -22,6 +22,19 @@ BlockRange distsim::blockSlice(int64_t Lo, int64_t Hi, unsigned Parts,
   return BlockRange{Start, Start + Size - 1};
 }
 
+int distsim::blockOwner(int64_t Lo, int64_t Hi, unsigned Parts, int64_t X) {
+  assert(Parts > 0 && "bad block partition");
+  if (X < Lo || X > Hi)
+    return -1;
+  int64_t Base = (Hi - Lo + 1) / Parts;
+  int64_t Rem = (Hi - Lo + 1) % Parts;
+  // The first Rem blocks hold Base + 1 cells each, the rest Base.
+  int64_t Off = X - Lo;
+  if (Off < Rem * (Base + 1))
+    return static_cast<int>(Off / (Base + 1));
+  return static_cast<int>(Rem + (Off - Rem * (Base + 1)) / Base);
+}
+
 std::vector<unsigned> distsim::procCoords(const ProcGrid &Grid,
                                           unsigned Rank) {
   std::vector<unsigned> Coords(Grid.Extents.size(), 0);
@@ -31,19 +44,4 @@ std::vector<unsigned> distsim::procCoords(const ProcGrid &Grid,
     Rest /= Grid.Extents[D];
   }
   return Coords;
-}
-
-int distsim::neighborRank(const ProcGrid &Grid,
-                          const std::vector<unsigned> &Coords, unsigned Dim,
-                          int Step) {
-  assert(Dim < Grid.Extents.size() && "grid dimension out of range");
-  int64_t NewCoord = static_cast<int64_t>(Coords[Dim]) + Step;
-  if (NewCoord < 0 || NewCoord >= static_cast<int64_t>(Grid.Extents[Dim]))
-    return -1;
-  unsigned Rank = 0;
-  for (size_t D = 0; D < Grid.Extents.size(); ++D) {
-    unsigned C = D == Dim ? static_cast<unsigned>(NewCoord) : Coords[D];
-    Rank = Rank * Grid.Extents[D] + C;
-  }
-  return static_cast<int>(Rank);
 }

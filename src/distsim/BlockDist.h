@@ -37,15 +37,14 @@ struct BlockRange {
 /// usual BLOCK distribution.
 BlockRange blockSlice(int64_t Lo, int64_t Hi, unsigned Parts, unsigned Part);
 
+/// The part of blockSlice(\p Lo, \p Hi, \p Parts, ...) that holds \p X,
+/// in O(1), or -1 when X lies outside [\p Lo, \p Hi].
+int blockOwner(int64_t Lo, int64_t Hi, unsigned Parts, int64_t X);
+
 /// A processor's coordinates in the grid, decoded from its linear rank
 /// (row-major over ProcGrid::Extents).
 std::vector<unsigned> procCoords(const machine::ProcGrid &Grid,
                                  unsigned Rank);
-
-/// The linear rank of the neighbour of \p Coords displaced by \p Step
-/// (+1/-1) along grid dimension \p Dim, or -1 at the grid boundary.
-int neighborRank(const machine::ProcGrid &Grid,
-                 const std::vector<unsigned> &Coords, unsigned Dim, int Step);
 
 } // namespace distsim
 } // namespace alf

@@ -6,6 +6,7 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <optional>
 
@@ -161,10 +162,13 @@ void buildProcs(DistContext &Ctx, const Storage &Global) {
   }
 }
 
-/// Executes one halo exchange: every processor receives the \p Width
-/// planes adjacent to its interior along \p Dim (direction \p Sign) from
-/// its neighbour's local storage. Other dimensions copy over the full
-/// local bounds, so earlier exchanges' halo fills propagate into corners.
+/// Executes one halo exchange: every processor refreshes the \p Width
+/// planes next to its interior along \p Dim (direction \p Sign), over its
+/// full local bounds in the other dimensions. Each cell is read from the
+/// processor whose interior owns it, so a halo wider than the
+/// neighbour's interior and the corner cells of a diagonal reference get
+/// the current value. Cells outside the iteration domain have no owner;
+/// nothing writes them, so they keep their initial values.
 void runExchange(DistContext &Ctx, const ArraySymbol *A, unsigned Dim,
                  int Sign, int64_t Width) {
   // Two-phase: compute all transfers against the pre-exchange state,
@@ -177,29 +181,34 @@ void runExchange(DistContext &Ctx, const ArraySymbol *A, unsigned Dim,
   std::vector<Write> Writes;
 
   for (ProcState &Proc : Ctx.Procs) {
-    int NbrRank = neighborRank(Ctx.Grid, Proc.Coords, Dim, Sign);
-    if (NbrRank < 0)
-      continue; // grid boundary: the global halo keeps initial values
     ArrayBuffer *Mine = Proc.Store.buffer(A);
-    const ArrayBuffer *Theirs =
-        Ctx.Procs[static_cast<unsigned>(NbrRank)].Store.buffer(A);
-    if (!Mine || !Theirs)
+    if (!Mine)
       continue;
-
-    // The halo slab along Dim, over both buffers' common bounds elsewhere.
-    const Region &MB = Mine->bounds(), &TB = Theirs->bounds();
+    const Region &MB = Mine->bounds();
     const BlockRange &I = Proc.Interior[Dim];
-    std::vector<int64_t> Lo(MB.rank()), Hi(MB.rank());
-    for (unsigned D = 0; D < MB.rank(); ++D) {
-      Lo[D] = std::max(MB.lo(D), TB.lo(D));
-      Hi[D] = std::min(MB.hi(D), TB.hi(D));
+    std::vector<int64_t> Lo(Ctx.Rank), Hi(Ctx.Rank);
+    for (unsigned D = 0; D < Ctx.Rank; ++D) {
+      Lo[D] = MB.lo(D);
+      Hi[D] = MB.hi(D);
     }
     Lo[Dim] = std::max(Sign > 0 ? I.Hi + 1 : I.Lo - Width, MB.lo(Dim));
     Hi[Dim] = std::min(Sign > 0 ? I.Hi + Width : I.Lo - 1, MB.hi(Dim));
-    if (std::optional<Region> Slab = boxOf(std::move(Lo), std::move(Hi)))
-      forEachPoint(*Slab, [&](const std::vector<int64_t> &At) {
-        Writes.push_back(Write{Mine, At, Theirs->load(At)});
-      });
+    std::optional<Region> Slab = boxOf(std::move(Lo), std::move(Hi));
+    if (!Slab)
+      continue;
+    forEachPoint(*Slab, [&](const std::vector<int64_t> &At) {
+      unsigned Owner = 0; // row-major over the grid, as procCoords decodes
+      for (unsigned D = 0; D < Ctx.Rank; ++D) {
+        int Part = blockOwner(Ctx.DomainLo[D], Ctx.DomainHi[D],
+                              Ctx.Grid.Extents[D], At[D]);
+        if (Part < 0)
+          return;
+        Owner = Owner * Ctx.Grid.Extents[D] + static_cast<unsigned>(Part);
+      }
+      const ArrayBuffer *Theirs = Ctx.Procs[Owner].Store.buffer(A);
+      assert(Theirs && "the owner of a cell keeps a buffer for it");
+      Writes.push_back(Write{Mine, At, Theirs->load(At)});
+    });
   }
 
   for (const Write &W : Writes)

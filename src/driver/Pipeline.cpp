@@ -33,7 +33,7 @@ void Pipeline::prepare() {
   }
   if (Opts.Comm == CommPolicy::ArrayLevel) {
     obs::Span S("pipeline.comm.array");
-    comm::insertArrayLevelComm(P, Opts.PipelinedComm);
+    comm::insertArrayLevelComm(P);
   }
 }
 

@@ -58,11 +58,9 @@ struct PipelineOptions {
   /// paper's normal form). Disable only for programs known normalized.
   bool Normalize = true;
 
-  CommPolicy Comm = CommPolicy::None;
-
-  /// Under CommPolicy::ArrayLevel, split exchanges into hoisted
+  /// Under CommPolicy::ArrayLevel, exchanges are split into hoisted
   /// send/recv pairs for overlap.
-  bool PipelinedComm = true;
+  CommPolicy Comm = CommPolicy::None;
 
   /// Thread count etc. for ExecMode::Parallel.
   exec::ParallelOptions Parallel;

@@ -329,7 +329,6 @@ PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
   PreparedKernel K;
   scalarize::CEmitOptions EmitOpts;
   EmitOpts.Vectorize = Opts.Vectorize;
-  EmitOpts.VectorWidth = Opts.VectorWidth;
   scalarize::CModule Module = [&] {
     obs::Span S(Opts.Vectorize ? "jit.vectorize" : "jit.emit");
     return scalarize::emitCModule(LP, KernelName, EmitOpts);
@@ -436,11 +435,11 @@ std::string JitEngine::cachePathFor(const LoopProgram &LP) {
 
 JitEngine &exec::sharedJitEngine(const JitOptions &Opts) {
   std::string Key = formatString(
-      "%s\x1f%s\x1f%s\x1f%u\x1f%d\x1f%u\x1f%llu\x1f%d\x1f%s",
-      Opts.CacheDir.c_str(), Opts.Compiler.c_str(), Opts.Flags.c_str(),
-      Opts.CompileTimeoutSec, Opts.Vectorize ? 1 : 0, Opts.VectorWidth,
+      "%s\x1f%s\x1f%s\x1f%u\x1f%d\x1f%llu\x1f%s", Opts.CacheDir.c_str(),
+      Opts.Compiler.c_str(), Opts.Flags.c_str(), Opts.CompileTimeoutSec,
+      Opts.Vectorize ? 1 : 0,
       static_cast<unsigned long long>(Opts.MaxCacheBytes),
-      Opts.Sanitize ? 1 : 0, Opts.SanitizeFlags.c_str());
+      Opts.SanitizeFlags.c_str());
   // Leaked on purpose: prepared kernels cached in other long-lived state
   // (daemon entries, runtime trace caches) point into these engines, and
   // no static destructor may unload them while such state is still live.
@@ -459,17 +458,12 @@ JitEngine &exec::sharedJitEngine(const JitOptions &Opts) {
 SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
                                       const JitOptions &InOpts) {
   SanitizedRunResult R;
-  if (!InOpts.Sanitize) {
-    R.Output = "sanitizer oracle disabled (JitOptions::Sanitize is off)";
-    return R;
-  }
   JitOptions Opts = InOpts;
   if (Opts.CacheDir.empty())
     Opts.CacheDir = defaultCacheDir();
 
   scalarize::CEmitOptions EmitOpts;
   EmitOpts.Vectorize = Opts.Vectorize;
-  EmitOpts.VectorWidth = Opts.VectorWidth;
   if (Opts.Vectorize)
     Opts.SanitizeFlags += " -march=native -Wno-psabi";
   scalarize::CEmitResult Src =

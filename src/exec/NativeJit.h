@@ -72,9 +72,6 @@ struct JitOptions {
   /// (JitRunInfo::Reassociated; compare with support::Tolerance).
   bool Vectorize = false;
 
-  /// Lanes per vector accumulator/load/store in vectorize mode.
-  unsigned VectorWidth = 4;
-
   /// Upper bound, in bytes, on the on-disk kernel cache (shared objects
   /// plus their paired sources). After each install the oldest entries by
   /// modification time are evicted until the directory fits; the entry
@@ -82,19 +79,10 @@ struct JitOptions {
   /// mtime so hot kernels survive. 0 disables the bound.
   uint64_t MaxCacheBytes = 0;
 
-  /// Enables the sanitizer-tier dynamic oracle (runSanitized): emitted
-  /// kernels are additionally compiled as standalone harness executables
-  /// with SanitizeFlags and run out of process, so any out-of-bounds
-  /// access or uninitialized read the static safety checker should have
-  /// caught aborts with a sanitizer report instead of silently corrupting
-  /// memory. The dlopen JIT path is unchanged — the ASan runtime does not
-  /// survive into a shared object loaded by an unsanitized host, which is
-  /// why the oracle always runs as a separate process.
-  bool Sanitize = false;
-
-  /// Flags for the sanitized harness build. -O1 keeps shadow checks on
-  /// every access; -fno-sanitize-recover=all turns the first finding into
-  /// a nonzero exit so the oracle's verdict is just the exit code.
+  /// Flags for the sanitized harness build (runSanitized). -O1 keeps
+  /// shadow checks on every access; -fno-sanitize-recover=all turns the
+  /// first finding into a nonzero exit so the oracle's verdict is just
+  /// the exit code.
   std::string SanitizeFlags = "-std=c99 -O1 -g -ffp-contract=off "
                               "-fsanitize=address,undefined "
                               "-fno-sanitize-recover=all";
@@ -261,8 +249,9 @@ JitEngine &sharedJitEngine(const JitOptions &Opts);
 /// harness exited 0 — every load and store passed the ASan/UBSan checks
 /// on real hardware — so the StressSweepTest sweep can assert that
 /// programs the static safety checker certifies also run sanitizer-clean.
-/// Requires \p Opts.Sanitize; returns Ran=false (with the reason in
-/// Output) when the oracle is disabled or any build step fails.
+/// The dlopen JIT path cannot do this: the ASan runtime does not survive
+/// into a shared object loaded by an unsanitized host. Returns Ran=false
+/// (with the reason in Output) when any build step fails.
 SanitizedRunResult runSanitized(const lir::LoopProgram &LP, uint64_t Seed,
                                 const JitOptions &Opts = JitOptions());
 

@@ -16,17 +16,16 @@ using namespace alf::machine;
 
 namespace {
 
-/// A nest statement lowered to its address-generation recipe.
+/// One array reference lowered to its address-generation recipe.
 struct CompiledRef {
-  const ArrayBuffer *Buf = nullptr;
+  const ArrayLayout *Layout = nullptr; // null for a scalar target
   Offset Off;
   const xform::PartialPlan *Plan = nullptr; // rolling buffer, or null
 };
 
+/// A nest statement lowered to its references and flop count.
 struct CompiledStmt {
-  const ArrayBuffer *LHSBuf = nullptr; // null for scalar targets
-  Offset LHSOff;
-  const xform::PartialPlan *LHSPlan = nullptr;
+  CompiledRef LHS;
   std::vector<CompiledRef> Reads;
   unsigned Flops = 0;
 };
@@ -71,13 +70,11 @@ struct Simulator {
     Stats.ComputeNs += static_cast<double>(N) * M.FlopCost;
   }
 
-  /// Bytes of the halo slab of \p Buf along \p Dim with \p Width planes.
-  uint64_t slabBytes(const ArrayBuffer &Buf, unsigned Dim,
+  /// Bytes of the halo slab of \p L along \p Dim with \p Width planes.
+  uint64_t slabBytes(const ArrayLayout &L, unsigned Dim,
                      unsigned Width) const {
-    const Region &B = Buf.bounds();
-    uint64_t Elems = static_cast<uint64_t>(B.size()) /
-                     static_cast<uint64_t>(B.extent(Dim));
-    return Elems * Width * Buf.symbol()->getElemSize();
+    uint64_t Elems = L.elements() / static_cast<uint64_t>(L.Bounds.extent(Dim));
+    return Elems * Width * L.Array->getElemSize();
   }
 };
 
@@ -85,8 +82,8 @@ struct Simulator {
 
 PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
                          const ProcGrid &Grid) {
-  // Allocation gives synthetic addresses; values are not used.
-  Storage Store = allocateStorage(LP, /*Seed=*/1);
+  // Only addresses are charged, so no storage is allocated.
+  StorageLayout Layout = LP.storageLayout();
 
   Simulator Sim(M, Grid);
 
@@ -97,13 +94,11 @@ PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
       unsigned NumReduces = 0;
       for (const ScalarStmt &S : Nest->Body) {
         CompiledStmt CS;
-        if (!S.LHS.isScalar()) {
-          CS.LHSBuf = Store.buffer(S.LHS.Array);
-          CS.LHSOff = S.LHS.Off;
-          CS.LHSPlan = LP.partialPlanFor(S.LHS.Array);
-        }
+        if (!S.LHS.isScalar())
+          CS.LHS = CompiledRef{Layout.find(S.LHS.Array), S.LHS.Off,
+                               LP.partialPlanFor(S.LHS.Array)};
         for (const ArrayRefExpr *Ref : collectArrayRefs(S.RHS.get()))
-          CS.Reads.push_back(CompiledRef{Store.buffer(Ref->getSymbol()),
+          CS.Reads.push_back(CompiledRef{Layout.find(Ref->getSymbol()),
                                          Ref->getOffset(),
                                          LP.partialPlanFor(Ref->getSymbol())});
         CS.Flops = countOps(S.RHS.get()) + (S.Accumulate ? 1 : 0);
@@ -115,27 +110,25 @@ PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
       const Region &R = *Nest->R;
       unsigned Rank = R.rank();
       std::vector<int64_t> At(Rank);
+      auto ChargeRef = [&](const CompiledRef &Ref,
+                           const std::vector<int64_t> &Idx) {
+        for (unsigned D = 0; D < Rank; ++D) {
+          At[D] = Idx[D] + Ref.Off[D];
+          if (Ref.Plan)
+            At[D] = Ref.Plan->wrap(D, At[D]);
+        }
+        Sim.chargeRef(Ref.Layout->addrOf(At));
+      };
       auto ChargePoint = [&](const std::vector<int64_t> &Idx) {
         for (const CompiledStmt &CS : Body) {
           for (const CompiledRef &Ref : CS.Reads) {
-            if (!Ref.Buf)
+            if (!Ref.Layout)
               alf_unreachable("performance model read without storage");
-            for (unsigned D = 0; D < Rank; ++D) {
-              At[D] = Idx[D] + Ref.Off[D];
-              if (Ref.Plan)
-                At[D] = Ref.Plan->wrap(D, At[D]);
-            }
-            Sim.chargeRef(Ref.Buf->addrOf(At));
+            ChargeRef(Ref, Idx);
           }
           Sim.chargeFlops(CS.Flops);
-          if (CS.LHSBuf) {
-            for (unsigned D = 0; D < Rank; ++D) {
-              At[D] = Idx[D] + CS.LHSOff[D];
-              if (CS.LHSPlan)
-                At[D] = CS.LHSPlan->wrap(D, At[D]);
-            }
-            Sim.chargeRef(CS.LHSBuf->addrOf(At));
-          }
+          if (CS.LHS.Layout)
+            ChargeRef(CS.LHS, Idx);
         }
       };
       forEachInLoopOrder(Nest->LSV, R, Rank, ChargePoint);
@@ -161,10 +154,10 @@ PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
         }
       if (!Grid.hasNeighbor(Dim))
         continue; // no off-processor neighbour along this dimension
-      const ArrayBuffer *Buf = Store.buffer(C->Array);
-      if (!Buf)
+      const ArrayLayout *L = Layout.find(C->Array);
+      if (!L)
         continue; // contracted arrays never communicate
-      uint64_t Bytes = Sim.slabBytes(*Buf, Dim, Width);
+      uint64_t Bytes = Sim.slabBytes(*L, Dim, Width);
       // MsgLatency models the per-message *software* overhead (buffer
       // management, protocol), which the processor pays whether or not
       // the transfer overlaps with computation; only the wire transfer
@@ -209,12 +202,11 @@ PerfStats exec::simulate(const LoopProgram &LP, const MachineDesc &M,
                          4e9)));
     // Stream the referenced arrays through the cache in row-major order.
     auto StreamArray = [&](const ArraySymbol *A) {
-      const ArrayBuffer *Buf = Store.buffer(A);
-      if (!Buf)
+      const ArrayLayout *L = Layout.find(A);
+      if (!L)
         return;
-      uint64_t Size = Buf->sizeBytes();
-      for (uint64_t Off = 0; Off < Size; Off += A->getElemSize())
-        Sim.chargeRef(Buf->baseAddr() + Off);
+      for (uint64_t Off = 0; Off < L->Bytes; Off += A->getElemSize())
+        Sim.chargeRef(L->BaseAddr + Off);
     };
     for (const ArraySymbol *A : O.arrayReads())
       StreamArray(A);

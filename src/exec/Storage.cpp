@@ -26,10 +26,6 @@ void exec::countCopiedBytes(uint64_t Bytes) { NumBytesCopied += Bytes; }
 /// on the heap, and a slab starts on one.
 static constexpr uint64_t HugePageBytes = uint64_t(2) << 20;
 
-/// The synthetic address of the first payload; payload k lies at
-/// baseAddr() - FirstBase inside its slab.
-static constexpr uint64_t FirstBase = 4096;
-
 /// \p A + \p B, or std::length_error when the byte arithmetic wraps.
 static uint64_t checkedAdd(uint64_t A, uint64_t B) {
   uint64_t Sum;
@@ -86,58 +82,20 @@ public:
 } // namespace exec
 } // namespace alf
 
-/// Element count of \p Bounds. A wrapped product would allocate a short
-/// buffer that every kernel then writes past, so overflow throws the
-/// std::length_error an oversized vector would.
-static size_t checkedElementCount(const Region &Bounds) {
-  int64_t N = 1;
-  for (unsigned D = 0; D < Bounds.rank(); ++D) {
-    int64_t Extent;
-    if (__builtin_sub_overflow(Bounds.hi(D), Bounds.lo(D), &Extent) ||
-        __builtin_add_overflow(Extent, 1, &Extent) ||
-        __builtin_mul_overflow(N, Extent, &N))
-      throw std::length_error("array element count overflows int64_t");
-  }
-  return static_cast<size_t>(N);
-}
-
-ArrayBuffer::ArrayBuffer(const ArraySymbol *Sym, const Region &Bounds)
-    : Sym(Sym), Bounds(Bounds) {
-  checkedElementCount(Bounds); // throws before a stride product overflows
-  unsigned Rank = Bounds.rank();
-  Strides.assign(Rank, 1);
-  for (int D = static_cast<int>(Rank) - 2; D >= 0; --D)
-    Strides[D] = Strides[D + 1] * Bounds.extent(D + 1);
-}
-
 void ArrayBuffer::allocatePayload(const std::shared_ptr<const Slab> &Mapping) {
-  size_t N = checkedElementCount(Bounds);
+  size_t N = static_cast<size_t>(Layout.elements());
   PayloadAllocator<double> Alloc;
   if (Mapping)
-    Alloc = {Mapping, Mapping->slot(BaseAddr - FirstBase), N};
+    Alloc = {Mapping,
+             Mapping->slot(Layout.BaseAddr - lir::StorageLayout::FirstBase),
+             N};
   Data = Payload(N, 0.0, std::move(Alloc));
-}
-
-int64_t ArrayBuffer::linearIndex(const std::vector<int64_t> &Idx) const {
-  assert(Idx.size() == Bounds.rank() && "index rank mismatch");
-  int64_t Linear = 0;
-  for (unsigned D = 0; D < Bounds.rank(); ++D) {
-    assert(Idx[D] >= Bounds.lo(D) && Idx[D] <= Bounds.hi(D) &&
-           "index outside allocated bounds");
-    Linear += (Idx[D] - Bounds.lo(D)) * Strides[D];
-  }
-  return Linear;
 }
 
 void ArrayBuffer::fillRandom(uint64_t Seed) {
   SplitMix64 Rng(Seed);
   for (double &V : Data)
     V = Rng.nextDouble(-1.0, 1.0);
-}
-
-void ArrayBuffer::fillZero() {
-  for (double &V : Data)
-    V = 0.0;
 }
 
 uint64_t exec::hashName(const std::string &Name) {
@@ -149,55 +107,39 @@ uint64_t exec::hashName(const std::string &Name) {
   return H;
 }
 
-Storage exec::allocateStorage(const lir::LoopProgram &LP, uint64_t Seed) {
-  const Program &P = LP.source();
+Storage exec::allocateZeroed(lir::StorageLayout Layout) {
   Storage S;
-  // Scalars named by the program (parameters) get deterministic values in
-  // [0.5, 1.5) so divisions stay well conditioned.
-  for (const Symbol *Sym : P.symbols()) {
-    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym)) {
-      SplitMix64 Rng(Seed ^ hashName(Sc->getName()));
-      S.Scalars[Sc->getId()] = 0.5 + Rng.nextDouble();
-    }
-  }
-  // Lay arrays out back to back, line-aligned, starting at a nonzero base
-  // so address 0 is never used. A per-array stagger (a varying odd number
-  // of cache lines) breaks the pathological case where equal-sized arrays
-  // all map to the same cache sets — real allocators and padded commons
-  // stagger the same way. The same walk sizes the slab that holds the
-  // layout for real. Every small allocation (the buffers' bounds, strides
-  // and map nodes) comes before the first payload, so heap payloads sit
-  // next to each other and the heap can hand them back to the system
-  // together once the storage dies; a small block left between two
-  // payloads would pin the freed memory around it.
-  uint64_t NextBase = FirstBase;
-  uint64_t SlabBytes = 0;
-  unsigned Placed = 0;
-  for (const ArraySymbol *A : P.arrays()) {
-    const Region *Bounds = LP.storageBounds(A);
-    if (!Bounds)
-      continue;
-    assert(A->getElemSize() == sizeof(double) && "payloads are doubles");
-    ArrayBuffer &Buf =
-        S.Buffers.emplace(A->getId(), ArrayBuffer(A, *Bounds)).first->second;
-    uint64_t Bytes;
-    if (__builtin_mul_overflow(uint64_t(checkedElementCount(*Bounds)),
-                               uint64_t(A->getElemSize()), &Bytes))
-      throw std::length_error("array storage bytes overflow uint64_t");
-    Buf.BaseAddr = NextBase;
-    SlabBytes = checkedAdd(NextBase - FirstBase, Bytes);
-    S.TotalBytes = checkedAdd(S.TotalBytes, Bytes);
-    NextBase = checkedAdd(NextBase, checkedAdd(Bytes, 63) / 64 * 64);
-    NextBase = checkedAdd(NextBase, ((Placed * 7 + 3) % 61) * 64);
-    ++Placed;
+  S.TotalBytes = Layout.TotalBytes;
+  // Every small allocation (the buffers' bounds, strides and map nodes)
+  // comes before the first payload, so heap payloads sit next to each
+  // other and the heap can hand them back to the system together once
+  // the storage dies; a small block left between two payloads would pin
+  // the freed memory around it.
+  for (lir::ArrayLayout &L : Layout.Arrays) {
+    assert(L.Array->getElemSize() == sizeof(double) && "payloads are doubles");
+    unsigned Id = L.Array->getId();
+    S.Buffers.emplace(Id, ArrayBuffer(std::move(L)));
   }
   std::shared_ptr<const Slab> Mapping;
-  if (SlabBytes >= HugePageBytes)
-    Mapping = std::make_shared<const Slab>(SlabBytes);
-  for (auto &[Id, Buf] : S.Buffers) {
+  if (Layout.SpanBytes >= HugePageBytes)
+    Mapping = std::make_shared<const Slab>(Layout.SpanBytes);
+  for (auto &[Id, Buf] : S.Buffers)
     Buf.allocatePayload(Mapping);
-    if (Buf.Sym->isLiveIn())
-      Buf.fillRandom(Seed ^ hashName(Buf.Sym->getName()));
+  return S;
+}
+
+Storage exec::allocateStorage(const lir::LoopProgram &LP, uint64_t Seed) {
+  Storage S = allocateZeroed(LP.storageLayout());
+  // Scalars named by the program (parameters) get deterministic values in
+  // [0.5, 1.5) so divisions stay well conditioned.
+  for (const Symbol *Sym : LP.source().symbols()) {
+    if (const auto *Sc = dyn_cast<ScalarSymbol>(Sym)) {
+      SplitMix64 Rng(Seed ^ hashName(Sc->getName()));
+      S.setScalar(Sc, 0.5 + Rng.nextDouble());
+    }
   }
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (ArrayBuffer *Buf = S.buffer(A); Buf && A->isLiveIn())
+      Buf->fillRandom(Seed ^ hashName(A->getName()));
   return S;
 }

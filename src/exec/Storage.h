@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Storage for the arrays of a program during interpretation and
-/// performance simulation. Every array with storage gets a flat row-major
-/// buffer over its LoopProgram::storageBounds (the footprint, or the
-/// rolling buffer of a partially contracted array) plus a base address
-/// in a synthetic address space, so the cache simulator sees realistic
-/// conflict and capacity behaviour. A storage whose payloads fill at
-/// least one huge page carves them all from one mapping (a Slab), each
-/// at its synthetic address, so the real layout is the simulated one.
+/// Storage for the arrays of a program during execution. Every array with
+/// storage gets a flat row-major buffer laid out by
+/// LoopProgram::storageLayout: over its storageBounds (the footprint, or
+/// the rolling buffer of a partially contracted array), at a base address
+/// in the synthetic address space the performance model charges. A
+/// storage whose payloads fill at least one huge page carves them all
+/// from one mapping (a Slab), each at its synthetic address, so the real
+/// layout is the simulated one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +34,7 @@ namespace alf {
 namespace exec {
 
 class Storage;
+Storage allocateZeroed(lir::StorageLayout Layout);
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// One anonymous mapping holding every payload of a large Storage
@@ -93,55 +94,41 @@ public:
 /// The payload of one array: in its storage's Slab or on the heap.
 using Payload = std::vector<double, PayloadAllocator<double>>;
 
-/// Row-major storage for one array.
+/// Row-major storage for one array: its layout and its payload.
 class ArrayBuffer {
-  const ir::ArraySymbol *Sym = nullptr;
-  ir::Region Bounds;
-  std::vector<int64_t> Strides; // row-major element strides
+  lir::ArrayLayout Layout;
   Payload Data;
-  uint64_t BaseAddr = 0;
   bool Taken = false; // payload moved out by take()
 
-  /// Bounds and strides only; allocatePayload adds the data.
-  ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds);
-  /// Allocates the zero-filled payload: at baseAddr() - 4096 inside
+  /// The layout only; allocatePayload adds the data.
+  explicit ArrayBuffer(lir::ArrayLayout Layout) : Layout(std::move(Layout)) {}
+  /// Allocates the zero-filled payload: at baseAddr() - FirstBase inside
   /// \p Mapping, or on the heap when it is null.
   void allocatePayload(const std::shared_ptr<const Slab> &Mapping);
-  friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
+  friend Storage allocateZeroed(lir::StorageLayout Layout);
 
 public:
-  ArrayBuffer() = default;
-  /// Allocates a zero-filled heap buffer over \p Bounds. Throws
-  /// std::length_error, as std::vector does, when the element count
-  /// overflows int64_t or exceeds what a vector can hold.
+  /// Allocates a zero-filled heap buffer laid out row-major over
+  /// \p Bounds. Throws std::length_error, as std::vector does, when the
+  /// element count overflows int64_t or exceeds what a vector can hold.
   ArrayBuffer(const ir::ArraySymbol *Sym, const ir::Region &Bounds,
               uint64_t BaseAddr)
-      : ArrayBuffer(Sym, Bounds) {
-    this->BaseAddr = BaseAddr;
+      : ArrayBuffer(lir::ArrayLayout::rowMajor(Sym, Bounds, BaseAddr)) {
     allocatePayload(nullptr);
   }
 
-  const ir::ArraySymbol *symbol() const { return Sym; }
-  const ir::Region &bounds() const { return Bounds; }
-  uint64_t baseAddr() const { return BaseAddr; }
-  uint64_t sizeBytes() const { return Data.size() * Sym->getElemSize(); }
-
-  /// Linear element index of the point \p Idx (absolute coordinates).
-  int64_t linearIndex(const std::vector<int64_t> &Idx) const;
-
-  /// Synthetic byte address of the element at \p Idx.
-  uint64_t addrOf(const std::vector<int64_t> &Idx) const {
-    return BaseAddr +
-           static_cast<uint64_t>(linearIndex(Idx)) * Sym->getElemSize();
-  }
+  const ir::ArraySymbol *symbol() const { return Layout.Array; }
+  const ir::Region &bounds() const { return Layout.Bounds; }
+  uint64_t baseAddr() const { return Layout.BaseAddr; }
+  uint64_t sizeBytes() const { return Layout.Bytes; }
 
   double load(const std::vector<int64_t> &Idx) const {
     assert(!Taken && "read of a taken array buffer");
-    return Data[linearIndex(Idx)];
+    return Data[Layout.linearIndex(Idx)];
   }
   void store(const std::vector<int64_t> &Idx, double V) {
     assert(!Taken && "write to a taken array buffer");
-    Data[linearIndex(Idx)] = V;
+    Data[Layout.linearIndex(Idx)] = V;
   }
 
   const Payload &raw() const {
@@ -151,7 +138,7 @@ public:
 
   /// Mutable base pointer of the row-major payload. The native JIT backend
   /// hands this to the compiled kernel, which reads and writes the buffer
-  /// in place (the C emitter addresses the same storageBounds row-major).
+  /// in place (the C emitter addresses the same storage layout).
   double *data() {
     assert(!Taken && "access to a taken array buffer");
     return Data.data();
@@ -170,9 +157,6 @@ public:
   /// [-1, 1), seeded by \p Seed (callers mix in the array name so every
   /// strategy sees identical inputs).
   void fillRandom(uint64_t Seed);
-
-  /// Zero-fills the buffer.
-  void fillZero();
 };
 
 /// All array buffers of one program plus the scalar environment.
@@ -181,7 +165,7 @@ class Storage {
   std::map<unsigned, double> Scalars;            // by symbol id
   uint64_t TotalBytes = 0;
 
-  friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
+  friend Storage allocateZeroed(lir::StorageLayout Layout);
 
 public:
   ArrayBuffer *buffer(const ir::ArraySymbol *A) {
@@ -220,16 +204,21 @@ public:
   uint64_t totalBytes() const { return TotalBytes; }
 };
 
+/// Allocates zero-filled storage over \p Layout, with no scalars set:
+/// one buffer per array, at its synthetic address. When the layout spans
+/// at least one 2 MiB huge page the payloads share one Slab, each at
+/// baseAddr() - FirstBase inside it (counted by
+/// `exec.storage.slab_bytes`); smaller storages use the heap. A failed
+/// mapping throws std::bad_alloc. The runtime engine's flush fills this
+/// from its handles instead of seeding it.
+Storage allocateZeroed(lir::StorageLayout Layout);
+
 /// Allocates and seeds storage for \p LP exactly as every executor must:
-/// each array gets a buffer over its storageBounds (contracted and
-/// unreferenced arrays get none, partially contracted arrays their
-/// rolling buffer), live-in arrays and program scalars are seeded from
-/// \p Seed by name, everything else is zero (the buffer constructor's
-/// fill; nothing is zeroed twice). When the payloads span at least one
-/// 2 MiB huge page they share one Slab, each at baseAddr() - 4096 inside
-/// it (counted by `exec.storage.slab_bytes`); smaller storages use the
-/// heap. A byte total that overflows throws std::length_error and a
-/// failed mapping std::bad_alloc.
+/// allocateZeroed over LP.storageLayout() (contracted and unreferenced
+/// arrays get no buffer, partially contracted arrays their rolling
+/// buffer), then live-in arrays and program scalars are seeded from
+/// \p Seed by name; everything else stays zero. A layout whose bytes
+/// overflow throws std::length_error.
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Adds \p Bytes to the always-on `exec.storage.bytes_copied` counter:

@@ -395,28 +395,18 @@ void EngineImpl::copyIn(exec::ArrayBuffer &Buf, const ArrayState &St) const {
   const ir::Region &B = Buf.bounds();
   unsigned Rank = B.rank();
   std::vector<int64_t> Lo(Rank), Hi(Rank);
-  uint64_t Elems = 1;
   for (unsigned D = 0; D < Rank; ++D) {
     Lo[D] = std::max(B.lo(D), St.Bounds.lo(D));
     Hi[D] = std::min(B.hi(D), St.Bounds.hi(D));
     if (Lo[D] > Hi[D])
       return; // disjoint
-    Elems *= static_cast<uint64_t>(Hi[D] - Lo[D] + 1);
   }
-  exec::countCopiedBytes(Elems * sizeof(double));
-  std::vector<int64_t> At = Lo;
-  for (;;) {
+  ir::Region Common(std::move(Lo), std::move(Hi));
+  exec::countCopiedBytes(static_cast<uint64_t>(Common.size()) *
+                         sizeof(double));
+  ir::forEachPoint(Common, [&](const std::vector<int64_t> &At) {
     Buf.store(At, St.load(At));
-    unsigned D = Rank;
-    while (D > 0) {
-      --D;
-      if (++At[D] <= Hi[D])
-        break;
-      At[D] = Lo[D];
-      if (D == 0)
-        return;
-    }
-  }
+  });
 }
 
 /// Adopts the executed buffer \p Buf as \p St's materialized value. When
@@ -439,45 +429,31 @@ void EngineImpl::copyOut(ArrayState &St, const exec::ArrayBuffer &Buf) const {
     Lo[D] = std::min(B.lo(D), St.Bounds.lo(D));
     Hi[D] = std::max(B.hi(D), St.Bounds.hi(D));
   }
-  ir::Region Union(Lo, Hi);
+  ir::Region Union(std::move(Lo), std::move(Hi));
   std::vector<double> Merged;
   Merged.reserve(static_cast<size_t>(Union.size()));
-  std::vector<int64_t> At = Lo;
-  for (;;) {
+  ir::forEachPoint(Union, [&](const std::vector<int64_t> &At) {
     bool InB = true;
     for (unsigned D = 0; D < Rank && InB; ++D)
       InB = At[D] >= B.lo(D) && At[D] <= B.hi(D);
     Merged.push_back(InB ? Buf.load(At) : St.load(At));
-    unsigned D = Rank;
-    while (D > 0) {
-      --D;
-      if (++At[D] <= Hi[D])
-        break;
-      At[D] = Lo[D];
-      if (D == 0) {
-        St.Bounds = Union;
-        St.Data = std::move(Merged);
-        St.Materialized = true;
-        return;
-      }
-    }
-  }
+  });
+  St.Bounds = std::move(Union);
+  St.Data = std::move(Merged);
+  St.Materialized = true;
 }
 
 void EngineImpl::execute(const CacheEntry &E, FlushInfo &Info) {
   const lir::LoopProgram &LP = E.CP->LP;
 
-  // Allocate per the cached loop program's storage layout, then rebind:
-  // every buffer starts zeroed and live-in slots copy their handle's
-  // materialized values in.
-  exec::Storage Store = exec::allocateStorage(LP, /*Seed=*/0);
+  // Allocate zeroed storage per the cached loop program's layout, then
+  // rebind: live-in slots copy their handle's materialized values in.
+  exec::Storage Store = exec::allocateZeroed(LP.storageLayout());
   for (size_t I = 0; I < Slots.size(); ++I) {
-    exec::ArrayBuffer *Buf = Store.buffer(E.SlotArrays[I]);
-    if (!Buf)
-      continue;
-    Buf->fillZero();
     const ArrayState &St = *Slots[I].State;
-    if (Slots[I].LiveIn && St.Materialized)
+    if (!Slots[I].LiveIn || !St.Materialized)
+      continue;
+    if (exec::ArrayBuffer *Buf = Store.buffer(E.SlotArrays[I]))
       copyIn(*Buf, St);
   }
   for (size_t I = 0; I < ConstVals.size(); ++I)
@@ -605,25 +581,12 @@ std::vector<double> Array::values() const {
   assert(St && "values on an empty Array handle");
   if (St->Slot >= 0)
     St->E->flush(FlushTrigger::Observe);
-  const ir::Region &D = St->Domain;
   std::vector<double> Out;
-  Out.reserve(static_cast<size_t>(D.size()));
-  unsigned Rank = D.rank();
-  std::vector<int64_t> At(Rank);
-  for (unsigned I = 0; I < Rank; ++I)
-    At[I] = D.lo(I);
-  for (;;) {
+  Out.reserve(static_cast<size_t>(St->Domain.size()));
+  ir::forEachPoint(St->Domain, [&](const std::vector<int64_t> &At) {
     Out.push_back(St->load(At));
-    unsigned K = Rank;
-    while (K > 0) {
-      --K;
-      if (++At[K] <= D.hi(K))
-        break;
-      At[K] = D.lo(K);
-      if (K == 0)
-        return Out;
-    }
-  }
+  });
+  return Out;
 }
 
 bool Scalar::deferred() const { return St && St->Pending; }

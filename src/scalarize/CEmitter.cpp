@@ -7,9 +7,9 @@
 #include "support/StringUtil.h"
 
 #include <cmath>
-#include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 using namespace alf;
 using namespace alf::analysis;
@@ -18,6 +18,9 @@ using namespace alf::lir;
 using namespace alf::scalarize;
 
 namespace {
+
+/// Doubles per vector register in the vectorizing emission.
+constexpr unsigned VectorWidth = 4;
 
 /// Fault-injection state for the vectorizer's legality check (see
 /// setVectorizeFaultForTest).
@@ -43,25 +46,12 @@ void collectScalarRefs(const Expr *Root,
   }
 }
 
-/// Layout of one emitted array: its storage bounds and row-major strides.
-struct Layout {
-  Region Bounds;
-  std::vector<int64_t> Strides;
-
-  explicit Layout(const Region &B) : Bounds(B) {
-    Strides.assign(B.rank(), 1);
-    for (int D = static_cast<int>(B.rank()) - 2; D >= 0; --D)
-      Strides[D] = Strides[D + 1] * B.extent(D + 1);
-  }
-
-  int64_t size() const { return Bounds.size(); }
-};
-
 class Emitter {
   const LoopProgram &LP;
   const Program &P;
   CEmitOptions Opts;
-  std::map<unsigned, Layout> Layouts; // by array symbol id
+  StorageLayout Layout;
+  std::string LayoutError; // why the storage layout overflows, or ""
   std::ostringstream OS;
 
   // Vectorization bookkeeping (Opts.Vectorize only).
@@ -76,17 +66,18 @@ class Emitter {
 public:
   explicit Emitter(const LoopProgram &LP, CEmitOptions Opts = CEmitOptions())
       : LP(LP), P(LP.source()), Opts(Opts) {
-    for (const ArraySymbol *A : P.arrays())
-      if (const Region *B = LP.storageBounds(A))
-        Layouts.emplace(A->getId(), Layout(*B));
+    try {
+      Layout = LP.storageLayout();
+    } catch (const std::length_error &E) {
+      LayoutError = E.what();
+    }
   }
 
   /// Allocated arrays in symbol order.
   std::vector<const ArraySymbol *> allocatedArrays() const {
     std::vector<const ArraySymbol *> Result;
-    for (const ArraySymbol *A : P.arrays())
-      if (Layouts.count(A->getId()))
-        Result.push_back(A);
+    for (const ArrayLayout &L : Layout.Arrays)
+      Result.push_back(L.Array);
     return Result;
   }
 
@@ -98,20 +89,23 @@ public:
     return Result;
   }
 
-  const Layout &layoutOf(const ArraySymbol *A) const {
-    auto It = Layouts.find(A->getId());
-    if (It == Layouts.end())
+  const ArrayLayout &layoutOf(const ArraySymbol *A) const {
+    const ArrayLayout *L = Layout.find(A);
+    if (!L)
       alf_unreachable("emitting a reference to an array without storage");
-    return It->second;
+    return *L;
   }
 
   /// Pre-flight check that every construct the emitter will render is
   /// supported: each array referenced from a nest body must have storage
   /// (a storage-bounds layout) — contracted arrays were already rewritten to
   /// scalars during scalarization, so a missing layout means the program
-  /// reached the backend in a shape it cannot express. Returns "" when
-  /// emission will succeed.
+  /// reached the backend in a shape it cannot express. A storage layout
+  /// that overflows cannot be addressed at all. Returns "" when emission
+  /// will succeed.
   std::string validate() const {
+    if (!LayoutError.empty())
+      return "storage layout: " + LayoutError;
     for (const auto &NodePtr : LP.nodes()) {
       const auto *Nest = dyn_cast<LoopNest>(NodePtr.get());
       if (!Nest)
@@ -123,7 +117,7 @@ public:
         for (const ArrayRefExpr *Ref : collectArrayRefs(S.RHS.get()))
           Refs.push_back(Ref->getSymbol());
         for (const ArraySymbol *A : Refs) {
-          if (!Layouts.count(A->getId()))
+          if (!Layout.find(A))
             return "array '" + A->getName() +
                    "' is referenced but has no storage layout";
           if (layoutOf(A).Bounds.rank() != Nest->R->rank())
@@ -139,7 +133,7 @@ public:
   /// offset. Dimensions reduced by partial contraction index their
   /// rolling buffer modulo the window size.
   std::string elemRef(const ArraySymbol *A, const Offset &Off) const {
-    const Layout &L = layoutOf(A);
+    const ArrayLayout &L = layoutOf(A);
     const xform::PartialPlan *Plan = LP.partialPlanFor(A);
     std::string Index;
     for (unsigned D = 0; D < L.Bounds.rank(); ++D) {
@@ -241,7 +235,7 @@ public:
   /// compare+select the ⊕ folds of min/max/or reduce with — it selects
   /// operand bits, matching the scalar ternary spelling exactly.
   void emitVectorPrelude() {
-    unsigned W = Opts.VectorWidth;
+    unsigned W = VectorWidth;
     OS << formatString("typedef double alf_vd __attribute__((vector_size(%u)"
                        ", aligned(8), may_alias));\n",
                        W * 8);
@@ -489,7 +483,7 @@ public:
     // (1) Unit stride + in-footprint lanes for every array reference.
     auto CheckRef = [&](const ArraySymbol *A,
                         const Offset &Off) -> std::string {
-      const Layout &L = layoutOf(A);
+      const ArrayLayout &L = layoutOf(A);
       if (const xform::PartialPlan *Plan = LP.partialPlanFor(A))
         if (Plan->isReduced(Dim))
           return "array '" + A->getName() +
@@ -619,7 +613,7 @@ public:
   /// scalar accumulator in lane order at nest exit — the one place a
   /// float + reduction is reassociated.
   void emitNestVectorized(const LoopNest &Nest) {
-    unsigned W = Opts.VectorWidth;
+    unsigned W = VectorWidth;
     unsigned Dim = Nest.LSV.dimOf(Nest.LSV.rank() - 1);
     long long Lo = Nest.R->lo(Dim), Hi = Nest.R->hi(Dim);
 
@@ -752,11 +746,11 @@ public:
     OS << Indent << "  double v = base;\n";
     Offset Zero = Offset::zero(R->rank());
     for (const ArraySymbol *A : O.arrayReads())
-      if (Layouts.count(A->getId()) && A->getRank() == R->rank())
+      if (Layout.find(A) && A->getRank() == R->rank())
         OS << Indent << "  v += 0.5 * " << elemRef(A, Zero) << ";\n";
     unsigned Ordinal = 0;
     for (const ArraySymbol *A : O.arrayWrites())
-      if (Layouts.count(A->getId()) && A->getRank() == R->rank())
+      if (Layout.find(A) && A->getRank() == R->rank())
         OS << Indent << "  " << elemRef(A, Zero) << " = v + " << Ordinal++
            << ";\n";
     for (size_t I = 0; I < O.scalarWrites().size(); ++I)
@@ -851,21 +845,21 @@ static uint64_t alf_hash(const char *s) {
                        static_cast<unsigned long long>(Seed));
     OS << "  long i;\n";
     for (const ArraySymbol *A : allocatedArrays()) {
-      const Layout &L = layoutOf(A);
+      const ArrayLayout &L = layoutOf(A);
       OS << formatString("  double *A_%s = malloc(%lld * sizeof(double));\n",
                          A->getName().c_str(),
-                         static_cast<long long>(L.size()));
+                         static_cast<long long>(L.elements()));
       if (A->isLiveIn()) {
         OS << formatString("  alf_rng_state = seed ^ alf_hash(\"%s\");\n",
                            A->getName().c_str());
         OS << formatString("  for (i = 0; i < %lld; ++i) A_%s[i] = -1.0 + "
                            "2.0 * alf_rng_double();\n",
-                           static_cast<long long>(L.size()),
+                           static_cast<long long>(L.elements()),
                            A->getName().c_str());
       } else {
         OS << formatString(
             "  for (i = 0; i < %lld; ++i) A_%s[i] = 0.0;\n",
-            static_cast<long long>(L.size()), A->getName().c_str());
+            static_cast<long long>(L.elements()), A->getName().c_str());
       }
     }
     for (const ScalarSymbol *S : programScalars()) {
@@ -891,10 +885,10 @@ static uint64_t alf_hash(const char *s) {
     for (const ArraySymbol *A : allocatedArrays()) {
       if (!A->isLiveOut())
         continue;
-      const Layout &L = layoutOf(A);
+      const ArrayLayout &L = layoutOf(A);
       OS << formatString("  { double sum = 0.0; for (i = 0; i < %lld; ++i) "
                          "sum += A_%s[i]; printf(\"%s %%.17g\\n\", sum); }\n",
-                         static_cast<long long>(L.size()),
+                         static_cast<long long>(L.elements()),
                          A->getName().c_str(), A->getName().c_str());
     }
     for (const ScalarSymbol *S : programScalars())

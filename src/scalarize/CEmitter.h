@@ -39,7 +39,7 @@ namespace scalarize {
 /// analysis/Intervals domain), increasing direction, no dependence
 /// carried across lanes — is emitted as an explicit SIMD loop over GNU
 /// vector-extension types: restrict-qualified array parameters, a main
-/// loop stepping `VectorWidth` lanes, a peeled scalar remainder, and
+/// loop stepping four lanes, a peeled scalar remainder, and
 /// ⊕-accumulators kept in vector lanes (seeded with the identity from
 /// the nest's ScalarInits) and folded back in lane order at loop exit.
 /// Nests that fail the check keep the exact scalar spelling.
@@ -51,7 +51,6 @@ namespace scalarize {
 /// lane split, and CModule::Reassociated reports when that happened.
 struct CEmitOptions {
   bool Vectorize = false;
-  unsigned VectorWidth = 4; ///< doubles per vector register
 };
 
 /// Status-returning outcome of C emission: the translation unit, or the

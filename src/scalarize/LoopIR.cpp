@@ -5,6 +5,7 @@
 #include "support/StringUtil.h"
 
 #include <sstream>
+#include <stdexcept>
 
 using namespace alf;
 using namespace alf::ir;
@@ -21,6 +22,59 @@ const ScalarSymbol *LoopProgram::addContraction(const ArraySymbol *A) {
   OwnedScalars.push_back(std::move(Scalar));
   ContractionMap.emplace(A, Raw);
   return Raw;
+}
+
+/// \p A + \p B, or std::length_error when the byte arithmetic wraps.
+static uint64_t checkedAdd(uint64_t A, uint64_t B) {
+  uint64_t Sum;
+  if (__builtin_add_overflow(A, B, &Sum))
+    throw std::length_error("array storage bytes overflow uint64_t");
+  return Sum;
+}
+
+ArrayLayout ArrayLayout::rowMajor(const ArraySymbol *A, const Region &Bounds,
+                                  uint64_t BaseAddr) {
+  ArrayLayout L;
+  L.Array = A;
+  L.Bounds = Bounds;
+  L.BaseAddr = BaseAddr;
+  // A wrapped product would size a short buffer that every kernel then
+  // writes past, so overflow throws what an oversized vector would.
+  unsigned Rank = Bounds.rank();
+  L.Strides.assign(Rank, 1);
+  int64_t N = 1;
+  for (int D = static_cast<int>(Rank) - 1; D >= 0; --D) {
+    unsigned UD = static_cast<unsigned>(D);
+    L.Strides[UD] = N;
+    int64_t Extent;
+    if (__builtin_sub_overflow(Bounds.hi(UD), Bounds.lo(UD), &Extent) ||
+        __builtin_add_overflow(Extent, 1, &Extent) ||
+        __builtin_mul_overflow(N, Extent, &N))
+      throw std::length_error("array element count overflows int64_t");
+  }
+  if (__builtin_mul_overflow(static_cast<uint64_t>(N),
+                             uint64_t(A->getElemSize()), &L.Bytes))
+    throw std::length_error("array storage bytes overflow uint64_t");
+  return L;
+}
+
+StorageLayout LoopProgram::storageLayout() const {
+  StorageLayout Layout;
+  uint64_t NextBase = StorageLayout::FirstBase;
+  for (const ArraySymbol *A : Src->arrays()) {
+    const Region *Bounds = storageBounds(A);
+    if (!Bounds)
+      continue;
+    uint64_t K = Layout.Arrays.size();
+    Layout.Arrays.push_back(ArrayLayout::rowMajor(A, *Bounds, NextBase));
+    uint64_t Bytes = Layout.Arrays.back().Bytes;
+    Layout.SpanBytes =
+        checkedAdd(NextBase - StorageLayout::FirstBase, Bytes);
+    Layout.TotalBytes = checkedAdd(Layout.TotalBytes, Bytes);
+    NextBase = checkedAdd(NextBase, checkedAdd(Bytes, 63) / 64 * 64);
+    NextBase = checkedAdd(NextBase, ((K * 7 + 3) % 61) * 64);
+  }
+  return Layout;
 }
 
 /// Renders an expression with array references spelled as C subscripts

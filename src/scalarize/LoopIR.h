@@ -21,6 +21,8 @@
 #include "xform/LoopStructure.h"
 #include "xform/PartialContraction.h"
 
+#include <cassert>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -151,6 +153,62 @@ public:
   }
 };
 
+/// Where one allocated array lies: its bounds, row-major element strides
+/// (the last dimension has stride 1), the synthetic byte address of its
+/// first element and its payload size in bytes.
+struct ArrayLayout {
+  const ir::ArraySymbol *Array = nullptr;
+  ir::Region Bounds;
+  std::vector<int64_t> Strides;
+  uint64_t BaseAddr = 0;
+  uint64_t Bytes = 0;
+
+  /// The row-major layout of \p A over \p Bounds at \p BaseAddr. An
+  /// element count that overflows int64_t or a byte size that overflows
+  /// uint64_t throws std::length_error, so no stride product ever wraps.
+  static ArrayLayout rowMajor(const ir::ArraySymbol *A,
+                              const ir::Region &Bounds, uint64_t BaseAddr);
+
+  uint64_t elements() const { return Bytes / Array->getElemSize(); }
+
+  /// Linear element index of the point \p Idx (absolute coordinates).
+  int64_t linearIndex(const std::vector<int64_t> &Idx) const {
+    assert(Idx.size() == Bounds.rank() && "index rank mismatch");
+    int64_t Linear = 0;
+    for (unsigned D = 0; D < Bounds.rank(); ++D) {
+      assert(Idx[D] >= Bounds.lo(D) && Idx[D] <= Bounds.hi(D) &&
+             "index outside allocated bounds");
+      Linear += (Idx[D] - Bounds.lo(D)) * Strides[D];
+    }
+    return Linear;
+  }
+
+  /// Synthetic byte address of the element at \p Idx.
+  uint64_t addrOf(const std::vector<int64_t> &Idx) const {
+    return BaseAddr +
+           static_cast<uint64_t>(linearIndex(Idx)) * Array->getElemSize();
+  }
+};
+
+/// The storage layout of a LoopProgram: every array with storage, in
+/// symbol order, laid out back to back from FirstBase.
+struct StorageLayout {
+  /// The synthetic address of the first array, so address 0 is never used.
+  static constexpr uint64_t FirstBase = 4096;
+
+  std::vector<ArrayLayout> Arrays;
+  uint64_t TotalBytes = 0; ///< the arrays' bytes summed
+  uint64_t SpanBytes = 0;  ///< from FirstBase to the end of the last array
+
+  /// The layout of \p A, or null when A has no storage.
+  const ArrayLayout *find(const ir::ArraySymbol *A) const {
+    for (const ArrayLayout &L : Arrays)
+      if (L.Array == A)
+        return &L;
+    return nullptr;
+  }
+};
+
 /// A fully scalarized program: the loop nests of all clusters in
 /// topological order, the scalars created by contraction, and the storage
 /// layout every backend allocates and addresses arrays by.
@@ -240,6 +298,16 @@ public:
     auto It = BufferBounds.find(A);
     return It == BufferBounds.end() ? Footprint : &It->second;
   }
+
+  /// The layout of every array with storage, over its storageBounds.
+  /// Arrays are line-aligned, and a per-array stagger of ((7k+3) mod 61)
+  /// cache lines after the k-th array keeps equal-sized arrays off the
+  /// same cache sets, as real allocators and padded commons do. Storage
+  /// allocation, the C emitter, the performance model and the runtime
+  /// engine all read this one value. Computed on each call (the program
+  /// may be run concurrently, so nothing is cached); a size that
+  /// overflows throws std::length_error.
+  StorageLayout storageLayout() const;
 
   /// Writes C-like loop nests.
   void print(std::ostream &OS) const;

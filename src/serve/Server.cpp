@@ -74,7 +74,7 @@ struct Server::Conn {
 Server::Server(ServerOptions InOpts) : Opts(std::move(InOpts)) {
   Opts.CompileThreads = std::max(1u, Opts.CompileThreads);
   CompileQueue = std::make_unique<TaskQueue>(Opts.CompileThreads);
-  Cache = std::make_unique<KernelCache>(Opts.CacheShards, CompileQueue.get());
+  Cache = std::make_unique<KernelCache>(/*NumShards=*/8, CompileQueue.get());
 }
 
 Server::~Server() {

@@ -65,9 +65,6 @@ struct ServerOptions {
   /// pipeline compiles.
   unsigned CompileThreads = 2;
 
-  /// Shards of the kernel cache.
-  unsigned CacheShards = 8;
-
   /// Admission: concurrent requests beyond this are refused with "busy".
   unsigned MaxInFlight = 64;
 

@@ -207,6 +207,25 @@ TEST(CEmitterTest, PartialContractionModularBuffers) {
   expectMatch(runEmitted(LP, 31), interpreterChecksums(LP, 31));
 }
 
+TEST(CEmitterTest, OverflowingStrideIsAnEmissionError) {
+  // 2^32 in each of three dimensions (tests/inputs/stride_wrap.zpl): the
+  // first dimension's row-major stride, 2^64, wraps int64_t. Emission
+  // reports it instead of rendering wrapped subscripts, so the JIT falls
+  // back and allocation reports the resource limit.
+  const int64_t E = int64_t(1) << 32;
+  Program P("stride_wrap");
+  const Region *R = P.regionFromExtents({E, E, E});
+  ArraySymbol *A = P.makeArray("a", 3);
+  ArraySymbol *B = P.makeArray("b", 3);
+  P.assign(R, B, add(aref(A), cst(1.0)));
+  ASDG G = ASDG::build(P);
+  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  scalarize::CModule M = scalarize::emitCModule(LP, "kernel");
+  EXPECT_FALSE(M.ok());
+  EXPECT_NE(M.Error.find("overflows"), std::string::npos) << M.Error;
+  EXPECT_TRUE(M.Source.empty());
+}
+
 class CEmitterRandom : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CEmitterRandom, RandomProgramsMatchInterpreter) {

@@ -46,10 +46,26 @@ TEST(BlockDistTest, CoordsAndNeighbors) {
   ASSERT_EQ(G.Extents, (std::vector<unsigned>{3, 2}));
   EXPECT_EQ(procCoords(G, 0), (std::vector<unsigned>{0, 0}));
   EXPECT_EQ(procCoords(G, 5), (std::vector<unsigned>{2, 1}));
-  EXPECT_EQ(neighborRank(G, {0, 0}, 0, 1), 2);  // (1,0)
-  EXPECT_EQ(neighborRank(G, {0, 0}, 1, 1), 1);  // (0,1)
-  EXPECT_EQ(neighborRank(G, {0, 0}, 0, -1), -1);
-  EXPECT_EQ(neighborRank(G, {2, 1}, 1, 1), -1);
+  EXPECT_EQ(procCoords(G, 2), (std::vector<unsigned>{1, 0}));
+  EXPECT_EQ(procCoords(G, 1), (std::vector<unsigned>{0, 1}));
+}
+
+TEST(BlockDistTest, OwnerInvertsSlices) {
+  // Every cell is owned by the one block that holds it, including when
+  // there are more parts than cells (trailing blocks are then empty).
+  for (int64_t Lo : {-2, 0, 1})
+    for (int64_t Extent = 1; Extent <= 13; ++Extent)
+      for (unsigned Parts = 1; Parts <= 12; ++Parts) {
+        int64_t Hi = Lo + Extent - 1;
+        for (unsigned Part = 0; Part < Parts; ++Part) {
+          BlockRange B = blockSlice(Lo, Hi, Parts, Part);
+          for (int64_t X = B.Lo; X <= B.Hi; ++X)
+            EXPECT_EQ(blockOwner(Lo, Hi, Parts, X), static_cast<int>(Part))
+                << "[" << Lo << ".." << Hi << "] / " << Parts << " at " << X;
+        }
+        EXPECT_EQ(blockOwner(Lo, Hi, Parts, Lo - 1), -1);
+        EXPECT_EQ(blockOwner(Lo, Hi, Parts, Hi + 1), -1);
+      }
 }
 
 /// Pipeline shared by the equivalence tests.
@@ -217,6 +233,52 @@ TEST(DistSimTest, RankOneProgram) {
   }
 }
 
+TEST(DistSimTest, HaloSweepMatchesSequential) {
+  // The rank-1 chain over extents, processor counts and offset widths:
+  // interiors of zero and one cell, and halos wider than the
+  // neighbour's interior, whose far cells come from a processor two or
+  // more hops away.
+  for (int64_t N = 1; N <= 9; ++N)
+    for (unsigned Procs : {1u, 2u, 3u, 4u, 8u, 12u})
+      for (int32_t Width = 1; Width <= 3; ++Width) {
+        Program P("halo");
+        const Region *R = P.regionFromExtents({N});
+        ArraySymbol *A = P.makeArray("A", 1);
+        ArraySymbol *B = P.makeArray("B", 1);
+        P.assign(R, A, mul(aref(B), cst(0.5)));
+        P.assign(R, B, add(aref(A, {-Width}), aref(A, {Width})));
+        RunResult Seq = runSeq(P, Strategy::Baseline, 71);
+        RunResult Dist = runDist(P, Strategy::Baseline, Procs, 71);
+        std::string Why;
+        EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
+            << "extent " << N << " on " << Procs << " procs, width " << Width
+            << ": " << Why;
+      }
+}
+
+TEST(DistSimTest, CornerHaloSweepMatchesSequential) {
+  // Rank 2 with diagonal references: corner cells owned by a diagonal
+  // processor, on grids whose interiors are zero or one cell wide.
+  for (int64_t N0 : {2, 3, 5})
+    for (int64_t N1 : {1, 3, 4})
+      for (unsigned Procs : {4u, 6u, 12u})
+        for (int32_t Width : {1, 2}) {
+          Program P("corner");
+          const Region *R = P.regionFromExtents({N0, N1});
+          ArraySymbol *A = P.makeArray("A", 2);
+          ArraySymbol *B = P.makeArray("B", 2);
+          P.assign(R, A, mul(aref(B), cst(0.5)));
+          P.assign(R, B,
+                   add(aref(A, {-Width, -Width}), aref(A, {Width, Width})));
+          RunResult Seq = runSeq(P, Strategy::Baseline, 73);
+          RunResult Dist = runDist(P, Strategy::Baseline, Procs, 73);
+          std::string Why;
+          EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
+              << N0 << "x" << N1 << " on " << Procs << " procs, width "
+              << Width << ": " << Why;
+        }
+}
+
 class DistBenchmarks : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DistBenchmarks, BenchmarksMatchSequential) {
@@ -258,6 +320,19 @@ TEST_P(DistRandom, RandomProgramsMatchSequential) {
   std::string Why;
   EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
       << "seed " << GetParam() << ": " << Why;
+
+  // A small extent on many processors: interiors of zero or one cell and
+  // halos wider than them.
+  Cfg.Extent = 2 + static_cast<int64_t>(GetParam() % 4);
+  Cfg.MaxOffset = 2;
+  unsigned Procs = GetParam() % 2 ? 8 : 12;
+  auto Small = generateRandomProgram(Cfg);
+  normalizeProgram(*Small);
+  Seq = runSeq(*Small, Strategy::C2, GetParam());
+  Dist = runDist(*Small, Strategy::C2, Procs, GetParam());
+  EXPECT_TRUE(resultsMatch(Seq, Dist, 0.0, &Why))
+      << "seed " << GetParam() << ", extent " << Cfg.Extent << " on "
+      << Procs << " procs: " << Why;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistRandom,

@@ -3,8 +3,10 @@
 #include "exec/PerfModel.h"
 
 #include "analysis/ASDG.h"
+#include "benchprogs/Benchmarks.h"
 #include "comm/CommInsertion.h"
 #include "ir/Normalize.h"
+#include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
 
 #include "TestPrograms.h"
@@ -135,6 +137,21 @@ TEST(PerfModelTest, GlobalReductionScalesWithLogP) {
   EXPECT_DOUBLE_EQ(P1.CommNs, 0.0);
   EXPECT_DOUBLE_EQ(P16.CommNs, 4 * M.ReduceStepCost);
   EXPECT_DOUBLE_EQ(P64.CommNs, 6 * M.ReduceStepCost);
+}
+
+TEST(PerfModelTest, SimulationAllocatesNoStorage) {
+  // Fibro at N = 512 under c2+f3 lays out more than one 2 MiB huge page,
+  // which allocation would map as a slab. The model charges addresses
+  // straight from the layout and maps nothing.
+  auto P = benchprogs::buildFibro(512);
+  normalizeProgram(*P);
+  ASDG G = ASDG::build(*P);
+  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  ASSERT_GE(LP.storageLayout().SpanBytes, uint64_t(2) << 20);
+  uint64_t Before = obs::counterValue("exec.storage.slab_bytes");
+  PerfStats S = simulate(LP, crayT3E(), ProcGrid::make(1, 2));
+  EXPECT_GT(S.Refs, 0u);
+  EXPECT_EQ(obs::counterValue("exec.storage.slab_bytes"), Before);
 }
 
 TEST(PerfModelTest, PercentImprovement) {

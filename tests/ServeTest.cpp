@@ -714,8 +714,10 @@ array T : R temp;
 TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
   // 9e18 elements exceed vector::max_size; 2^64 elements wrap int64_t to
   // 0, which would allocate an empty buffer that the kernel writes past;
-  // four 2^59-element arrays each fit, but their 2^64-byte total wraps.
-  // Storage allocation throws std::length_error for all three. An extent,
+  // four 2^59-element arrays each fit, but their 2^64-byte total wraps;
+  // a rank-3 region of extent 2^32 has a first-dimension stride of 2^64.
+  // The storage layout throws std::length_error for all four (under jit
+  // the emitter reports it and the kernel falls back first). An extent,
   // or a bound plus an offset, past int64_t is an invalid program
   // instead: the IR verifier rejects it before any footprint arithmetic
   // runs. Each request fails with a stable code under every exec mode,
@@ -727,6 +729,9 @@ TEST_F(ServerTest, HugeRegionIsAResourceLimitNotACrash) {
                      "resource-limit"});
   Cases.push_back({"region G : [1..536870912, 1..1073741824];\n"
                    "array a, b, c, d : G;\n[G] d := a + b + c;\n",
+                   "resource-limit"});
+  Cases.push_back({"region G : [1..4294967296, 1..4294967296, "
+                   "1..4294967296];\narray a, b : G;\n[G] b := a + 1;\n",
                    "resource-limit"});
   Cases.push_back({"region R : [-9223372036854775807..9223372036854775807];"
                    "\narray a, b : R;\n[R] b := a + 1;\n",

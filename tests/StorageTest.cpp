@@ -28,15 +28,20 @@ namespace {
 TEST(ArrayBufferTest, RowMajorIndexing) {
   Program P("t");
   ArraySymbol *A = P.makeArray("A", 2);
-  ArrayBuffer Buf(A, Region({0, 1}, {3, 8}), 4096);
+  lir::ArrayLayout L = lir::ArrayLayout::rowMajor(A, Region({0, 1}, {3, 8}),
+                                                  4096);
   // 4 x 8 elements; strides (8, 1).
-  EXPECT_EQ(Buf.linearIndex({0, 1}), 0);
-  EXPECT_EQ(Buf.linearIndex({0, 8}), 7);
-  EXPECT_EQ(Buf.linearIndex({1, 1}), 8);
-  EXPECT_EQ(Buf.linearIndex({3, 8}), 31);
+  EXPECT_EQ(L.Strides, (std::vector<int64_t>{8, 1}));
+  EXPECT_EQ(L.linearIndex({0, 1}), 0);
+  EXPECT_EQ(L.linearIndex({0, 8}), 7);
+  EXPECT_EQ(L.linearIndex({1, 1}), 8);
+  EXPECT_EQ(L.linearIndex({3, 8}), 31);
+  EXPECT_EQ(L.Bytes, 32u * 8u);
+  EXPECT_EQ(L.addrOf({0, 1}), 4096u);
+  EXPECT_EQ(L.addrOf({1, 1}), 4096u + 64u);
+  ArrayBuffer Buf(A, Region({0, 1}, {3, 8}), 4096);
   EXPECT_EQ(Buf.sizeBytes(), 32u * 8u);
-  EXPECT_EQ(Buf.addrOf({0, 1}), 4096u);
-  EXPECT_EQ(Buf.addrOf({1, 1}), 4096u + 64u);
+  EXPECT_EQ(Buf.baseAddr(), 4096u);
 }
 
 TEST(ArrayBufferTest, LoadStoreRoundTrip) {

@@ -392,7 +392,6 @@ TEST(StressSweepSimdTest, SimdAgrees) {
     if (Seed % 10 == 0) {
       auto LP = PL.scalarize(Strategy::C2);
       JitOptions JO;
-      JO.Sanitize = true;
       JO.Vectorize = true;
       SanitizedRunResult San = runSanitized(LP, RunSeed, JO);
       ASSERT_TRUE(San.Ran)
@@ -821,9 +820,7 @@ TEST_P(StressSweepTest, SafetyAgrees) {
   if (Seed % 10 == 0 && JitEngine::compilerAvailable()) {
     auto LP = scalarize::scalarize(G, SR);
     ASSERT_TRUE(verify::verifySafety(LP, &G).ok());
-    JitOptions JO;
-    JO.Sanitize = true;
-    SanitizedRunResult San = runSanitized(LP, Seed ^ 0xfeed, JO);
+    SanitizedRunResult San = runSanitized(LP, Seed ^ 0xfeed);
     ASSERT_TRUE(San.Ran) << "sanitizer oracle did not run: " << San.Output;
     EXPECT_TRUE(San.Clean)
         << "analyzer-clean kernel tripped the sanitizer (exit "

@@ -13,6 +13,9 @@
 //                   [--strategy=NAME] [--verify=off|structural|full]
 //                   [--semiring=NAME] [--trace=out.json] [--metrics]
 //
+// --procs=P runs every distributed check on P processors; without it each
+// program draws its count from {2, 3, 4, 8, 12} by seed.
+//
 // --semiring=NAME pins every generated reduction to one registry
 // semiring (default: a third of the programs get reductions, rotating
 // through the whole registry by seed).
@@ -57,6 +60,7 @@
 #include "obs/Obs.h"
 #include "scalarize/CEmitter.h"
 #include "scalarize/Scalarize.h"
+#include "support/Random.h"
 #include "support/StringUtil.h"
 #include "verify/Verify.h"
 #include "xform/IlpStrategy.h"
@@ -141,7 +145,7 @@ bool checkEmittedC(const lir::LoopProgram &LP, uint64_t Seed,
 
 int main(int argc, char **argv) {
   unsigned Count = 50;
-  unsigned Procs = 4;
+  unsigned Procs = 0; // 0: each distributed run draws its own count
   unsigned Threads = 4;
   bool EmitC = false;
   tool::ToolOptions TO; // --seed/--exec/--strategy/--verify/--trace/--metrics
@@ -352,8 +356,13 @@ int main(int argc, char **argv) {
     if (!Cfg.AddOpaque && !Cfg.AllowTargetOffsets) {
       auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
       comm::insertLoopLevelComm(LP);
+      // Without --procs each program draws its processor count, so the
+      // small extents meet grids with zero- and one-cell interiors.
+      static const unsigned ProcChoices[] = {2, 3, 4, 8, 12};
+      unsigned RunProcs =
+          Procs ? Procs : ProcChoices[SplitMix64(ProgSeed).nextBounded(5)];
       RunResult Dist = distsim::runDistributed(
-          LP, machine::ProcGrid::make(Procs, Cfg.Rank), ProgSeed ^ 0xfeed);
+          LP, machine::ProcGrid::make(RunProcs, Cfg.Rank), ProgSeed ^ 0xfeed);
       std::string Why;
       if (!resultsMatch(BaseRes, Dist, 0.0, &Why))
         fail(*P, "distributed run diverged: " + Why);
