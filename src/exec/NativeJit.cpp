@@ -53,6 +53,18 @@ ALF_COUNTER(NumVectorizedRuns, "jit.vectorize.runs",
 /// The kernel function name inside every emitted module.
 constexpr const char *KernelName = "alf_kernel";
 
+/// CPU-seconds budget for one compiler or harness invocation; a runaway
+/// compile is killed and treated as a compile failure.
+constexpr unsigned CompileTimeoutSec = 60;
+
+/// Flags for the sanitized harness build (runSanitized). -O1 keeps shadow
+/// checks on every access; -fno-sanitize-recover=all turns the first
+/// finding into a nonzero exit so the oracle's verdict is just the exit
+/// code.
+constexpr const char *SanitizeFlags = "-std=c99 -O1 -g -ffp-contract=off "
+                                      "-fsanitize=address,undefined "
+                                      "-fno-sanitize-recover=all";
+
 std::string defaultCacheDir() {
   if (const char *Env = std::getenv("ALF_JIT_CACHE_DIR"))
     if (*Env)
@@ -290,14 +302,14 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
   ++NumJitCompiles;
   CommandResult CR = [&] {
     obs::Span S("jit.compile");
-    return runCommand(Cmd, Opts.CompileTimeoutSec);
+    return runCommand(Cmd, CompileTimeoutSec);
   }();
   if (!CR.ok()) {
     ++NumJitCompileFailures;
     std::filesystem::remove(TmpSo, EC);
     WhyNot = CR.TimedOut
                  ? formatString("compiler exceeded the %u s CPU budget",
-                                Opts.CompileTimeoutSec)
+                                CompileTimeoutSec)
                  : "compile failed: " +
                        (CR.Output.empty() ? "exit " +
                                                 std::to_string(CR.ExitCode)
@@ -325,13 +337,17 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
   WhyNot = "entry symbol '" + Module.EntryName + "' missing from kernel";
 }
 
-PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
-  PreparedKernel K;
+scalarize::CModule JitEngine::emitModule(const LoopProgram &LP) const {
   scalarize::CEmitOptions EmitOpts;
   EmitOpts.Vectorize = Opts.Vectorize;
+  return scalarize::emitCModule(LP, KernelName, EmitOpts);
+}
+
+PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
+  PreparedKernel K;
   scalarize::CModule Module = [&] {
     obs::Span S(Opts.Vectorize ? "jit.vectorize" : "jit.emit");
-    return scalarize::emitCModule(LP, KernelName, EmitOpts);
+    return emitModule(LP);
   }();
   if (!Module.ok()) {
     K.Info.FallbackReason = "emission failed: " + Module.Error;
@@ -425,7 +441,7 @@ RunResult JitEngine::run(const LoopProgram &LP, uint64_t Seed,
 }
 
 std::string JitEngine::cachePathFor(const LoopProgram &LP) {
-  scalarize::CModule Module = scalarize::emitCModule(LP, KernelName);
+  scalarize::CModule Module = emitModule(LP);
   if (!Module.ok())
     return "";
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -435,11 +451,9 @@ std::string JitEngine::cachePathFor(const LoopProgram &LP) {
 
 JitEngine &exec::sharedJitEngine(const JitOptions &Opts) {
   std::string Key = formatString(
-      "%s\x1f%s\x1f%s\x1f%u\x1f%d\x1f%llu\x1f%s", Opts.CacheDir.c_str(),
-      Opts.Compiler.c_str(), Opts.Flags.c_str(), Opts.CompileTimeoutSec,
-      Opts.Vectorize ? 1 : 0,
-      static_cast<unsigned long long>(Opts.MaxCacheBytes),
-      Opts.SanitizeFlags.c_str());
+      "%s\x1f%s\x1f%s\x1f%d\x1f%llu", Opts.CacheDir.c_str(),
+      Opts.Compiler.c_str(), Opts.Flags.c_str(), Opts.Vectorize ? 1 : 0,
+      static_cast<unsigned long long>(Opts.MaxCacheBytes));
   // Leaked on purpose: prepared kernels cached in other long-lived state
   // (daemon entries, runtime trace caches) point into these engines, and
   // no static destructor may unload them while such state is still live.
@@ -464,8 +478,9 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
 
   scalarize::CEmitOptions EmitOpts;
   EmitOpts.Vectorize = Opts.Vectorize;
+  std::string Flags = SanitizeFlags;
   if (Opts.Vectorize)
-    Opts.SanitizeFlags += " -march=native -Wno-psabi";
+    Flags += " -march=native -Wno-psabi";
   scalarize::CEmitResult Src =
       scalarize::emitCWithHarnessChecked(LP, KernelName, Seed, EmitOpts);
   if (!Src.ok()) {
@@ -478,8 +493,7 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
   // enters the shared .so cache.
   std::error_code EC;
   std::filesystem::create_directories(Opts.CacheDir, EC);
-  uint64_t Hash = hashName(Src.Source + '\x1f' + Opts.Compiler + ' ' +
-                           Opts.SanitizeFlags);
+  uint64_t Hash = hashName(Src.Source + '\x1f' + Opts.Compiler + ' ' + Flags);
   std::string Base =
       Opts.CacheDir + "/" +
       formatString("alf-san-%016llx-%d",
@@ -494,11 +508,11 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
       return R;
     }
   }
-  std::string Cmd = Opts.Compiler + " " + Opts.SanitizeFlags + " -o " +
-                    ExePath + " " + SrcPath + " -lm";
+  std::string Cmd =
+      Opts.Compiler + " " + Flags + " -o " + ExePath + " " + SrcPath + " -lm";
   CommandResult Compile = [&] {
     obs::Span S("jit.sanitize.compile");
-    return runCommand(Cmd, Opts.CompileTimeoutSec);
+    return runCommand(Cmd, CompileTimeoutSec);
   }();
   if (!Compile.ok()) {
     std::filesystem::remove(SrcPath, EC);
@@ -506,7 +520,7 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
     R.Output = Compile.TimedOut
                    ? formatString("sanitized compile exceeded the %u s "
                                   "CPU budget",
-                                  Opts.CompileTimeoutSec)
+                                  CompileTimeoutSec)
                    : "sanitized compile failed: " + Compile.Output;
     return R;
   }
@@ -514,7 +528,7 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
   ++NumSanitizedRuns;
   CommandResult Run = [&] {
     obs::Span S("jit.sanitize.run");
-    return runCommand(ExePath, Opts.CompileTimeoutSec);
+    return runCommand(ExePath, CompileTimeoutSec);
   }();
   std::filesystem::remove(SrcPath, EC);
   std::filesystem::remove(ExePath, EC);

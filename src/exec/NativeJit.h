@@ -60,10 +60,6 @@ struct JitOptions {
   /// interpreter; changing flags changes the content hash.
   std::string Flags = "-std=c99 -O2 -ffp-contract=off -fPIC -shared";
 
-  /// CPU-seconds budget for one compiler invocation; a runaway compile is
-  /// killed and treated as a compile failure. 0 disables the limit.
-  unsigned CompileTimeoutSec = 60;
-
   /// Selects the vectorizing emission mode (scalarize::CEmitOptions):
   /// loop nests the legality check certifies are emitted as explicit SIMD
   /// loops over the innermost FIND-LOOP-STRUCTURE dimension; the rest
@@ -78,14 +74,6 @@ struct JitOptions {
   /// just installed is never evicted, and disk hits refresh an entry's
   /// mtime so hot kernels survive. 0 disables the bound.
   uint64_t MaxCacheBytes = 0;
-
-  /// Flags for the sanitized harness build (runSanitized). -O1 keeps
-  /// shadow checks on every access; -fno-sanitize-recover=all turns the
-  /// first finding into a nonzero exit so the oracle's verdict is just
-  /// the exit code.
-  std::string SanitizeFlags = "-std=c99 -O1 -g -ffp-contract=off "
-                              "-fsanitize=address,undefined "
-                              "-fno-sanitize-recover=all";
 };
 
 /// Outcome of one runSanitized oracle run.
@@ -214,6 +202,9 @@ private:
     void (*Entry)(double **, double *) = nullptr;
   };
 
+  /// Emits \p LP's kernel module in this engine's (scalar or SIMD) mode.
+  scalarize::CModule emitModule(const lir::LoopProgram &LP) const;
+
   /// Returns the entry point for \p Module's kernel, compiling and/or
   /// loading as needed; null with \p WhyNot set when every rung failed.
   /// Single-flight per content hash (see the class comment).
@@ -245,7 +236,7 @@ JitEngine &sharedJitEngine(const JitOptions &Opts);
 /// The sanitizer-tier dynamic oracle: emits \p LP's kernel together with
 /// its self-seeding main() harness (scalarize::emitCWithHarnessChecked,
 /// seeded with \p Seed), compiles it as a standalone executable with
-/// \p Opts.SanitizeFlags, and runs it out of process. Clean means the
+/// ASan and UBSan, and runs it out of process. Clean means the
 /// harness exited 0 — every load and store passed the ASan/UBSan checks
 /// on real hardware — so the StressSweepTest sweep can assert that
 /// programs the static safety checker certifies also run sanitizer-clean.

@@ -17,15 +17,25 @@ unsigned ir::alignProgram(Program &P) {
     Offset D = S->getLHSOffset();
     const Region &R = *S->getRegion();
 
-    // Shifted region R+d.
+    // Shifted region R+d. A shift that overflows leaves the statement as
+    // written, for ir::verifyProgram to reject.
     std::vector<int64_t> Lo(R.rank()), Hi(R.rank());
-    for (unsigned Dim = 0; Dim < R.rank(); ++Dim) {
-      Lo[Dim] = R.lo(Dim) + D[Dim];
-      Hi[Dim] = R.hi(Dim) + D[Dim];
-    }
-    const Region *Shifted = P.internRegion(Region(std::move(Lo), std::move(Hi)));
+    bool Overflows = false;
+    for (unsigned Dim = 0; Dim < R.rank(); ++Dim)
+      Overflows |= __builtin_add_overflow(R.lo(Dim), D[Dim], &Lo[Dim]) ||
+                   __builtin_add_overflow(R.hi(Dim), D[Dim], &Hi[Dim]);
 
     // References shift the other way: e' = e - d.
+    for (const ArrayRefExpr *Ref : S->rhsArrayRefs()) {
+      const Offset &E = Ref->getOffset();
+      int32_t Elem;
+      for (unsigned Dim = 0; Dim < D.rank(); ++Dim)
+        Overflows |= __builtin_sub_overflow(E[Dim], D[Dim], &Elem);
+    }
+    if (Overflows)
+      continue;
+
+    const Region *Shifted = P.internRegion(Region(std::move(Lo), std::move(Hi)));
     ExprPtr NewRHS = cloneExprRewriting(
         S->getRHS(), [&D](const ArrayRefExpr &Ref) -> ExprPtr {
           return aref(Ref.getSymbol(), Ref.getOffset() - D);

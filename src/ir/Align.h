@@ -38,6 +38,9 @@ class Program;
 /// the equivalent zero-target-offset form (shifted region, adjusted
 /// reference offsets), in place. Returns the number of statements
 /// rewritten. Run before dependence analysis; semantics are unchanged.
+/// It runs before ir::verifyProgram, so a statement whose shifted bounds
+/// would leave int64_t, or whose shifted offsets would leave int32_t, is
+/// left as written for the verifier to reject.
 unsigned alignProgram(Program &P);
 
 } // namespace ir

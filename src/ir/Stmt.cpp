@@ -61,19 +61,6 @@ const semiring::Semiring &ReduceStmt::canonical(ReduceOpKind Op) {
   return semiring::plusTimes();
 }
 
-ReduceStmt::ReduceOpKind ReduceStmt::getOp() const {
-  switch (SR->Plus) {
-  case semiring::OpKind::Min:
-    return ReduceOpKind::Min;
-  case semiring::OpKind::Max:
-    return ReduceOpKind::Max;
-  case semiring::OpKind::Or:
-    return ReduceOpKind::Or;
-  default:
-    return ReduceOpKind::Sum;
-  }
-}
-
 void ReduceStmt::getAccesses(std::vector<Access> &Out) const {
   Out.push_back(Access{Acc, std::nullopt, /*IsWrite=*/true});
   walkExpr(Body.get(), [&Out](const Expr *E) {

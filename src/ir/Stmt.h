@@ -157,32 +157,12 @@ public:
   /// `--semiring=` override applied after parsing).
   void setSemiring(const semiring::Semiring &NewSR) { SR = &NewSR; }
 
-  /// The legacy op-kind view of the semiring's ⊕.
-  ReduceOpKind getOp() const;
-
   /// Replaces the reduced expression (used by statement merging).
   void setBody(ExprPtr NewBody) { Body = std::move(NewBody); }
 
   /// Array references in the reduced expression, left to right.
   std::vector<const ArrayRefExpr *> bodyArrayRefs() const {
     return collectArrayRefs(Body.get());
-  }
-
-  /// The accumulator's identity element — the canonical semiring's 0̄.
-  /// Thin delegates to the src/semiring table; kept so legacy callers need
-  /// no semiring spelled out.
-  static double identity(ReduceOpKind Op) {
-    return canonical(Op).PlusIdentity;
-  }
-
-  /// Combines an accumulator value with one element value.
-  static double combine(ReduceOpKind Op, double Acc, double V) {
-    return canonical(Op).combine(Acc, V);
-  }
-
-  /// Operator spelling ("+", "min", "max", "or").
-  static const char *getOpName(ReduceOpKind Op) {
-    return canonical(Op).plusName();
   }
 
   void getAccesses(std::vector<Access> &Out) const override;

@@ -904,19 +904,6 @@ static uint64_t alf_hash(const char *s) {
 
 } // namespace
 
-CEmitResult scalarize::emitCChecked(const LoopProgram &LP,
-                                    const std::string &FnName) {
-  CEmitResult Result;
-  Emitter E(LP);
-  Result.Error = E.validate();
-  if (!Result.ok())
-    return Result;
-  E.emitPrelude();
-  E.emitKernel(FnName);
-  Result.Source = E.take();
-  return Result;
-}
-
 CEmitResult scalarize::emitCWithHarnessChecked(const LoopProgram &LP,
                                                const std::string &FnName,
                                                uint64_t Seed,
@@ -977,10 +964,13 @@ bool scalarize::vectorizeFaultAppliedForTest() {
 }
 
 std::string scalarize::emitC(const LoopProgram &LP, const std::string &FnName) {
-  CEmitResult Result = emitCChecked(LP, FnName);
-  if (!Result.ok())
-    reportFatalError(Result.Error.c_str());
-  return std::move(Result.Source);
+  Emitter E(LP);
+  std::string Error = E.validate();
+  if (!Error.empty())
+    reportFatalError(Error.c_str());
+  E.emitPrelude();
+  E.emitKernel(FnName);
+  return E.take();
 }
 
 std::string scalarize::emitCWithHarness(const LoopProgram &LP,

@@ -90,17 +90,13 @@ struct CModule {
 };
 
 /// Emits the kernel function \p FnName implementing \p LP. Aborts on
-/// unsupported constructs; prefer emitCChecked where recovery matters.
+/// unsupported constructs; emitCModule reports them instead.
 std::string emitC(const lir::LoopProgram &LP, const std::string &FnName);
 
 /// Emits the kernel plus a self-contained main() harness seeded with
 /// \p Seed (matching exec::run's initialization).
 std::string emitCWithHarness(const lir::LoopProgram &LP,
                              const std::string &FnName, uint64_t Seed);
-
-/// Like emitC, but reports unsupported constructs as an error result
-/// instead of aborting.
-CEmitResult emitCChecked(const lir::LoopProgram &LP, const std::string &FnName);
 
 /// Like emitCWithHarness, but status-returning; \p Opts selects the
 /// scalar or vectorizing backend (the sanitizer oracle compiles the

@@ -10,11 +10,12 @@
 /// phase relied on from primary sources and reports any divergence as a
 /// finding instead of trusting the phase. The passes, in pipeline order:
 ///
-///  1. verifyStructure    — the IR is in normal form (regions non-empty
-///     and rectangular, offsets consistent with declared ranks) and the
-///     ASDG is structurally sound (edges respect program order, hence
-///     acyclic; every labeled UDV is re-derivable as some source access
-///     offset minus some target access offset of the right kind).
+///  1. verifyStructure    — the IR is in normal form (each violation
+///     ir::verifyProgram reports, the rule set that also gates
+///     Pipeline::tryCompile, is a finding) and the ASDG is structurally
+///     sound (edges respect program order, hence acyclic; every labeled
+///     UDV is re-derivable as some source access offset minus some
+///     target access offset of the right kind).
 ///  2. verifyDependences  — a from-scratch dependence oracle recomputes
 ///     every flow/anti/output dependence of the program and diffs the
 ///     result against the ASDG's edges; a missing or spurious edge or

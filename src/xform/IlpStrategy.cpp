@@ -204,7 +204,7 @@ public:
 
     StrategyResult Result;
     Result.Partition = FusionPartition::fromAssignment(G, BestAssign);
-    Result.Contracted = contractibleArrays(Result.Partition, Opts.Contract);
+    Result.Contracted = contractibleArrays(Result.Partition, Contract);
     return Result;
   }
 
@@ -222,19 +222,21 @@ private:
   double BestObj = -1;
   double BestCost = 0;
 
-  const machine::MachineDesc &machineDesc() {
-    static const machine::MachineDesc Default = machine::crayT3E();
-    return Opts.Machine ? *Opts.Machine : Default;
+  /// Every array is a contraction candidate.
+  const ArrayFilter Contract = anyArray();
+
+  /// The Cray T3E's cache parameters break objective ties.
+  static const machine::MachineDesc &machineDesc() {
+    static const machine::MachineDesc T3E = machine::crayT3E();
+    return T3E;
   }
 
-  /// Arrays the objective can ever count: accepted by the filter, passing
-  /// every partition-independent side condition of Definition 6, and with
+  /// Arrays the objective can ever count: passing every
+  /// partition-independent side condition of Definition 6, and with
   /// referencing statements that can pairwise share a cluster at all.
   void collectCandidates() {
     FusionPartition Trivial = FusionPartition::trivial(G);
     for (const ArraySymbol *A : G.arraysByDecreasingWeight()) {
-      if (!Opts.Contract(A))
-        continue;
       const std::vector<unsigned> &Refs = G.statementsReferencing(A);
       std::set<unsigned> C(Refs.begin(), Refs.end());
       if (!isContractible(Trivial, C, A))
@@ -254,7 +256,7 @@ private:
   void offer(const std::vector<unsigned> &Full) {
     StrategyResult SR;
     SR.Partition = FusionPartition::fromAssignment(G, Full);
-    SR.Contracted = contractibleArrays(SR.Partition, Opts.Contract);
+    SR.Contracted = contractibleArrays(SR.Partition, Contract);
     double Obj = contractedBytes(SR.Partition, SR.Contracted);
     double Cost = cacheModelCost(SR.Partition, SR, machineDesc());
     if (Obj > BestObj || (Obj == BestObj && Cost < BestCost)) {
@@ -267,7 +269,7 @@ private:
   void seedWithGreedy() {
     obs::Span SeedSpan("strategy.ilp.seed");
     FusionPartition P = FusionPartition::trivial(G);
-    fuseForContraction(P, Opts.Contract);
+    fuseForContraction(P, Contract);
     std::vector<unsigned> Greedy(N);
     for (unsigned I = 0; I < N; ++I)
       Greedy[I] = P.clusterOf(I);

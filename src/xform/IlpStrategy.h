@@ -34,20 +34,15 @@
 namespace alf {
 namespace xform {
 
-/// Knobs of the branch-and-bound solver.
+/// Knobs of the branch-and-bound solver. Every array is eligible for
+/// contraction, and the Cray T3E's cache parameters (the paper's primary
+/// evaluation machine) break objective ties.
 struct IlpOptions {
-  /// Arrays eligible for contraction (the objective counts only these).
-  ArrayFilter Contract = anyArray();
-
   /// Search nodes (assignment attempts) before the solver gives up and
   /// returns the best incumbent found so far. The incumbent is seeded
   /// with the greedy result, so exhaustion degrades to FUSION-FOR-
   /// CONTRACTION, never worse.
   uint64_t NodeBudget = 200000;
-
-  /// Machine whose cache parameters break objective ties; Cray T3E when
-  /// null (the paper's primary evaluation machine).
-  const machine::MachineDesc *Machine = nullptr;
 };
 
 /// What the solver did, for tests, the gap study and the stress tool.

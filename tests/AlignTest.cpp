@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 using namespace alf;
 using namespace alf::analysis;
 using namespace alf::exec;
@@ -40,6 +43,30 @@ TEST(AlignTest, LeavesAlignedStatementsAlone) {
   P.assign(R, B, aref(A, {-1}));
   EXPECT_EQ(alignProgram(P), 0u);
   EXPECT_EQ(P.getStmt(0)->str(), "[1..8] B := A@(-1);");
+}
+
+TEST(AlignTest, LeavesOverflowingShiftsForTheVerifier) {
+  // Shifting [1..2^63-1] by 1 leaves int64_t, and A@(-2^31) shifted by
+  // -1 leaves int32_t: both statements stay as written, and the verifier
+  // names the offending reference instead of a wrapped region.
+  Program P("overflow");
+  const Region *Big =
+      P.internRegion(Region({1}, {std::numeric_limits<int64_t>::max()}));
+  const Region *R = P.regionFromExtents({8});
+  ArraySymbol *A = P.makeArray("A", 1);
+  ArraySymbol *B = P.makeArray("B", 1);
+  ArraySymbol *C = P.makeArray("C", 1);
+  P.assign(Big, B, Offset({1}), add(aref(A), cst(1.0)));
+  P.assign(R, C, Offset({1}),
+           aref(A, {std::numeric_limits<int32_t>::min()}));
+  std::string Before = P.str();
+  EXPECT_EQ(alignProgram(P), 0u);
+  EXPECT_EQ(P.str(), Before);
+  auto Errors = verifyProgram(P);
+  ASSERT_EQ(Errors.size(), 2u);
+  EXPECT_EQ(Errors[0], "S0: B@(1) reaches an index that does not fit int64_t");
+  EXPECT_EQ(Errors[1].rfind("S1: A@(-2147483648) has an offset element", 0),
+            0u);
 }
 
 TEST(AlignTest, PreservesSemantics) {

@@ -116,6 +116,26 @@ TEST(NativeJitTest, CacheMissThenMemoryHitThenDiskHit) {
   EXPECT_TRUE(Info.CacheHitDisk);
 }
 
+TEST(NativeJitTest, CachePathForFollowsTheVectorizeMode) {
+  // A SIMD engine compiles the vectorized source; the cache entry it
+  // names must be the one that source hashes to, not the scalar one.
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  TempCacheDir Cache;
+  JitOptions Opts;
+  Opts.CacheDir = Cache.Path;
+  Opts.Vectorize = true;
+  JitEngine Engine(Opts);
+
+  auto P = tp::makeUserTempPair();
+  auto LP = makeLoopProgram(*P);
+  JitRunInfo Info;
+  Engine.run(LP, 3, &Info);
+  ASSERT_TRUE(Info.UsedJit) << Info.FallbackReason;
+  ASSERT_GT(Info.VectorizedNests, 0u);
+  EXPECT_EQ(Info.SoPath, Engine.cachePathFor(LP));
+}
+
 TEST(NativeJitTest, CorruptCacheEntryIsDiscardedAndRecompiled) {
   if (!HaveCompiler)
     GTEST_SKIP() << "no usable system C compiler";

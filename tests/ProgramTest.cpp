@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 using namespace alf;
 using namespace alf::ir;
 
@@ -99,6 +102,22 @@ TEST(VerifierTest, DetectsRankMismatch) {
   auto Errors = verifyProgram(P);
   ASSERT_FALSE(Errors.empty());
   EXPECT_NE(Errors[0].find("rank"), std::string::npos);
+}
+
+TEST(VerifierTest, RejectsAnOffsetWhoseUDVLeavesInt32) {
+  // [R] a := c + 1; [R] b := a@(-2^31): the flow UDV 0 - (-2^31) is 2^31,
+  // which int32_t cannot hold.
+  Program P("udv");
+  const Region *R = P.regionFromExtents({8});
+  ArraySymbol *A = P.makeArray("a", 1);
+  ArraySymbol *B = P.makeArray("b", 1);
+  ArraySymbol *C = P.makeArray("c", 1);
+  P.assign(R, A, add(aref(C), cst(1)));
+  P.assign(R, B, aref(A, {std::numeric_limits<int32_t>::min()}));
+  auto Errors = verifyProgram(P);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0], "S1: a@(-2147483648) has an offset element outside "
+                       "-1073741823..1073741823");
 }
 
 TEST(NormalizeTest, SplitsReadWriteStatement) {

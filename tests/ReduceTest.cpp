@@ -36,12 +36,12 @@ TEST(ReduceTest, PrintingAndAccesses) {
 
 TEST(ReduceTest, IdentityAndCombine) {
   using K = ReduceStmt::ReduceOpKind;
-  EXPECT_DOUBLE_EQ(ReduceStmt::identity(K::Sum), 0.0);
-  EXPECT_GT(ReduceStmt::identity(K::Min), 1e300);
-  EXPECT_LT(ReduceStmt::identity(K::Max), -1e300);
-  EXPECT_DOUBLE_EQ(ReduceStmt::combine(K::Sum, 2, 3), 5);
-  EXPECT_DOUBLE_EQ(ReduceStmt::combine(K::Min, 2, 3), 2);
-  EXPECT_DOUBLE_EQ(ReduceStmt::combine(K::Max, 2, 3), 3);
+  EXPECT_DOUBLE_EQ(ReduceStmt::canonical(K::Sum).PlusIdentity, 0.0);
+  EXPECT_GT(ReduceStmt::canonical(K::Min).PlusIdentity, 1e300);
+  EXPECT_LT(ReduceStmt::canonical(K::Max).PlusIdentity, -1e300);
+  EXPECT_DOUBLE_EQ(ReduceStmt::canonical(K::Sum).combine(2, 3), 5);
+  EXPECT_DOUBLE_EQ(ReduceStmt::canonical(K::Min).combine(2, 3), 2);
+  EXPECT_DOUBLE_EQ(ReduceStmt::canonical(K::Max).combine(2, 3), 3);
 }
 
 TEST(ReduceTest, FusesWithProducerAndContractsInput) {
