@@ -41,14 +41,14 @@ std::vector<bool> wrappedDims(const LoopProgram &LP, const LoopNest &Nest) {
   return Wrapped;
 }
 
-/// Runs one parallel nest: the plan's loop is split into one contiguous
-/// tile per worker; outer loops (tile-with-barriers mode) run
-/// sequentially with one pool dispatch per iteration. Worker-private
-/// scalar overlays keep contracted temporaries thread-local; the overlay
-/// of the worker owning the sequentially-last tile is merged back so
-/// leftover scalar values match the interpreter exactly.
+/// Runs one parallel nest: the plan's loop is split into \p NumTiles
+/// contiguous tiles run on the shared pool; outer loops
+/// (tile-with-barriers mode) run sequentially with one pool dispatch per
+/// iteration. Tile-private scalar overlays keep contracted temporaries
+/// thread-local; the overlay of the sequentially-last tile is merged back
+/// so leftover scalar values match the interpreter exactly.
 void runNestParallel(const LoopNest &Nest, EvalContext &Shared,
-                     ThreadPool &Pool, const NestParallelPlan &Plan) {
+                     unsigned NumTiles, const NestParallelPlan &Plan) {
   for (const lir::ScalarInit &SI : Nest.ScalarInits)
     Shared.writeScalar(SI.Acc, SI.Init);
 
@@ -57,10 +57,9 @@ void runNestParallel(const LoopNest &Nest, EvalContext &Shared,
   unsigned SplitDim = Nest.LSV.dimOf(SplitLoop);
   int64_t Lo = R.lo(SplitDim), Hi = R.hi(SplitDim);
 
-  std::vector<std::map<unsigned, double>> Overlays(Pool.numThreads());
+  std::vector<std::map<unsigned, double>> Overlays(NumTiles);
   auto RunTiles = [&](const std::vector<int64_t> &Outer) {
-    Pool.parallelFor(Lo, Hi + 1, [&](int64_t TileLo, int64_t TileEnd,
-                                     unsigned Worker) {
+    auto RunTile = [&](int64_t TileLo, int64_t TileEnd, unsigned Tile) {
       // The tile: the outer loops at this iteration, the split loop
       // restricted to the chunk, the inner loops over the whole region
       // (Outer holds their lower bounds).
@@ -69,23 +68,24 @@ void runNestParallel(const LoopNest &Nest, EvalContext &Shared,
         THi[Nest.LSV.dimOf(L)] = R.hi(Nest.LSV.dimOf(L));
       TLo[SplitDim] = TileLo;
       THi[SplitDim] = TileEnd - 1;
-      EvalContext Ctx{Shared.Store, Shared.LP, &Overlays[Worker]};
+      EvalContext Ctx{Shared.Store, Shared.LP, &Overlays[Tile]};
       runNestLoops(Nest, Ctx, Region(std::move(TLo), std::move(THi)));
-    });
+    };
+    ThreadPool::shared().parallelFor(Lo, Hi + 1, NumTiles, RunTile);
   };
   forEachInLoopOrder(Nest.LSV, R, SplitLoop, RunTiles);
 
   // The sequentially-last iteration of the split loop is Hi for an
-  // increasing loop and Lo for a decreasing one; find its tile's worker
-  // and merge that overlay, replicating the interpreter's leftover
-  // scalar environment (contracted temps are dead here, but the match
-  // must be exact).
+  // increasing loop and Lo for a decreasing one; find its tile and merge
+  // that overlay, replicating the interpreter's leftover scalar
+  // environment (contracted temps are dead here, but the match must be
+  // exact).
   int64_t Last = Nest.LSV.dirOf(SplitLoop) > 0 ? Hi : Lo;
-  for (unsigned W = 0; W < Pool.numThreads(); ++W) {
+  for (unsigned T = 0; T < NumTiles; ++T) {
     int64_t CLo, CHi;
-    if (ThreadPool::chunkBounds(Lo, Hi + 1, Pool.numThreads(), W, CLo, CHi) &&
+    if (ThreadPool::chunkBounds(Lo, Hi + 1, NumTiles, T, CLo, CHi) &&
         CLo <= Last && Last <= CHi) {
-      for (const auto &[Id, V] : Overlays[W])
+      for (const auto &[Id, V] : Overlays[T])
         Shared.Store->setScalarById(Id, V);
       break;
     }
@@ -180,13 +180,14 @@ void exec::runParallelOnStorage(const LoopProgram &LP, Storage &Store,
   Ctx.Store = &Store;
   Ctx.LP = &LP;
 
-  ThreadPool Pool(Opts.NumThreads);
+  unsigned NumTiles =
+      Opts.NumThreads ? Opts.NumThreads : ThreadPool::shared().numThreads();
   for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
     LNode *N = LP.nodes()[Node].get();
     if (const auto *Nest = dyn_cast<LoopNest>(N)) {
       const NestParallelPlan &Plan = Sched.NodePlans[Node];
       if (Plan.isParallel())
-        runNestParallel(*Nest, Ctx, Pool, Plan);
+        runNestParallel(*Nest, Ctx, NumTiles, Plan);
       else
         iterateNest(*Nest, Ctx);
       continue;

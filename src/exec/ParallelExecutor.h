@@ -38,7 +38,10 @@ namespace exec {
 
 /// Execution knobs for the parallel executor.
 struct ParallelOptions {
-  unsigned NumThreads = 0; ///< 0 = std::thread::hardware_concurrency()
+  /// Tiles each parallel loop is split into; 0 = one per thread of
+  /// ThreadPool::shared(). The tiles run on that pool, so this sets the
+  /// partition (and with it the results), not the number of threads.
+  unsigned NumThreads = 0;
 };
 
 /// The per-node parallelism decisions for one LoopProgram, in node order
@@ -65,8 +68,9 @@ ParallelSchedule planParallelism(const lir::LoopProgram &LP);
 std::string describeSchedule(const lir::LoopProgram &LP,
                              const ParallelSchedule &Sched);
 
-/// Runs \p LP under \p Sched with \p Opts.NumThreads workers. Same
-/// observable semantics as exec::run on the same seed.
+/// Runs \p LP under \p Sched with \p Opts.NumThreads tiles per parallel
+/// loop, on the process-wide pool. Same observable semantics as
+/// exec::run on the same seed.
 RunResult runParallel(const lir::LoopProgram &LP, uint64_t Seed,
                       const ParallelOptions &Opts,
                       const ParallelSchedule &Sched);

@@ -3,7 +3,10 @@
 #include "exec/Storage.h"
 
 #include "obs/Obs.h"
+#include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <iterator>
 #include <new>
 #include <stdexcept>
 
@@ -19,6 +22,9 @@ ALF_COUNTER(NumBytesCopied, "exec.storage.bytes_copied",
 
 ALF_COUNTER(NumSlabBytes, "exec.storage.slab_bytes",
             "Bytes mapped as storage slabs");
+
+ALF_COUNTER(NumTouchChunks, "exec.storage.touch_chunks",
+            "Huge-page chunks of storage slabs first touched on the pool");
 
 void exec::countCopiedBytes(uint64_t Bytes) { NumBytesCopied += Bytes; }
 
@@ -82,20 +88,49 @@ public:
 } // namespace exec
 } // namespace alf
 
+namespace {
+
+/// Positions in a run of PayloadAllocator::AsMapped elements: a payload
+/// built from [AsMappedIt{0}, AsMappedIt{N}) has N elements, none written.
+struct AsMappedIt {
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = PayloadAllocator<double>::AsMapped;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const value_type *;
+  using reference = value_type;
+
+  size_t Pos;
+
+  value_type operator*() const { return {}; }
+  AsMappedIt &operator++() {
+    ++Pos;
+    return *this;
+  }
+  difference_type operator-(const AsMappedIt &O) const {
+    return static_cast<difference_type>(Pos - O.Pos);
+  }
+  bool operator==(const AsMappedIt &O) const = default;
+};
+
+} // namespace
+
 void ArrayBuffer::allocatePayload(const std::shared_ptr<const Slab> &Mapping) {
   size_t N = static_cast<size_t>(Layout.elements());
-  PayloadAllocator<double> Alloc;
-  if (Mapping)
-    Alloc = {Mapping,
-             Mapping->slot(Layout.BaseAddr - lir::StorageLayout::FirstBase),
-             N};
-  Data = Payload(N, 0.0, std::move(Alloc));
+  if (!Mapping) {
+    Data = Payload(N, 0.0);
+    return;
+  }
+  PayloadAllocator<double> Alloc(
+      Mapping, Mapping->slot(Layout.BaseAddr - lir::StorageLayout::FirstBase),
+      N);
+  Data = Payload(AsMappedIt{0}, AsMappedIt{N}, std::move(Alloc));
 }
 
-void ArrayBuffer::fillRandom(uint64_t Seed) {
-  SplitMix64 Rng(Seed);
-  for (double &V : Data)
-    V = Rng.nextDouble(-1.0, 1.0);
+void ArrayBuffer::fillRandom(uint64_t Seed, size_t Begin, size_t End) {
+  assert(Begin <= End && End <= Data.size() && "range outside the buffer");
+  double *Out = data();
+  for (size_t I = Begin; I < End; ++I)
+    Out[I] = SplitMix64::doubleAt(Seed, I, -1.0, 1.0);
 }
 
 uint64_t exec::hashName(const std::string &Name) {
@@ -107,7 +142,8 @@ uint64_t exec::hashName(const std::string &Name) {
   return H;
 }
 
-Storage exec::allocateZeroed(lir::StorageLayout Layout) {
+Storage Storage::allocate(lir::StorageLayout Layout,
+                          const std::map<unsigned, uint64_t> &Seeds) {
   Storage S;
   S.TotalBytes = Layout.TotalBytes;
   // Every small allocation (the buffers' bounds, strides and map nodes)
@@ -120,16 +156,70 @@ Storage exec::allocateZeroed(lir::StorageLayout Layout) {
     unsigned Id = L.Array->getId();
     S.Buffers.emplace(Id, ArrayBuffer(std::move(L)));
   }
-  std::shared_ptr<const Slab> Mapping;
-  if (Layout.SpanBytes >= HugePageBytes)
-    Mapping = std::make_shared<const Slab>(Layout.SpanBytes);
+  auto SeedOf = [&](unsigned Id) -> const uint64_t * {
+    auto It = Seeds.find(Id);
+    return It == Seeds.end() ? nullptr : &It->second;
+  };
+
+  if (Layout.SpanBytes < HugePageBytes) {
+    for (auto &[Id, Buf] : S.Buffers) {
+      Buf.allocatePayload(nullptr);
+      if (const uint64_t *Seed = SeedOf(Id))
+        Buf.fillRandom(*Seed);
+    }
+    return S;
+  }
+
+  auto Mapping = std::make_shared<const Slab>(Layout.SpanBytes);
   for (auto &[Id, Buf] : S.Buffers)
     Buf.allocatePayload(Mapping);
+  // First touch: every payload element is written once, seeded or zero,
+  // on the pool. A chunk is one huge page of the span, so no two threads
+  // fault the same page, and a payload that starts or ends inside a page
+  // is split at the page boundary.
+  struct Target {
+    ArrayBuffer *Buf;
+    uint64_t Offset; // bytes into the slab
+    const uint64_t *Seed;
+  };
+  std::vector<Target> Targets;
+  for (auto &[Id, Buf] : S.Buffers)
+    Targets.push_back(
+        {&Buf, Buf.baseAddr() - lir::StorageLayout::FirstBase, SeedOf(Id)});
+  int64_t NumChunks = static_cast<int64_t>(
+      (Layout.SpanBytes + HugePageBytes - 1) / HugePageBytes);
+  NumTouchChunks += static_cast<uint64_t>(NumChunks);
+  ThreadPool::shared().parallelFor(
+      0, NumChunks, static_cast<unsigned>(NumChunks),
+      [&](int64_t Page, int64_t, unsigned) {
+        uint64_t Lo = static_cast<uint64_t>(Page) * HugePageBytes;
+        uint64_t Hi = Lo + HugePageBytes;
+        for (const Target &T : Targets) {
+          uint64_t From = std::max(Lo, T.Offset);
+          uint64_t To = std::min(Hi, T.Offset + T.Buf->sizeBytes());
+          if (From >= To)
+            continue;
+          size_t Begin = (From - T.Offset) / sizeof(double);
+          size_t End = (To - T.Offset) / sizeof(double);
+          if (T.Seed)
+            T.Buf->fillRandom(*T.Seed, Begin, End);
+          else
+            std::fill(T.Buf->data() + Begin, T.Buf->data() + End, 0.0);
+        }
+      });
   return S;
 }
 
+Storage exec::allocateZeroed(lir::StorageLayout Layout) {
+  return Storage::allocate(std::move(Layout), {});
+}
+
 Storage exec::allocateStorage(const lir::LoopProgram &LP, uint64_t Seed) {
-  Storage S = allocateZeroed(LP.storageLayout());
+  std::map<unsigned, uint64_t> Seeds;
+  for (const ArraySymbol *A : LP.source().arrays())
+    if (A->isLiveIn())
+      Seeds[A->getId()] = Seed ^ hashName(A->getName());
+  Storage S = Storage::allocate(LP.storageLayout(), Seeds);
   // Scalars named by the program (parameters) get deterministic values in
   // [0.5, 1.5) so divisions stay well conditioned.
   for (const Symbol *Sym : LP.source().symbols()) {
@@ -138,8 +228,5 @@ Storage exec::allocateStorage(const lir::LoopProgram &LP, uint64_t Seed) {
       S.setScalar(Sc, 0.5 + Rng.nextDouble());
     }
   }
-  for (const ArraySymbol *A : LP.source().arrays())
-    if (ArrayBuffer *Buf = S.buffer(A); Buf && A->isLiveIn())
-      Buf->fillRandom(Seed ^ hashName(A->getName()));
   return S;
 }

@@ -12,7 +12,8 @@
 /// in the synthetic address space the performance model charges. A
 /// storage whose payloads fill at least one huge page carves them all
 /// from one mapping (a Slab), each at its synthetic address, so the real
-/// layout is the simulated one.
+/// layout is the simulated one, and first touches it on the process-wide
+/// thread pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +51,14 @@ class Slab;
 /// slot ever releases it, and releasing the slot drops the share: the
 /// mapping goes when the Storage and every payload still in it are gone.
 template <typename T> class PayloadAllocator {
+public:
+  /// The element a slab payload is constructed from: construct leaves
+  /// the element as the fresh mapping made it (zero), so the slot is
+  /// first touched where allocateStorage chooses, not in the vector's
+  /// constructor.
+  struct AsMapped {};
+
+private:
   std::shared_ptr<const Slab> Owner; // null when no slot is held
   T *Slot = nullptr;
   size_t SlotLen = 0;
@@ -71,6 +80,8 @@ public:
     }
     return std::allocator<T>().allocate(N);
   }
+
+  void construct(T *, AsMapped) noexcept {}
 
   void deallocate(T *P, size_t N) {
     if (Owner && P == Slot) {
@@ -102,10 +113,11 @@ class ArrayBuffer {
 
   /// The layout only; allocatePayload adds the data.
   explicit ArrayBuffer(lir::ArrayLayout Layout) : Layout(std::move(Layout)) {}
-  /// Allocates the zero-filled payload: at baseAddr() - FirstBase inside
-  /// \p Mapping, or on the heap when it is null.
+  /// Allocates the payload: at baseAddr() - FirstBase inside \p Mapping,
+  /// untouched (it reads zero), or zero-filled on the heap when
+  /// \p Mapping is null.
   void allocatePayload(const std::shared_ptr<const Slab> &Mapping);
-  friend Storage allocateZeroed(lir::StorageLayout Layout);
+  friend class Storage;
 
 public:
   /// Allocates a zero-filled heap buffer laid out row-major over
@@ -155,8 +167,13 @@ public:
 
   /// Fills the buffer with deterministic pseudo-random values in
   /// [-1, 1), seeded by \p Seed (callers mix in the array name so every
-  /// strategy sees identical inputs).
-  void fillRandom(uint64_t Seed);
+  /// strategy sees identical inputs): element i gets draw i of the
+  /// SplitMix64 stream.
+  void fillRandom(uint64_t Seed) { fillRandom(Seed, 0, Data.size()); }
+
+  /// Elements [\p Begin, \p End) of what fillRandom(Seed) writes, for a
+  /// caller that seeds one buffer in chunks.
+  void fillRandom(uint64_t Seed, size_t Begin, size_t End);
 };
 
 /// All array buffers of one program plus the scalar environment.
@@ -165,7 +182,12 @@ class Storage {
   std::map<unsigned, double> Scalars;            // by symbol id
   uint64_t TotalBytes = 0;
 
+  /// allocateZeroed, except that the buffers of the arrays in \p Seeds
+  /// (by symbol id) hold what fillRandom writes from their seed.
+  static Storage allocate(lir::StorageLayout Layout,
+                          const std::map<unsigned, uint64_t> &Seeds);
   friend Storage allocateZeroed(lir::StorageLayout Layout);
+  friend Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 public:
   ArrayBuffer *buffer(const ir::ArraySymbol *A) {
@@ -208,17 +230,22 @@ public:
 /// one buffer per array, at its synthetic address. When the layout spans
 /// at least one 2 MiB huge page the payloads share one Slab, each at
 /// baseAddr() - FirstBase inside it (counted by
-/// `exec.storage.slab_bytes`); smaller storages use the heap. A failed
-/// mapping throws std::bad_alloc. The runtime engine's flush fills this
-/// from its handles instead of seeding it.
+/// `exec.storage.slab_bytes`), and are first touched on
+/// ThreadPool::shared(), one huge page per chunk so no two threads fault
+/// the same page (counted by `exec.storage.touch_chunks`); smaller
+/// storages use the heap. A failed mapping throws std::bad_alloc. The
+/// runtime engine's flush fills this from its handles instead of seeding
+/// it.
 Storage allocateZeroed(lir::StorageLayout Layout);
 
 /// Allocates and seeds storage for \p LP exactly as every executor must:
 /// allocateZeroed over LP.storageLayout() (contracted and unreferenced
 /// arrays get no buffer, partially contracted arrays their rolling
-/// buffer), then live-in arrays and program scalars are seeded from
-/// \p Seed by name; everything else stays zero. A layout whose bytes
-/// overflow throws std::length_error.
+/// buffer), with live-in arrays and program scalars seeded from \p Seed
+/// by name; everything else is zero. A slab's live-in payloads are
+/// seeded in its first touch, chunk by chunk, with the same values as
+/// ArrayBuffer::fillRandom. A layout whose bytes overflow throws
+/// std::length_error. Safe to call from several threads at once.
 Storage allocateStorage(const lir::LoopProgram &LP, uint64_t Seed);
 
 /// Adds \p Bytes to the always-on `exec.storage.bytes_copied` counter:

@@ -51,8 +51,9 @@ public:
 
   /// The \p N-th (0-based) 64-bit draw of the stream seeded with
   /// \p Seed, in O(1): SplitMix64 advances its state by a constant, so
-  /// any position is directly addressable. Lets a distributed run
-  /// initialize its local block exactly as the sequential run does.
+  /// any position is directly addressable. Lets exec::allocateStorage
+  /// seed a large array in chunks on several threads, each chunk exactly
+  /// as the serial stream would.
   static uint64_t at(uint64_t Seed, uint64_t N) {
     uint64_t Z = Seed + (N + 1) * 0x9e3779b97f4a7c15ULL;
     Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -63,6 +64,12 @@ public:
   /// The \p N-th double draw in [0,1) of the stream seeded with \p Seed.
   static double doubleAt(uint64_t Seed, uint64_t N) {
     return static_cast<double>(at(Seed, N) >> 11) * 0x1.0p-53;
+  }
+
+  /// The \p N-th draw of nextDouble(Lo, Hi) on the stream seeded with
+  /// \p Seed.
+  static double doubleAt(uint64_t Seed, uint64_t N, double Lo, double Hi) {
+    return Lo + (Hi - Lo) * doubleAt(Seed, N);
   }
 };
 

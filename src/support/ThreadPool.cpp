@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
   NumWorkers = NumThreads;
   Workers.reserve(NumWorkers - 1);
   for (unsigned W = 1; W < NumWorkers; ++W)
-    Workers.emplace_back([this, W] { workerLoop(W); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -23,6 +23,11 @@ ThreadPool::~ThreadPool() {
   JobReady.notify_all();
   for (std::thread &T : Workers)
     T.join();
+}
+
+ThreadPool &ThreadPool::shared() {
+  static ThreadPool Pool;
+  return Pool;
 }
 
 bool ThreadPool::chunkBounds(int64_t Begin, int64_t End, unsigned NumChunks,
@@ -39,29 +44,98 @@ bool ThreadPool::chunkBounds(int64_t Begin, int64_t End, unsigned NumChunks,
   return Lo <= Hi;
 }
 
-void ThreadPool::runChunk(unsigned Worker) {
-  int64_t Lo, Hi;
-  if (chunkBounds(JobBegin, JobEnd, NumWorkers, Worker, Lo, Hi))
-    (*JobBody)(Lo, Hi + 1, Worker);
+void ThreadPool::runClaimedChunks(int64_t Begin, int64_t End,
+                                  unsigned NumChunks, const ChunkBody &Body) {
+  for (unsigned C; (C = NextChunk++) < NumChunks;) {
+    int64_t Lo, Hi;
+    if (chunkBounds(Begin, End, NumChunks, C, Lo, Hi))
+      Body(Lo, Hi + 1, C);
+  }
 }
 
-void ThreadPool::workerLoop(unsigned Worker) {
+void ThreadPool::workerLoop() {
   uint64_t SeenGeneration = 0;
   for (;;) {
+    int64_t Begin, End;
+    unsigned Chunks;
+    const ChunkBody *Body;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       JobReady.wait(Lock, [&] { return Stopping || Generation != SeenGeneration; });
       if (Stopping)
         return;
       SeenGeneration = Generation;
+      // A worker that wakes after the caller ran every chunk itself finds
+      // the job closed and goes back to sleep.
+      if (!JobOpen)
+        continue;
+      ++Active;
+      Begin = JobBegin;
+      End = JobEnd;
+      Chunks = JobChunks;
+      Body = JobBody;
     }
-    runChunk(Worker);
+    std::exception_ptr Error;
+    try {
+      runClaimedChunks(Begin, End, Chunks, *Body);
+    } catch (...) {
+      Error = std::current_exception();
+    }
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      if (--Remaining == 0)
+      if (Error && !JobError)
+        JobError = Error;
+      if (--Active == 0)
         JobDone.notify_all();
     }
   }
+}
+
+void ThreadPool::parallelFor(int64_t Begin, int64_t End, unsigned NumChunks,
+                             const ChunkBody &Body) {
+  if (Begin >= End || NumChunks == 0)
+    return;
+  bool Idle = false;
+  if (NumWorkers == 1 || NumChunks == 1 ||
+      !Busy.compare_exchange_strong(Idle, true)) {
+    for (unsigned C = 0; C < NumChunks; ++C) {
+      int64_t Lo, Hi;
+      if (chunkBounds(Begin, End, NumChunks, C, Lo, Hi))
+        Body(Lo, Hi + 1, C);
+    }
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    JobBegin = Begin;
+    JobEnd = End;
+    JobChunks = NumChunks;
+    JobBody = &Body;
+    NextChunk = 0;
+    JobOpen = true;
+    ++Generation;
+  }
+  JobReady.notify_all();
+  std::exception_ptr Error;
+  try {
+    runClaimedChunks(Begin, End, NumChunks, Body);
+  } catch (...) {
+    Error = std::current_exception();
+  }
+  // No worker may still hold Body once parallelFor returns, so the job
+  // closes before any chunk's exception goes on to the caller.
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    JobOpen = false;
+    JobDone.wait(Lock, [&] { return Active == 0; });
+    JobBody = nullptr;
+    if (!Error)
+      Error = JobError;
+    JobError = nullptr;
+  }
+  Busy = false;
+  if (Error)
+    std::rethrow_exception(Error);
 }
 
 TaskQueue::TaskQueue(unsigned NumThreads) {
@@ -110,26 +184,4 @@ void TaskQueue::workerLoop() {
     }
     Job();
   }
-}
-
-void ThreadPool::parallelFor(int64_t Begin, int64_t End, const ChunkBody &Body) {
-  if (Begin >= End)
-    return;
-  if (NumWorkers == 1) {
-    Body(Begin, End, 0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    JobBegin = Begin;
-    JobEnd = End;
-    JobBody = &Body;
-    Remaining = NumWorkers - 1;
-    ++Generation;
-  }
-  JobReady.notify_all();
-  runChunk(0); // the calling thread owns chunk 0
-  std::unique_lock<std::mutex> Lock(Mutex);
-  JobDone.wait(Lock, [&] { return Remaining == 0; });
-  JobBody = nullptr;
 }

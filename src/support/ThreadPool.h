@@ -6,22 +6,25 @@
 ///
 /// \file
 /// A small, work-stealing-free thread pool built around one primitive:
-/// `parallelFor`, which splits a half-open index range into one
-/// contiguous chunk per worker and blocks until every chunk has run.
-/// The static block partition keeps tile ownership deterministic (worker
-/// i always owns the i-th chunk), which the parallel executor relies on
-/// for bit-identical results and for per-thread contraction storage.
-/// The calling thread participates as worker 0, so a pool of size 1
-/// spawns no threads and degenerates to a plain sequential loop.
+/// `parallelFor`, which splits a half-open index range into contiguous
+/// chunks and blocks until every chunk has run. The block partition
+/// depends only on the range and the chunk count, never on which thread
+/// runs a chunk, so a caller that keeps per-chunk state (the parallel
+/// executor's thread-private contracted scalars) gets bit-identical
+/// results whoever ran what. `ThreadPool::shared()` is the one pool of
+/// the process, sized to the cores; the parallel executor and the first
+/// touch of large storages both run on it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALF_SUPPORT_THREADPOOL_H
 #define ALF_SUPPORT_THREADPOOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -33,13 +36,18 @@ namespace alf {
 /// calling thread. Jobs are dispatched by `parallelFor`; the pool is
 /// reused across calls so tile-with-barriers execution (one dispatch per
 /// sequential outer iteration) does not pay thread creation per barrier.
-/// Not reentrant: `parallelFor` must not be called from inside a body.
+///
+/// Thread-safety contract: any number of threads may call `parallelFor`
+/// at once, and a chunk body may call it again. One job runs on the pool
+/// at a time. A call that finds the pool busy (another caller's job, or
+/// the job whose body is calling) runs every chunk itself, in chunk
+/// order, so there is no oversubscription and no deadlock.
 class ThreadPool {
 public:
-  /// A chunk body: [ChunkBegin, ChunkEnd) and the worker index running it
-  /// (0 = the calling thread, workers are numbered densely).
+  /// A chunk body: [ChunkBegin, ChunkEnd) and the index of that chunk in
+  /// the block partition (0 holds the lowest indices).
   using ChunkBody = std::function<void(int64_t ChunkBegin, int64_t ChunkEnd,
-                                       unsigned Worker)>;
+                                       unsigned Chunk)>;
 
   /// Creates a pool of \p NumThreads workers; 0 means
   /// std::thread::hardware_concurrency() (at least 1).
@@ -49,42 +57,63 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
+  /// The process-wide pool, one worker per core, started on first use.
+  static ThreadPool &shared();
+
   unsigned numThreads() const { return NumWorkers; }
 
-  /// Splits [Begin, End) into numThreads() contiguous chunks (worker i
-  /// gets the i-th chunk in index order; trailing chunks may be empty
-  /// when the range is short) and runs them concurrently. Blocks until
-  /// all chunks complete. Runs \p Body inline when the pool has a single
-  /// worker.
-  void parallelFor(int64_t Begin, int64_t End, const ChunkBody &Body);
+  /// Splits [Begin, End) into \p NumChunks contiguous chunks (chunk i is
+  /// the i-th in index order; trailing chunks may be empty when the range
+  /// is short) and runs each once, on whichever threads of the pool are
+  /// free. Blocks until all chunks complete, then rethrows the first
+  /// exception a chunk threw, if any. Runs them inline, in chunk order,
+  /// when the pool has a single worker or is busy.
+  void parallelFor(int64_t Begin, int64_t End, unsigned NumChunks,
+                   const ChunkBody &Body);
+
+  /// parallelFor with one chunk per thread of the pool.
+  void parallelFor(int64_t Begin, int64_t End, const ChunkBody &Body) {
+    parallelFor(Begin, End, NumWorkers, Body);
+  }
 
   /// The inclusive sub-range [Lo..Hi] of chunk \p Chunk when [Begin, End)
   /// is block-partitioned into \p NumChunks pieces; returns false when the
   /// chunk is empty. Exposed so callers can reason about chunk ownership
-  /// (e.g. which worker runs the last iteration) without duplicating the
+  /// (e.g. which chunk runs the last iteration) without duplicating the
   /// partition arithmetic.
   static bool chunkBounds(int64_t Begin, int64_t End, unsigned NumChunks,
                           unsigned Chunk, int64_t &Lo, int64_t &Hi);
 
 private:
-  void workerLoop(unsigned Worker);
-  void runChunk(unsigned Worker);
+  void workerLoop();
+  /// Claims and runs chunks of the open job until none is left.
+  void runClaimedChunks(int64_t Begin, int64_t End, unsigned NumChunks,
+                        const ChunkBody &Body);
 
   unsigned NumWorkers = 1;
-  std::vector<std::thread> Workers;
+
+  /// Set while a job owns the pool; a caller that cannot set it runs
+  /// inline.
+  std::atomic<bool> Busy{false};
+  /// The next unclaimed chunk of the open job.
+  std::atomic<unsigned> NextChunk{0};
 
   std::mutex Mutex;
   std::condition_variable JobReady;
   std::condition_variable JobDone;
-  uint64_t Generation = 0; ///< bumped per parallelFor; workers wait on it
-  unsigned Remaining = 0;  ///< background workers still running the job
+  uint64_t Generation = 0; ///< bumped per dispatch; workers wait on it
+  bool JobOpen = false;    ///< background workers may still join the job
+  unsigned Active = 0;     ///< background workers inside the job
   bool Stopping = false;
 
-  // The in-flight job (valid while Remaining > 0 or the caller is in
-  // parallelFor).
+  // The open job (valid while JobOpen or Active > 0).
   int64_t JobBegin = 0;
   int64_t JobEnd = 0;
+  unsigned JobChunks = 0;
   const ChunkBody *JobBody = nullptr;
+  std::exception_ptr JobError; ///< first exception a worker's chunk threw
+
+  std::vector<std::thread> Workers; // last: they use every member above
 };
 
 /// A FIFO job queue drained by a fixed set of dedicated workers — the

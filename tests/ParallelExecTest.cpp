@@ -23,7 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 using namespace alf;
 using namespace alf::analysis;
@@ -94,6 +99,107 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
         Sum += I;
     });
   EXPECT_EQ(Sum.load(), 200 * 45);
+}
+
+TEST(ThreadPoolTest, TwoCallersAtOnceRunEveryIndexOnce) {
+  // Two threads dispatch on one pool at once, with more chunks than
+  // threads: whichever finds the pool busy runs its chunks itself.
+  ThreadPool Pool(4);
+  auto Dispatch = [&](std::vector<std::atomic<int>> &Hits) {
+    for (int Round = 0; Round < 200; ++Round)
+      Pool.parallelFor(0, 70, 7, [&](int64_t B, int64_t E, unsigned Chunk) {
+        EXPECT_LT(Chunk, 7u);
+        for (int64_t I = B; I < E; ++I)
+          Hits[static_cast<size_t>(I)]++;
+      });
+  };
+  std::vector<std::atomic<int>> HitsA(70), HitsB(70);
+  std::thread Other([&] { Dispatch(HitsB); });
+  Dispatch(HitsA);
+  Other.join();
+  for (size_t I = 0; I < 70; ++I) {
+    EXPECT_EQ(HitsA[I].load(), 200) << I;
+    EXPECT_EQ(HitsB[I].load(), 200) << I;
+  }
+}
+
+TEST(ThreadPoolTest, BusyPoolRunsTheCallersChunksInOrder) {
+  // One job holds the pool until a second caller's dispatch returns; that
+  // dispatch must run every chunk on its own thread, in chunk order.
+  ThreadPool Pool(4);
+  std::atomic<bool> Holding{false}, SecondDone{false};
+  std::thread Holder([&] {
+    Pool.parallelFor(0, 4, 4, [&](int64_t, int64_t, unsigned Chunk) {
+      if (Chunk != 0)
+        return;
+      Holding = true;
+      while (!SecondDone)
+        std::this_thread::yield();
+    });
+  });
+  while (!Holding)
+    std::this_thread::yield();
+  std::vector<unsigned> Order;
+  std::set<std::thread::id> Threads;
+  std::vector<int> Hits(20, 0);
+  Pool.parallelFor(0, 20, 5, [&](int64_t B, int64_t E, unsigned Chunk) {
+    Order.push_back(Chunk);
+    Threads.insert(std::this_thread::get_id());
+    for (int64_t I = B; I < E; ++I)
+      ++Hits[static_cast<size_t>(I)];
+  });
+  SecondDone = true;
+  Holder.join();
+  EXPECT_EQ(Order, (std::vector<unsigned>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(Threads, (std::set<std::thread::id>{std::this_thread::get_id()}));
+  EXPECT_EQ(Hits, std::vector<int>(20, 1));
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  // A body that dispatches on its own pool runs the inner chunks itself,
+  // in order, instead of waiting for workers that are busy running it.
+  ThreadPool Pool(4);
+  std::vector<std::atomic<int>> Hits(4 * 30);
+  std::mutex M;
+  std::vector<std::string> Failures;
+  Pool.parallelFor(0, 4, 4, [&](int64_t Outer, int64_t, unsigned) {
+    std::vector<unsigned> Order;
+    std::thread::id Self = std::this_thread::get_id();
+    bool SameThread = true;
+    Pool.parallelFor(0, 30, 3, [&](int64_t B, int64_t E, unsigned Chunk) {
+      Order.push_back(Chunk);
+      SameThread &= std::this_thread::get_id() == Self;
+      for (int64_t I = B; I < E; ++I)
+        Hits[static_cast<size_t>(Outer * 30 + I)]++;
+    });
+    if (Order != std::vector<unsigned>{0, 1, 2} || !SameThread) {
+      std::lock_guard<std::mutex> Lock(M);
+      Failures.push_back("outer chunk " + std::to_string(Outer));
+    }
+  });
+  EXPECT_TRUE(Failures.empty()) << Failures.front();
+  for (const auto &H : Hits)
+    EXPECT_EQ(H.load(), 1);
+}
+
+TEST(ThreadPoolTest, ChunkExceptionReachesTheCaller) {
+  // A chunk that throws, on a worker or on the caller, fails the
+  // dispatch once every joined worker is done; the pool stays usable.
+  ThreadPool Pool(4);
+  for (unsigned Thrower = 0; Thrower < 8; ++Thrower)
+    EXPECT_THROW(Pool.parallelFor(0, 8, 8,
+                                  [&](int64_t, int64_t, unsigned Chunk) {
+                                    if (Chunk == Thrower)
+                                      throw std::runtime_error("chunk");
+                                  }),
+                 std::runtime_error);
+  std::vector<std::atomic<int>> Hits(40);
+  Pool.parallelFor(0, 40, 8, [&](int64_t B, int64_t E, unsigned) {
+    for (int64_t I = B; I < E; ++I)
+      Hits[static_cast<size_t>(I)]++;
+  });
+  for (const auto &H : Hits)
+    EXPECT_EQ(H.load(), 1);
 }
 
 TEST(ParallelLegalityTest, ZeroDistancesParallelizeOutermost) {
@@ -345,6 +451,46 @@ TEST(ParallelExecTest, ScheduleIsReportedAndCounted) {
   Opts.NumThreads = 2;
   runParallel(LP, 1, Opts, Sched);
   EXPECT_GE(obs::counterValue("parallel.runs"), 1u);
+}
+
+/// The ids of this process's threads.
+std::set<std::string> taskIds() {
+  std::set<std::string> Ids;
+  for (const auto &E : std::filesystem::directory_iterator("/proc/self/task"))
+    Ids.insert(E.path().filename().string());
+  return Ids;
+}
+
+TEST(ParallelExecTest, SecondRunStartsNoThread) {
+  // Every parallel run shares the process-wide pool: once one run has
+  // started it, a second run starts no thread. A poller lists the tasks
+  // throughout the second run, so a thread started and joined inside the
+  // run is seen too.
+  auto P = tp::makeFigure2(400, 400);
+  ASDG G = ASDG::build(*P);
+  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  ParallelSchedule Sched = planParallelism(LP);
+  ASSERT_GE(Sched.numParallelNests(), 1u);
+  ParallelOptions Opts;
+  Opts.NumThreads = 4;
+  runParallel(LP, 1, Opts, Sched);
+
+  std::atomic<bool> Done{false};
+  std::set<std::string> Seen;
+  std::thread Poller([&] {
+    while (!Done)
+      for (const std::string &Id : taskIds())
+        Seen.insert(Id);
+  });
+  std::set<std::string> Before = taskIds(); // the poller included
+  runParallel(LP, 1, Opts, Sched);
+  Done = true;
+  Poller.join();
+  std::set<std::string> After = taskIds();
+
+  for (const std::string &Id : Seen)
+    EXPECT_TRUE(Before.count(Id)) << "thread " << Id << " started in the run";
+  EXPECT_EQ(After.size() + 1, Before.size()); // all but the poller remain
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 using namespace alf;
 using namespace alf::exec;
@@ -188,16 +189,18 @@ TEST(StorageTest, WrappingByteTotalThrowsLengthError) {
   EXPECT_THROW(allocateStorage(LP, 1), std::length_error);
 }
 
-/// A benchmark compiled at c2+f3; the program outlives its loop program.
+/// A benchmark compiled at c2+f3 or \p Strat; the program outlives its
+/// loop program.
 struct Compiled {
   std::unique_ptr<Program> P;
   lir::LoopProgram LP;
-  Compiled(std::unique_ptr<Program> Prog)
-      : P(std::move(Prog)), LP(scalarizeC2F3(*P)) {}
-  static lir::LoopProgram scalarizeC2F3(Program &P) {
+  Compiled(std::unique_ptr<Program> Prog,
+           xform::Strategy Strat = xform::Strategy::C2F3)
+      : P(std::move(Prog)), LP(scalarize(*P, Strat)) {}
+  static lir::LoopProgram scalarize(Program &P, xform::Strategy Strat) {
     normalizeProgram(P);
     analysis::ASDG G = analysis::ASDG::build(P);
-    return scalarize::scalarizeWithStrategy(G, xform::Strategy::C2F3);
+    return scalarize::scalarizeWithStrategy(G, Strat);
   }
 };
 
@@ -329,6 +332,83 @@ TEST(SlabTest, GrowingASlabLiveOutMovesItToTheHeap) {
   EXPECT_EQ(Data.get_allocator(), PayloadAllocator<double>());
   Want.push_back(42.0);
   EXPECT_TRUE(std::equal(Data.begin(), Data.end(), Want.begin(), Want.end()));
+}
+
+uint64_t touchChunks() {
+  return obs::counterValue("exec.storage.touch_chunks");
+}
+
+/// Huge pages the slab of \p LP's storage spans.
+uint64_t slabPages(const lir::LoopProgram &LP) {
+  return (LP.storageLayout().SpanBytes + HugePage - 1) / HugePage;
+}
+
+/// Payloads of \p S that start inside a huge page rather than on one.
+struct MidPageCounts {
+  unsigned LiveIn = 0, Zero = 0;
+};
+
+/// Checks every payload of \p S element by element: a live-in one holds
+/// the serial SplitMix64 stream of its name's seed, any other is zero.
+/// Returns how many of each start in the middle of a huge page.
+MidPageCounts expectSerialSeeding(const lir::LoopProgram &LP, Storage &S,
+                                  uint64_t Seed) {
+  MidPageCounts Mid;
+  for (ArrayBuffer *Buf : buffersOf(LP, S)) {
+    const ArraySymbol *A = Buf->symbol();
+    bool MidPage = (Buf->baseAddr() - 4096) % HugePage != 0;
+    size_t Mismatches = 0;
+    if (A->isLiveIn()) {
+      SplitMix64 Rng(Seed ^ hashName(A->getName()));
+      for (double V : Buf->raw())
+        Mismatches += V != Rng.nextDouble(-1.0, 1.0);
+      Mid.LiveIn += MidPage;
+    } else {
+      for (double V : Buf->raw())
+        Mismatches += V != 0.0;
+      Mid.Zero += MidPage;
+    }
+    EXPECT_EQ(Mismatches, 0u) << A->getName() << " of "
+                              << Buf->raw().size() << " elements";
+  }
+  return Mid;
+}
+
+TEST(StorageTest, SlabFirstTouchMatchesTheSerialStream) {
+  // At c2+f3 every fibro temporary is contracted, so every payload is
+  // seeded; the baseline strategy keeps the temporaries, whose payloads
+  // stay zero.
+  unsigned LiveInMidPage = 0, ZeroMidPage = 0;
+  for (xform::Strategy Strat :
+       {xform::Strategy::C2F3, xform::Strategy::Baseline}) {
+    Compiled F(benchprogs::buildFibro(512), Strat);
+    uint64_t Before = touchChunks();
+    Storage S = allocateStorage(F.LP, 3);
+    // One first-touch chunk per huge page of the span.
+    EXPECT_EQ(touchChunks() - Before, slabPages(F.LP));
+    MidPageCounts Mid = expectSerialSeeding(F.LP, S, 3);
+    LiveInMidPage += Mid.LiveIn;
+    ZeroMidPage += Mid.Zero;
+  }
+  // Chunks split payloads at page boundaries, seeded ones and zero ones.
+  EXPECT_GT(LiveInMidPage, 0u);
+  EXPECT_GT(ZeroMidPage, 0u);
+}
+
+TEST(StorageTest, ConcurrentAllocationsMatchTheSerialStream) {
+  // Four threads allocate at once: one first touch gets the pool, the
+  // others run their chunks on their own threads; all match.
+  Compiled F = fibro();
+  uint64_t Before = touchChunks();
+  std::vector<std::thread> Threads;
+  for (uint64_t Seed = 20; Seed < 24; ++Seed)
+    Threads.emplace_back([&F, Seed] {
+      Storage S = allocateStorage(F.LP, Seed);
+      expectSerialSeeding(F.LP, S, Seed);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(touchChunks() - Before, 4 * slabPages(F.LP));
 }
 
 TEST(StorageTest, HashNameStable) {

@@ -72,7 +72,8 @@ FlagParse tool::parseToolFlag(const std::string &Arg, unsigned Flags,
   return FlagParse::NotMine;
 }
 
-std::string tool::toolFlagsHelp(unsigned Flags) {
+std::string tool::toolFlagsHelp(unsigned Flags,
+                                const std::string &VerifyDefault) {
   std::string S;
   if (Flags & TF_Strategy)
     S += "  --strategy=baseline|f1|c1|f2|f3|c2|c2+f3|c2+f4|ilp\n"
@@ -82,8 +83,8 @@ std::string tool::toolFlagsHelp(unsigned Flags) {
          "                         execution mode\n";
   if (Flags & TF_Verify)
     S += "  --verify=off|structural|full|safety\n"
-         "                         translation-validation level (default "
-         "full)\n";
+         "                         translation-validation level (default " +
+         VerifyDefault + ")\n";
   if (Flags & TF_Semiring)
     S += "  --semiring=" + semiring::allNames() +
          "\n"

@@ -87,7 +87,10 @@ FlagParse parseToolFlag(const std::string &Arg, unsigned Flags,
 
 /// The usage lines for the flags enabled in \p Flags, two-space
 /// indented, one flag per line — golden-tested, keep stable.
-std::string toolFlagsHelp(unsigned Flags);
+/// \p VerifyDefault names what the tool verifies at when --verify is
+/// absent.
+std::string toolFlagsHelp(unsigned Flags,
+                          const std::string &VerifyDefault = "full");
 
 /// Raises the obs level per the parsed flags: --trace implies Trace,
 /// --metrics implies at least Counters. Never lowers a level set by

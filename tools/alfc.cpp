@@ -34,7 +34,7 @@ constexpr unsigned AlfcFlags = tool::TF_Strategy | tool::TF_Exec |
 void usage(std::ostream &OS) {
   OS << "usage: alfc --socket=PATH <health|stats|compile|execute|shutdown> "
         "[file.zpl] [options]\n"
-     << tool::toolFlagsHelp(AlfcFlags);
+     << tool::toolFlagsHelp(AlfcFlags, "the server's");
 }
 
 } // namespace

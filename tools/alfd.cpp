@@ -50,8 +50,9 @@ void usage(std::ostream &OS) {
         "(default 64)\n"
      << "  --max-program-bytes=N  admission cap on program size (default "
         "1 MiB)\n"
-     << tool::toolFlagsHelp(tool::TF_Verify | tool::TF_Trace |
-                            tool::TF_Metrics);
+     << tool::toolFlagsHelp(
+            tool::TF_Verify | tool::TF_Trace | tool::TF_Metrics,
+            verify::getVerifyLevelName(serve::ServerOptions().Verify));
 }
 
 } // namespace
