@@ -71,11 +71,6 @@ public:
   void parallelFor(int64_t Begin, int64_t End, unsigned NumChunks,
                    const ChunkBody &Body);
 
-  /// parallelFor with one chunk per thread of the pool.
-  void parallelFor(int64_t Begin, int64_t End, const ChunkBody &Body) {
-    parallelFor(Begin, End, NumWorkers, Body);
-  }
-
   /// The inclusive sub-range [Lo..Hi] of chunk \p Chunk when [Begin, End)
   /// is block-partitioned into \p NumChunks pieces; returns false when the
   /// chunk is empty. Exposed so callers can reason about chunk ownership

@@ -79,8 +79,8 @@ TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnce) {
   ThreadPool Pool(4);
   EXPECT_EQ(Pool.numThreads(), 4u);
   std::vector<std::atomic<int>> Hits(100);
-  Pool.parallelFor(0, 100, [&](int64_t B, int64_t E, unsigned Worker) {
-    EXPECT_LT(Worker, 4u);
+  Pool.parallelFor(0, 100, 4, [&](int64_t B, int64_t E, unsigned Chunk) {
+    EXPECT_LT(Chunk, 4u);
     for (int64_t I = B; I < E; ++I)
       Hits[static_cast<size_t>(I)]++;
   });
@@ -94,7 +94,7 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
   ThreadPool Pool(3);
   std::atomic<int64_t> Sum{0};
   for (int Round = 0; Round < 200; ++Round)
-    Pool.parallelFor(0, 10, [&](int64_t B, int64_t E, unsigned) {
+    Pool.parallelFor(0, 10, 3, [&](int64_t B, int64_t E, unsigned) {
       for (int64_t I = B; I < E; ++I)
         Sum += I;
     });
