@@ -4,6 +4,8 @@
 
 #include "obs/Obs.h"
 
+#include <unordered_map>
+
 using namespace alf;
 using namespace alf::analysis;
 using namespace alf::ir;
@@ -27,6 +29,8 @@ ALF_COUNTER(NumRejectedContractible, "fusion.rejected_contractible",
             "Merges rejected by CONTRACTIBLE?");
 ALF_COUNTER(NumRejectedLegality, "fusion.rejected_legality",
             "Merges rejected by FUSION-PARTITION?");
+ALF_COUNTER(NumPairsTested, "xform.f4.pairs_tested",
+            "Cluster pairs pairwise fusion tested for legality");
 
 static unsigned runGreedyFusion(FusionPartition &P,
                                 const ArrayFilter &Candidates,
@@ -73,7 +77,8 @@ unsigned xform::fuseForLocality(FusionPartition &P) {
   return runGreedyFusion(P, anyArray(), /*RequireContractible=*/false);
 }
 
-unsigned xform::fuseAllPairwise(FusionPartition &P) {
+unsigned xform::fuseAllPairwise(FusionPartition &P,
+                                std::vector<std::set<unsigned>> *Merged) {
   const ir::Program &Prog = P.graph().getProgram();
 
   // Cheap per-cluster precheck: the region its statements share, or null
@@ -102,6 +107,16 @@ unsigned xform::fuseAllPairwise(FusionPartition &P) {
     return P.clusterOf(Cluster) != Cluster;
   };
 
+  // A pair that failed is not tested again until one of its clusters
+  // grows. A merge elsewhere only adds statements to the pair's GROW
+  // closure, and each condition of Definition 5 a GROW-closed set can
+  // fail on an acyclic partition (common region, communication span,
+  // null flow UDVs, an LSV existing) stays failed on a superset.
+  // GrewAt[c] and FailedAt[pair] are merge counts.
+  assert(P.isAcyclic() && "pairwise fusion of a cyclic partition");
+  std::vector<unsigned> GrewAt(P.numStmts(), 0);
+  std::unordered_map<uint64_t, unsigned> FailedAt;
+  uint64_t PairsTested = 0;
   unsigned Merges = 0;
   bool Changed = true;
   while (Changed) {
@@ -119,19 +134,31 @@ unsigned xform::fuseAllPairwise(FusionPartition &P) {
         const ir::Region *RJ = RegionOf(Clusters[J]);
         if (!RJ || *RI != *RJ)
           continue;
+        uint64_t Pair = uint64_t(Clusters[I]) << 32 | Clusters[J];
+        auto Failed = FailedAt.find(Pair);
+        if (Failed != FailedAt.end() &&
+            GrewAt[Clusters[I]] <= Failed->second &&
+            GrewAt[Clusters[J]] <= Failed->second)
+          continue;
+        ++PairsTested;
         std::set<unsigned> C{Clusters[I], Clusters[J]};
         std::set<unsigned> Grown = P.grow(C);
         C.insert(Grown.begin(), Grown.end());
-        if (!isLegalFusion(P, C))
+        if (!isLegalFusion(P, C)) {
+          FailedAt[Pair] = Merges;
           continue;
+        }
         unsigned Survivor = P.merge(C);
-        ++Merges;
+        GrewAt[Survivor] = ++Merges;
+        if (Merged)
+          Merged->push_back(std::move(C));
         Changed = true;
         if (Survivor != Clusters[I])
           break; // this row's cluster was absorbed; move on
       }
     }
   }
+  NumPairsTested += PairsTested;
   return Merges;
 }
 

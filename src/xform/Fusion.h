@@ -52,8 +52,11 @@ unsigned fuseForLocality(FusionPartition &P);
 
 /// Greedy pairwise legal fusion (the paper's f4): repeatedly merges any
 /// pair of clusters whose union (with GROW closure) is a legal fusion
-/// partition, until no pair can merge. Returns the number of merges.
-unsigned fuseAllPairwise(FusionPartition &P);
+/// partition, until no pair can merge. \p P must be acyclic. Returns the
+/// number of merges; when \p Merged is non-null, appends each merged
+/// cluster set to it in merge order.
+unsigned fuseAllPairwise(FusionPartition &P,
+                         std::vector<std::set<unsigned>> *Merged = nullptr);
 
 /// Arrays contractible under the final partition \p P that are accepted by
 /// \p Allowed ("Given a particular fusion partition we can decide for what

@@ -2,6 +2,7 @@
 
 #include "xform/FusionPartition.h"
 
+#include "obs/Obs.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -10,6 +11,9 @@ using namespace alf;
 using namespace alf::analysis;
 using namespace alf::ir;
 using namespace alf::xform;
+
+ALF_COUNTER(NumAdjVisited, "xform.grow.adj_visited",
+            "Quotient adjacency entries read by GROW searches");
 
 /// Sorts \p V and drops duplicates.
 static void sortUnique(std::vector<unsigned> &V) {
@@ -66,49 +70,137 @@ void FusionPartition::buildQuotient() {
     sortUnique(Succ[Cl]);
     sortUnique(Pred[Cl]);
   }
-  Acyclic = Active.empty() || !hasCycleCollapsing({Active.front()});
+  computeOrder();
+}
+
+/// Marks a position of the kept order that no cluster occupies.
+static constexpr unsigned NoCluster = ~0u;
+
+bool FusionPartition::orderCollapsing(const std::set<unsigned> &C,
+                                      std::vector<unsigned> &Out) const {
+  // Kahn's algorithm, with Out as its queue. Edges are counted with
+  // multiplicity, so the collapsed node needs no adjacency of its own.
+  unsigned Rep = C.empty() ? NoCluster : *C.begin();
+  auto Node = [&C, Rep](unsigned Cl) { return C.count(Cl) ? Rep : Cl; };
+  std::vector<unsigned> InDegree(numStmts(), 0);
+  for (unsigned Cl : Active)
+    for (unsigned T : Succ[Cl])
+      if (Node(Cl) != Node(T))
+        ++InDegree[Node(T)];
+  Out.clear();
+  size_t Nodes = 0;
+  for (unsigned Cl : Active) {
+    if (Node(Cl) != Cl)
+      continue;
+    ++Nodes;
+    if (InDegree[Cl] == 0)
+      Out.push_back(Cl);
+  }
+  auto Release = [&](unsigned From, unsigned Cl) {
+    for (unsigned T : Succ[Cl])
+      if (Node(T) != From && --InDegree[Node(T)] == 0)
+        Out.push_back(Node(T));
+  };
+  for (size_t Head = 0; Head < Out.size(); ++Head) {
+    unsigned N = Out[Head];
+    if (N != Rep)
+      Release(N, N);
+    else
+      for (unsigned Cl : C)
+        Release(N, Cl);
+  }
+  return Out.size() == Nodes;
+}
+
+void FusionPartition::computeOrder() {
+  Acyclic = orderCollapsing({}, Order);
+  Pos.assign(numStmts(), 0);
+  if (!Acyclic) {
+    Order.clear();
+    return;
+  }
+  for (unsigned P = 0; P < Order.size(); ++P)
+    Pos[Order[P]] = P;
 }
 
 unsigned FusionPartition::merge(const std::set<unsigned> &C) {
   assert(!C.empty() && "cannot merge an empty cluster set");
   unsigned Target = *C.begin(); // smallest id (set is ordered)
 
-  // Merging a GROW-closed set keeps an acyclic quotient acyclic, and
-  // merging any other set makes it cyclic. A quotient that was already
-  // cyclic is checked again after the merge.
+  // Mark is 1 on C. On an acyclic quotient one forward search marks 2 on
+  // what C reaches inside its window: merging a GROW-closed set (no path
+  // back into C) keeps the quotient acyclic, and any other set makes it
+  // cyclic. A quotient that was already cyclic is ordered again after
+  // the merge, which also tells whether it still has a cycle.
+  std::vector<char> Mark(numStmts(), 0);
+  for (unsigned Cl : C)
+    Mark[Cl] = 1;
   bool WasAcyclic = Acyclic;
-  if (WasAcyclic)
-    Acyclic = growList(C).empty();
+  if (WasAcyclic) {
+    Acyclic = !searchForward(C, Mark);
+    if (Acyclic) {
+      auto [Lo, Hi] = window(C);
+      // Reorder the window: the clusters the merged one reaches go after
+      // it and the rest before it, each group in its old order. No edge
+      // leaves the reached group backwards: one into C would put its
+      // source in GROW(C), and one to an unreached cluster would make
+      // that cluster reached.
+      std::vector<unsigned> Reached;
+      unsigned Next = Lo;
+      for (unsigned P = Lo; P <= Hi; ++P) {
+        unsigned Cl = Order[P];
+        if (Cl == NoCluster || Mark[Cl] == 1)
+          continue;
+        if (Mark[Cl] == 2) {
+          Reached.push_back(Cl);
+          continue;
+        }
+        Order[Next] = Cl;
+        Pos[Cl] = Next++;
+      }
+      Order[Next] = Target;
+      Pos[Target] = Next++;
+      for (unsigned Cl : Reached) {
+        Order[Next] = Cl;
+        Pos[Cl] = Next++;
+      }
+      std::fill(Order.begin() + Next, Order.begin() + Hi + 1, NoCluster);
+    } else {
+      Order.clear();
+    }
+  }
 
   std::vector<unsigned> &Merged = Members[Target];
   std::vector<unsigned> NewSucc, NewPred;
   for (unsigned Cl : C) {
     assert(ClusterOf[Cl] == Cl && "merge of an inactive cluster id");
     for (unsigned T : Succ[Cl])
-      if (!C.count(T))
+      if (Mark[T] != 1)
         NewSucc.push_back(T);
     for (unsigned S : Pred[Cl])
-      if (!C.count(S))
+      if (Mark[S] != 1)
         NewPred.push_back(S);
     if (Cl == Target)
       continue;
     for (unsigned StmtId : Members[Cl])
       ClusterOf[StmtId] = Target;
+    size_t Mid = Merged.size();
     Merged.insert(Merged.end(), Members[Cl].begin(), Members[Cl].end());
+    std::inplace_merge(Merged.begin(), Merged.begin() + Mid, Merged.end());
     Members[Cl].clear();
     Succ[Cl].clear();
     Pred[Cl].clear();
   }
-  std::sort(Merged.begin(), Merged.end());
   sortUnique(NewSucc);
   sortUnique(NewPred);
 
-  // The neighbours' lists name absorbed clusters; point them at Target.
-  auto Relabel = [&C, Target](std::vector<unsigned> &Adj) {
-    for (unsigned &Cl : Adj)
-      if (C.count(Cl))
-        Cl = Target;
-    sortUnique(Adj);
+  // The neighbours' sorted lists name clusters of C; replace those by
+  // Target, which none of them holds yet.
+  auto Relabel = [&Mark, Target](std::vector<unsigned> &Adj) {
+    Adj.erase(std::remove_if(Adj.begin(), Adj.end(),
+                             [&Mark](unsigned Cl) { return Mark[Cl] == 1; }),
+              Adj.end());
+    Adj.insert(std::lower_bound(Adj.begin(), Adj.end(), Target), Target);
   };
   for (unsigned T : NewSucc)
     Relabel(Pred[T]);
@@ -118,12 +210,12 @@ unsigned FusionPartition::merge(const std::set<unsigned> &C) {
   Pred[Target] = std::move(NewPred);
 
   Active.erase(std::remove_if(Active.begin(), Active.end(),
-                              [&C, Target](unsigned Cl) {
-                                return Cl != Target && C.count(Cl);
+                              [&Mark, Target](unsigned Cl) {
+                                return Cl != Target && Mark[Cl] == 1;
                               }),
                Active.end());
   if (!WasAcyclic)
-    Acyclic = !hasCycleCollapsing({Target});
+    computeOrder();
   return Target;
 }
 
@@ -156,46 +248,74 @@ FusionPartition::clusterEdges() const {
   return Edges;
 }
 
+std::pair<unsigned, unsigned>
+FusionPartition::window(const std::set<unsigned> &C) const {
+  if (!Acyclic)
+    return {0, NoCluster};
+  unsigned Lo = NoCluster, Hi = 0;
+  for (unsigned Cl : C) {
+    Lo = std::min(Lo, Pos[Cl]);
+    Hi = std::max(Hi, Pos[Cl]);
+  }
+  return {Lo, Hi};
+}
+
+template <typename EnterFn>
 std::vector<unsigned>
 FusionPartition::reach(const std::set<unsigned> &C,
                        const std::vector<std::vector<unsigned>> &Adj,
-                       std::vector<char> &Seen, bool &BackIntoC) const {
+                       std::vector<char> &Seen, bool &BackIntoC,
+                       EnterFn Enter) const {
   std::vector<unsigned> Work(C.begin(), C.end()), Reached;
   for (unsigned Cl : C)
     Seen[Cl] = 1;
   BackIntoC = false;
+  uint64_t Visited = 0;
   while (!Work.empty()) {
     unsigned Cl = Work.back();
     Work.pop_back();
+    Visited += Adj[Cl].size();
     for (unsigned Next : Adj[Cl]) {
       if (Seen[Next]) {
         BackIntoC |= Seen[Next] == 1 && Seen[Cl] == 2;
         continue;
       }
+      if (!Enter(Next))
+        continue;
       Seen[Next] = 2;
       Work.push_back(Next);
       Reached.push_back(Next);
     }
   }
+  NumAdjVisited += Visited;
   return Reached;
+}
+
+bool FusionPartition::searchForward(const std::set<unsigned> &C,
+                                    std::vector<char> &Seen) const {
+  // No cluster after C's last position leads back into C.
+  unsigned Hi = window(C).second;
+  bool BackIntoC = false;
+  reach(C, Succ, Seen, BackIntoC,
+        [this, Hi](unsigned Cl) { return Pos[Cl] <= Hi; });
+  return BackIntoC;
 }
 
 std::vector<unsigned>
 FusionPartition::growList(const std::set<unsigned> &C) const {
-  // Forward-reachable from C and backward-reachable to C on the quotient
-  // graph; the intersection (minus C) is GROW. One application is closed:
-  // any cluster reachable from C + GROW and reaching C + GROW is already
-  // forward- and backward-reachable from/to C itself.
-  std::vector<char> Fwd(numStmts(), 0), Bwd(numStmts(), 0);
-  bool BackIntoC = false;
-  reach(C, Succ, Fwd, BackIntoC);
-  if (!BackIntoC)
+  // GROW is what C reaches and what reaches C, minus C. One application
+  // is closed: any cluster reachable from C + GROW and reaching C + GROW
+  // is already forward- and backward-reachable from/to C itself. A path
+  // from C back into C never leaves C's window of the order, and every
+  // cluster on it is forward-reached, so the backward search enters only
+  // those and returns GROW itself.
+  std::vector<char> Fwd(numStmts(), 0);
+  if (!searchForward(C, Fwd))
     return {};
-  std::vector<unsigned> Result;
-  for (unsigned Cl : reach(C, Pred, Bwd, BackIntoC))
-    if (Fwd[Cl])
-      Result.push_back(Cl);
-  return Result;
+  std::vector<char> Bwd(numStmts(), 0);
+  bool BackIntoC = false;
+  return reach(C, Pred, Bwd, BackIntoC,
+               [&Fwd](unsigned Cl) { return Fwd[Cl] != 0; });
 }
 
 std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
@@ -203,52 +323,17 @@ std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
   return std::set<unsigned>(Grown.begin(), Grown.end());
 }
 
-bool FusionPartition::hasCycleCollapsing(const std::set<unsigned> &C) const {
-  unsigned Rep = *C.begin();
-  auto Node = [&C, Rep](unsigned Cl) { return C.count(Cl) ? Rep : Cl; };
-  std::vector<unsigned> RepSucc;
-  for (unsigned Cl : C)
-    for (unsigned T : Succ[Cl])
-      if (!C.count(T))
-        RepSucc.push_back(T);
-
-  // Iterative three-colour DFS (0 white, 1 on the stack, 2 done).
-  std::vector<char> Color(numStmts(), 0);
-  std::vector<std::pair<unsigned, size_t>> Stack;
-  for (unsigned Start : Active) {
-    if (Node(Start) != Start || Color[Start])
-      continue;
-    Color[Start] = 1;
-    Stack.push_back({Start, 0});
-    while (!Stack.empty()) {
-      auto [Cl, Idx] = Stack.back();
-      const std::vector<unsigned> &Next = Cl == Rep ? RepSucc : Succ[Cl];
-      if (Idx == Next.size()) {
-        Color[Cl] = 2;
-        Stack.pop_back();
-        continue;
-      }
-      ++Stack.back().second;
-      unsigned T = Node(Next[Idx]);
-      if (Color[T] == 1)
-        return true; // back edge
-      if (Color[T] == 0) {
-        Color[T] = 1;
-        Stack.push_back({T, 0});
-      }
-    }
-  }
-  return false;
-}
-
 bool FusionPartition::mergeCreatesCycle(const std::set<unsigned> &C) const {
   // On an acyclic quotient, a cycle through the fused node passes through
   // a cluster outside C that C reaches and that reaches C: a GROW member.
   // A partition built by fromAssignment may already be cyclic; then fall
-  // back to one DFS with C collapsed.
-  if (Acyclic)
-    return !growList(C).empty();
-  return hasCycleCollapsing(C);
+  // back to ordering the whole quotient with C collapsed.
+  if (Acyclic) {
+    std::vector<char> Seen(numStmts(), 0);
+    return searchForward(C, Seen);
+  }
+  std::vector<unsigned> Scratch;
+  return !orderCollapsing(C, Scratch);
 }
 
 std::vector<unsigned>

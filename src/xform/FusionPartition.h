@@ -20,8 +20,9 @@
 #include "analysis/ASDG.h"
 #include "xform/LoopStructure.h"
 
-#include <optional>
+#include <cassert>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -37,9 +38,12 @@ namespace xform {
 /// The cluster quotient graph is kept up to date across merge() rather
 /// than rebuilt per query: each cluster holds its members in program
 /// order and its sorted distinct quotient successors and predecessors.
-/// A query then costs O(l + e') on the l clusters and e' quotient edges
-/// (GROW, condition (iii)) or touches only the dependences of the
-/// statements or array it is about (conditions (ii) and (iv),
+/// While the quotient graph is acyclic the partition also keeps a
+/// topological order of it. A cluster on a path between two clusters of
+/// a set C sits strictly between C's first and last positions, so GROW
+/// and condition (iii) search only that window, and merge() reorders
+/// only that window. The other queries touch only the dependences of the
+/// statements or array they are about (conditions (ii) and (iv),
 /// CONTRACTIBLE?).
 class FusionPartition {
   const analysis::ASDG *G = nullptr;
@@ -48,25 +52,48 @@ class FusionPartition {
   std::vector<std::vector<unsigned>> Members, Succ, Pred;
   std::vector<unsigned> Active; // active cluster ids, ascending
   bool Acyclic = true;          // the quotient graph has no cycle
+  // While Acyclic, a topological order of the quotient graph: Order maps
+  // a position to the cluster there (NoCluster for a slot a merge freed)
+  // and Pos an active cluster id to its position. Every quotient edge
+  // goes from a lower position to a higher one. Empty while cyclic.
+  std::vector<unsigned> Order, Pos;
 
-  /// Members, adjacency, Active and Acyclic from ClusterOf.
+  /// Members, adjacency, Active, Acyclic and the order from ClusterOf.
   void buildQuotient();
 
-  /// Searches from \p C along \p Adj (Succ or Pred) and returns the
-  /// clusters reached outside C. \p Seen (indexed by cluster id) ends up
-  /// 1 on C and 2 on the clusters returned. Sets \p BackIntoC when one of
-  /// them has an edge into C, which is exactly when GROW(C) is non-empty.
+  /// Acyclic, Order and Pos from the adjacency.
+  void computeOrder();
+
+  /// The positions a search from \p C may enter: C's first to last
+  /// position while acyclic, every position while cyclic.
+  std::pair<unsigned, unsigned> window(const std::set<unsigned> &C) const;
+
+  /// Searches from \p C along \p Adj (Succ or Pred), entering only the
+  /// clusters \p Enter accepts, and returns the clusters reached outside
+  /// C. \p Seen (indexed by cluster id) ends up 1 on C and 2 on the
+  /// clusters returned. Sets \p BackIntoC when one of them has an edge
+  /// into C.
+  template <typename EnterFn>
   std::vector<unsigned> reach(const std::set<unsigned> &C,
                               const std::vector<std::vector<unsigned>> &Adj,
-                              std::vector<char> &Seen, bool &BackIntoC) const;
+                              std::vector<char> &Seen, bool &BackIntoC,
+                              EnterFn Enter) const;
 
-  /// GROW(C), unordered: one forward reachability, and one backward
-  /// reachability when the forward one finds a path back into C.
+  /// The forward search of GROW(C), inside C's window: marks \p Seen as
+  /// reach() does and returns whether a path leads back into C, which is
+  /// exactly when GROW(C) is non-empty.
+  bool searchForward(const std::set<unsigned> &C,
+                     std::vector<char> &Seen) const;
+
+  /// GROW(C), unordered: the forward search, and one backward search
+  /// over what it reached when it finds a path back into C.
   std::vector<unsigned> growList(const std::set<unsigned> &C) const;
 
-  /// Whether the quotient graph with the clusters of \p C regarded as one
-  /// node has a cycle (a single cluster: the graph as it is). One DFS.
-  bool hasCycleCollapsing(const std::set<unsigned> &C) const;
+  /// Orders the quotient graph with the clusters of \p C regarded as one
+  /// node (none when C is empty) topologically into \p Out. Returns
+  /// whether every node got a place, i.e. whether that graph is acyclic.
+  bool orderCollapsing(const std::set<unsigned> &C,
+                       std::vector<unsigned> &Out) const;
 
 public:
   /// The trivial partition: one statement per cluster (Figure 3 line 1).
@@ -102,6 +129,14 @@ public:
   /// Whether the quotient graph is acyclic (always, for partitions built
   /// by trivial() and refined only through legal merges).
   bool isAcyclic() const { return Acyclic; }
+
+  /// Position of active cluster \p Cluster in the kept topological order:
+  /// every edge of clusterEdges() goes from a lower position to a higher
+  /// one. Only meaningful while isAcyclic().
+  unsigned position(unsigned Cluster) const {
+    assert(Acyclic && "a cyclic quotient graph has no topological order");
+    return Pos[Cluster];
+  }
 
   /// Merges all clusters in \p C into the one with the smallest id.
   /// Returns the surviving cluster id.

@@ -323,8 +323,11 @@ private:
 
     // Join an existing cluster (fusion-rich completions first: those are
     // where contractions live), then open a new one.
+    // By index: the recursion pushes onto Reps (and pops again), which
+    // may reallocate it under a range-for.
     FusionPartition Prefix = FusionPartition::fromAssignment(G, Assign);
-    for (unsigned R : Reps) {
+    for (size_t K = 0; K < Reps.size(); ++K) {
+      unsigned R = Reps[K];
       if (!isLegalFusion(Prefix, {R, Depth})) {
         ++St.LegalityRejects;
         continue;

@@ -215,7 +215,8 @@ TEST(DistSimTest, RankOneProgram) {
   // an empty interior. Their halo is one cell wide: one exchange fills a
   // halo only as wide as the neighbour's interior.
   struct Case {
-    int64_t N, Width;
+    int64_t N;
+    int Width;
     unsigned Procs;
   };
   for (Case C : {Case{40, 2, 4}, Case{6, 1, 8}, Case{6, 1, 12}}) {

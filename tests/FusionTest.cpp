@@ -617,6 +617,15 @@ void expectStructureAgrees(const FusionPartition &P, const std::string &Where) {
     EXPECT_EQ(P.isAcyclic(),
               !ref::mergeWouldCreateCycle(P, {Clusters.front()}));
   }
+  if (!P.isAcyclic())
+    return;
+  // The kept topological order: distinct positions, every edge forward.
+  std::set<unsigned> Positions;
+  for (unsigned Cl : Clusters)
+    Positions.insert(P.position(Cl));
+  EXPECT_EQ(Positions.size(), Clusters.size());
+  for (auto [S, T] : ref::clusterEdges(P))
+    EXPECT_LT(P.position(S), P.position(T)) << "edge " << S << " -> " << T;
 }
 
 /// Up to four distinct clusters of \p P drawn from \p Rng.
@@ -728,14 +737,62 @@ TEST_P(PredicateOracleTest, CyclicAssignmentsAgreeWithRebuild) {
     }
 }
 
+TEST_P(PredicateOracleTest, PairwiseMergeSequenceAgreesWithRebuild) {
+  // fuseAllPairwise skips a pair that failed until one of its clusters
+  // grows. Record its merges from the c2+f3 partition, replay them, and
+  // check GROW, condition (iii) and the kept order after each one; then
+  // check that no pair the skip passed over could still merge.
+  auto Prog = generateRandomProgram(oracleConfig(GetParam()));
+  normalizeProgram(*Prog);
+  ASDG G = ASDG::build(*Prog);
+  SplitMix64 Rng(GetParam() * 104729);
+  FusionPartition Start = FusionPartition::trivial(G);
+  fuseForContraction(Start, anyArray());
+  fuseForLocality(Start);
+  FusionPartition Driven = Start;
+  std::vector<std::set<unsigned>> Merged;
+  unsigned Merges = fuseAllPairwise(Driven, &Merged);
+  ASSERT_EQ(Merged.size(), Merges);
+
+  FusionPartition P = Start;
+  for (const std::set<unsigned> &C : Merged) {
+    std::string Where = "pairwise merge of " + std::to_string(C.size()) +
+                        " clusters from " + std::to_string(*C.begin());
+    EXPECT_TRUE(ref::grow(P, C).empty()) << Where;
+    EXPECT_FALSE(ref::mergeWouldCreateCycle(P, C)) << Where;
+    P.merge(C);
+    expectStructureAgrees(P, Where);
+    for (unsigned I = 0; I < 3; ++I) {
+      std::set<unsigned> Q = randomClusterSet(P, Rng);
+      EXPECT_EQ(P.grow(Q), ref::grow(P, Q)) << Where;
+      EXPECT_EQ(P.mergeCreatesCycle(Q), ref::mergeWouldCreateCycle(P, Q))
+          << Where;
+    }
+  }
+  for (unsigned S = 0; S < G.numNodes(); ++S)
+    EXPECT_EQ(P.clusterOf(S), Driven.clusterOf(S));
+
+  auto Zero = [](const Offset &U) { return U.isZero(); };
+  const std::vector<unsigned> &Clusters = Driven.clusters();
+  for (size_t I = 0; I < Clusters.size(); ++I)
+    for (size_t J = I + 1; J < Clusters.size(); ++J) {
+      std::set<unsigned> C{Clusters[I], Clusters[J]};
+      std::set<unsigned> Grown = ref::grow(Driven, C);
+      C.insert(Grown.begin(), Grown.end());
+      EXPECT_FALSE(ref::legalWithFlowRule(Driven, C, Zero, nullptr))
+          << "pair " << Clusters[I] << "," << Clusters[J] << " still merges";
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicateOracleTest,
                          ::testing::Range<uint64_t>(1, 51));
 
 TEST(PredicateOracleCoverageTest, ReplayMatchesDriversAndCyclesArise) {
   // The replay above mirrors fuseForContraction + fuseForLocality; make
   // sure it still ends where the production drivers do, and that the
-  // cyclic-assignment case is exercised by most seeds.
-  unsigned SeedsWithCycles = 0;
+  // cyclic-assignment case and the pairwise merge replay are exercised
+  // by most seeds.
+  unsigned SeedsWithCycles = 0, SeedsWithPairwiseMerges = 0;
   for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
     auto Prog = generateRandomProgram(oracleConfig(Seed));
     normalizeProgram(*Prog);
@@ -755,6 +812,7 @@ TEST(PredicateOracleCoverageTest, ReplayMatchesDriversAndCyclesArise) {
       }
     for (unsigned S = 0; S < G.numNodes(); ++S)
       EXPECT_EQ(Replayed.clusterOf(S), Driven.clusterOf(S)) << "seed " << Seed;
+    SeedsWithPairwiseMerges += fuseAllPairwise(Driven) > 0;
 
     FusionPartition Trivial = FusionPartition::trivial(G);
     bool HasCycle = false;
@@ -764,6 +822,7 @@ TEST(PredicateOracleCoverageTest, ReplayMatchesDriversAndCyclesArise) {
     SeedsWithCycles += HasCycle;
   }
   EXPECT_GE(SeedsWithCycles, 25u);
+  EXPECT_GE(SeedsWithPairwiseMerges, 25u);
 }
 
 } // namespace

@@ -238,6 +238,30 @@ TEST(IlpStrategyTest, MatchesBruteForceOnGeneratedPrograms) {
   }
 }
 
+TEST(IlpStrategyTest, SearchSurvivesGrowingClusterList) {
+  // Eleven statements with target offsets: the search opens enough
+  // clusters that the list it iterates is reallocated under it by the
+  // recursion's push. Every result must still be a valid partition that
+  // contracts at least what the greedy seed does.
+  GeneratorConfig Cfg;
+  Cfg.Seed = 121;
+  Cfg.NumStmts = 9;
+  Cfg.NumPersistent = 3;
+  Cfg.NumTemps = 6;
+  Cfg.Rank = 2;
+  Cfg.Extent = 7;
+  Cfg.MaxOffset = 2;
+  Cfg.AllowTargetOffsets = true;
+  auto P = generateRandomProgram(Cfg);
+  normalizeProgram(*P);
+  ASDG G = ASDG::build(*P);
+  ASSERT_EQ(G.numNodes(), 11u);
+  IlpStats St;
+  StrategyResult SR = solveOptimalPartition(G, IlpOptions(), &St);
+  EXPECT_TRUE(isValidPartition(SR.Partition));
+  EXPECT_GE(St.ObjectiveBytes, greedyObjective(G));
+}
+
 TEST(IlpStrategyTest, BudgetFallbackDegradesToGreedy) {
   obs::reset();
   auto P = makeFanInTradeoff();

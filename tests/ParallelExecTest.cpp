@@ -68,8 +68,9 @@ TEST(ThreadPoolTest, ChunksPartitionTheRange) {
           PrevHi = Hi;
         }
         EXPECT_EQ(Covered, Size);
-        if (Size > 0)
+        if (Size > 0) {
           EXPECT_EQ(PrevHi, Begin + Size - 1);
+        }
       }
     }
   }

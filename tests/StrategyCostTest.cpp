@@ -64,11 +64,12 @@ double strategyOverAsdg(const Program &Prog, Strategy S, unsigned Reps) {
 }
 
 /// The bound on median(applyStrategy) / median(ASDG::build). On a 4-core
-/// x86-64 host (gcc 12, Release) the ratio measures 7-9 for SP and 18-24
-/// for the generator program; a FusionPartition that rebuilds its
-/// quotient graph per query measures 410-470 and 740-1140. The bound
-/// sits at least 4x from both.
-constexpr double MaxRatio = 100.0;
+/// x86-64 host (gcc 12, Release) the ratio measures 4.1-6.6 for SP and
+/// 12-18 for the generator program, and the bound is about twice the
+/// larger. GROW searches without the kept topological order measured
+/// 6.3-8.5 and 16-19; a FusionPartition that rebuilds its quotient graph
+/// per query measures 410-470 and 740-1140.
+constexpr double MaxRatio = 36.0;
 
 TEST(StrategyCostTest, SPUnderC2F4) {
   auto P = benchprogs::buildSP(8);

@@ -368,10 +368,11 @@ TEST(StressSweepSimdTest, SimdAgrees) {
       // The tolerance contract: the emitter may reassociate only when
       // simdToleranceFor announced it, so callers that pre-declare their
       // comparison mode from the loop program are never surprised.
-      if (Tol == support::Tolerance::Exact)
+      if (Tol == support::Tolerance::Exact) {
         ASSERT_FALSE(Info.Reassociated)
             << getStrategyName(S)
             << " reassociated under a declared-exact program\n" << P->str();
+      }
 
       std::string Why;
       ASSERT_TRUE(
