@@ -8,6 +8,7 @@
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
+#include "scalarize/Schedule.h"
 #include "support/ErrorHandling.h"
 
 using namespace alf;
@@ -190,8 +191,13 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
     }
   } else if (Req.Mode == ExecMode::NativeJit ||
              Req.Mode == ExecMode::NativeJitSimd) {
-    // A rejected program gets no kernel: the compiler is not run on code
-    // whose proofs failed.
+    // The nests the kernel will split across threads get the same race
+    // proof as the parallel executor's schedule. A rejected program gets
+    // no kernel: the compiler is not run on code whose proofs failed.
+    if (Opts.Verify >= verify::VerifyLevel::Full) {
+      obs::Span S("pipeline.verify", "jit-parallel-safety");
+      check(verify::verifyParallelSafety(CP.LP, lir::splitSchedule(CP.LP)));
+    }
     if (Findings.Findings.size() == Before) {
       JitOptions JO = Opts.Jit;
       if (Req.Mode == ExecMode::NativeJitSimd)

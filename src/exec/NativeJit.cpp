@@ -7,6 +7,7 @@
 #include "scalarize/CEmitter.h"
 #include "support/Process.h"
 #include "support/StringUtil.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -49,6 +50,24 @@ ALF_COUNTER(NumVectorizeFallbacks, "jit.vectorize.fallback",
             "Loop nests the SIMD legality check refused");
 ALF_COUNTER(NumVectorizedRuns, "jit.vectorize.runs",
             "Vectorize-mode runs with at least one SIMD nest");
+ALF_COUNTER(NumParallelNests, "jit.parallel_nests",
+            "Kernel nests emitted to run in chunks on the shared pool");
+ALF_COUNTER(NumParallelDispatches, "jit.parallel_dispatches",
+            "Split nests a kernel handed to the shared pool");
+
+/// KernelRuntime::ParallelFor on ThreadPool::shared(): one chunk per
+/// pool thread.
+void poolParallelFor(const KernelRuntime *, long Begin, long End,
+                     void (*Body)(void *Env, long Begin, long End),
+                     void *Env) {
+  ++NumParallelDispatches;
+  ThreadPool &Pool = ThreadPool::shared();
+  Pool.parallelFor(Begin, End, Pool.numThreads(),
+                   [Body, Env](int64_t Lo, int64_t Hi, unsigned) {
+                     if (Lo < Hi)
+                       Body(Env, Lo, Hi);
+                   });
+}
 
 /// The kernel function name inside every emitted module.
 constexpr const char *KernelName = "alf_kernel";
@@ -255,7 +274,7 @@ void JitEngine::compileAndLoad(const scalarize::CModule &Module,
     if (!Sym)
       return false;
     Out.Handle = Handle;
-    Out.Entry = reinterpret_cast<void (*)(double **, double *)>(Sym);
+    Out.Entry = reinterpret_cast<KernelEntry>(Sym);
     return true;
   };
 
@@ -361,6 +380,8 @@ PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
     for (unsigned I = 0; I < Module.NumVectorFallbacks; ++I)
       obs::instant(NumVectorizeFallbacks);
   }
+  K.Info.ParallelNests = Module.NumParallelNests;
+  NumParallelNests += Module.NumParallelNests;
   std::string WhyNot;
   LoadedKernel *Kernel = kernelFor(Module, K.Info, WhyNot);
   if (!Kernel) {
@@ -374,7 +395,8 @@ PreparedKernel JitEngine::prepare(const LoopProgram &LP) {
 }
 
 void JitEngine::runPrepared(const PreparedKernel &K, const LoopProgram &LP,
-                            Storage &Store, JitRunInfo *OutInfo) {
+                            Storage &Store, JitRunInfo *OutInfo,
+                            const KernelRuntime *Runtime) {
   ++NumJitRuns;
   if (K.Info.VectorizedNests)
     ++NumVectorizedRuns;
@@ -416,7 +438,7 @@ void JitEngine::runPrepared(const PreparedKernel &K, const LoopProgram &LP,
     obs::Span S("jit.dispatch");
     if (S.active())
       S.setBytes(Store.totalBytes());
-    K.Entry(Arrays.data(), Scalars.data());
+    K.Entry(Arrays.data(), Scalars.data(), Runtime);
   }
 
   for (size_t I = 0; I < K.Scalars.size(); ++I)
@@ -447,6 +469,11 @@ std::string JitEngine::cachePathFor(const LoopProgram &LP) {
   std::lock_guard<std::mutex> Lock(Mutex);
   return soPathFor(Opts.CacheDir,
                    contentHash(Module.Source, Opts, compilerVersion()));
+}
+
+const KernelRuntime &exec::poolKernelRuntime() {
+  static const KernelRuntime Runtime{poolParallelFor};
+  return Runtime;
 }
 
 JitEngine &exec::sharedJitEngine(const JitOptions &Opts) {

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Executes a scalarized LoopProgram as real machine code: the C backend
-/// emits a kernel with a fixed `_entry(double **arrays, double *scalars)`
-/// ABI, the system compiler turns it into a shared object, and the engine
-/// dlopens it and runs it against exec::Storage — so the paper's eight
-/// strategies are finally measured on hardware instead of the
-/// interpreter.
+/// emits a kernel with a fixed `_entry(double **arrays, double *scalars,
+/// const alf_rt *rt)` ABI, the system compiler turns it into a shared
+/// object, and the engine dlopens it and runs it against exec::Storage —
+/// so the paper's eight strategies are finally measured on hardware
+/// instead of the interpreter. `rt` is a KernelRuntime: the kernel's large
+/// outer-parallel nests (lir::splitSchedule) call its ParallelFor, which
+/// runs them in chunks of the outer loop on ThreadPool::shared().
 ///
 /// Kernels are cached twice: in memory (per engine, by content hash) and
 /// on disk (shared across processes and runs), keyed by a hash of the
@@ -25,7 +27,10 @@
 /// result.
 /// Results are bit-identical to the interpreter: the emitted helpers
 /// mirror the interpreter's guarded arithmetic and kernels are compiled
-/// with `-ffp-contract=off` and without fast-math.
+/// with `-ffp-contract=off` and without fast-math. A split nest writes
+/// disjoint array elements and chunk-local scalars only, so how its
+/// chunks are spread over threads (or run inline by a busy pool) never
+/// changes a bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +49,26 @@
 
 namespace alf {
 namespace exec {
+
+/// The runtime table a kernel's entry point receives: the C layout of
+/// the emitted `alf_rt` (scalarize::CModule). ParallelFor must call
+/// \p Body on chunks that partition [Begin, End), on any threads, and
+/// return when every chunk has run.
+struct KernelRuntime {
+  void (*ParallelFor)(const KernelRuntime *RT, long Begin, long End,
+                      void (*Body)(void *Env, long Begin, long End),
+                      void *Env);
+};
+
+/// The signature of an emitted `<kernel>_entry`.
+using KernelEntry = void (*)(double **Arrays, double *Scalars,
+                             const KernelRuntime *RT);
+
+/// The runtime native runs use: ParallelFor splits the range into one
+/// chunk per thread of ThreadPool::shared() and runs them on it (inline,
+/// in chunk order, when the pool is busy), counting each call in the
+/// `jit.parallel_dispatches` obs counter.
+const KernelRuntime &poolKernelRuntime();
 
 /// Configuration of the native backend.
 struct JitOptions {
@@ -99,6 +124,8 @@ struct JitRunInfo {
   unsigned VectorizedNests = 0; ///< Nests emitted as SIMD loops.
   unsigned VectorFallbacks = 0; ///< Nests the legality check refused.
   bool Reassociated = false;    ///< A float + fold was lane-split.
+
+  unsigned ParallelNests = 0; ///< Nests run through ParallelFor chunks.
 };
 
 /// One LoopProgram's kernel, prepared once by JitEngine::prepare: C
@@ -109,11 +136,12 @@ struct JitRunInfo {
 /// null Entry means a rung of the fallback ladder failed; runs then use
 /// the interpreter and report Info.FallbackReason.
 struct PreparedKernel {
-  void (*Entry)(double **, double *) = nullptr;
+  KernelEntry Entry = nullptr;
   std::vector<const ir::ArraySymbol *> Arrays;   ///< arrays[] order
   std::vector<const ir::ScalarSymbol *> Scalars; ///< scalars[] order
   /// What preparing did: Compiled, the cache hits, SoPath, the fallback
-  /// reason and the vectorize counts. UsedJit is left to the runs.
+  /// reason, the vectorize counts and ParallelNests. UsedJit is left to
+  /// the runs.
   JitRunInfo Info;
 };
 
@@ -179,11 +207,14 @@ public:
   PreparedKernel prepare(const lir::LoopProgram &LP);
 
   /// The second half of runOnStorage: binds \p Store's buffers and
-  /// scalar slots to \p K's arguments and calls the kernel, or runs the
-  /// interpreter when \p K carries no entry point. \p Info, when
-  /// non-null, receives K.Info with UsedJit set by this run.
+  /// scalar slots to \p K's arguments and calls the kernel with
+  /// \p Runtime, or runs the interpreter when \p K carries no entry
+  /// point. \p Info, when non-null, receives K.Info with UsedJit set by
+  /// this run. A null \p Runtime runs each split nest in one serial call;
+  /// the results are the same bits either way.
   static void runPrepared(const PreparedKernel &K, const lir::LoopProgram &LP,
-                          Storage &Store, JitRunInfo *Info = nullptr);
+                          Storage &Store, JitRunInfo *Info = nullptr,
+                          const KernelRuntime *Runtime = &poolKernelRuntime());
 
   /// The on-disk cache entry \p LP's kernel maps to under this engine's
   /// options (exists only after a successful compile). Tests use this to
@@ -199,7 +230,7 @@ public:
 private:
   struct LoadedKernel {
     void *Handle = nullptr;
-    void (*Entry)(double **, double *) = nullptr;
+    KernelEntry Entry = nullptr;
   };
 
   /// Emits \p LP's kernel module in this engine's (scalar or SIMD) mode.

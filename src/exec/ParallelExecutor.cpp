@@ -8,8 +8,6 @@
 #include "support/ThreadPool.h"
 #include "xform/Report.h"
 
-#include <set>
-
 using namespace alf;
 using namespace alf::exec;
 using namespace alf::ir;
@@ -17,29 +15,6 @@ using namespace alf::lir;
 using namespace alf::xform;
 
 namespace {
-
-/// Array dimensions of \p Nest aliased by a rolling buffer: the reduced
-/// (modulo-indexed) dimensions of every partially contracted array the
-/// nest references.
-std::vector<bool> wrappedDims(const LoopProgram &LP, const LoopNest &Nest) {
-  std::vector<bool> Wrapped(Nest.R->rank(), false);
-  std::set<const ArraySymbol *> Arrays;
-  for (const ScalarStmt &S : Nest.Body) {
-    if (!S.LHS.isScalar())
-      Arrays.insert(S.LHS.Array);
-    for (const ArrayRefExpr *Ref : collectArrayRefs(S.RHS.get()))
-      Arrays.insert(Ref->getSymbol());
-  }
-  for (const ArraySymbol *A : Arrays) {
-    const PartialPlan *Plan = LP.partialPlanFor(A);
-    if (!Plan)
-      continue;
-    for (unsigned D = 0; D < Wrapped.size(); ++D)
-      if (D < Plan->BufferExtents.size() && Plan->isReduced(D))
-        Wrapped[D] = true;
-  }
-  return Wrapped;
-}
 
 /// Runs one parallel nest: the plan's loop is split into \p NumTiles
 /// contiguous tiles run on the shared pool; outer loops
@@ -94,25 +69,6 @@ void runNestParallel(const LoopNest &Nest, EvalContext &Shared,
 
 } // namespace
 
-unsigned ParallelSchedule::numParallelNests() const {
-  unsigned N = 0;
-  for (const NestParallelPlan &P : NodePlans)
-    N += P.isParallel();
-  return N;
-}
-
-const NestParallelPlan *
-ParallelSchedule::planForNest(const LoopProgram &LP, unsigned I) const {
-  unsigned Seen = 0;
-  for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
-    if (!isa<LoopNest>(LP.nodes()[Node].get()))
-      continue;
-    if (Seen++ == I)
-      return Node < NodePlans.size() ? &NodePlans[Node] : nullptr;
-  }
-  return nullptr;
-}
-
 ParallelSchedule exec::planParallelism(const LoopProgram &LP) {
   ALF_COUNTER(NestsOuterParallel, "parallel.nests_outer",
               "Nests with a dependence-free outermost loop");
@@ -125,13 +81,7 @@ ParallelSchedule exec::planParallelism(const LoopProgram &LP) {
   for (const auto &NodePtr : LP.nodes()) {
     NestParallelPlan Plan;
     if (const auto *Nest = dyn_cast<LoopNest>(NodePtr.get())) {
-      NestParallelInput In;
-      In.LSV = Nest->LSV;
-      In.UDVs = Nest->UDVs;
-      In.WrappedDims = wrappedDims(LP, *Nest);
-      for (const ScalarStmt &S : Nest->Body)
-        In.HasReduction |= S.Accumulate;
-      Plan = analyzeNestParallelism(In);
+      Plan = lir::planNest(LP, *Nest);
       switch (Plan.Decision) {
       case ParallelDecision::OuterParallel:
         ++NestsOuterParallel;

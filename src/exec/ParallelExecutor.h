@@ -27,8 +27,7 @@
 #define ALF_EXEC_PARALLELEXECUTOR_H
 
 #include "exec/Interpreter.h"
-#include "scalarize/LoopIR.h"
-#include "xform/Parallelize.h"
+#include "scalarize/Schedule.h"
 
 #include <string>
 #include <vector>
@@ -44,22 +43,11 @@ struct ParallelOptions {
   unsigned NumThreads = 0;
 };
 
-/// The per-node parallelism decisions for one LoopProgram, in node order
-/// (non-nest nodes get a default sequential plan).
-struct ParallelSchedule {
-  std::vector<xform::NestParallelPlan> NodePlans;
+using lir::ParallelSchedule;
 
-  /// Number of nests that run some loop in parallel.
-  unsigned numParallelNests() const;
-
-  /// The plan of the \p I-th loop nest (skipping comm/opaque nodes), for
-  /// tests that address nests positionally. Returns null when absent.
-  const xform::NestParallelPlan *planForNest(const lir::LoopProgram &LP,
-                                             unsigned I) const;
-};
-
-/// Computes the parallelism decision of every nest of \p LP and records
-/// the outcome in the `parallel.nests_outer`, `parallel.nests_inner` and
+/// Computes the parallelism decision of every nest of \p LP
+/// (lir::planNest) and records the outcome in the
+/// `parallel.nests_outer`, `parallel.nests_inner` and
 /// `parallel.nests_sequential` obs counters.
 ParallelSchedule planParallelism(const lir::LoopProgram &LP);
 

@@ -175,6 +175,15 @@ std::vector<const ArrayRefExpr *> ir::collectArrayRefs(const Expr *Root) {
   return Refs;
 }
 
+std::vector<const ScalarSymbol *> ir::collectScalarRefs(const Expr *Root) {
+  std::vector<const ScalarSymbol *> Refs;
+  walkExpr(Root, [&Refs](const Expr *E) {
+    if (const auto *Ref = dyn_cast<ScalarRefExpr>(E))
+      Refs.push_back(Ref->getSymbol());
+  });
+  return Refs;
+}
+
 unsigned ir::countOps(const Expr *Root) {
   unsigned Count = 0;
   walkExpr(Root, [&Count](const Expr *E) {

@@ -181,6 +181,9 @@ void walkExpr(const Expr *Root, const std::function<void(const Expr *)> &Fn);
 /// Collects every array reference in \p Root, left to right.
 std::vector<const ArrayRefExpr *> collectArrayRefs(const Expr *Root);
 
+/// Collects every scalar reference in \p Root, left to right (no dedup).
+std::vector<const ScalarSymbol *> collectScalarRefs(const Expr *Root);
+
 /// Counts the arithmetic operations in \p Root (unary + binary nodes); the
 /// performance model charges one flop per operation.
 unsigned countOps(const Expr *Root);

@@ -3,6 +3,7 @@
 #include "scalarize/CEmitter.h"
 
 #include "analysis/Intervals.h"
+#include "scalarize/Schedule.h"
 #include "support/ErrorHandling.h"
 #include "support/StringUtil.h"
 
@@ -27,25 +28,6 @@ constexpr unsigned VectorWidth = 4;
 VectorizeFault TestVectorizeFault = VectorizeFault::None;
 bool TestVectorizeFaultApplied = false;
 
-/// Collects every ScalarRefExpr under \p Root (no dedup, pre-order).
-void collectScalarRefs(const Expr *Root,
-                       std::vector<const ScalarSymbol *> &Out) {
-  if (!Root)
-    return;
-  if (const auto *S = dyn_cast<ScalarRefExpr>(Root)) {
-    Out.push_back(S->getSymbol());
-    return;
-  }
-  if (const auto *U = dyn_cast<UnaryExpr>(Root)) {
-    collectScalarRefs(U->getOperand(), Out);
-    return;
-  }
-  if (const auto *B = dyn_cast<BinaryExpr>(Root)) {
-    collectScalarRefs(B->getLHS(), Out);
-    collectScalarRefs(B->getRHS(), Out);
-  }
-}
-
 class Emitter {
   const LoopProgram &LP;
   const Program &P;
@@ -63,9 +45,19 @@ class Emitter {
   /// of these render as the vector temp, everything else splats.
   std::set<const ScalarSymbol *> VecAssigned;
 
+  // Thread splitting: the nests emitted as functions over a range of
+  // their outer loop (lir::splitSchedule), and whether a nest body is
+  // being emitted inside one, where the outer loop runs over the chunk
+  // [alf_lo, alf_end) instead of the region.
+  ParallelSchedule Split;
+  unsigned NumSplit = 0;
+  bool Chunked = false;
+  bool RuntimeDeclared = false;
+
 public:
   explicit Emitter(const LoopProgram &LP, CEmitOptions Opts = CEmitOptions())
-      : LP(LP), P(LP.source()), Opts(Opts) {
+      : LP(LP), P(LP.source()), Opts(Opts), Split(splitSchedule(LP)),
+        NumSplit(Split.numParallelNests()) {
     try {
       Layout = LP.storageLayout();
     } catch (const std::length_error &E) {
@@ -160,7 +152,7 @@ public:
     if (const auto *S = dyn_cast<ScalarRefExpr>(E)) {
       // Contracted-array scalars are locals; program scalars are in/out
       // pointer parameters.
-      if (P.findSymbol(S->getSymbol()->getName()) == S->getSymbol())
+      if (LP.isProgramScalar(S->getSymbol()))
         return formatString("(*S_%s)", S->getSymbol()->getName().c_str());
       return S->getSymbol()->getName();
     }
@@ -290,6 +282,10 @@ public:
       OS << (First ? "" : ", ") << "double *S_" << S->getName();
       First = false;
     }
+    if (NumSplit) {
+      OS << (First ? "" : ", ") << "const alf_rt *alf_run";
+      First = false;
+    }
     if (First)
       OS << "void";
     OS << ")";
@@ -316,7 +312,7 @@ public:
   /// "(*S_name)" for program scalars (in/out pointer parameters),
   /// "name" for contracted-array locals.
   std::string scalarTargetName(const ScalarSymbol *S) const {
-    if (P.findSymbol(S->getName()) == S)
+    if (LP.isProgramScalar(S))
       return "(*S_" + S->getName() + ")";
     return S->getName();
   }
@@ -376,20 +372,31 @@ public:
     OS << Indent << "}\n";
   }
 
+  /// The inclusive bounds of loop level \p L of \p Nest as C
+  /// expressions: the region's, except for the outer loop inside a split
+  /// nest's function, which runs over the chunk [alf_lo, alf_end).
+  std::pair<std::string, std::string> loopBounds(const LoopNest &Nest,
+                                                 unsigned L) const {
+    if (Chunked && L == 0)
+      return {"alf_lo", "alf_end - 1"};
+    unsigned Dim = Nest.LSV.dimOf(L);
+    return {std::to_string(Nest.R->lo(Dim)), std::to_string(Nest.R->hi(Dim))};
+  }
+
   /// One `for (...)` header (no body) for loop level \p L of \p Nest.
   void emitLoopHeader(const LoopNest &Nest, unsigned L,
                       const std::string &Indent) {
     unsigned Dim = Nest.LSV.dimOf(L);
-    long long Lo = Nest.R->lo(Dim), Hi = Nest.R->hi(Dim);
+    auto [Lo, Hi] = loopBounds(Nest, L);
     if (Nest.LSV.dirOf(L) > 0)
       OS << Indent
-         << formatString("for (i%u = %lld; i%u <= %lld; ++i%u)", Dim + 1, Lo,
-                         Dim + 1, Hi, Dim + 1)
+         << formatString("for (i%u = %s; i%u <= %s; ++i%u)", Dim + 1,
+                         Lo.c_str(), Dim + 1, Hi.c_str(), Dim + 1)
          << '\n';
     else
       OS << Indent
-         << formatString("for (i%u = %lld; i%u >= %lld; --i%u)", Dim + 1, Hi,
-                         Dim + 1, Lo, Dim + 1)
+         << formatString("for (i%u = %s; i%u >= %s; --i%u)", Dim + 1,
+                         Hi.c_str(), Dim + 1, Lo.c_str(), Dim + 1)
          << '\n';
   }
 
@@ -456,7 +463,7 @@ public:
         // locals (all their reads are confined to this nest). A program
         // scalar assigned elementwise keeps last-iteration-wins
         // semantics the lanes would break.
-        if (P.findSymbol(S.LHS.Scalar->getName()) == S.LHS.Scalar)
+        if (LP.isProgramScalar(S.LHS.Scalar))
           return "program scalar '" + S.LHS.Scalar->getName() +
                  "' is assigned elementwise (last-iteration semantics)";
         TempTargets.insert(S.LHS.Scalar);
@@ -468,9 +475,7 @@ public:
 
     std::set<const ScalarSymbol *> Assigned;
     for (const ScalarStmt &S : Nest.Body) {
-      std::vector<const ScalarSymbol *> Reads;
-      collectScalarRefs(S.RHS.get(), Reads);
-      for (const ScalarSymbol *R : Reads) {
+      for (const ScalarSymbol *R : collectScalarRefs(S.RHS.get())) {
         if (AccTargets.count(R))
           return "reduction accumulator is read inside its own nest";
         if (TempTargets.count(R) && !Assigned.count(R))
@@ -615,7 +620,7 @@ public:
   void emitNestVectorized(const LoopNest &Nest) {
     unsigned W = VectorWidth;
     unsigned Dim = Nest.LSV.dimOf(Nest.LSV.rank() - 1);
-    long long Lo = Nest.R->lo(Dim), Hi = Nest.R->hi(Dim);
+    auto [Lo, Hi] = loopBounds(Nest, Nest.LSV.rank() - 1);
 
     for (const ScalarInit &SI : Nest.ScalarInits)
       OS << "  *S_" << SI.Acc->getName() << " = " << doubleLiteral(SI.Init)
@@ -663,8 +668,9 @@ public:
     }
     OS << Indent << "{\n";
     OS << Indent
-       << formatString("  for (i%u = %lld; i%u + %u <= %lld; i%u += %u) {\n",
-                       Dim + 1, Lo, Dim + 1, W - 1, Hi, Dim + 1, W);
+       << formatString("  for (i%u = %s; i%u + %u <= %s; i%u += %u) {\n",
+                       Dim + 1, Lo.c_str(), Dim + 1, W - 1, Hi.c_str(),
+                       Dim + 1, W);
     VecAssigned.clear();
     for (const ScalarStmt &S : Nest.Body)
       emitBodyStmtVec(S, Indent + "    ");
@@ -674,7 +680,7 @@ public:
     // accumulator — ⊕ commutes, and for non-exact + the whole nest is
     // already declared reassociated).
     OS << Indent
-       << formatString("  for (; i%u <= %lld; ++i%u)\n", Dim + 1, Hi,
+       << formatString("  for (; i%u <= %s; ++i%u)\n", Dim + 1, Hi.c_str(),
                        Dim + 1);
     OS << Indent << "  {\n";
     for (const ScalarStmt &S : Nest.Body)
@@ -709,6 +715,7 @@ public:
   }
 
   unsigned numVectorizedNests() const { return NumVectorized; }
+  unsigned numSplitNests() const { return NumSplit; }
   unsigned numVectorFallbacks() const { return NumFallbacks; }
   bool reassociated() const { return Reassociated; }
 
@@ -763,7 +770,125 @@ public:
     OS << "  }\n";
   }
 
+  /// The runtime table a kernel with split nests is called with (see
+  /// CModule). Declared once, ahead of its first use.
+  void emitRuntimeDecl() {
+    if (RuntimeDeclared)
+      return;
+    RuntimeDeclared = true;
+    OS << "/* The host runtime: parallel_for runs body(env, b, e) over "
+          "chunks [b, e) that\n   partition [begin, end), on any threads, "
+          "and returns when all have run. */\n";
+    OS << "typedef struct alf_rt alf_rt;\n";
+    OS << "struct alf_rt {\n";
+    OS << "  void (*parallel_for)(const alf_rt *rt, long begin, long end,\n";
+    OS << "                       void (*body)(void *env, long begin, long "
+          "end),\n";
+    OS << "                       void *env);\n";
+    OS << "};\n\n";
+  }
+
+  std::string splitFunctionName(const std::string &FnName) const {
+    return FnName + "_split";
+  }
+
+  /// One split nest as a case of the split function: its outer loop runs
+  /// over the chunk [alf_lo, alf_end). The contracted scalars it assigns
+  /// and its vector temporaries are locals of the case, so concurrent
+  /// chunks share nothing they write but disjoint array elements.
+  void emitSplitCase(size_t Node, const LoopNest &Nest) {
+    OS << "  case " << Node << ": {\n";
+    std::set<const ScalarSymbol *> Locals;
+    for (const ScalarStmt &S : Nest.Body)
+      if (S.LHS.isScalar() && Locals.insert(S.LHS.Scalar).second)
+        OS << "  double " << S.LHS.Scalar->getName() << " = 0.0;\n";
+    Chunked = true;
+    emitNest(Nest);
+    Chunked = false;
+    OS << "  break;\n  }\n";
+  }
+
+  /// The file-scope half of thread splitting: the runtime table, the
+  /// environment struct and the split function, which runs split nest
+  /// alf_e->nest over one chunk. All split nests share that one function
+  /// because the C compiler's cost grows with the number of functions.
+  void emitSplitFunction(const std::string &FnName) {
+    emitRuntimeDecl();
+    OS << "typedef struct {\n";
+    for (const ArraySymbol *A : allocatedArrays())
+      OS << "  double *A_" << A->getName() << ";\n";
+    for (const ScalarSymbol *S : programScalars())
+      OS << "  double *S_" << S->getName() << ";\n";
+    OS << "  int nest;\n";
+    OS << "} alf_env;\n\n";
+    // noinline: the null-runtime call sites would otherwise get a second,
+    // inlined copy of the nests to compile.
+    OS << "static __attribute__((noinline)) void "
+       << splitFunctionName(FnName)
+       << "(void *alf_envp, long alf_lo, long alf_end) {\n";
+    OS << "  const alf_env *alf_e = (const alf_env *)alf_envp;\n";
+    // The arrays and program scalars the split nests reference, from the
+    // environment the kernel filled.
+    std::set<const ArraySymbol *> Arrays;
+    std::set<const ScalarSymbol *> Scalars;
+    for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
+      if (!Split.NodePlans[Node].isParallel())
+        continue;
+      const auto *Nest = cast<LoopNest>(LP.nodes()[Node].get());
+      for (const ScalarStmt &S : Nest->Body) {
+        if (!S.LHS.isScalar())
+          Arrays.insert(S.LHS.Array);
+        for (const ArrayRefExpr *Ref : collectArrayRefs(S.RHS.get()))
+          Arrays.insert(Ref->getSymbol());
+        for (const ScalarSymbol *Sc : collectScalarRefs(S.RHS.get()))
+          Scalars.insert(Sc);
+      }
+    }
+    const char *Qual = Opts.Vectorize ? "double *restrict A_" : "double *A_";
+    for (const ArraySymbol *A : allocatedArrays())
+      if (Arrays.count(A))
+        OS << "  " << Qual << A->getName() << " = alf_e->A_" << A->getName()
+           << ";\n";
+    for (const ScalarSymbol *Sc : programScalars())
+      if (Scalars.count(Sc))
+        OS << "  double *S_" << Sc->getName() << " = alf_e->S_"
+           << Sc->getName() << ";\n";
+    OS << "  long ";
+    for (unsigned D = 0; D < maxRank(); ++D)
+      OS << (D ? ", " : "") << "i" << D + 1;
+    OS << ";\n";
+    OS << "  switch (alf_e->nest) {\n";
+    for (size_t Node = 0; Node < LP.nodes().size(); ++Node)
+      if (Split.NodePlans[Node].isParallel())
+        emitSplitCase(Node, *cast<LoopNest>(LP.nodes()[Node].get()));
+    OS << "  }\n";
+    OS << "}\n\n";
+    // Runs one split nest: through the runtime's parallel_for, or in one
+    // call over the whole outer loop when the kernel got no runtime. Not
+    // inlined into its call sites, one per split nest, for the same
+    // reason.
+    std::string Fn = splitFunctionName(FnName);
+    OS << "static __attribute__((noinline)) void alf_run_split(const alf_rt "
+          "*rt, alf_env *e, int nest, long begin, long end) {\n";
+    OS << "  e->nest = nest;\n";
+    OS << "  if (rt)\n";
+    OS << "    rt->parallel_for(rt, begin, end, " << Fn << ", e);\n";
+    OS << "  else\n";
+    OS << "    " << Fn << "(e, begin, end);\n";
+    OS << "}\n\n";
+  }
+
+  /// Runs split nest \p Node over its whole outer loop.
+  void emitSplitCall(size_t Node, const LoopNest &Nest) {
+    unsigned Dim = Nest.LSV.dimOf(0);
+    OS << formatString("  alf_run_split(alf_run, &alf_e, %zu, %lld, %lld);\n",
+                       Node, static_cast<long long>(Nest.R->lo(Dim)),
+                       static_cast<long long>(Nest.R->hi(Dim)) + 1);
+  }
+
   void emitKernel(const std::string &FnName) {
+    if (NumSplit)
+      emitSplitFunction(FnName);
     emitSignature(FnName);
     OS << " {\n";
     unsigned Rank = maxRank();
@@ -777,30 +902,50 @@ public:
     for (const ArraySymbol *A : P.arrays())
       if (const ScalarSymbol *S = LP.scalarFor(A))
         OS << "  double " << S->getName() << " = 0.0;\n";
+    if (NumSplit) {
+      OS << "  alf_env alf_e = {";
+      bool First = true;
+      for (const ArraySymbol *A : allocatedArrays()) {
+        OS << (First ? "" : ", ") << "A_" << A->getName();
+        First = false;
+      }
+      for (const ScalarSymbol *S : programScalars()) {
+        OS << (First ? "" : ", ") << "S_" << S->getName();
+        First = false;
+      }
+      OS << ", 0};\n";
+    }
 
-    for (const auto &NodePtr : LP.nodes()) {
-      if (const auto *Nest = dyn_cast<LoopNest>(NodePtr.get())) {
-        emitNest(*Nest);
+    for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
+      const LNode *N = LP.nodes()[Node].get();
+      if (const auto *Nest = dyn_cast<LoopNest>(N)) {
+        if (Split.NodePlans[Node].isParallel())
+          emitSplitCall(Node, *Nest);
+        else
+          emitNest(*Nest);
         continue;
       }
-      if (const auto *C = dyn_cast<CommOp>(NodePtr.get())) {
+      if (const auto *C = dyn_cast<CommOp>(N)) {
         OS << "  /* halo exchange " << C->Array->getName() << C->Dir.str()
            << " (single address space: no-op) */\n";
         continue;
       }
-      emitOpaque(*cast<OpaqueOp>(NodePtr.get())->Src);
+      emitOpaque(*cast<OpaqueOp>(N)->Src);
     }
     OS << "}\n";
   }
 
   /// Emits the fixed-ABI wrapper the native JIT backend dlopens:
-  /// `void <FnName>_entry(double **arrays, double *scalars)`, unpacking
-  /// the caller-owned buffers into the kernel's positional parameters
-  /// (arrays in allocatedArrays() order, scalars in programScalars()
-  /// order — the order CModule reports).
+  /// `void <FnName>_entry(double **arrays, double *scalars, const alf_rt
+  /// *rt)`, unpacking the caller-owned buffers into the kernel's
+  /// positional parameters (arrays in allocatedArrays() order, scalars in
+  /// programScalars() order — the order CModule reports) and handing the
+  /// runtime on to a kernel with split nests.
   void emitEntry(const std::string &FnName) {
-    OS << "\nvoid " << FnName << "_entry(double **arrays, double *scalars)"
-       << " {\n";
+    OS << '\n';
+    emitRuntimeDecl();
+    OS << "void " << FnName
+       << "_entry(double **arrays, double *scalars, const alf_rt *rt) {\n";
     OS << "  " << FnName << "(";
     bool First = true;
     size_t ArrayIdx = 0;
@@ -815,6 +960,8 @@ public:
       OS << (First ? "" : ", ") << "&scalars[" << ScalarIdx++ << "]";
       First = false;
     }
+    if (NumSplit)
+      OS << (First ? "" : ", ") << "rt";
     OS << ");\n";
     OS << "}\n";
   }
@@ -879,6 +1026,8 @@ static uint64_t alf_hash(const char *s) {
       OS << (First ? "" : ", ") << "&v_" << S->getName();
       First = false;
     }
+    if (NumSplit) // no runtime: each split nest runs in one serial call
+      OS << (First ? "" : ", ") << "(const alf_rt *)0";
     OS << ");\n";
 
     // Checksums: plain linear sums of live-out arrays, then scalars.
@@ -937,6 +1086,7 @@ CModule scalarize::emitCModule(const LoopProgram &LP,
   Module.Scalars = E.programScalars();
   Module.NumVectorizedNests = E.numVectorizedNests();
   Module.NumVectorFallbacks = E.numVectorFallbacks();
+  Module.NumParallelNests = E.numSplitNests();
   Module.Reassociated = E.reassociated();
   return Module;
 }

@@ -10,6 +10,9 @@
 /// become flat row-major `double *` parameters laid out over their
 /// LoopProgram::storageBounds; contracted arrays become locals; reductions become
 /// accumulator loops; program scalars are passed by pointer (in/out).
+/// Large outer-parallel nests (lir::splitSchedule) become functions over
+/// a range of their outer loop that the host may run on several threads
+/// (see CModule).
 ///
 /// `emitCWithHarness` additionally emits a `main` that allocates and
 /// seeds every array exactly as the ALF interpreter does (same SplitMix64
@@ -68,11 +71,26 @@ struct CEmitResult {
 /// A translation unit with a fixed-ABI entry point for dynamic loading,
 /// plus the metadata a caller needs to marshal arguments:
 ///
-///   void <FnName>_entry(double **arrays, double *scalars);
+///   void <FnName>_entry(double **arrays, double *scalars,
+///                       const alf_rt *rt);
 ///
 /// `arrays[i]` is the caller-owned row-major buffer of `Arrays[i]` over
 /// its LoopProgram::storageBounds, exactly as exec::Storage allocates it.
-/// `scalars[i]` is the in/out value of `Scalars[i]`.
+/// `scalars[i]` is the in/out value of `Scalars[i]`. `rt` is the host's
+/// runtime table, one function pointer:
+///
+///   void (*parallel_for)(const alf_rt *rt, long begin, long end,
+///                        void (*body)(void *env, long begin, long end),
+///                        void *env);
+///
+/// which must call `body` on chunks that partition [begin, end), on any
+/// threads, and return once every chunk has run. Each nest of
+/// lir::splitSchedule is emitted as such a body over a range of its
+/// outer loop; the kernel passes it to `parallel_for`, or calls it once
+/// over the whole loop when `rt` is null (the sanitizer harness does
+/// that). A split nest writes only disjoint array elements and its own
+/// locals, so results are bit-identical however the chunks run. Other
+/// nests keep the plain spelling inside the kernel.
 struct CModule {
   std::string Source;
   std::string EntryName;
@@ -85,6 +103,8 @@ struct CModule {
   unsigned NumVectorizedNests = 0;  ///< nests emitted as SIMD loops
   unsigned NumVectorFallbacks = 0;  ///< nests the legality check refused
   bool Reassociated = false; ///< a vectorized nest reordered a float + fold
+
+  unsigned NumParallelNests = 0; ///< nests run through rt->parallel_for
 
   bool ok() const { return Error.empty(); }
 };

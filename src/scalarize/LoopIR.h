@@ -261,6 +261,12 @@ public:
     return It == ContractionMap.end() ? nullptr : It->second;
   }
 
+  /// True if \p S is a scalar of the source program (an in/out value),
+  /// false for a contracted array's replacement scalar.
+  bool isProgramScalar(const ir::ScalarSymbol *S) const {
+    return S->getId() < Src->numSymbols() && Src->getSymbol(S->getId()) == S;
+  }
+
   /// True if array \p A was contracted away.
   bool isContracted(const ir::ArraySymbol *A) const {
     return ContractionMap.count(A) != 0;

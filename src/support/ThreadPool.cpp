@@ -3,8 +3,34 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace alf;
+
+namespace {
+
+/// How long a worker looks for the next job, and a caller for its job's
+/// end, before sleeping on a condition variable (see the class comment).
+/// SP's kernel has gaps of over 100 us between split nests: on a 4-vCPU
+/// virtual machine its pooled call read 5-8 ms with a 100 us spin and
+/// 4.5-4.8 ms with this one.
+constexpr std::chrono::microseconds SpinFor{1000};
+
+/// Spins until \p Done holds or SpinFor has passed; returns Done().
+template <typename Pred> bool spinUntil(Pred Done) {
+  auto Deadline = std::chrono::steady_clock::now() + SpinFor;
+  for (unsigned I = 1;; ++I) {
+    if (Done())
+      return true;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+    if (I % 64 == 0 && std::chrono::steady_clock::now() >= Deadline)
+      return Done();
+  }
+}
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
   if (NumThreads == 0)
@@ -59,6 +85,7 @@ void ThreadPool::workerLoop() {
     int64_t Begin, End;
     unsigned Chunks;
     const ChunkBody *Body;
+    spinUntil([&] { return Generation.load() != SeenGeneration; });
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       JobReady.wait(Lock, [&] { return Stopping || Generation != SeenGeneration; });
@@ -125,8 +152,12 @@ void ThreadPool::parallelFor(int64_t Begin, int64_t End, unsigned NumChunks,
   // No worker may still hold Body once parallelFor returns, so the job
   // closes before any chunk's exception goes on to the caller.
   {
-    std::unique_lock<std::mutex> Lock(Mutex);
+    std::lock_guard<std::mutex> Lock(Mutex);
     JobOpen = false;
+  }
+  spinUntil([&] { return Active.load() == 0; });
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
     JobDone.wait(Lock, [&] { return Active == 0; });
     JobBody = nullptr;
     if (!Error)

@@ -42,6 +42,12 @@ namespace alf {
 /// at a time. A call that finds the pool busy (another caller's job, or
 /// the job whose body is calling) runs every chunk itself, in chunk
 /// order, so there is no oversubscription and no deadlock.
+///
+/// Waiting: an idle worker spins for about a millisecond for the next job
+/// before it sleeps, and a caller spins as long for the workers of its
+/// job to finish. A native kernel dispatches its split nests back to
+/// back, and waking a sleeping thread (a futex wake, on a virtual machine
+/// a halted vCPU) costs more than a short nest's chunk.
 class ThreadPool {
 public:
   /// A chunk body: [ChunkBegin, ChunkEnd) and the index of that chunk in
@@ -96,9 +102,13 @@ private:
   std::mutex Mutex;
   std::condition_variable JobReady;
   std::condition_variable JobDone;
-  uint64_t Generation = 0; ///< bumped per dispatch; workers wait on it
-  bool JobOpen = false;    ///< background workers may still join the job
-  unsigned Active = 0;     ///< background workers inside the job
+  /// Bumped per dispatch; workers wait on it. Written under Mutex, read
+  /// without it by workers spinning for the next job.
+  std::atomic<uint64_t> Generation{0};
+  bool JobOpen = false; ///< background workers may still join the job
+  /// Background workers inside the job. Written under Mutex, read
+  /// without it by a caller spinning for the job's end.
+  std::atomic<unsigned> Active{0};
   bool Stopping = false;
 
   // The open job (valid while JobOpen or Active > 0).

@@ -102,8 +102,9 @@ public:
     return true;
   }
 
+  /// \p C is a fusionCandidates set, closed under GROW.
   bool legalForPolicy(const std::set<unsigned> &C) const {
-    if (!isLegalFusion(FP, C))
+    if (!isLegalFusion(FP, C, nullptr, CandidateSet::GrowClosed))
       return false;
     if (Policy.FuseAcrossAntiDeps || singleSourceGroup(C))
       return true;

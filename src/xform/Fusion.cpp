@@ -55,7 +55,7 @@ static unsigned runGreedyFusion(FusionPartition &P,
       ++NumRejectedContractible;
       continue;
     }
-    if (!isLegalFusion(P, C)) {
+    if (!isLegalFusion(P, C, nullptr, CandidateSet::GrowClosed)) {
       ++NumRejectedLegality;
       continue;
     }
@@ -144,7 +144,7 @@ unsigned xform::fuseAllPairwise(FusionPartition &P,
         std::set<unsigned> C{Clusters[I], Clusters[J]};
         std::set<unsigned> Grown = P.grow(C);
         C.insert(Grown.begin(), Grown.end());
-        if (!isLegalFusion(P, C)) {
+        if (!isLegalFusion(P, C, nullptr, CandidateSet::GrowClosed)) {
           FailedAt[Pair] = Merges;
           continue;
         }

@@ -323,11 +323,19 @@ std::set<unsigned> FusionPartition::grow(const std::set<unsigned> &C) const {
   return std::set<unsigned>(Grown.begin(), Grown.end());
 }
 
-bool FusionPartition::mergeCreatesCycle(const std::set<unsigned> &C) const {
+bool FusionPartition::mergeCreatesCycle(const std::set<unsigned> &C,
+                                        CandidateSet Set) const {
   // On an acyclic quotient, a cycle through the fused node passes through
   // a cluster outside C that C reaches and that reaches C: a GROW member.
   // A partition built by fromAssignment may already be cyclic; then fall
   // back to ordering the whole quotient with C collapsed.
+  if (Acyclic && Set == CandidateSet::GrowClosed) {
+    assert([&] {
+      std::vector<unsigned> Scratch;
+      return orderCollapsing(C, Scratch);
+    }() && "a GROW-closed set closes a cycle");
+    return false;
+  }
   if (Acyclic) {
     std::vector<char> Seen(numStmts(), 0);
     return searchForward(C, Seen);
@@ -390,15 +398,15 @@ static const Region *fusableRegion(const Stmt *S) {
 }
 
 bool xform::isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
-                          LoopStructureVector *OutLSV) {
+                          LoopStructureVector *OutLSV, CandidateSet Set) {
   return isLegalFusionWithFlowRule(
-      P, C, [](const Offset &U) { return U.isZero(); }, OutLSV);
+      P, C, [](const Offset &U) { return U.isZero(); }, OutLSV, Set);
 }
 
 bool xform::isLegalFusionWithFlowRule(
     const FusionPartition &P, const std::set<unsigned> &C,
     const std::function<bool(const Offset &)> &FlowOk,
-    LoopStructureVector *OutLSV) {
+    LoopStructureVector *OutLSV, CandidateSet Set) {
   assert(!C.empty() && "legality query over an empty cluster set");
   const ASDG &G = P.graph();
   const Program &Prog = G.getProgram();
@@ -485,9 +493,9 @@ bool xform::isLegalFusionWithFlowRule(
   }
 
   // Condition (iii): no inter-cluster cycles after the merge. Checked
-  // last: callers mostly pass sets already closed under GROW, for which
-  // it holds on an acyclic partition.
-  if (P.mergeCreatesCycle(C))
+  // last, and not searched for when the caller has just closed C under
+  // GROW.
+  if (P.mergeCreatesCycle(C, Set))
     return false;
   if (OutLSV)
     *OutLSV = std::move(LSV);

@@ -45,6 +45,17 @@ namespace xform {
 /// only that window. The other queries touch only the dependences of the
 /// statements or array they are about (conditions (ii) and (iv),
 /// CONTRACTIBLE?).
+/// What the caller of a legality query knows about its cluster set.
+enum class CandidateSet {
+  /// Any set: condition (iii) is searched for.
+  Arbitrary,
+  /// Closed under GROW just before the query (fusionCandidates, or a set
+  /// with its grow() added). On an acyclic partition condition (iii)
+  /// holds for such a set, so it is not searched for (debug builds
+  /// confirm it without the search).
+  GrowClosed,
+};
+
 class FusionPartition {
   const analysis::ASDG *G = nullptr;
   std::vector<unsigned> ClusterOf; // statement id -> cluster id
@@ -163,8 +174,10 @@ public:
 
   /// Definition 5 (iii) violated by the merge: the quotient graph with
   /// the clusters of \p C fused has a cycle. On an acyclic partition this
-  /// is exactly "GROW(C) is non-empty".
-  bool mergeCreatesCycle(const std::set<unsigned> &C) const;
+  /// is exactly "GROW(C) is non-empty", and false without a search when
+  /// \p Set is GrowClosed.
+  bool mergeCreatesCycle(const std::set<unsigned> &C,
+                         CandidateSet Set = CandidateSet::Arbitrary) const;
 
   /// Indices into graph().edges() of the dependences with both endpoints
   /// in the clusters of \p C, ascending.
@@ -185,8 +198,10 @@ public:
 /// acyclicity of the quotient graph after the merge, and (iv) existence of
 /// a loop structure vector. When \p OutLSV is non-null and the merge is
 /// legal, stores the loop structure vector found for the merged cluster.
+/// \p Set tells whether C was just closed under GROW (see CandidateSet).
 bool isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
-                   LoopStructureVector *OutLSV = nullptr);
+                   LoopStructureVector *OutLSV = nullptr,
+                   CandidateSet Set = CandidateSet::Arbitrary);
 
 /// Definition 5 with condition (ii) generalized: an intra-cluster flow
 /// dependence is acceptable when \p FlowOk accepts its unconstrained
@@ -195,7 +210,8 @@ bool isLegalFusion(const FusionPartition &P, const std::set<unsigned> &C,
 bool isLegalFusionWithFlowRule(
     const FusionPartition &P, const std::set<unsigned> &C,
     const std::function<bool(const ir::Offset &)> &FlowOk,
-    LoopStructureVector *OutLSV = nullptr);
+    LoopStructureVector *OutLSV = nullptr,
+    CandidateSet Set = CandidateSet::Arbitrary);
 
 /// Definition 6 with the distance condition generalized: \p Var is
 /// contractible (to a scalar or buffer) when every dependence due to it

@@ -28,7 +28,15 @@
 ///
 /// Contracted scalars need no entry here: Definition 6 guarantees all of
 /// their references carry the same offset, so their dependences are
-/// loop-independent and the executor keeps them thread-private.
+/// loop-independent and each backend keeps them thread-private (the
+/// parallel executor in per-tile overlays, the native kernels as locals
+/// of the chunk function).
+///
+/// Two backends act on the decisions, which lir::planNest and
+/// lir::splitSchedule (scalarize/Schedule.h) make for the nests of a loop
+/// program: the parallel executor runs every parallel nest, with
+/// barriers where needed; the native kernels run only the large
+/// outer-parallel nests in chunks of their outer loop, with no barrier.
 ///
 //===----------------------------------------------------------------------===//
 

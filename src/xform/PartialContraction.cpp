@@ -56,8 +56,9 @@ std::function<bool(const Offset &)> distributedNull(const SequentialDims &Seq) {
 bool xform::isLegalFusionRelaxed(const FusionPartition &P,
                                  const std::set<unsigned> &C,
                                  const SequentialDims &Seq,
-                                 LoopStructureVector *OutLSV) {
-  return isLegalFusionWithFlowRule(P, C, distributedNull(Seq), OutLSV);
+                                 LoopStructureVector *OutLSV,
+                                 CandidateSet Set) {
+  return isLegalFusionWithFlowRule(P, C, distributedNull(Seq), OutLSV, Set);
 }
 
 bool xform::isPartiallyContractible(const FusionPartition &P,
@@ -77,7 +78,7 @@ unsigned xform::fuseForPartialContraction(FusionPartition &P,
       continue;
     if (!isPartiallyContractible(P, C, Var, Seq))
       continue;
-    if (!isLegalFusionRelaxed(P, C, Seq))
+    if (!isLegalFusionRelaxed(P, C, Seq, nullptr, CandidateSet::GrowClosed))
       continue;
     P.merge(C);
     ++Merges;

@@ -103,7 +103,8 @@ struct PartialPlan {
 bool isLegalFusionRelaxed(const FusionPartition &P,
                           const std::set<unsigned> &C,
                           const SequentialDims &Seq,
-                          LoopStructureVector *OutLSV = nullptr);
+                          LoopStructureVector *OutLSV = nullptr,
+                          CandidateSet Set = CandidateSet::Arbitrary);
 
 /// True if \p Var can be contracted to a rolling buffer under partition
 /// \p P (Definition 6 with condition (ii) relaxed along sequential

@@ -11,11 +11,14 @@
 #include "exec/NativeJit.h"
 
 #include "analysis/ASDG.h"
+#include "benchprogs/Benchmarks.h"
 #include "driver/Pipeline.h"
+#include "exec/Eval.h"
 #include "exec/ParallelExecutor.h"
 #include "ir/Normalize.h"
 #include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
+#include "scalarize/Schedule.h"
 #include "xform/Strategy.h"
 
 #include "TestPrograms.h"
@@ -496,6 +499,205 @@ TEST(NativeJitTest, ObsMetricsDistinguishCompileFromCacheHit) {
   ASSERT_TRUE(WarmDispatch.has_value());
   EXPECT_EQ(WarmDispatch->Count, 1u);
   obs::reset();
+}
+
+//===----------------------------------------------------------------------===//
+// Split nests: large outer-parallel nests run in chunks on the shared pool
+//===----------------------------------------------------------------------===//
+
+/// One benchmark compiled at c2+f3, the IR kept alive with its loop
+/// program.
+struct SplitProgram {
+  std::unique_ptr<ir::Program> P;
+  std::optional<driver::CompiledProgram> CP;
+
+  const lir::LoopProgram &LP() const { return CP->LP; }
+};
+
+SplitProgram compileC2F3(std::unique_ptr<ir::Program> P) {
+  SplitProgram SP;
+  SP.P = std::move(P);
+  driver::Pipeline PL(*SP.P);
+  driver::CompileStatus St =
+      PL.tryCompile(driver::CompileRequest{Strategy::C2F3});
+  EXPECT_TRUE(St.ok()) << St.Message;
+  SP.CP = std::move(St.Artifact);
+  return SP;
+}
+
+/// The runtime workload's grid: a 64 x 64 Jacobi sweep plus copy-back.
+std::unique_ptr<ir::Program> makeJacobi64() {
+  auto P = std::make_unique<ir::Program>("jacobi64");
+  const ir::Region *R = P->regionFromExtents({64, 64});
+  ir::ArraySymbol *A = P->makeArray("A", 2);
+  ir::ArraySymbol *B = P->makeArray("B", 2);
+  using namespace ir;
+  P->assign(R, B,
+            mul(add(add(aref(A, {-1, 0}), aref(A, {1, 0})),
+                    add(aref(A, {0, -1}), aref(A, {0, 1}))),
+                cst(0.25)));
+  P->assign(R, A, aref(B, {0, 0}));
+  return P;
+}
+
+// The nests the kernels workload's programs split at their benchmark
+// sizes, and that nothing reducing or small splits.
+TEST(NativeJitTest, SplitCountsAtTheKernelsSizes) {
+  const auto &B = benchprogs::allBenchmarks();
+  const auto &Zoo = benchprogs::zooBenchmarks();
+  struct Case {
+    const benchprogs::BenchmarkInfo *Info;
+    int64_t N;
+    unsigned Split;
+  } Cases[] = {{&B[2], 256, 87},    {&B[4], 384, 35},   {&B[1], 512, 1},
+               {&B[0], 1 << 18, 0}, {&B[3], 512, 0},    {&B[5], 512, 0},
+               {&Zoo[2], 1 << 18, 0}};
+  for (const Case &C : Cases) {
+    SplitProgram SP = compileC2F3(C.Info->Build(C.N));
+    ASSERT_TRUE(SP.CP.has_value());
+    EXPECT_EQ(lir::splitSchedule(SP.LP()).numParallelNests(), C.Split)
+        << C.Info->Name;
+    for (bool Vectorize : {false, true}) {
+      scalarize::CEmitOptions EO;
+      EO.Vectorize = Vectorize;
+      scalarize::CModule M = scalarize::emitCModule(SP.LP(), "k", EO);
+      ASSERT_TRUE(M.ok()) << M.Error;
+      EXPECT_EQ(M.NumParallelNests, C.Split) << C.Info->Name;
+    }
+  }
+  SplitProgram Jacobi = compileC2F3(makeJacobi64());
+  ASSERT_TRUE(Jacobi.CP.has_value());
+  EXPECT_GT(planParallelism(Jacobi.LP()).numParallelNests(), 0u);
+  EXPECT_EQ(lir::splitSchedule(Jacobi.LP()).numParallelNests(), 0u);
+  std::string Src = scalarize::emitC(Jacobi.LP(), "kernel");
+  EXPECT_EQ(Src.find("alf_rt"), std::string::npos) << Src;
+}
+
+// At --verify=full a JIT compile proves the nests its kernel will split
+// race-free, as it proves the parallel executor's schedule; at
+// structural it does not.
+TEST(NativeJitTest, FullVerifyProvesTheSplitNests) {
+  for (verify::VerifyLevel Level :
+       {verify::VerifyLevel::Structural, verify::VerifyLevel::Full}) {
+    auto P = benchprogs::buildFrac(512);
+    driver::PipelineOptions PO;
+    PO.Verify = Level;
+    driver::Pipeline PL(*P, PO);
+    uint64_t Checks = obs::counterValue("verify.race_checks");
+    uint64_t Certified = obs::counterValue("verify.nests_certified_parallel");
+    driver::CompileStatus St = PL.tryCompile(
+        driver::CompileRequest{Strategy::C2F3, ExecMode::NativeJit});
+    ASSERT_TRUE(St.ok()) << St.Message;
+    bool Full = Level == verify::VerifyLevel::Full;
+    EXPECT_EQ(obs::counterValue("verify.race_checks"), Checks + Full);
+    EXPECT_EQ(obs::counterValue("verify.nests_certified_parallel"),
+              Certified + Full);
+  }
+}
+
+/// The run of \p K on storage seeded with \p Seed under \p Runtime.
+RunResult runSplit(const PreparedKernel &K, const lir::LoopProgram &LP,
+                   uint64_t Seed, const KernelRuntime *Runtime,
+                   JitRunInfo *Info = nullptr) {
+  Storage Store = allocateStorage(LP, Seed);
+  JitEngine::runPrepared(K, LP, Store, Info, Runtime);
+  return collectResults(LP, Store);
+}
+
+// Both tiers: the kernels' split programs give the same bits with the
+// pool's runtime as with no runtime (each split nest in one call), and
+// the scalar tier matches the interpreter exactly.
+TEST(NativeJitTest, SplitKernelsAreBitIdenticalWithAndWithoutThePool) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  TempCacheDir Cache;
+  const auto &B = benchprogs::allBenchmarks();
+  struct Case {
+    const benchprogs::BenchmarkInfo *Info;
+    int64_t N;
+    unsigned Split;
+  } Cases[] = {{&B[2], 256, 87}, {&B[4], 384, 35}, {&B[1], 512, 1}};
+  for (bool Vectorize : {false, true}) {
+    JitOptions Opts;
+    Opts.CacheDir = Cache.Path;
+    Opts.Vectorize = Vectorize;
+    JitEngine Engine(Opts);
+    for (const Case &C : Cases) {
+      SCOPED_TRACE(C.Info->Name + (Vectorize ? " jit-simd" : " jit"));
+      SplitProgram SP = compileC2F3(C.Info->Build(C.N));
+      ASSERT_TRUE(SP.CP.has_value());
+      PreparedKernel K = Engine.prepare(SP.LP());
+      ASSERT_TRUE(K.Entry) << K.Info.FallbackReason;
+      EXPECT_EQ(K.Info.ParallelNests, C.Split);
+
+      uint64_t Before = obs::counterValue("jit.parallel_dispatches");
+      JitRunInfo Info;
+      RunResult Pooled =
+          runSplit(K, SP.LP(), 5, &poolKernelRuntime(), &Info);
+      EXPECT_TRUE(Info.UsedJit);
+      EXPECT_EQ(Info.ParallelNests, C.Split);
+      EXPECT_GE(obs::counterValue("jit.parallel_dispatches"),
+                Before + C.Split);
+      RunResult Serial = runSplit(K, SP.LP(), 5, nullptr);
+      std::string Why;
+      EXPECT_TRUE(resultsMatch(Serial, Pooled, 0.0, &Why)) << Why;
+      if (!Vectorize) {
+        EXPECT_TRUE(resultsMatch(run(SP.LP(), 5), Pooled, 0.0, &Why)) << Why;
+      }
+    }
+  }
+}
+
+// One prepared kernel run by four threads at once: the pool takes one
+// caller's nests and the others run theirs inline, and every result is
+// the serial one.
+TEST(NativeJitTest, ConcurrentRunsOfOneSplitKernelAgree) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  TempCacheDir Cache;
+  JitOptions Opts;
+  Opts.CacheDir = Cache.Path;
+  Opts.Vectorize = true;
+  JitEngine Engine(Opts);
+  SplitProgram SP = compileC2F3(benchprogs::buildSP(256));
+  ASSERT_TRUE(SP.CP.has_value());
+  PreparedKernel K = Engine.prepare(SP.LP());
+  ASSERT_TRUE(K.Entry) << K.Info.FallbackReason;
+  ASSERT_GT(K.Info.ParallelNests, 0u);
+
+  RunResult Reference = runSplit(K, SP.LP(), 9, nullptr);
+  std::vector<RunResult> Got(4);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < Got.size(); ++T)
+    Threads.emplace_back([&, T] {
+      Got[T] = runSplit(K, SP.LP(), 9, &poolKernelRuntime());
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const RunResult &R : Got) {
+    std::string Why;
+    EXPECT_TRUE(resultsMatch(Reference, R, 0.0, &Why)) << Why;
+  }
+}
+
+// The sanitizer harness runs split nests through their functions, one
+// serial call each, and the split kernel stays clean under ASan/UBSan.
+TEST(NativeJitTest, SplitProgramRunsSanitizerClean) {
+  if (!HaveCompiler)
+    GTEST_SKIP() << "no usable system C compiler";
+  TempCacheDir Cache;
+  SplitProgram SP = compileC2F3(benchprogs::buildFrac(512));
+  ASSERT_TRUE(SP.CP.has_value());
+  ASSERT_EQ(lir::splitSchedule(SP.LP()).numParallelNests(), 1u);
+  for (bool Vectorize : {false, true}) {
+    JitOptions Opts;
+    Opts.CacheDir = Cache.Path;
+    Opts.Vectorize = Vectorize;
+    SanitizedRunResult R = runSanitized(SP.LP(), 3, Opts);
+    if (!R.Ran)
+      GTEST_SKIP() << "sanitized build unavailable: " << R.Output;
+    EXPECT_TRUE(R.Clean) << R.Output;
+  }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "driver/Pipeline.h"
 #include "exec/Interpreter.h"
+#include "exec/NativeJit.h"
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
@@ -181,6 +182,48 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   EXPECT_TRUE(Failures.empty()) << Failures.front();
   for (const auto &H : Hits)
     EXPECT_EQ(H.load(), 1);
+}
+
+/// A split-nest body as an emitted kernel has it, compiled into the
+/// test so the thread sanitizer sees its accesses: element I of the
+/// double array at Env becomes 2 * I + 1 (plain, non-atomic stores).
+void fillOddNumbers(void *Env, long Begin, long End) {
+  double *Out = static_cast<double *>(Env);
+  for (long I = Begin; I < End; ++I)
+    Out[I] = 2.0 * static_cast<double>(I) + 1.0;
+}
+
+TEST(KernelRuntimeTest, PoolParallelForWritesEveryElementOnce) {
+  // The runtime table native kernels call: chunks of the range run on the
+  // shared pool, and the caller reads what they wrote once it returns.
+  const exec::KernelRuntime &RT = exec::poolKernelRuntime();
+  uint64_t Before = obs::counterValue("jit.parallel_dispatches");
+  std::vector<double> Out(1000, -1.0);
+  for (int Round = 0; Round < 20; ++Round)
+    RT.ParallelFor(&RT, 3, 997, fillOddNumbers, Out.data());
+  EXPECT_EQ(obs::counterValue("jit.parallel_dispatches"), Before + 20);
+  for (long I = 0; I < 1000; ++I)
+    EXPECT_EQ(Out[static_cast<size_t>(I)],
+              I < 3 || I >= 997 ? -1.0 : 2.0 * static_cast<double>(I) + 1.0)
+        << I;
+}
+
+TEST(KernelRuntimeTest, ConcurrentKernelsShareThePool) {
+  // Four kernels dispatch at once: one gets the pool, the others find it
+  // busy and run their chunks inline, and every buffer is complete.
+  const exec::KernelRuntime &RT = exec::poolKernelRuntime();
+  std::vector<std::vector<double>> Outs(4, std::vector<double>(4096, 0.0));
+  std::vector<std::thread> Threads;
+  for (auto &Out : Outs)
+    Threads.emplace_back([&RT, &Out] {
+      for (int Round = 0; Round < 50; ++Round)
+        RT.ParallelFor(&RT, 0, 4096, fillOddNumbers, Out.data());
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const auto &Out : Outs)
+    for (size_t I = 0; I < Out.size(); ++I)
+      ASSERT_EQ(Out[I], 2.0 * static_cast<double>(I) + 1.0) << I;
 }
 
 TEST(ThreadPoolTest, ChunkExceptionReachesTheCaller) {
