@@ -11,6 +11,7 @@
 #include "analysis/ASDG.h"
 #include "benchprogs/Benchmarks.h"
 #include "exec/Interpreter.h"
+#include "exec/Storage.h"
 #include "ir/Generator.h"
 #include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
@@ -224,6 +225,66 @@ TEST(CEmitterTest, OverflowingStrideIsAnEmissionError) {
   EXPECT_FALSE(M.ok());
   EXPECT_NE(M.Error.find("overflows"), std::string::npos) << M.Error;
   EXPECT_TRUE(M.Source.empty());
+}
+
+// Pins the exact emitted text (its FNV-1a hash) of the six paper programs
+// under c2+f3 for both tiers, module and harness, at sizes where SP,
+// Simple and Frac split nests across threads. A change to the emitter
+// that is meant to be a pure refactoring must leave every hash as is;
+// kernels, content hashes and cache entries depend on the text.
+TEST(CEmitterTest, EmittedTextIsPinned) {
+  struct Case {
+    int64_t N;
+    uint64_t Module[2];  // scalar, vectorized
+    uint64_t Harness[2]; // scalar, vectorized
+  } Cases[] = {
+      {512, // EP
+       {0x396c41695a7c76dcULL, 0xe4cde50fb890c8ceULL},
+       {0xe2d1a964735888aeULL, 0xe3e056473afb7414ULL}},
+      {512, // Frac
+       {0xa10736f404563681ULL, 0xb0ef04f906af755aULL},
+       {0x8c1a9b1146f323c6ULL, 0xb54d890c472afecdULL}},
+      {256, // SP
+       {0x4717e3608c5cf4f9ULL, 0x1ead22af6cf29a10ULL},
+       {0xd3427e6c183467b7ULL, 0x16dd3052cfd35c90ULL}},
+      {512, // Tomcatv
+       {0xb4606f9a4232b340ULL, 0x659afa6d88e67f15ULL},
+       {0xa52871c766c92035ULL, 0xbc24e514ac1587d6ULL}},
+      {384, // Simple
+       {0x926189edde4ff6afULL, 0xe320673300ccc7a5ULL},
+       {0x566d83ac56a6b444ULL, 0x38e88a86e8a7af3eULL}},
+      {512, // Fibro
+       {0x5eea47dadecdbe18ULL, 0xd42e9201b225e430ULL},
+       {0xabda683b7bb23c4eULL, 0x09764b4862aedbe6ULL}},
+  };
+  const auto &B = benchprogs::allBenchmarks();
+  ASSERT_EQ(B.size(), 6u);
+  for (size_t I = 0; I < B.size(); ++I) {
+    SCOPED_TRACE(B[I].Name);
+    auto P = B[I].Build(Cases[I].N);
+    normalizeProgram(*P);
+    ASDG G = ASDG::build(*P);
+    auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+    for (bool Vectorize : {false, true}) {
+      SCOPED_TRACE(Vectorize ? "vectorized" : "scalar");
+      scalarize::CEmitOptions Opts;
+      Opts.Vectorize = Vectorize;
+      scalarize::CModule M = scalarize::emitCModule(LP, "kernel", Opts);
+      ASSERT_TRUE(M.ok()) << M.Error;
+      if (B[I].Name == "SP" || B[I].Name == "Simple" || B[I].Name == "Frac") {
+        EXPECT_GT(M.NumParallelNests, 0u);
+      }
+      scalarize::CEmitResult H =
+          scalarize::emitCWithHarnessChecked(LP, "kernel", 17, Opts);
+      ASSERT_TRUE(H.ok()) << H.Error;
+      EXPECT_EQ(hashName(M.Source), Cases[I].Module[Vectorize])
+          << formatString("0x%016llxULL",
+                          (unsigned long long)hashName(M.Source));
+      EXPECT_EQ(hashName(H.Source), Cases[I].Harness[Vectorize])
+          << formatString("0x%016llxULL",
+                          (unsigned long long)hashName(H.Source));
+    }
+  }
 }
 
 class CEmitterRandom : public ::testing::TestWithParam<uint64_t> {};
