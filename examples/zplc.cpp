@@ -232,10 +232,18 @@ int main(int argc, char **argv) {
   }
 
   const lir::LoopProgram &LP = CSt.Artifact->LP;
-  if (EmitC)
-    std::cout << scalarize::emitC(LP, "kernel");
-  else
+  if (EmitC) {
+    // A program the backend cannot address (a storage layout that
+    // overflows) is a diagnostic, as it is under --exec.
+    scalarize::CEmitResult C = scalarize::emitC(LP, "kernel");
+    if (!C.ok()) {
+      std::cerr << FileName << ": error: " << C.Error << '\n';
+      return 1;
+    }
+    std::cout << C.Source;
+  } else {
     LP.print(std::cout);
+  }
   if (Simulate) {
     unsigned Rank = 2;
     for (const ir::Stmt *S : P.stmts())

@@ -509,7 +509,7 @@ SanitizedRunResult exec::runSanitized(const LoopProgram &LP, uint64_t Seed,
   if (Opts.Vectorize)
     Flags += " -march=native -Wno-psabi";
   scalarize::CEmitResult Src =
-      scalarize::emitCWithHarnessChecked(LP, KernelName, Seed, EmitOpts);
+      scalarize::emitCWithHarness(LP, KernelName, Seed, EmitOpts);
   if (!Src.ok()) {
     R.Output = "emission failed: " + Src.Error;
     return R;

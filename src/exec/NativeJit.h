@@ -265,7 +265,7 @@ private:
 JitEngine &sharedJitEngine(const JitOptions &Opts);
 
 /// The sanitizer-tier dynamic oracle: emits \p LP's kernel together with
-/// its self-seeding main() harness (scalarize::emitCWithHarnessChecked,
+/// its self-seeding main() harness (scalarize::emitCWithHarness,
 /// seeded with \p Seed), compiles it as a standalone executable with
 /// ASan and UBSan, and runs it out of process. Clean means the
 /// harness exited 0 — every load and store passed the ASan/UBSan checks

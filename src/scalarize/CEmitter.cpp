@@ -7,7 +7,9 @@
 #include "support/ErrorHandling.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +25,46 @@ namespace {
 /// Doubles per vector register in the vectorizing emission.
 constexpr unsigned VectorWidth = 4;
 
+/// How the backend spells an operator: infix on both tiers (+ - * are
+/// IEEE-exact per lane), or a call of its scalar helper and, in
+/// vectorized nests, of the lane helper alf_vd_<Lane> that the prelude
+/// generates to apply it lane by lane. Def is the body of a guarded
+/// helper the prelude defines to match the interpreter's arithmetic.
+struct OpSpelling {
+  const char *Infix;
+  const char *Scalar;
+  const char *Lane;
+  const char *Def;
+};
+
+/// Indexed by UnaryExpr::Opcode; a helper takes `v`.
+constexpr OpSpelling UnarySpellings[] = {
+    {"-", nullptr, nullptr, nullptr},                           // Neg
+    {nullptr, "fabs", "fabs", nullptr},                         // Abs
+    {nullptr, "alf_sqrt", "sqrt", "sqrt(fabs(v))"},             // Sqrt
+    {nullptr, "alf_exp", "exp", "exp(fmin(v, 40.0))"},          // Exp
+    {nullptr, "alf_log", "log", "log(fabs(v) + 1e-12)"},        // Log
+    {nullptr, "sin", "sin", nullptr},                           // Sin
+    {nullptr, "cos", "cos", nullptr},                           // Cos
+    {nullptr, "alf_recip", "recip",
+     "1.0 / (v + (v >= 0 ? 1e-12 : -1e-12))"},                  // Recip
+};
+static_assert(std::size(UnarySpellings) ==
+              static_cast<size_t>(UnaryExpr::Opcode::Recip) + 1);
+
+/// Indexed by BinaryExpr::Opcode; a helper takes `l` and `r`.
+constexpr OpSpelling BinarySpellings[] = {
+    {"+", nullptr, nullptr, nullptr},                           // Add
+    {"-", nullptr, nullptr, nullptr},                           // Sub
+    {"*", nullptr, nullptr, nullptr},                           // Mul
+    {nullptr, "alf_div", "div",
+     "l / (r + (r >= 0 ? 1e-12 : -1e-12))"},                    // Div
+    {nullptr, "fmin", "fmin", nullptr},                         // Min
+    {nullptr, "fmax", "fmax", nullptr},                         // Max
+};
+static_assert(std::size(BinarySpellings) ==
+              static_cast<size_t>(BinaryExpr::Opcode::Max) + 1);
+
 /// Fault-injection state for the vectorizer's legality check (see
 /// setVectorizeFaultForTest).
 VectorizeFault TestVectorizeFault = VectorizeFault::None;
@@ -34,6 +76,10 @@ class Emitter {
   CEmitOptions Opts;
   StorageLayout Layout;
   std::string LayoutError; // why the storage layout overflows, or ""
+  // The kernel's parameters: allocated arrays, then program scalars,
+  // each in symbol order (the order CModule reports).
+  std::vector<const ArraySymbol *> Arrays;
+  std::vector<const ScalarSymbol *> Scalars;
   std::ostringstream OS;
 
   // Vectorization bookkeeping (Opts.Vectorize only).
@@ -63,24 +109,45 @@ public:
     } catch (const std::length_error &E) {
       LayoutError = E.what();
     }
-  }
-
-  /// Allocated arrays in symbol order.
-  std::vector<const ArraySymbol *> allocatedArrays() const {
-    std::vector<const ArraySymbol *> Result;
     for (const ArrayLayout &L : Layout.Arrays)
-      Result.push_back(L.Array);
-    return Result;
-  }
-
-  std::vector<const ScalarSymbol *> programScalars() const {
-    std::vector<const ScalarSymbol *> Result;
+      Arrays.push_back(L.Array);
     for (const Symbol *S : P.symbols())
       if (const auto *Sc = dyn_cast<ScalarSymbol>(S))
-        Result.push_back(Sc);
+        Scalars.push_back(Sc);
+  }
+
+  enum class Tail { None, Entry, Harness };
+
+  /// The one emission path of every entry point: validate, prelude,
+  /// kernel, then the tail — the native JIT's entry wrapper, the
+  /// self-seeding harness main (seeded with \p Seed), or nothing.
+  CEmitResult emit(const std::string &FnName, Tail T, uint64_t Seed = 0) {
+    CEmitResult Result;
+    Result.Error = validate();
+    if (!Result.ok())
+      return Result;
+    emitPrelude();
+    emitKernel(FnName);
+    if (T == Tail::Entry)
+      emitEntry(FnName);
+    else if (T == Tail::Harness)
+      emitHarness(FnName, Seed);
+    Result.Source = OS.str();
     return Result;
   }
 
+  /// A module's argument order and the outcome of vectorization and
+  /// thread splitting.
+  void describe(CModule &M) const {
+    M.Arrays = Arrays;
+    M.Scalars = Scalars;
+    M.NumVectorizedNests = NumVectorized;
+    M.NumVectorFallbacks = NumFallbacks;
+    M.Reassociated = Reassociated;
+    M.NumParallelNests = NumSplit;
+  }
+
+private:
   const ArrayLayout &layoutOf(const ArraySymbol *A) const {
     const ArrayLayout *L = Layout.find(A);
     if (!L)
@@ -146,58 +213,68 @@ public:
     return formatString("A_%s[%s]", A->getName().c_str(), Index.c_str());
   }
 
-  std::string renderExpr(const Expr *E) const {
-    if (const auto *C = dyn_cast<ConstExpr>(E))
-      return formatString("%.17g", C->getValue());
+  /// Appends \p E to \p Out: in the scalar spelling, or with \p Vec in
+  /// the spelling of a vectorized nest, where array references load
+  /// four lanes, constants and loop-invariant scalars splat, and helpers
+  /// become lane helpers (OpSpelling).
+  void renderExpr(const Expr *E, bool Vec, std::string &Out) const {
+    if (const auto *C = dyn_cast<ConstExpr>(E)) {
+      Out += Vec ? "alf_vd_splat(" : "";
+      Out += formatString("%.17g", C->getValue());
+      Out += Vec ? ")" : "";
+      return;
+    }
     if (const auto *S = dyn_cast<ScalarRefExpr>(E)) {
-      // Contracted-array scalars are locals; program scalars are in/out
-      // pointer parameters.
-      if (LP.isProgramScalar(S->getSymbol()))
-        return formatString("(*S_%s)", S->getSymbol()->getName().c_str());
-      return S->getSymbol()->getName();
-    }
-    if (const auto *A = dyn_cast<ArrayRefExpr>(E))
-      return elemRef(A->getSymbol(), A->getOffset());
-    if (const auto *U = dyn_cast<UnaryExpr>(E)) {
-      std::string Op = renderExpr(U->getOperand());
-      switch (U->getOpcode()) {
-      case UnaryExpr::Opcode::Neg:
-        return "(-(" + Op + "))";
-      case UnaryExpr::Opcode::Abs:
-        return "fabs(" + Op + ")";
-      case UnaryExpr::Opcode::Sqrt:
-        return "alf_sqrt(" + Op + ")";
-      case UnaryExpr::Opcode::Exp:
-        return "alf_exp(" + Op + ")";
-      case UnaryExpr::Opcode::Log:
-        return "alf_log(" + Op + ")";
-      case UnaryExpr::Opcode::Sin:
-        return "sin(" + Op + ")";
-      case UnaryExpr::Opcode::Cos:
-        return "cos(" + Op + ")";
-      case UnaryExpr::Opcode::Recip:
-        return "alf_recip(" + Op + ")";
+      if (Vec && VecAssigned.count(S->getSymbol())) {
+        (Out += "vt_") += S->getSymbol()->getName();
+        return;
       }
-      alf_unreachable("unhandled unary opcode");
+      // Loop-invariant inside a vectorized nest (a program scalar or a
+      // value left by an earlier nest): broadcast.
+      Out += Vec ? "alf_vd_splat(" : "";
+      Out += scalarTargetName(S->getSymbol());
+      Out += Vec ? ")" : "";
+      return;
     }
-    const auto *B = cast<BinaryExpr>(E);
-    std::string L = renderExpr(B->getLHS());
-    std::string R = renderExpr(B->getRHS());
-    switch (B->getOpcode()) {
-    case BinaryExpr::Opcode::Add:
-      return "(" + L + " + " + R + ")";
-    case BinaryExpr::Opcode::Sub:
-      return "(" + L + " - " + R + ")";
-    case BinaryExpr::Opcode::Mul:
-      return "(" + L + " * " + R + ")";
-    case BinaryExpr::Opcode::Div:
-      return "alf_div(" + L + ", " + R + ")";
-    case BinaryExpr::Opcode::Min:
-      return "fmin(" + L + ", " + R + ")";
-    case BinaryExpr::Opcode::Max:
-      return "fmax(" + L + ", " + R + ")";
+    if (const auto *A = dyn_cast<ArrayRefExpr>(E)) {
+      Out += Vec ? "(*(const alf_vd *)&" : "";
+      Out += elemRef(A->getSymbol(), A->getOffset());
+      Out += Vec ? ")" : "";
+      return;
     }
-    alf_unreachable("unhandled expression kind");
+    const OpSpelling *Op;
+    const Expr *L, *R = nullptr;
+    if (const auto *U = dyn_cast<UnaryExpr>(E)) {
+      Op = &UnarySpellings[static_cast<size_t>(U->getOpcode())];
+      L = U->getOperand();
+    } else {
+      const auto *B = cast<BinaryExpr>(E);
+      Op = &BinarySpellings[static_cast<size_t>(B->getOpcode())];
+      L = B->getLHS();
+      R = B->getRHS();
+    }
+    if (Op->Infix && R) {
+      Out += '(';
+      renderExpr(L, Vec, Out);
+      ((Out += ' ') += Op->Infix) += ' ';
+      renderExpr(R, Vec, Out);
+      Out += ')';
+      return;
+    }
+    // A helper call "f(l, r)", or the unary minus as "(-(v))".
+    if (Op->Infix)
+      (Out += '(') += Op->Infix;
+    else if (Vec)
+      (Out += "alf_vd_") += Op->Lane;
+    else
+      Out += Op->Scalar;
+    Out += '(';
+    renderExpr(L, Vec, Out);
+    if (R) {
+      Out += ", ";
+      renderExpr(R, Vec, Out);
+    }
+    Out += Op->Infix ? "))" : ")";
   }
 
   void emitPrelude() {
@@ -206,26 +283,25 @@ public:
     OS << "#include <stdint.h>\n";
     OS << "#include <stdio.h>\n";
     OS << "#include <stdlib.h>\n\n";
-    // Helpers matching the ALF interpreter's guarded arithmetic exactly.
-    OS << "static double alf_sqrt(double v) { return sqrt(fabs(v)); }\n";
-    OS << "static double alf_exp(double v) { return exp(fmin(v, 40.0)); "
-          "}\n";
-    OS << "static double alf_log(double v) { return log(fabs(v) + 1e-12); "
-          "}\n";
-    OS << "static double alf_recip(double v) { return 1.0 / (v + (v >= 0 ? "
-          "1e-12 : -1e-12)); }\n";
-    OS << "static double alf_div(double l, double r) { return l / (r + (r "
-          ">= 0 ? 1e-12 : -1e-12)); }\n\n";
+    for (const OpSpelling &Op : UnarySpellings)
+      if (Op.Def)
+        OS << "static double " << Op.Scalar << "(double v) { return "
+           << Op.Def << "; }\n";
+    for (const OpSpelling &Op : BinarySpellings)
+      if (Op.Def)
+        OS << "static double " << Op.Scalar << "(double l, double r) { return "
+           << Op.Def << "; }\n";
+    OS << '\n';
     if (Opts.Vectorize)
       emitVectorPrelude();
   }
 
-  /// GNU vector-extension types and lane helpers. Everything except the
-  /// arithmetic operators (+, -, * are IEEE-exact per lane) applies the
-  /// guarded scalar helper lane by lane, so elementwise vector code is
-  /// bit-identical to the scalar backend; alf_vd_sel is the bitwise
-  /// compare+select the ⊕ folds of min/max/or reduce with — it selects
-  /// operand bits, matching the scalar ternary spelling exactly.
+  /// GNU vector-extension types and lane helpers. Every helper of the
+  /// spelling tables gets a lane helper applying it lane by lane, so
+  /// elementwise vector code is bit-identical to the scalar backend;
+  /// alf_vd_sel is the bitwise compare+select the ⊕ folds of min/max/or
+  /// reduce with — it selects operand bits, matching the scalar ternary
+  /// spelling exactly.
   void emitVectorPrelude() {
     unsigned W = VectorWidth;
     OS << formatString("typedef double alf_vd __attribute__((vector_size(%u)"
@@ -240,55 +316,80 @@ public:
                        W);
     OS << "static alf_vd alf_vd_sel(alf_vm m, alf_vd t, alf_vd f) { return "
           "(alf_vd)((m & (alf_vm)t) | (~m & (alf_vm)f)); }\n";
-    auto LaneUnary = [&](const char *VName, const char *SExpr) {
-      OS << formatString("static alf_vd alf_vd_%s(alf_vd v) { alf_vd o; int "
-                         "k; for (k = 0; k < %u; ++k) o[k] = %s; return o; "
-                         "}\n",
-                         VName, W, SExpr);
-    };
-    LaneUnary("fabs", "fabs(v[k])");
-    LaneUnary("sqrt", "alf_sqrt(v[k])");
-    LaneUnary("exp", "alf_exp(v[k])");
-    LaneUnary("log", "alf_log(v[k])");
-    LaneUnary("sin", "sin(v[k])");
-    LaneUnary("cos", "cos(v[k])");
-    LaneUnary("recip", "alf_recip(v[k])");
-    auto LaneBinary = [&](const char *VName, const char *SExpr) {
-      OS << formatString("static alf_vd alf_vd_%s(alf_vd l, alf_vd r) { "
-                         "alf_vd o; int k; for (k = 0; k < %u; ++k) o[k] = "
-                         "%s; return o; }\n",
-                         VName, W, SExpr);
-    };
-    LaneBinary("div", "alf_div(l[k], r[k])");
-    LaneBinary("fmin", "fmin(l[k], r[k])");
-    LaneBinary("fmax", "fmax(l[k], r[k])");
+    for (const OpSpelling &Op : UnarySpellings)
+      if (Op.Lane)
+        OS << formatString("static alf_vd alf_vd_%s(alf_vd v) { alf_vd o; int "
+                           "k; for (k = 0; k < %u; ++k) o[k] = %s(v[k]); "
+                           "return o; }\n",
+                           Op.Lane, W, Op.Scalar);
+    for (const OpSpelling &Op : BinarySpellings)
+      if (Op.Lane)
+        OS << formatString("static alf_vd alf_vd_%s(alf_vd l, alf_vd r) { "
+                           "alf_vd o; int k; for (k = 0; k < %u; ++k) o[k] = "
+                           "%s(l[k], r[k]); return o; }\n",
+                           Op.Lane, W, Op.Scalar);
     OS << '\n';
+  }
+
+  /// The declaration of an array parameter, less its name. In vectorize
+  /// mode array parameters are restrict-qualified: every buffer is a
+  /// distinct allocation (exec::Storage allocates per symbol, the harness
+  /// mallocs per symbol), so the promise is sound, and it licenses the
+  /// compiler to schedule the emitted vector loads and stores without
+  /// aliasing reloads.
+  const char *arrayParam() const {
+    return Opts.Vectorize ? "double *restrict A_" : "double *A_";
+  }
+
+  /// Writes the kernel's argument list, joined by ", ": each array, then
+  /// each program scalar, as its prefix and its name (or, \p ByIndex,
+  /// its index among its kind and "]"), then \p Runtime when the kernel
+  /// has split nests. Returns whether the list is nonempty.
+  bool emitArgs(const char *ArrayPrefix, const char *ScalarPrefix,
+                const char *Runtime, bool ByIndex = false) {
+    const char *Sep = "";
+    auto Arg = [&](const char *Prefix, const Symbol *S, size_t I) {
+      OS << Sep << Prefix;
+      if (ByIndex)
+        OS << I << ']';
+      else
+        OS << S->getName();
+      Sep = ", ";
+    };
+    for (size_t I = 0; I < Arrays.size(); ++I)
+      Arg(ArrayPrefix, Arrays[I], I);
+    for (size_t I = 0; I < Scalars.size(); ++I)
+      Arg(ScalarPrefix, Scalars[I], I);
+    if (NumSplit) {
+      OS << Sep << Runtime;
+      Sep = ", ";
+    }
+    return *Sep;
   }
 
   void emitSignature(const std::string &FnName) {
     OS << "void " << FnName << "(";
-    bool First = true;
-    // In vectorize mode the array parameters are restrict-qualified:
-    // every buffer is a distinct allocation (exec::Storage allocates per
-    // symbol, the harness mallocs per symbol), so the promise is sound,
-    // and it licenses the compiler to schedule the emitted vector loads
-    // and stores without aliasing reloads.
-    const char *Qual = Opts.Vectorize ? "double *restrict A_" : "double *A_";
-    for (const ArraySymbol *A : allocatedArrays()) {
-      OS << (First ? "" : ", ") << Qual << A->getName();
-      First = false;
-    }
-    for (const ScalarSymbol *S : programScalars()) {
-      OS << (First ? "" : ", ") << "double *S_" << S->getName();
-      First = false;
-    }
-    if (NumSplit) {
-      OS << (First ? "" : ", ") << "const alf_rt *alf_run";
-      First = false;
-    }
-    if (First)
+    if (!emitArgs(arrayParam(), "double *S_", "const alf_rt *alf_run"))
       OS << "void";
     OS << ")";
+  }
+
+  /// "  long i1, i2;": the loop indices of the deepest nest, if any.
+  void emitIndexDecls() {
+    unsigned Rank = maxRank();
+    if (Rank == 0)
+      return;
+    OS << "  long ";
+    for (unsigned D = 0; D < Rank; ++D)
+      OS << (D ? ", " : "") << "i" << D + 1;
+    OS << ";\n";
+  }
+
+  /// Seeds the accumulators of \p Nest's reductions.
+  void emitScalarInits(const LoopNest &Nest) {
+    for (const ScalarInit &SI : Nest.ScalarInits)
+      OS << "  *S_" << SI.Acc->getName() << " = " << doubleLiteral(SI.Init)
+         << ";\n";
   }
 
   unsigned maxRank() const {
@@ -340,7 +441,8 @@ public:
   /// by the peeled remainder loop of vectorized nests).
   void emitBodyStmt(const ScalarStmt &S, const std::string &Indent) {
     OS << Indent;
-    std::string RHS = renderExpr(S.RHS.get());
+    std::string RHS;
+    renderExpr(S.RHS.get(), /*Vec=*/false, RHS);
     if (S.LHS.isScalar()) {
       std::string Name = scalarTargetName(S.LHS.Scalar);
       if (!S.Accumulate)
@@ -357,9 +459,7 @@ public:
   }
 
   void emitNestScalar(const LoopNest &Nest) {
-    for (const ScalarInit &SI : Nest.ScalarInits)
-      OS << "  *S_" << SI.Acc->getName() << " = " << doubleLiteral(SI.Init)
-         << ";\n";
+    emitScalarInits(Nest);
 
     std::string Indent = "  ";
     for (unsigned L = 0; L < Nest.LSV.rank(); ++L) {
@@ -388,16 +488,11 @@ public:
                       const std::string &Indent) {
     unsigned Dim = Nest.LSV.dimOf(L);
     auto [Lo, Hi] = loopBounds(Nest, L);
-    if (Nest.LSV.dirOf(L) > 0)
-      OS << Indent
-         << formatString("for (i%u = %s; i%u <= %s; ++i%u)", Dim + 1,
-                         Lo.c_str(), Dim + 1, Hi.c_str(), Dim + 1)
-         << '\n';
-    else
-      OS << Indent
-         << formatString("for (i%u = %s; i%u >= %s; --i%u)", Dim + 1,
-                         Hi.c_str(), Dim + 1, Lo.c_str(), Dim + 1)
-         << '\n';
+    bool Up = Nest.LSV.dirOf(L) > 0;
+    OS << Indent
+       << formatString("for (i%u = %s; i%u %s %s; %si%u)\n", Dim + 1,
+                       (Up ? Lo : Hi).c_str(), Dim + 1, Up ? "<=" : ">=",
+                       (Up ? Hi : Lo).c_str(), Up ? "++" : "--", Dim + 1);
   }
 
   /// Why \p Nest cannot be emitted as a SIMD loop over its innermost
@@ -517,64 +612,10 @@ public:
     return "";
   }
 
-  std::string renderExprVec(const Expr *E) {
-    if (const auto *C = dyn_cast<ConstExpr>(E))
-      return "alf_vd_splat(" + formatString("%.17g", C->getValue()) + ")";
-    if (const auto *S = dyn_cast<ScalarRefExpr>(E)) {
-      if (VecAssigned.count(S->getSymbol()))
-        return "vt_" + S->getSymbol()->getName();
-      // Loop-invariant inside the nest (a program scalar or a value left
-      // by an earlier nest): broadcast.
-      return "alf_vd_splat(" + renderExpr(E) + ")";
-    }
-    if (const auto *A = dyn_cast<ArrayRefExpr>(E))
-      return "(*(const alf_vd *)&" +
-             elemRef(A->getSymbol(), A->getOffset()) + ")";
-    if (const auto *U = dyn_cast<UnaryExpr>(E)) {
-      std::string Op = renderExprVec(U->getOperand());
-      switch (U->getOpcode()) {
-      case UnaryExpr::Opcode::Neg:
-        return "(-(" + Op + "))";
-      case UnaryExpr::Opcode::Abs:
-        return "alf_vd_fabs(" + Op + ")";
-      case UnaryExpr::Opcode::Sqrt:
-        return "alf_vd_sqrt(" + Op + ")";
-      case UnaryExpr::Opcode::Exp:
-        return "alf_vd_exp(" + Op + ")";
-      case UnaryExpr::Opcode::Log:
-        return "alf_vd_log(" + Op + ")";
-      case UnaryExpr::Opcode::Sin:
-        return "alf_vd_sin(" + Op + ")";
-      case UnaryExpr::Opcode::Cos:
-        return "alf_vd_cos(" + Op + ")";
-      case UnaryExpr::Opcode::Recip:
-        return "alf_vd_recip(" + Op + ")";
-      }
-      alf_unreachable("unhandled unary opcode");
-    }
-    const auto *B = cast<BinaryExpr>(E);
-    std::string L = renderExprVec(B->getLHS());
-    std::string R = renderExprVec(B->getRHS());
-    switch (B->getOpcode()) {
-    case BinaryExpr::Opcode::Add:
-      return "(" + L + " + " + R + ")";
-    case BinaryExpr::Opcode::Sub:
-      return "(" + L + " - " + R + ")";
-    case BinaryExpr::Opcode::Mul:
-      return "(" + L + " * " + R + ")";
-    case BinaryExpr::Opcode::Div:
-      return "alf_vd_div(" + L + ", " + R + ")";
-    case BinaryExpr::Opcode::Min:
-      return "alf_vd_fmin(" + L + ", " + R + ")";
-    case BinaryExpr::Opcode::Max:
-      return "alf_vd_fmax(" + L + ", " + R + ")";
-    }
-    alf_unreachable("unhandled expression kind");
-  }
-
   /// One body statement in the vector spelling.
   void emitBodyStmtVec(const ScalarStmt &S, const std::string &Indent) {
-    std::string RHS = renderExprVec(S.RHS.get());
+    std::string RHS;
+    renderExpr(S.RHS.get(), /*Vec=*/true, RHS);
     if (S.LHS.isScalar()) {
       if (!S.Accumulate) {
         OS << Indent << "vt_" << S.LHS.Scalar->getName() << " = " << RHS
@@ -588,14 +629,11 @@ public:
         OS << Indent << Acc << " += " << RHS << ";\n";
         break;
       case semiring::OpKind::Min:
-        OS << Indent << "{ const alf_vd alf_vv = " << RHS << "; " << Acc
-           << " = alf_vd_sel((alf_vm)(alf_vv < " << Acc << "), alf_vv, "
-           << Acc << "); }\n";
-        break;
       case semiring::OpKind::Max:
         OS << Indent << "{ const alf_vd alf_vv = " << RHS << "; " << Acc
-           << " = alf_vd_sel((alf_vm)(alf_vv > " << Acc << "), alf_vv, "
-           << Acc << "); }\n";
+           << " = alf_vd_sel((alf_vm)(alf_vv "
+           << (S.SR->Plus == semiring::OpKind::Min ? '<' : '>') << " " << Acc
+           << "), alf_vv, " << Acc << "); }\n";
         break;
       case semiring::OpKind::Or:
         OS << Indent << "{ const alf_vd alf_vv = " << RHS << "; " << Acc
@@ -621,29 +659,18 @@ public:
     unsigned W = VectorWidth;
     unsigned Dim = Nest.LSV.dimOf(Nest.LSV.rank() - 1);
     auto [Lo, Hi] = loopBounds(Nest, Nest.LSV.rank() - 1);
-
-    for (const ScalarInit &SI : Nest.ScalarInits)
-      OS << "  *S_" << SI.Acc->getName() << " = " << doubleLiteral(SI.Init)
-         << ";\n";
+    emitScalarInits(Nest);
 
     // Accumulators (in first-fold order) and scalar temporaries.
     std::vector<std::pair<const ScalarSymbol *, const semiring::Semiring *>>
         Accs;
     std::vector<const ScalarSymbol *> Temps;
+    std::vector<const ScalarSymbol *> Seen;
     for (const ScalarStmt &S : Nest.Body) {
-      if (!S.LHS.isScalar())
+      if (!S.LHS.isScalar() ||
+          std::count(Seen.begin(), Seen.end(), S.LHS.Scalar))
         continue;
-      auto Seen = [&](const ScalarSymbol *Sym) {
-        for (const auto &[A, SR] : Accs)
-          if (A == Sym)
-            return true;
-        for (const ScalarSymbol *T : Temps)
-          if (T == Sym)
-            return true;
-        return false;
-      };
-      if (Seen(S.LHS.Scalar))
-        continue;
+      Seen.push_back(S.LHS.Scalar);
       if (S.Accumulate) {
         Accs.push_back({S.LHS.Scalar, S.SR});
         if (semiring::vecFoldKind(S.SR->Plus) == semiring::VecFold::Arith)
@@ -714,30 +741,23 @@ public:
     emitNestScalar(Nest);
   }
 
-  unsigned numVectorizedNests() const { return NumVectorized; }
-  unsigned numSplitNests() const { return NumSplit; }
-  unsigned numVectorFallbacks() const { return NumFallbacks; }
-  bool reassociated() const { return Reassociated; }
-
   /// Emits the deterministic opaque-statement semantics (matching
   /// exec::Interpreter's execOpaque).
   void emitOpaque(const OpaqueStmt &O) {
     OS << "  /* opaque: " << O.getDesc() << " */\n";
     const Region *R = O.getRegion();
+    // The value every write derives from: 1 plus half of each scalar read.
+    const char *Base = R ? "base" : "v";
+    OS << "  {\n    double " << Base << " = 1.0;\n";
+    for (const ScalarSymbol *S : O.scalarReads())
+      OS << "    " << Base << " += 0.5 * (*S_" << S->getName() << ");\n";
     if (!R) {
-      OS << "  {\n    double v = 1.0;\n";
-      for (const ScalarSymbol *S : O.scalarReads())
-        OS << "    v += 0.5 * (*S_" << S->getName() << ");\n";
       unsigned Ordinal = 0;
       for (const ScalarSymbol *S : O.scalarWrites())
         OS << "    *S_" << S->getName() << " = v + " << Ordinal++ << ";\n";
       OS << "  }\n";
       return;
     }
-
-    OS << "  {\n    double base = 1.0;\n";
-    for (const ScalarSymbol *S : O.scalarReads())
-      OS << "    base += 0.5 * (*S_" << S->getName() << ");\n";
     for (size_t I = 0; I < O.scalarWrites().size(); ++I)
       OS << "    double acc" << I << " = 0.0;\n";
     std::string Indent = "    ";
@@ -788,10 +808,6 @@ public:
     OS << "};\n\n";
   }
 
-  std::string splitFunctionName(const std::string &FnName) const {
-    return FnName + "_split";
-  }
-
   /// One split nest as a case of the split function: its outer loop runs
   /// over the chunk [alf_lo, alf_end). The contracted scalars it assigns
   /// and its vector temporaries are locals of the case, so concurrent
@@ -813,50 +829,46 @@ public:
   /// alf_e->nest over one chunk. All split nests share that one function
   /// because the C compiler's cost grows with the number of functions.
   void emitSplitFunction(const std::string &FnName) {
+    std::string Fn = FnName + "_split";
     emitRuntimeDecl();
     OS << "typedef struct {\n";
-    for (const ArraySymbol *A : allocatedArrays())
+    for (const ArraySymbol *A : Arrays)
       OS << "  double *A_" << A->getName() << ";\n";
-    for (const ScalarSymbol *S : programScalars())
+    for (const ScalarSymbol *S : Scalars)
       OS << "  double *S_" << S->getName() << ";\n";
     OS << "  int nest;\n";
     OS << "} alf_env;\n\n";
     // noinline: the null-runtime call sites would otherwise get a second,
     // inlined copy of the nests to compile.
-    OS << "static __attribute__((noinline)) void "
-       << splitFunctionName(FnName)
+    OS << "static __attribute__((noinline)) void " << Fn
        << "(void *alf_envp, long alf_lo, long alf_end) {\n";
     OS << "  const alf_env *alf_e = (const alf_env *)alf_envp;\n";
     // The arrays and program scalars the split nests reference, from the
     // environment the kernel filled.
-    std::set<const ArraySymbol *> Arrays;
-    std::set<const ScalarSymbol *> Scalars;
+    std::set<const ArraySymbol *> UsedArrays;
+    std::set<const ScalarSymbol *> UsedScalars;
     for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
       if (!Split.NodePlans[Node].isParallel())
         continue;
       const auto *Nest = cast<LoopNest>(LP.nodes()[Node].get());
       for (const ScalarStmt &S : Nest->Body) {
         if (!S.LHS.isScalar())
-          Arrays.insert(S.LHS.Array);
+          UsedArrays.insert(S.LHS.Array);
         for (const ArrayRefExpr *Ref : collectArrayRefs(S.RHS.get()))
-          Arrays.insert(Ref->getSymbol());
+          UsedArrays.insert(Ref->getSymbol());
         for (const ScalarSymbol *Sc : collectScalarRefs(S.RHS.get()))
-          Scalars.insert(Sc);
+          UsedScalars.insert(Sc);
       }
     }
-    const char *Qual = Opts.Vectorize ? "double *restrict A_" : "double *A_";
-    for (const ArraySymbol *A : allocatedArrays())
-      if (Arrays.count(A))
-        OS << "  " << Qual << A->getName() << " = alf_e->A_" << A->getName()
-           << ";\n";
-    for (const ScalarSymbol *Sc : programScalars())
-      if (Scalars.count(Sc))
+    for (const ArraySymbol *A : Arrays)
+      if (UsedArrays.count(A))
+        OS << "  " << arrayParam() << A->getName() << " = alf_e->A_"
+           << A->getName() << ";\n";
+    for (const ScalarSymbol *Sc : Scalars)
+      if (UsedScalars.count(Sc))
         OS << "  double *S_" << Sc->getName() << " = alf_e->S_"
            << Sc->getName() << ";\n";
-    OS << "  long ";
-    for (unsigned D = 0; D < maxRank(); ++D)
-      OS << (D ? ", " : "") << "i" << D + 1;
-    OS << ";\n";
+    emitIndexDecls();
     OS << "  switch (alf_e->nest) {\n";
     for (size_t Node = 0; Node < LP.nodes().size(); ++Node)
       if (Split.NodePlans[Node].isParallel())
@@ -867,7 +879,6 @@ public:
     // call over the whole outer loop when the kernel got no runtime. Not
     // inlined into its call sites, one per split nest, for the same
     // reason.
-    std::string Fn = splitFunctionName(FnName);
     OS << "static __attribute__((noinline)) void alf_run_split(const alf_rt "
           "*rt, alf_env *e, int nest, long begin, long end) {\n";
     OS << "  e->nest = nest;\n";
@@ -891,29 +902,15 @@ public:
       emitSplitFunction(FnName);
     emitSignature(FnName);
     OS << " {\n";
-    unsigned Rank = maxRank();
-    if (Rank > 0) {
-      OS << "  long ";
-      for (unsigned D = 0; D < Rank; ++D)
-        OS << (D ? ", " : "") << "i" << D + 1;
-      OS << ";\n";
-    }
+    emitIndexDecls();
     // Locals for contracted arrays' scalars.
     for (const ArraySymbol *A : P.arrays())
       if (const ScalarSymbol *S = LP.scalarFor(A))
         OS << "  double " << S->getName() << " = 0.0;\n";
     if (NumSplit) {
       OS << "  alf_env alf_e = {";
-      bool First = true;
-      for (const ArraySymbol *A : allocatedArrays()) {
-        OS << (First ? "" : ", ") << "A_" << A->getName();
-        First = false;
-      }
-      for (const ScalarSymbol *S : programScalars()) {
-        OS << (First ? "" : ", ") << "S_" << S->getName();
-        First = false;
-      }
-      OS << ", 0};\n";
+      emitArgs("A_", "S_", "0");
+      OS << "};\n";
     }
 
     for (size_t Node = 0; Node < LP.nodes().size(); ++Node) {
@@ -938,32 +935,16 @@ public:
   /// Emits the fixed-ABI wrapper the native JIT backend dlopens:
   /// `void <FnName>_entry(double **arrays, double *scalars, const alf_rt
   /// *rt)`, unpacking the caller-owned buffers into the kernel's
-  /// positional parameters (arrays in allocatedArrays() order, scalars in
-  /// programScalars() order — the order CModule reports) and handing the
-  /// runtime on to a kernel with split nests.
+  /// positional parameters (in the order CModule reports) and handing
+  /// the runtime on to a kernel with split nests.
   void emitEntry(const std::string &FnName) {
     OS << '\n';
     emitRuntimeDecl();
     OS << "void " << FnName
        << "_entry(double **arrays, double *scalars, const alf_rt *rt) {\n";
     OS << "  " << FnName << "(";
-    bool First = true;
-    size_t ArrayIdx = 0;
-    for (const ArraySymbol *A : allocatedArrays()) {
-      (void)A;
-      OS << (First ? "" : ", ") << "arrays[" << ArrayIdx++ << "]";
-      First = false;
-    }
-    size_t ScalarIdx = 0;
-    for (const ScalarSymbol *S : programScalars()) {
-      (void)S;
-      OS << (First ? "" : ", ") << "&scalars[" << ScalarIdx++ << "]";
-      First = false;
-    }
-    if (NumSplit)
-      OS << (First ? "" : ", ") << "rt";
-    OS << ");\n";
-    OS << "}\n";
+    emitArgs("arrays[", "&scalars[", "rt", /*ByIndex=*/true);
+    OS << ");\n}\n";
   }
 
   void emitHarness(const std::string &FnName, uint64_t Seed) {
@@ -991,47 +972,33 @@ static uint64_t alf_hash(const char *s) {
     OS << formatString("  const uint64_t seed = %lluULL;\n",
                        static_cast<unsigned long long>(Seed));
     OS << "  long i;\n";
-    for (const ArraySymbol *A : allocatedArrays()) {
-      const ArrayLayout &L = layoutOf(A);
+    for (const ArraySymbol *A : Arrays) {
+      const char *Name = A->getName().c_str();
+      long long N = static_cast<long long>(layoutOf(A).elements());
       OS << formatString("  double *A_%s = malloc(%lld * sizeof(double));\n",
-                         A->getName().c_str(),
-                         static_cast<long long>(L.elements()));
-      if (A->isLiveIn()) {
+                         Name, N);
+      if (A->isLiveIn())
         OS << formatString("  alf_rng_state = seed ^ alf_hash(\"%s\");\n",
-                           A->getName().c_str());
-        OS << formatString("  for (i = 0; i < %lld; ++i) A_%s[i] = -1.0 + "
-                           "2.0 * alf_rng_double();\n",
-                           static_cast<long long>(L.elements()),
-                           A->getName().c_str());
-      } else {
-        OS << formatString(
-            "  for (i = 0; i < %lld; ++i) A_%s[i] = 0.0;\n",
-            static_cast<long long>(L.elements()), A->getName().c_str());
-      }
+                           Name);
+      OS << formatString("  for (i = 0; i < %lld; ++i) A_%s[i] = %s;\n", N,
+                         Name,
+                         A->isLiveIn() ? "-1.0 + 2.0 * alf_rng_double()"
+                                       : "0.0");
     }
-    for (const ScalarSymbol *S : programScalars()) {
+    for (const ScalarSymbol *S : Scalars) {
       OS << formatString("  alf_rng_state = seed ^ alf_hash(\"%s\");\n",
                          S->getName().c_str());
       OS << formatString("  double v_%s = 0.5 + alf_rng_double();\n",
                          S->getName().c_str());
     }
 
+    // No runtime: each split nest runs in one serial call.
     OS << "  " << FnName << "(";
-    bool First = true;
-    for (const ArraySymbol *A : allocatedArrays()) {
-      OS << (First ? "" : ", ") << "A_" << A->getName();
-      First = false;
-    }
-    for (const ScalarSymbol *S : programScalars()) {
-      OS << (First ? "" : ", ") << "&v_" << S->getName();
-      First = false;
-    }
-    if (NumSplit) // no runtime: each split nest runs in one serial call
-      OS << (First ? "" : ", ") << "(const alf_rt *)0";
+    emitArgs("A_", "&v_", "(const alf_rt *)0");
     OS << ");\n";
 
     // Checksums: plain linear sums of live-out arrays, then scalars.
-    for (const ArraySymbol *A : allocatedArrays()) {
+    for (const ArraySymbol *A : Arrays) {
       if (!A->isLiveOut())
         continue;
       const ArrayLayout &L = layoutOf(A);
@@ -1040,33 +1007,27 @@ static uint64_t alf_hash(const char *s) {
                          static_cast<long long>(L.elements()),
                          A->getName().c_str(), A->getName().c_str());
     }
-    for (const ScalarSymbol *S : programScalars())
+    for (const ScalarSymbol *S : Scalars)
       OS << formatString("  printf(\"%s %%.17g\\n\", v_%s);\n",
                          S->getName().c_str(), S->getName().c_str());
-    for (const ArraySymbol *A : allocatedArrays())
+    for (const ArraySymbol *A : Arrays)
       OS << "  free(A_" << A->getName() << ");\n";
     OS << "  return 0;\n}\n";
   }
-
-  std::string take() { return OS.str(); }
 };
 
 } // namespace
 
-CEmitResult scalarize::emitCWithHarnessChecked(const LoopProgram &LP,
-                                               const std::string &FnName,
-                                               uint64_t Seed,
-                                               const CEmitOptions &Opts) {
-  CEmitResult Result;
-  Emitter E(LP, Opts);
-  Result.Error = E.validate();
-  if (!Result.ok())
-    return Result;
-  E.emitPrelude();
-  E.emitKernel(FnName);
-  E.emitHarness(FnName, Seed);
-  Result.Source = E.take();
-  return Result;
+CEmitResult scalarize::emitC(const LoopProgram &LP,
+                             const std::string &FnName) {
+  return Emitter(LP).emit(FnName, Emitter::Tail::None);
+}
+
+CEmitResult scalarize::emitCWithHarness(const LoopProgram &LP,
+                                        const std::string &FnName,
+                                        uint64_t Seed,
+                                        const CEmitOptions &Opts) {
+  return Emitter(LP, Opts).emit(FnName, Emitter::Tail::Harness, Seed);
 }
 
 CModule scalarize::emitCModule(const LoopProgram &LP,
@@ -1074,20 +1035,13 @@ CModule scalarize::emitCModule(const LoopProgram &LP,
                                const CEmitOptions &Opts) {
   CModule Module;
   Emitter E(LP, Opts);
-  Module.Error = E.validate();
+  CEmitResult Result = E.emit(FnName, Emitter::Tail::Entry);
+  Module.Error = std::move(Result.Error);
   if (!Module.ok())
     return Module;
-  E.emitPrelude();
-  E.emitKernel(FnName);
-  E.emitEntry(FnName);
-  Module.Source = E.take();
+  Module.Source = std::move(Result.Source);
   Module.EntryName = FnName + "_entry";
-  Module.Arrays = E.allocatedArrays();
-  Module.Scalars = E.programScalars();
-  Module.NumVectorizedNests = E.numVectorizedNests();
-  Module.NumVectorFallbacks = E.numVectorFallbacks();
-  Module.NumParallelNests = E.numSplitNests();
-  Module.Reassociated = E.reassociated();
+  E.describe(Module);
   return Module;
 }
 
@@ -1111,23 +1065,4 @@ void scalarize::setVectorizeFaultForTest(VectorizeFault Mode) {
 
 bool scalarize::vectorizeFaultAppliedForTest() {
   return TestVectorizeFaultApplied;
-}
-
-std::string scalarize::emitC(const LoopProgram &LP, const std::string &FnName) {
-  Emitter E(LP);
-  std::string Error = E.validate();
-  if (!Error.empty())
-    reportFatalError(Error.c_str());
-  E.emitPrelude();
-  E.emitKernel(FnName);
-  return E.take();
-}
-
-std::string scalarize::emitCWithHarness(const LoopProgram &LP,
-                                        const std::string &FnName,
-                                        uint64_t Seed) {
-  CEmitResult Result = emitCWithHarnessChecked(LP, FnName, Seed);
-  if (!Result.ok())
-    reportFatalError(Result.Error.c_str());
-  return std::move(Result.Source);
 }

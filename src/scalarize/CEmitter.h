@@ -14,11 +14,14 @@
 /// a range of their outer loop that the host may run on several threads
 /// (see CModule).
 ///
-/// `emitCWithHarness` additionally emits a `main` that allocates and
-/// seeds every array exactly as the ALF interpreter does (same SplitMix64
-/// streams keyed by array name), runs the kernel, and prints a checksum
-/// per live-out array plus every scalar — so the emitted code can be
-/// validated end-to-end against `exec::run` (see CEmitterTest).
+/// Three entry points, one emission path: `emitC` emits the kernel alone,
+/// `emitCModule` adds the fixed-ABI wrapper the native JIT dlopens, and
+/// `emitCWithHarness` adds a `main` that allocates and seeds every array
+/// exactly as the ALF interpreter does (same SplitMix64 streams keyed by
+/// array name), runs the kernel, and prints a checksum per live-out array
+/// plus every scalar — so the emitted code can be validated end-to-end
+/// against `exec::run` (see CEmitterTest). Each reports a program it
+/// cannot emit as an error instead of aborting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,11 +59,10 @@ struct CEmitOptions {
   bool Vectorize = false;
 };
 
-/// Status-returning outcome of C emission: the translation unit, or the
-/// reason the program cannot be emitted (Error nonempty). Callers that
-/// can recover — the native JIT's interpreter fallback above all — use
-/// the checked entry points; the legacy string-returning entry points
-/// abort on the same conditions.
+/// Outcome of C emission: the translation unit, or the reason the program
+/// cannot be emitted (Error nonempty, Source empty): an array referenced
+/// without storage or of the wrong rank, or a storage layout that
+/// overflows.
 struct CEmitResult {
   std::string Source;
   std::string Error;
@@ -109,25 +111,20 @@ struct CModule {
   bool ok() const { return Error.empty(); }
 };
 
-/// Emits the kernel function \p FnName implementing \p LP. Aborts on
-/// unsupported constructs; emitCModule reports them instead.
-std::string emitC(const lir::LoopProgram &LP, const std::string &FnName);
+/// Emits the scalar kernel function \p FnName implementing \p LP
+/// (`zplc --emit-c`).
+CEmitResult emitC(const lir::LoopProgram &LP, const std::string &FnName);
 
 /// Emits the kernel plus a self-contained main() harness seeded with
-/// \p Seed (matching exec::run's initialization).
-std::string emitCWithHarness(const lir::LoopProgram &LP,
-                             const std::string &FnName, uint64_t Seed);
-
-/// Like emitCWithHarness, but status-returning; \p Opts selects the
+/// \p Seed (matching exec::run's initialization); \p Opts selects the
 /// scalar or vectorizing backend (the sanitizer oracle compiles the
-/// vectorized harness with this).
-CEmitResult emitCWithHarnessChecked(const lir::LoopProgram &LP,
-                                    const std::string &FnName, uint64_t Seed,
-                                    const CEmitOptions &Opts = CEmitOptions());
+/// vectorized harness).
+CEmitResult emitCWithHarness(const lir::LoopProgram &LP,
+                             const std::string &FnName, uint64_t Seed,
+                             const CEmitOptions &Opts = CEmitOptions());
 
 /// Emits the kernel plus the `<FnName>_entry` ABI wrapper for the native
-/// JIT backend (exec/NativeJit). Status-returning: Error is set instead
-/// of aborting when the program cannot be emitted.
+/// JIT backend (exec/NativeJit), with the metadata to call it.
 CModule emitCModule(const lir::LoopProgram &LP, const std::string &FnName,
                     const CEmitOptions &Opts = CEmitOptions());
 

@@ -9,10 +9,11 @@
 /// (xform::analyzeNestParallelism over the nest's UDVs, its reduction
 /// flag and the dimensions its rolling buffers wrap), and the nests the
 /// native kernels split across threads. Both backends that run nests
-/// concurrently read these answers: the parallel executor runs every
-/// parallel nest of planNest (exec::planParallelism), and the C emitter
-/// runs every nest of splitSchedule in chunks of its outer loop. driver::Pipeline proves the same schedules
-/// race-free (verify::verifyParallelSafety) at `--verify=full`.
+/// concurrently read these answers. The parallel executor runs every
+/// parallel nest of planNest (exec::planParallelism). The C emitter runs
+/// every nest of splitSchedule in chunks of its outer loop.
+/// driver::Pipeline proves the same schedules race-free
+/// (verify::verifyParallelSafety) at `--verify=full`.
 ///
 //===----------------------------------------------------------------------===//
 

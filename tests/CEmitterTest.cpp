@@ -53,8 +53,11 @@ std::map<std::string, double> runEmitted(const LoopProgram &LP,
   std::string ExePath = Base + ".exe";
 
   {
+    scalarize::CEmitResult Src =
+        scalarize::emitCWithHarness(LP, "kernel", Seed);
+    EXPECT_TRUE(Src.ok()) << Src.Error;
     std::ofstream Out(SrcPath);
-    Out << scalarize::emitCWithHarness(LP, "kernel", Seed);
+    Out << Src.Source;
   }
   std::string Compile = "cc -std=c99 -O1 -ffp-contract=off -o " + ExePath +
                         " " + SrcPath + " -lm 2>&1";
@@ -118,7 +121,7 @@ TEST(CEmitterTest, EmitsCompilableSource) {
   P.assign(R, B, add(aref(A, {-1, 0}), cst(1.0)));
   ASDG G = ASDG::build(P);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  std::string Src = scalarize::emitC(LP, "kernel");
+  std::string Src = scalarize::emitC(LP, "kernel").Source;
   EXPECT_NE(Src.find("void kernel(double *A_A, double *A_B)"),
             std::string::npos);
   EXPECT_NE(Src.find("A_B["), std::string::npos);
@@ -202,7 +205,7 @@ TEST(CEmitterTest, PartialContractionModularBuffers) {
   auto LP = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0}));
   ASSERT_EQ(LP.partialPlans().size(), 1u);
-  std::string Src = scalarize::emitCWithHarness(LP, "kernel", 31);
+  std::string Src = scalarize::emitCWithHarness(LP, "kernel", 31).Source;
   EXPECT_NE(Src.find("% 2"), std::string::npos)
       << "expected modular rolling-buffer indexing";
   expectMatch(runEmitted(LP, 31), interpreterChecksums(LP, 31));
@@ -225,6 +228,13 @@ TEST(CEmitterTest, OverflowingStrideIsAnEmissionError) {
   EXPECT_FALSE(M.ok());
   EXPECT_NE(M.Error.find("overflows"), std::string::npos) << M.Error;
   EXPECT_TRUE(M.Source.empty());
+  // The other entry points take the same path to the same error.
+  for (const scalarize::CEmitResult &R :
+       {scalarize::emitC(LP, "kernel"),
+        scalarize::emitCWithHarness(LP, "kernel", 1)}) {
+    EXPECT_EQ(R.Error, M.Error);
+    EXPECT_TRUE(R.Source.empty());
+  }
 }
 
 // Pins the exact emitted text (its FNV-1a hash) of the six paper programs
@@ -275,7 +285,7 @@ TEST(CEmitterTest, EmittedTextIsPinned) {
         EXPECT_GT(M.NumParallelNests, 0u);
       }
       scalarize::CEmitResult H =
-          scalarize::emitCWithHarnessChecked(LP, "kernel", 17, Opts);
+          scalarize::emitCWithHarness(LP, "kernel", 17, Opts);
       ASSERT_TRUE(H.ok()) << H.Error;
       EXPECT_EQ(hashName(M.Source), Cases[I].Module[Vectorize])
           << formatString("0x%016llxULL",

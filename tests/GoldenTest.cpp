@@ -118,7 +118,7 @@ array T : R temp;
   ASSERT_TRUE(Result.succeeded());
   ASDG G = ASDG::build(*Result.Prog);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
-  EXPECT_EQ(scalarize::emitC(LP, "kernel"),
+  EXPECT_EQ(scalarize::emitC(LP, "kernel").Source,
             R"(/* generated by ALF from program 'main' */
 #include <math.h>
 #include <stdint.h>

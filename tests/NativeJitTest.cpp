@@ -569,7 +569,9 @@ TEST(NativeJitTest, SplitCountsAtTheKernelsSizes) {
   ASSERT_TRUE(Jacobi.CP.has_value());
   EXPECT_GT(planParallelism(Jacobi.LP()).numParallelNests(), 0u);
   EXPECT_EQ(lir::splitSchedule(Jacobi.LP()).numParallelNests(), 0u);
-  std::string Src = scalarize::emitC(Jacobi.LP(), "kernel");
+  scalarize::CEmitResult C = scalarize::emitC(Jacobi.LP(), "kernel");
+  ASSERT_TRUE(C.ok()) << C.Error;
+  const std::string &Src = C.Source;
   EXPECT_EQ(Src.find("alf_rt"), std::string::npos) << Src;
 }
 

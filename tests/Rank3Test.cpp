@@ -109,7 +109,7 @@ TEST(Rank3Test, BackendsEmitTripleNests) {
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
   auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
-  std::string C = scalarize::emitC(LP, "kernel3d");
+  std::string C = scalarize::emitC(LP, "kernel3d").Source;
   EXPECT_NE(C.find("for (i3 ="), std::string::npos);
   EXPECT_NE(C.find("[(i1+0 - (0))*36"), std::string::npos) << C;
 }

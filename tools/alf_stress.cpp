@@ -106,10 +106,15 @@ struct Stats {
 bool checkEmittedC(const lir::LoopProgram &LP, uint64_t Seed,
                    const RunResult &Expected) {
   static int Counter = 0;
+  scalarize::CEmitResult Src = scalarize::emitCWithHarness(LP, "kernel", Seed);
+  if (!Src.ok()) {
+    std::cerr << "error: " << Src.Error << '\n';
+    return false;
+  }
   std::string Base = formatString("/tmp/alf_stress_%d_%d", getpid(), Counter++);
   {
     std::ofstream Out(Base + ".c");
-    Out << scalarize::emitCWithHarness(LP, "kernel", Seed);
+    Out << Src.Source;
   }
   std::string Cmd = "cc -std=c99 -O1 -ffp-contract=off -o " + Base + ".exe " +
                     Base + ".c -lm 2>&1";
