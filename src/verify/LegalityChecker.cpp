@@ -26,8 +26,8 @@
 #include "xform/Parallelize.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 using namespace alf;
@@ -281,6 +281,25 @@ void proveContraction(
   }
 }
 
+enum class DfsColor : uint8_t { Unvisited, OnPath, Done };
+
+/// Depth-first search of \p Succ from \p C: the first cluster met again
+/// on the current path — it lies on a cycle — or nullopt.
+std::optional<unsigned>
+cycleFrom(const std::vector<std::vector<unsigned>> &Succ,
+          std::vector<DfsColor> &Color, unsigned C) {
+  Color[C] = DfsColor::OnPath;
+  for (unsigned Next : Succ[C]) {
+    if (Color[Next] == DfsColor::OnPath)
+      return Next;
+    if (Color[Next] == DfsColor::Unvisited)
+      if (std::optional<unsigned> OnCycle = cycleFrom(Succ, Color, Next))
+        return OnCycle;
+  }
+  Color[C] = DfsColor::Done;
+  return std::nullopt;
+}
+
 } // namespace
 
 VerifyReport verify::verifyStrategy(const analysis::ASDG &G,
@@ -335,34 +354,25 @@ VerifyReport verify::verifyStrategy(const analysis::ASDG &G,
   }
 
   // Definition 5 (iii): the quotient graph over the oracle's dependences
-  // is acyclic (colors: 0 unvisited, 1 on stack, 2 done).
+  // is acyclic. Cluster ids are statement ids, so vectors index them.
   {
-    std::map<unsigned, std::set<unsigned>> Succ;
+    std::vector<std::vector<unsigned>> Succ(P.numStmts());
     for (const auto &[Pair, List] : Deps) {
       (void)List;
       unsigned CS = Partition.clusterOf(Pair.first);
       unsigned CT = Partition.clusterOf(Pair.second);
       if (CS != CT)
-        Succ[CS].insert(CT);
+        Succ[CS].push_back(CT);
     }
-    std::map<unsigned, int> Color;
-    std::function<bool(unsigned)> HasCycle = [&](unsigned C) {
-      Color[C] = 1;
-      for (unsigned Next : Succ[C]) {
-        int State = Color.count(Next) ? Color[Next] : 0;
-        if (State == 1 || (State == 0 && HasCycle(Next)))
-          return true;
-      }
-      Color[C] = 2;
-      return false;
-    };
+    std::vector<DfsColor> Color(P.numStmts(), DfsColor::Unvisited);
     for (unsigned Cluster : Partition.clusters()) {
-      int State = Color.count(Cluster) ? Color[Cluster] : 0;
-      if (State == 0 && HasCycle(Cluster)) {
+      if (Color[Cluster] != DfsColor::Unvisited)
+        continue;
+      if (std::optional<unsigned> OnCycle = cycleFrom(Succ, Color, Cluster)) {
         Out.add(FusionPass,
                 formatString("quotient graph has a cycle through cluster "
                              "%u (Definition 5 (iii))",
-                             Cluster));
+                             *OnCycle));
         break;
       }
     }

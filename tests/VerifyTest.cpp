@@ -150,6 +150,35 @@ TEST(VerifyTest, LegalityRejectsFusionWithCarriedFlow) {
   EXPECT_TRUE(hasFindingFrom(Rep, "fusion-legality")) << Rep.str();
 }
 
+TEST(VerifyTest, QuotientCycleNamesAClusterOnTheCycle) {
+  // S0: A := X; S1: B := A; S2: C := B; S3: D := C, with S1 and S3 fused:
+  // cluster 1 = {S1, S3} feeds cluster 2 = {S2} and is fed by it, so the
+  // quotient graph cycles through clusters 1 and 2, not through the
+  // cluster 0 the search starts from.
+  Program P("chain");
+  const Region *R = P.regionFromExtents({8});
+  ArraySymbol *X = P.makeArray("X", 1);
+  ArraySymbol *A = P.makeArray("A", 1);
+  ArraySymbol *B = P.makeArray("B", 1);
+  ArraySymbol *C = P.makeArray("C", 1);
+  ArraySymbol *D = P.makeArray("D", 1);
+  P.assign(R, A, aref(X));
+  P.assign(R, B, aref(A));
+  P.assign(R, C, aref(B));
+  P.assign(R, D, aref(C));
+  ASDG G = ASDG::build(P);
+  StrategyResult SR;
+  SR.Partition = FusionPartition::fromAssignment(G, {0, 1, 2, 1});
+
+  verify::VerifyReport Rep = verify::verifyStrategy(G, SR);
+  ASSERT_FALSE(Rep.ok());
+  bool Named = false;
+  for (const verify::VerifyFinding &F : Rep.Findings)
+    Named |= F.Message == "quotient graph has a cycle through cluster 1 "
+                          "(Definition 5 (iii))";
+  EXPECT_TRUE(Named) << Rep.str();
+}
+
 TEST(VerifyTest, LegalityRejectsContractionOfLiveOutArray) {
   auto P = tp::makeFigure2();
   normalizeProgram(*P);
