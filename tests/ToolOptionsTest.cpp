@@ -91,6 +91,26 @@ TEST(ToolOptionsTest, BadValuesAreErrorsWithoutToolPrefix) {
                    "plus-times|min-plus|max-times|max-plus|or-and)");
 }
 
+TEST(ToolOptionsTest, SeedIsAWholeUint64) {
+  ToolOptions TO;
+  std::string Error;
+  EXPECT_EQ(parseToolFlag("--seed=18446744073709551615", TF_All, TO, Error),
+            FlagParse::Consumed);
+  EXPECT_EQ(TO.Seed, UINT64_MAX);
+  EXPECT_EQ(parseToolFlag("--seed=0", TF_All, TO, Error),
+            FlagParse::Consumed);
+  EXPECT_EQ(TO.Seed, 0u);
+  for (const char *Bad : {"abc", "12x", "", "-1", "+5", " 7",
+                          "18446744073709551616", "99999999999999999999"}) {
+    SCOPED_TRACE(Bad);
+    TO.Seed = 3;
+    EXPECT_EQ(parseToolFlag(std::string("--seed=") + Bad, TF_All, TO, Error),
+              FlagParse::Error);
+    EXPECT_EQ(Error, std::string("invalid seed '") + Bad + "'");
+    EXPECT_EQ(TO.Seed, 3u);
+  }
+}
+
 TEST(ToolOptionsTest, GoldenHelpText) {
   // The full surface, in its pinned order. Tools embed this text in
   // their --help/usage output, so a change here changes every tool.

@@ -4,7 +4,7 @@
 
 #include "obs/Obs.h"
 
-#include <cstdlib>
+#include <charconv>
 
 using namespace alf;
 using namespace alf::tool;
@@ -55,7 +55,16 @@ FlagParse tool::parseToolFlag(const std::string &Arg, unsigned Flags,
     return FlagParse::Consumed;
   }
   if ((Flags & TF_Seed) && Arg.rfind("--seed=", 0) == 0) {
-    Opts.Seed = static_cast<uint64_t>(std::atoll(Arg.c_str() + 7));
+    // The whole value, as a uint64_t: no sign, no trailing text, no
+    // wrap-around.
+    const char *First = Arg.data() + 7, *Last = Arg.data() + Arg.size();
+    uint64_t Seed = 0;
+    auto [End, Ec] = std::from_chars(First, Last, Seed);
+    if (Ec != std::errc() || End != Last) {
+      Error = "invalid seed '" + Arg.substr(7) + "'";
+      return FlagParse::Error;
+    }
+    Opts.Seed = Seed;
     return FlagParse::Consumed;
   }
   if ((Flags & TF_Semiring) && Arg.rfind("--semiring=", 0) == 0) {
