@@ -65,6 +65,60 @@ constexpr OpSpelling BinarySpellings[] = {
 static_assert(std::size(BinarySpellings) ==
               static_cast<size_t>(BinaryExpr::Opcode::Max) + 1);
 
+/// The prelude after its first line: the headers and the guarded scalar
+/// helpers, then, with \p Vectorize, the GNU vector-extension types and
+/// lane helpers. Every helper of the spelling tables gets a lane helper
+/// applying it lane by lane, so elementwise vector code is bit-identical
+/// to the scalar backend; alf_vd_sel is the bitwise compare+select the ⊕
+/// folds of min/max/or reduce with — it selects operand bits, matching
+/// the scalar ternary spelling exactly. Each tier's text is generated
+/// once.
+std::string preludeHelpers(bool Vectorize) {
+  std::ostringstream OS;
+  OS << "#include <math.h>\n";
+  OS << "#include <stdint.h>\n";
+  OS << "#include <stdio.h>\n";
+  OS << "#include <stdlib.h>\n\n";
+  for (const OpSpelling &Op : UnarySpellings)
+    if (Op.Def)
+      OS << "static double " << Op.Scalar << "(double v) { return " << Op.Def
+         << "; }\n";
+  for (const OpSpelling &Op : BinarySpellings)
+    if (Op.Def)
+      OS << "static double " << Op.Scalar << "(double l, double r) { return "
+         << Op.Def << "; }\n";
+  OS << '\n';
+  if (!Vectorize)
+    return OS.str();
+  unsigned W = VectorWidth;
+  OS << formatString("typedef double alf_vd __attribute__((vector_size(%u)"
+                     ", aligned(8), may_alias));\n",
+                     W * 8);
+  OS << formatString("typedef long long alf_vm __attribute__((vector_size("
+                     "%u), aligned(8), may_alias));\n",
+                     W * 8);
+  OS << formatString("static alf_vd alf_vd_splat(double v) { alf_vd o; "
+                     "int k; for (k = 0; k < %u; ++k) o[k] = v; return o; "
+                     "}\n",
+                     W);
+  OS << "static alf_vd alf_vd_sel(alf_vm m, alf_vd t, alf_vd f) { return "
+        "(alf_vd)((m & (alf_vm)t) | (~m & (alf_vm)f)); }\n";
+  for (const OpSpelling &Op : UnarySpellings)
+    if (Op.Lane)
+      OS << formatString("static alf_vd alf_vd_%s(alf_vd v) { alf_vd o; int "
+                         "k; for (k = 0; k < %u; ++k) o[k] = %s(v[k]); "
+                         "return o; }\n",
+                         Op.Lane, W, Op.Scalar);
+  for (const OpSpelling &Op : BinarySpellings)
+    if (Op.Lane)
+      OS << formatString("static alf_vd alf_vd_%s(alf_vd l, alf_vd r) { "
+                         "alf_vd o; int k; for (k = 0; k < %u; ++k) o[k] = "
+                         "%s(l[k], r[k]); return o; }\n",
+                         Op.Lane, W, Op.Scalar);
+  OS << '\n';
+  return OS.str();
+}
+
 /// Fault-injection state for the vectorizer's legality check (see
 /// setVectorizeFaultForTest).
 VectorizeFault TestVectorizeFault = VectorizeFault::None;
@@ -278,57 +332,10 @@ private:
   }
 
   void emitPrelude() {
-    OS << "/* generated by ALF from program '" << P.getName() << "' */\n";
-    OS << "#include <math.h>\n";
-    OS << "#include <stdint.h>\n";
-    OS << "#include <stdio.h>\n";
-    OS << "#include <stdlib.h>\n\n";
-    for (const OpSpelling &Op : UnarySpellings)
-      if (Op.Def)
-        OS << "static double " << Op.Scalar << "(double v) { return "
-           << Op.Def << "; }\n";
-    for (const OpSpelling &Op : BinarySpellings)
-      if (Op.Def)
-        OS << "static double " << Op.Scalar << "(double l, double r) { return "
-           << Op.Def << "; }\n";
-    OS << '\n';
-    if (Opts.Vectorize)
-      emitVectorPrelude();
-  }
-
-  /// GNU vector-extension types and lane helpers. Every helper of the
-  /// spelling tables gets a lane helper applying it lane by lane, so
-  /// elementwise vector code is bit-identical to the scalar backend;
-  /// alf_vd_sel is the bitwise compare+select the ⊕ folds of min/max/or
-  /// reduce with — it selects operand bits, matching the scalar ternary
-  /// spelling exactly.
-  void emitVectorPrelude() {
-    unsigned W = VectorWidth;
-    OS << formatString("typedef double alf_vd __attribute__((vector_size(%u)"
-                       ", aligned(8), may_alias));\n",
-                       W * 8);
-    OS << formatString("typedef long long alf_vm __attribute__((vector_size("
-                       "%u), aligned(8), may_alias));\n",
-                       W * 8);
-    OS << formatString("static alf_vd alf_vd_splat(double v) { alf_vd o; "
-                       "int k; for (k = 0; k < %u; ++k) o[k] = v; return o; "
-                       "}\n",
-                       W);
-    OS << "static alf_vd alf_vd_sel(alf_vm m, alf_vd t, alf_vd f) { return "
-          "(alf_vd)((m & (alf_vm)t) | (~m & (alf_vm)f)); }\n";
-    for (const OpSpelling &Op : UnarySpellings)
-      if (Op.Lane)
-        OS << formatString("static alf_vd alf_vd_%s(alf_vd v) { alf_vd o; int "
-                           "k; for (k = 0; k < %u; ++k) o[k] = %s(v[k]); "
-                           "return o; }\n",
-                           Op.Lane, W, Op.Scalar);
-    for (const OpSpelling &Op : BinarySpellings)
-      if (Op.Lane)
-        OS << formatString("static alf_vd alf_vd_%s(alf_vd l, alf_vd r) { "
-                           "alf_vd o; int k; for (k = 0; k < %u; ++k) o[k] = "
-                           "%s(l[k], r[k]); return o; }\n",
-                           Op.Lane, W, Op.Scalar);
-    OS << '\n';
+    static const std::string Scalar = preludeHelpers(false);
+    static const std::string Vector = preludeHelpers(true);
+    OS << "/* generated by ALF from program '" << P.getName() << "' */\n"
+       << (Opts.Vectorize ? Vector : Scalar);
   }
 
   /// The declaration of an array parameter, less its name. In vectorize
