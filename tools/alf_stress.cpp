@@ -161,7 +161,7 @@ int main(int argc, char **argv) {
     case tool::FlagParse::Consumed:
       continue;
     case tool::FlagParse::Error:
-      std::cerr << FlagError << '\n';
+      std::cerr << "alf_stress: " << FlagError << '\n';
       return 2;
     case tool::FlagParse::NotMine:
       break;
