@@ -153,19 +153,6 @@ std::string BinaryExpr::str() const {
 // Tree utilities
 //===----------------------------------------------------------------------===//
 
-void ir::walkExpr(const Expr *Root,
-                  const std::function<void(const Expr *)> &Fn) {
-  Fn(Root);
-  if (const auto *U = dyn_cast<UnaryExpr>(Root)) {
-    walkExpr(U->getOperand(), Fn);
-    return;
-  }
-  if (const auto *B = dyn_cast<BinaryExpr>(Root)) {
-    walkExpr(B->getLHS(), Fn);
-    walkExpr(B->getRHS(), Fn);
-  }
-}
-
 std::vector<const ArrayRefExpr *> ir::collectArrayRefs(const Expr *Root) {
   std::vector<const ArrayRefExpr *> Refs;
   walkExpr(Root, [&Refs](const Expr *E) {

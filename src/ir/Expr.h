@@ -175,8 +175,19 @@ public:
   }
 };
 
-/// Invokes \p Fn on every node of \p Root in pre-order.
-void walkExpr(const Expr *Root, const std::function<void(const Expr *)> &Fn);
+/// Invokes \p Fn on every node of \p Root in pre-order. The visitor is a
+/// template parameter, so a walk makes no indirect call per node.
+template <typename FnT> void walkExpr(const Expr *Root, FnT &&Fn) {
+  Fn(Root);
+  if (const auto *U = dyn_cast<UnaryExpr>(Root)) {
+    walkExpr(U->getOperand(), Fn);
+    return;
+  }
+  if (const auto *B = dyn_cast<BinaryExpr>(Root)) {
+    walkExpr(B->getLHS(), Fn);
+    walkExpr(B->getRHS(), Fn);
+  }
+}
 
 /// Collects every array reference in \p Root, left to right.
 std::vector<const ArrayRefExpr *> collectArrayRefs(const Expr *Root);
