@@ -2,9 +2,11 @@
 
 #include "FigureCommon.h"
 
-#include "driver/Pipeline.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
+
+#include <cstdlib>
+#include <iostream>
 
 using namespace alf;
 using namespace alf::benchprogs;
@@ -14,6 +16,16 @@ using namespace alf::figures;
 using namespace alf::ir;
 using namespace alf::machine;
 using namespace alf::xform;
+
+CompileStatus figures::compileOrExit(Pipeline &PL, Strategy S) {
+  CompileStatus St = PL.tryCompile(CompileRequest{S});
+  if (!St.ok()) {
+    std::cerr << PL.program().getName() << " " << getStrategyName(S)
+              << ": compile failed: " << St.Message << '\n';
+    std::exit(1);
+  }
+  return St;
+}
 
 int64_t figures::perProcessorSize(const BenchmarkInfo &B) {
   if (B.Name == "EP")
@@ -35,7 +47,8 @@ PerfStats figures::simulateStrategy(const BenchmarkInfo &B, Strategy S,
   PipelineOptions Opts;
   Opts.Comm = CommPolicy::LoopLevel;
   Pipeline PL(*P, Opts);
-  return simulate(PL.scalarize(S), M, ProcGrid::make(Procs, B.Rank));
+  return simulate(compileOrExit(PL, S).Artifact->LP, M,
+                  ProcGrid::make(Procs, B.Rank));
 }
 
 PerfStats figures::simulateFavorComm(const BenchmarkInfo &B,
@@ -44,7 +57,7 @@ PerfStats figures::simulateFavorComm(const BenchmarkInfo &B,
   PipelineOptions Opts;
   Opts.Comm = CommPolicy::ArrayLevel;
   Pipeline PL(*P, Opts);
-  return simulate(PL.scalarize(Strategy::C2F3), M,
+  return simulate(compileOrExit(PL, Strategy::C2F3).Artifact->LP, M,
                   ProcGrid::make(Procs, B.Rank));
 }
 
@@ -62,8 +75,8 @@ void figures::printRuntimeFigure(const MachineDesc &M, std::ostream &OS) {
 
     std::vector<std::unique_ptr<lir::LoopProgram>> Programs;
     for (Strategy S : allStrategies())
-      Programs.push_back(
-          std::make_unique<lir::LoopProgram>(PL.scalarize(S)));
+      Programs.push_back(std::make_unique<lir::LoopProgram>(
+          std::move(compileOrExit(PL, S).Artifact->LP)));
 
     TextTable Table;
     std::vector<std::string> Header{"p"};

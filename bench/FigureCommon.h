@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Shared pipeline for the runtime experiments (Figures 9-11 and section
-/// 5.5): build a benchmark at its per-processor problem size, normalize,
-/// apply each strategy, scalarize, insert communication, and simulate on
-/// a modeled machine.
+/// 5.5): build a benchmark at its per-processor problem size, compile it
+/// under each strategy with communication inserted, and simulate on a
+/// modeled machine. Every figure harness compiles through compileOrExit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #define ALF_BENCH_FIGURECOMMON_H
 
 #include "benchprogs/Benchmarks.h"
+#include "driver/Pipeline.h"
 #include "exec/PerfModel.h"
 #include "machine/Machine.h"
 #include "xform/Strategy.h"
@@ -24,6 +25,11 @@
 
 namespace alf {
 namespace figures {
+
+/// Compiles \p S through \p PL for sequential execution. The paper's
+/// benchmarks always compile, so a rejection prints the status message
+/// and exits with status 1.
+driver::CompileStatus compileOrExit(driver::Pipeline &PL, xform::Strategy S);
 
 /// Processor counts of Figures 9-11.
 inline const unsigned ProcCounts[] = {1, 4, 16, 64};

@@ -15,7 +15,7 @@
 
 #include "benchprogs/Benchmarks.h"
 
-#include "driver/Pipeline.h"
+#include "FigureCommon.h"
 #include "obs/Obs.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
@@ -84,7 +84,8 @@ int main() {
       Table.setHeader(
           {"strategy", "interp (s)", "native (s)", "speedup", "kernel"});
       for (Strategy S : allStrategies()) {
-        auto LP = PL.scalarize(S);
+        lir::LoopProgram LP =
+            std::move(figures::compileOrExit(PL, S).Artifact->LP);
 
         RunResult InterpRes = run(LP, Seed);
         JitRunInfo Info;
@@ -130,7 +131,7 @@ int main() {
       Pipeline PL(*P);
       for (Strategy S : allStrategies()) {
         JitRunInfo Info;
-        Engine.run(PL.scalarize(S), Seed, &Info);
+        Engine.run(figures::compileOrExit(PL, S).Artifact->LP, Seed, &Info);
         if (!Info.UsedJit) {
           std::cerr << "FAIL: warm-cache rerun of " << B.Name << "/"
                     << getStrategyName(S)

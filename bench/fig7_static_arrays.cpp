@@ -9,7 +9,7 @@
 
 #include "benchprogs/Benchmarks.h"
 
-#include "driver/Pipeline.h"
+#include "FigureCommon.h"
 #include "exec/MemoryAccounting.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
@@ -35,7 +35,7 @@ int main() {
     for (const BenchmarkInfo &B : Benchmarks) {
       auto P = B.Build(8);
       driver::Pipeline PL(*P);
-      StrategyResult SR = PL.strategy(Strategy::C2);
+      StrategyResult SR = *figures::compileOrExit(PL, Strategy::C2).SR;
       std::set<const ArraySymbol *> Contracted(SR.Contracted.begin(),
                                                SR.Contracted.end());
       MemoryCensus Before = computeCensus(PL.program(), {});

@@ -11,7 +11,7 @@
 
 #include "benchprogs/Benchmarks.h"
 
-#include "driver/Pipeline.h"
+#include "FigureCommon.h"
 #include "exec/MemoryAccounting.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
@@ -33,7 +33,7 @@ uint64_t peakBytesAt(const BenchmarkInfo &B, int64_t N, bool Contract) {
   driver::Pipeline PL(*P);
   std::set<const ArraySymbol *> Contracted;
   if (Contract) {
-    StrategyResult SR = PL.strategy(Strategy::C2);
+    StrategyResult SR = *figures::compileOrExit(PL, Strategy::C2).SR;
     Contracted.insert(SR.Contracted.begin(), SR.Contracted.end());
   }
   return computeCensus(PL.program(), Contracted).PeakBytes;
@@ -54,7 +54,7 @@ int main() {
   for (const BenchmarkInfo &B : allBenchmarks()) {
     auto P = B.Build(8);
     driver::Pipeline PL(*P);
-    StrategyResult SR = PL.strategy(Strategy::C2);
+    StrategyResult SR = *figures::compileOrExit(PL, Strategy::C2).SR;
     std::set<const ArraySymbol *> Contracted(SR.Contracted.begin(),
                                              SR.Contracted.end());
     unsigned Lb = computeCensus(PL.program(), {}).PeakLive;

@@ -41,9 +41,6 @@
 #include "exec/ParallelExecutor.h"
 #include "exec/PerfModel.h"
 #include "frontend/Parser.h"
-#include "ir/Align.h"
-#include "ir/Normalize.h"
-#include "ir/Verifier.h"
 #include "obs/Obs.h"
 #include "scalarize/CEmitter.h"
 #include "scalarize/Scalarize.h"
@@ -169,40 +166,30 @@ int main(int argc, char **argv) {
     return LR.exitCode();
   }
 
-  unsigned Temps;
-  {
-    obs::Span S("pipeline.normalize", FileName);
-    ir::alignProgram(P);
-    Temps = ir::normalizeProgram(P);
-  }
-  auto Errors = ir::verifyProgram(P);
-  if (!Errors.empty()) {
-    // Verifier findings have no source position; still use the
-    // "error:" marker and a nonzero exit.
-    for (const std::string &E : Errors)
-      std::cerr << FileName << ": error: " << E << '\n';
-    return 1;
-  }
-
-  if (DumpSource) {
-    std::cout << "// normalized (" << Temps << " compiler temporaries)\n";
-    P.print(std::cout);
-    std::cout << '\n';
-  }
-
-  // The pipeline owns ASDG -> strategy -> scalarize from here (opening
-  // the same obs spans this tool used to open by hand). Alignment and
-  // normalization already ran above, so the pipeline's own pass is off.
+  // The pipeline aligns and normalizes the program, then owns ASDG ->
+  // strategy -> scalarize.
   driver::PipelineOptions PO;
-  PO.Normalize = false;
   PO.Verify = VerifyLevel;
   driver::Pipeline PL(P, PO);
   driver::CompileStatus CSt = PL.tryCompile(driver::CompileRequest{
       Strat, TO.Exec.value_or(xform::ExecMode::Sequential)});
   if (CSt.Code == driver::CompileCode::InvalidProgram) {
-    std::cerr << FileName << ": error: " << CSt.Message << '\n';
+    // Verifier findings have no source position; still use the
+    // "error:" marker and a nonzero exit.
+    for (const verify::VerifyFinding &F : CSt.Findings.Findings)
+      std::cerr << FileName << ": error: " << F.Message << '\n';
     return 1;
   }
+
+  if (DumpSource) {
+    unsigned Temps = 0;
+    for (const ir::ArraySymbol *A : PL.program().arrays())
+      Temps += A->isCompilerTemp();
+    std::cout << "// normalized (" << Temps << " compiler temporaries)\n";
+    PL.program().print(std::cout);
+    std::cout << '\n';
+  }
+
   // A failed proof (the parallel race check included) prints one line
   // and exits nonzero so scripts and CI can gate on the exit status.
   if (!CSt.ok()) {

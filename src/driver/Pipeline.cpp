@@ -4,6 +4,7 @@
 
 #include "comm/CommInsertion.h"
 #include "exec/Eval.h"
+#include "ir/Align.h"
 #include "ir/Normalize.h"
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
@@ -24,40 +25,29 @@ Pipeline::Pipeline(ir::Program &P, PipelineOptions InOpts)
 
 Pipeline::~Pipeline() = default;
 
+/// Moves \p R's findings into \p Into, counting a rejecting pass.
+static void absorb(verify::VerifyReport &Into, verify::VerifyReport R) {
+  if (R.ok())
+    return;
+  ++NumPipelineVerifyFailures;
+  Into.take(std::move(R));
+}
+
 void Pipeline::prepare() {
   if (Prepared)
     return;
   Prepared = true;
-  if (Opts.Normalize) {
+  {
+    // The paper's normal form (section 2.1): references aligned except
+    // for offsets, then no statement reads the array it writes.
     obs::Span S("pipeline.normalize", P.getName());
+    ir::alignProgram(P);
     ir::normalizeProgram(P);
   }
   if (Opts.Comm == CommPolicy::ArrayLevel) {
     obs::Span S("pipeline.comm.array");
     comm::insertArrayLevelComm(P);
   }
-}
-
-void Pipeline::check(verify::VerifyReport R) {
-  if (R.ok())
-    return;
-  ++NumPipelineVerifyFailures;
-  for (const verify::VerifyFinding &F : R.Findings)
-    Findings.Findings.push_back(F);
-  // tryCompile suspends the failure policy: the findings surface through
-  // the structured CompileStatus it returns.
-  if (Collecting)
-    return;
-  if (Opts.OnVerifyError) {
-    Opts.OnVerifyError(R);
-    return;
-  }
-  // No policy installed: a failed proof means the pipeline is about to
-  // produce wrong code, which the library's no-throw error policy treats
-  // as fatal.
-  std::string Msg =
-      "translation validation failed: " + R.Findings.front().str();
-  reportFatalError(Msg.c_str());
 }
 
 ir::Program &Pipeline::program() {
@@ -72,55 +62,16 @@ const analysis::ASDG &Pipeline::asdg() {
       obs::Span S("pipeline.asdg");
       G = analysis::ASDG::build(P);
     }
-    size_t Before = Findings.Findings.size();
     if (Opts.Verify >= verify::VerifyLevel::Structural) {
       obs::Span S("pipeline.verify", "structure");
-      check(verify::verifyStructure(P, &*G));
+      absorb(GraphFindings, verify::verifyStructure(P, &*G));
     }
     if (Opts.Verify >= verify::VerifyLevel::Full) {
       obs::Span S("pipeline.verify", "dependences");
-      check(verify::verifyDependences(*G));
+      absorb(GraphFindings, verify::verifyDependences(*G));
     }
-    // A rejected graph poisons every strategy served from it; tryCompile
-    // reports this sticky state on each later call.
-    if (Findings.Findings.size() > Before)
-      GraphRejected = true;
   }
   return *G;
-}
-
-StrategyResult Pipeline::strategy(Strategy S) {
-  StrategyResult SR = [&] {
-    obs::Span Sp("pipeline.strategy", xform::getStrategyName(S));
-    return applyStrategy(asdg(), S);
-  }();
-  if (Opts.Verify >= verify::VerifyLevel::Full) {
-    obs::Span Sp("pipeline.verify", "strategy");
-    check(verify::verifyStrategy(*G, SR));
-  }
-  return SR;
-}
-
-lir::LoopProgram Pipeline::scalarize(Strategy S) {
-  // Route through strategy() so the strategy result is verified before
-  // scalarization consumes it.
-  return scalarize(strategy(S));
-}
-
-lir::LoopProgram Pipeline::scalarize(const StrategyResult &SR) {
-  lir::LoopProgram LP = [&] {
-    obs::Span S("pipeline.scalarize");
-    return alf::scalarize::scalarize(asdg(), SR);
-  }();
-  if (Opts.Comm == CommPolicy::LoopLevel) {
-    obs::Span S("pipeline.comm.loop");
-    comm::insertLoopLevelComm(LP);
-  }
-  if (Opts.Verify >= verify::VerifyLevel::Safety) {
-    obs::Span S("pipeline.verify", "safety");
-    check(verify::verifySafety(LP, &*G));
-  }
-  return LP;
 }
 
 const char *driver::getCompileCodeName(CompileCode C) {
@@ -144,35 +95,46 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   // Gate analysis on IR well-formedness: strategy selection and
   // scalarization assume the normal-form invariants and may misbehave
   // on client programs that violate them.
-  {
-    std::vector<std::string> Errors = ir::verifyProgram(P);
-    if (!Errors.empty()) {
-      St.Code = CompileCode::InvalidProgram;
-      St.Message = Errors.front();
-      return St;
-    }
+  for (std::string &E : ir::verifyProgram(P))
+    St.Findings.add("structure", std::move(E));
+  if (!St.Findings.ok()) {
+    St.Code = CompileCode::InvalidProgram;
+    St.Message = St.Findings.Findings.front().Message;
+    return St;
   }
 
-  bool SavedCollecting = Collecting;
-  Collecting = true;
-  size_t Before = Findings.Findings.size();
-
+  // A rejected graph poisons every strategy served from it.
   asdg();
-  if (GraphRejected) {
-    Collecting = SavedCollecting;
+  if (!GraphFindings.ok()) {
     St.Code = CompileCode::VerifyRejected;
-    St.Findings.Findings.assign(Findings.Findings.begin() + Before,
-                                Findings.Findings.end());
-    if (St.Findings.ok()) // rejected by an earlier call; re-surface it
-      St.Findings = Findings;
+    St.Findings = GraphFindings;
     St.Message = St.Findings.Findings.front().str();
     return St;
   }
 
-  // Run the chain to completion even when a proof rejects (matching the
-  // legacy handler-and-continue policy), but report the rejection.
-  xform::StrategyResult SR = strategy(Req.Strat);
-  lir::LoopProgram LP = scalarize(SR);
+  // Run the chain to completion even when a proof rejects, so every
+  // pass reports, but prepare no kernel for a rejected program.
+  verify::VerifyReport &Found = St.Findings;
+  StrategyResult SR = [&] {
+    obs::Span Sp("pipeline.strategy", xform::getStrategyName(Req.Strat));
+    return applyStrategy(*G, Req.Strat);
+  }();
+  if (Opts.Verify >= verify::VerifyLevel::Full) {
+    obs::Span Sp("pipeline.verify", "strategy");
+    absorb(Found, verify::verifyStrategy(*G, SR));
+  }
+  lir::LoopProgram LP = [&] {
+    obs::Span S("pipeline.scalarize");
+    return alf::scalarize::scalarize(*G, SR);
+  }();
+  if (Opts.Comm == CommPolicy::LoopLevel) {
+    obs::Span S("pipeline.comm.loop");
+    comm::insertLoopLevelComm(LP);
+  }
+  if (Opts.Verify >= verify::VerifyLevel::Safety) {
+    obs::Span S("pipeline.verify", "safety");
+    absorb(Found, verify::verifySafety(LP, &*G));
+  }
 
   CompiledProgram CP(std::move(LP));
   CP.NumClusters = SR.Partition.numClusters();
@@ -187,7 +149,7 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
     CP.Sched = planParallelism(CP.LP);
     if (Opts.Verify >= verify::VerifyLevel::Full) {
       obs::Span S("pipeline.verify", "parallel-safety");
-      check(verify::verifyParallelSafety(CP.LP, *CP.Sched));
+      absorb(Found, verify::verifyParallelSafety(CP.LP, *CP.Sched));
     }
   } else if (Req.Mode == ExecMode::NativeJit ||
              Req.Mode == ExecMode::NativeJitSimd) {
@@ -196,9 +158,10 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
     // no kernel: the compiler is not run on code whose proofs failed.
     if (Opts.Verify >= verify::VerifyLevel::Full) {
       obs::Span S("pipeline.verify", "jit-parallel-safety");
-      check(verify::verifyParallelSafety(CP.LP, lir::splitSchedule(CP.LP)));
+      absorb(Found,
+             verify::verifyParallelSafety(CP.LP, lir::splitSchedule(CP.LP)));
     }
-    if (Findings.Findings.size() == Before) {
+    if (Found.ok()) {
       JitOptions JO = Opts.Jit;
       if (Req.Mode == ExecMode::NativeJitSimd)
         JO.Vectorize = true;
@@ -209,19 +172,16 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
           "kernel not prepared: the compile was rejected";
     }
   }
-  Collecting = SavedCollecting;
   St.Artifact.emplace(std::move(CP));
   St.SR = std::move(SR);
 
-  if (Findings.Findings.size() > Before) {
-    St.Findings.Findings.assign(Findings.Findings.begin() + Before,
-                                Findings.Findings.end());
-    St.Message = St.Findings.Findings.front().str();
+  if (!Found.ok()) {
+    St.Message = Found.Findings.front().str();
     // A safety-only rejection gets its own stable wire code so serving
     // clients can tell "your program is memory-unsafe" apart from "the
     // compiler failed its own proof". Any legality finding dominates.
     bool AllSafety = true;
-    for (const verify::VerifyFinding &F : St.Findings.Findings)
+    for (const verify::VerifyFinding &F : Found.Findings)
       if (F.Pass.rfind("safety", 0) != 0)
         AllSafety = false;
     St.Code = AllSafety ? CompileCode::UnsafeProgram

@@ -5,23 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One front door for the whole ALF chain. Benchmarks, tools and tests
-/// all used to hand-assemble normalize -> ASDG -> applyStrategy ->
-/// scalarize -> (comm) -> execute, each with slightly different plumbing;
-/// Pipeline owns that sequence once. A Pipeline wraps one ir::Program,
-/// builds the ASDG lazily (after normalization and, under the
-/// favor-communication policy, array-level exchange insertion), and then
-/// serves any number of strategies and execution modes from the shared
-/// analysis:
+/// One front door for the whole ALF chain. A Pipeline wraps one
+/// ir::Program and is the only place its normal form is built: prepare()
+/// aligns target offsets to zero and splits statements that read and
+/// write the same array (the paper's section 2.1), then inserts
+/// array-level exchanges under the favor-communication policy. The ASDG
+/// is built once from that program and serves any number of strategies
+/// and execution modes:
 ///
 ///   driver::Pipeline PL(*P);
 ///   driver::CompileStatus St =
 ///       PL.tryCompile({Strategy::C2, ExecMode::NativeJit});
+///   if (!St.ok())
+///     return fail(St.Message);
 ///   exec::RunResult Res = St.Artifact->run(Seed);
 ///
-/// tryCompile makes every decision once — partition, contraction, the
-/// parallel schedule, the JIT kernel — and returns a CompiledProgram
-/// whose run() is the library's one way to execute. JIT kernels come
+/// tryCompile is the one compile entry and the one failure policy. It
+/// makes every decision once — partition, contraction, the parallel
+/// schedule, the JIT kernel — and returns a CompiledProgram whose run()
+/// is the library's one way to execute, or a status naming why not.
+/// Nothing the pipeline does aborts on a rejected proof. JIT kernels come
 /// from the process-wide exec::sharedJitEngine, so a sweep over
 /// strategies and seeds pays each kernel compile once.
 ///
@@ -38,7 +41,6 @@
 #include "verify/Verify.h"
 #include "xform/Strategy.h"
 
-#include <functional>
 #include <optional>
 
 namespace alf {
@@ -54,10 +56,6 @@ enum class CommPolicy {
 
 /// Configuration of one Pipeline.
 struct PipelineOptions {
-  /// Run ir::normalizeProgram before analysis (condition (i) of the
-  /// paper's normal form). Disable only for programs known normalized.
-  bool Normalize = true;
-
   /// Under CommPolicy::ArrayLevel, exchanges are split into hoisted
   /// send/recv pairs for overlap.
   CommPolicy Comm = CommPolicy::None;
@@ -78,13 +76,6 @@ struct PipelineOptions {
   /// the ALF_VERIFY environment variable (ctest exports "full"), else
   /// Structural.
   verify::VerifyLevel Verify = verify::defaultVerifyLevel();
-
-  /// Called with the findings when a verification pass rejects outside
-  /// tryCompile. When unset, the pipeline treats a rejection as a fatal
-  /// internal error (reportFatalError). No tool or example sets it: they
-  /// compile through tryCompile, which reports rejections as a
-  /// CompileStatus. Only tests set it, to collect the findings.
-  std::function<void(const verify::VerifyReport &)> OnVerifyError;
 };
 
 /// One strategy's compilation artifact, prepared for one execution mode
@@ -155,10 +146,9 @@ const char *getCompileCodeName(CompileCode C);
 /// The structured outcome of one Pipeline::tryCompile: status plus, when
 /// the chain ran to completion, the strategy result and the artifact.
 ///
-/// On VerifyRejected the artifact may still be present (the chain is
-/// attempted end to end, matching the legacy OnVerifyError-and-continue
-/// policy) but MUST NOT be executed by callers that asked for
-/// verification — a failed proof means the code is not certified.
+/// On VerifyRejected and UnsafeProgram the artifact may still be present
+/// (the chain runs to completion so every pass gets to report) but MUST
+/// NOT be executed — a failed proof means the code is not certified.
 struct CompileStatus {
   CompileCode Code = CompileCode::Ok;
 
@@ -166,7 +156,9 @@ struct CompileStatus {
   /// the leading finding's "[pass] message" rendering.
   std::string Message;
 
-  /// Every finding this call produced (VerifyRejected only).
+  /// Every finding behind a rejection: each IR rule the program breaks
+  /// (InvalidProgram, pass "structure"), or each failed proof
+  /// (VerifyRejected, UnsafeProgram). Empty on Ok.
   verify::VerifyReport Findings;
 
   /// The strategy decision (partition + contraction set); present
@@ -179,7 +171,7 @@ struct CompileStatus {
   bool ok() const { return Code == CompileCode::Ok; }
 };
 
-/// Facade over the parse/normalize -> ASDG -> strategy -> scalarize ->
+/// Facade over the align/normalize -> ASDG -> strategy -> scalarize ->
 /// execute chain for one program. Not thread-safe; create one per thread.
 /// The wrapped program must outlive the pipeline (the ASDG and every
 /// LoopProgram reference its symbols).
@@ -191,63 +183,34 @@ public:
   Pipeline(const Pipeline &) = delete;
   Pipeline &operator=(const Pipeline &) = delete;
 
-  /// The wrapped program, after the pre-analysis passes (normalization,
-  /// array-level communication) have run.
+  /// The wrapped program in normal form: aligned, normalized and, under
+  /// CommPolicy::ArrayLevel, with its exchanges inserted.
   ir::Program &program();
 
-  /// The dependence graph, built on first use (normalizing and inserting
-  /// array-level communication first, per the options).
+  /// The dependence graph of program(), built on first use. The graph
+  /// checks of the verify level run once, here; a rejection is reported
+  /// by every tryCompile on this pipeline.
   const analysis::ASDG &asdg();
 
-  /// Fusion partition + contraction set of \p S over asdg().
-  xform::StrategyResult strategy(xform::Strategy S);
-
-  /// Scalarized loop program of \p S, with loop-level communication
-  /// inserted when the policy asks for it.
-  lir::LoopProgram scalarize(xform::Strategy S);
-
-  /// As above, for a strategy result the caller has already computed (and
-  /// possibly inspected or adjusted).
-  lir::LoopProgram scalarize(const xform::StrategyResult &SR);
-
-  /// Status-returning compile: runs IR verification, analysis, strategy
-  /// selection and scalarization, prepares the artifact for Req.Mode
-  /// (under VerifyLevel::Full a parallel schedule is race-checked like
-  /// any other proof), and reports invalid programs and
-  /// verification rejections as a structured CompileStatus instead of
-  /// aborting or invoking OnVerifyError. This is the re-entrant entry
-  /// point the serving layer compiles every client request through: the
-  /// caller decides the failure policy per request.
-  ///
-  /// Findings are still accumulated into verifyFindings(). A rejection
-  /// of the shared analysis (ASDG structure or dependence diff) poisons
-  /// the pipeline: every later tryCompile on it reports VerifyRejected,
-  /// since all strategies consume the same graph.
+  /// Compiles \p Req: IR verification, analysis, strategy selection and
+  /// scalarization, each product re-proved at the verify level, then the
+  /// artifact prepared for Req.Mode (under VerifyLevel::Full a parallel
+  /// schedule is race-checked like any other proof). An invalid program
+  /// or a failed proof is a CompileStatus, never an abort; the caller
+  /// decides the policy. Re-entrant across strategies and modes: the
+  /// serving layer compiles every client request through it.
   CompileStatus tryCompile(const CompileRequest &Req);
-
-  const PipelineOptions &options() const { return Opts; }
-
-  /// Every verification finding accumulated so far (across all levels
-  /// and strategies served by this pipeline); empty when everything the
-  /// pipeline produced was certified.
-  const verify::VerifyReport &verifyFindings() const { return Findings; }
 
 private:
   void prepare();
 
-  /// Runs the failure policy on \p R's findings (if any) and accumulates
-  /// them into Findings. Inside tryCompile the policy is suspended
-  /// (Collecting): findings accumulate and surface through the returned
-  /// CompileStatus instead.
-  void check(verify::VerifyReport R);
-
   ir::Program &P;
   PipelineOptions Opts;
   bool Prepared = false;
-  bool Collecting = false;     ///< tryCompile in progress; see check().
-  bool GraphRejected = false;  ///< A verify pass rejected the shared ASDG.
   std::optional<analysis::ASDG> G;
-  verify::VerifyReport Findings;
+  /// What the graph checks found when asdg() built G; non-empty poisons
+  /// every strategy served from it.
+  verify::VerifyReport GraphFindings;
 };
 
 } // namespace driver

@@ -37,7 +37,8 @@ class Program;
 /// Rewrites every normalized statement with a nonzero target offset into
 /// the equivalent zero-target-offset form (shifted region, adjusted
 /// reference offsets), in place. Returns the number of statements
-/// rewritten. Run before dependence analysis; semantics are unchanged.
+/// rewritten. driver::Pipeline runs it before normalization and
+/// dependence analysis; semantics are unchanged.
 /// It runs before ir::verifyProgram, so a statement whose shifted bounds
 /// would leave int64_t, or whose shifted offsets would leave int32_t, is
 /// left as written for the verifier to reject.

@@ -14,8 +14,8 @@
 /// trace reaches the configured length cap, or on an explicit flush().
 ///
 /// A flush builds an ir::Program from the trace, runs it through
-/// driver::Pipeline (normalize -> ASDG -> fusion-for-contraction ->
-/// scalarize) and executes the loop program against the live handles'
+/// driver::Pipeline (align -> normalize -> ASDG -> fusion-for-contraction
+/// -> scalarize) and executes the loop program against the live handles'
 /// buffers with the configured executor. Whether a traced array is a
 /// contractible temporary or a live-out result is decided by *handle
 /// liveness*: an array still referenced outside the engine at flush time

@@ -37,10 +37,9 @@
 /// The frontend lint (`zplc --lint`) lives in verify/Lint.h.
 ///
 /// Passes never abort: they return a VerifyReport and leave the policy to
-/// the caller. driver::Pipeline::tryCompile reports a rejection as a
-/// structured CompileStatus (how zplc, alfd and the tools see it); its
-/// other entry points abort unless PipelineOptions::OnVerifyError, which
-/// only tests set, collects the findings instead.
+/// the caller. driver::Pipeline::tryCompile, the pipeline's one compile
+/// entry, reports a rejection as a structured CompileStatus carrying the
+/// findings; that is how zplc, alfd, the tools and the tests see it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -133,12 +133,11 @@ TEST(NormalFormTest, OffsetOutsideTheUDVRange) {
 TEST(NormalFormTest, TryCompileGatesEveryRule) {
   // A comm direction of the wrong rank used to pass the gate and reach
   // the ASDG build; now the gate rejects it as an invalid program.
+  // Alignment and normalization leave communication statements alone.
   Program P("comm");
   ArraySymbol *A = P.makeArray("A", 2);
   P.comm(A, Offset({1}));
-  driver::PipelineOptions Opts;
-  Opts.Normalize = false;
-  driver::Pipeline PL(P, Opts);
+  driver::Pipeline PL(P);
   driver::CompileStatus St = PL.tryCompile(driver::CompileRequest());
   EXPECT_EQ(St.Code, driver::CompileCode::InvalidProgram);
   EXPECT_EQ(St.Message, "S0: comm direction rank 1 != array A rank 2");

@@ -1,8 +1,8 @@
 //===- tests/PipelineTest.cpp - driver::Pipeline facade tests ---------------===//
 //
 // The Pipeline facade must produce exactly what the hand-assembled chain
-// (normalize -> ASDG -> applyStrategy -> scalarize -> comm -> execute)
-// produces, under every communication policy and execution mode.
+// (align -> normalize -> ASDG -> applyStrategy -> scalarize -> comm ->
+// execute) produces, under every communication policy and execution mode.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +11,7 @@
 #include "analysis/ASDG.h"
 #include "comm/CommInsertion.h"
 #include "exec/Interpreter.h"
+#include "ir/Align.h"
 #include "ir/Normalize.h"
 #include "obs/Obs.h"
 #include "scalarize/Scalarize.h"
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace alf;
 using namespace alf::driver;
 using namespace alf::exec;
@@ -27,9 +30,23 @@ using namespace alf::xform;
 
 namespace {
 
+/// The printed loop program tryCompile produces for \p S; empty, and a
+/// test failure, when the compile is rejected.
+std::string compiledText(Pipeline &PL, Strategy S) {
+  CompileStatus St = PL.tryCompile(CompileRequest{S});
+  EXPECT_TRUE(St.ok()) << getStrategyName(S) << ": " << St.Message;
+  return St.ok() ? St.Artifact->LP.str() : std::string();
+}
+
+/// The normal form Pipeline::prepare builds, by hand.
+void normalizeByHand(ir::Program &P) {
+  ir::alignProgram(P);
+  ir::normalizeProgram(P);
+}
+
 TEST(PipelineTest, MatchesHandAssembledChain) {
   auto Manual = tp::makeUserTempPair();
-  ir::normalizeProgram(*Manual);
+  normalizeByHand(*Manual);
   analysis::ASDG G = analysis::ASDG::build(*Manual);
 
   auto Facade = tp::makeUserTempPair();
@@ -37,13 +54,13 @@ TEST(PipelineTest, MatchesHandAssembledChain) {
 
   for (Strategy S : allStrategiesForTest()) {
     auto Expected = scalarize::scalarizeWithStrategy(G, S);
-    EXPECT_EQ(PL.scalarize(S).str(), Expected.str()) << getStrategyName(S);
+    EXPECT_EQ(compiledText(PL, S), Expected.str()) << getStrategyName(S);
   }
 }
 
 TEST(PipelineTest, LoopLevelCommPolicyMatchesManualInsertion) {
   auto Manual = tp::makeFigure2();
-  ir::normalizeProgram(*Manual);
+  normalizeByHand(*Manual);
   analysis::ASDG G = analysis::ASDG::build(*Manual);
   auto Expected = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
   comm::insertLoopLevelComm(Expected);
@@ -52,12 +69,12 @@ TEST(PipelineTest, LoopLevelCommPolicyMatchesManualInsertion) {
   PipelineOptions Opts;
   Opts.Comm = CommPolicy::LoopLevel;
   Pipeline PL(*Facade, Opts);
-  EXPECT_EQ(PL.scalarize(Strategy::C2F3).str(), Expected.str());
+  EXPECT_EQ(compiledText(PL, Strategy::C2F3), Expected.str());
 }
 
 TEST(PipelineTest, ArrayLevelCommPolicyMatchesManualInsertion) {
   auto Manual = tp::makeFigure2();
-  ir::normalizeProgram(*Manual);
+  normalizeByHand(*Manual);
   comm::insertArrayLevelComm(*Manual, /*Pipelined=*/true);
   analysis::ASDG G = analysis::ASDG::build(*Manual);
   auto Expected = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
@@ -66,7 +83,7 @@ TEST(PipelineTest, ArrayLevelCommPolicyMatchesManualInsertion) {
   PipelineOptions Opts;
   Opts.Comm = CommPolicy::ArrayLevel;
   Pipeline PL(*Facade, Opts);
-  EXPECT_EQ(PL.scalarize(Strategy::C2F3).str(), Expected.str());
+  EXPECT_EQ(compiledText(PL, Strategy::C2F3), Expected.str());
 }
 
 TEST(PipelineTest, AllExecModesAgree) {
@@ -91,15 +108,16 @@ TEST(PipelineTest, StrategyAndAsdgAreServedFromSharedAnalysis) {
   const analysis::ASDG &G1 = PL.asdg();
   const analysis::ASDG &G2 = PL.asdg();
   EXPECT_EQ(&G1, &G2); // built once
-  StrategyResult SR = PL.strategy(Strategy::C2);
-  EXPECT_FALSE(SR.Partition.numClusters() == 0);
-  auto LP = PL.scalarize(SR);
+  CompileStatus First = PL.tryCompile(CompileRequest{Strategy::C2});
   CompileStatus St = PL.tryCompile(CompileRequest{Strategy::C2});
-  ASSERT_TRUE(St.ok()) << St.Message;
-  EXPECT_EQ(St.Artifact->LP.str(), LP.str());
+  ASSERT_TRUE(First.ok() && St.ok()) << First.Message << St.Message;
+  EXPECT_EQ(&PL.asdg(), &G1); // still the one graph
+  EXPECT_FALSE(First.SR->Partition.numClusters() == 0);
+  EXPECT_EQ(St.Artifact->LP.str(), First.Artifact->LP.str());
   RunResult Res = St.Artifact->run(3);
   std::string Why;
-  EXPECT_TRUE(resultsMatch(run(LP, 3), Res, 0.0, &Why)) << Why;
+  EXPECT_TRUE(resultsMatch(run(First.Artifact->LP, 3), Res, 0.0, &Why))
+      << Why;
 }
 
 TEST(TryCompileTest, OkProducesStatusWithArtifactAndStrategy) {
@@ -115,10 +133,12 @@ TEST(TryCompileTest, OkProducesStatusWithArtifactAndStrategy) {
   ASSERT_TRUE(St.Artifact.has_value());
   EXPECT_EQ(St.Artifact->NumClusters, St.SR->Partition.numClusters());
 
-  // The artifact is the same loop program the legacy facade produces.
+  // The artifact is the loop program the hand-assembled chain produces.
   auto Q = tp::makeUserTempPair();
-  Pipeline PL2(*Q);
-  EXPECT_EQ(St.Artifact->LP.str(), PL2.scalarize(Strategy::C2).str());
+  normalizeByHand(*Q);
+  analysis::ASDG G = analysis::ASDG::build(*Q);
+  EXPECT_EQ(St.Artifact->LP.str(),
+            scalarize::scalarizeWithStrategy(G, Strategy::C2).str());
 }
 
 TEST(TryCompileTest, ReentrantAcrossStrategies) {
@@ -134,18 +154,53 @@ TEST(TryCompileTest, ReentrantAcrossStrategies) {
 }
 
 TEST(TryCompileTest, InvalidProgramIsAStatusNotAnAbort) {
-  // Unnormalized Tomcatv reads and writes Rx/Ry in one statement —
-  // normal-form condition (i). With the pipeline's own normalization
-  // off, tryCompile must report it instead of dying.
-  auto P = tp::makeTomcatvFragment();
-  PipelineOptions Opts;
-  Opts.Normalize = false;
-  Pipeline PL(*P, Opts);
+  // A reference whose offset reaches past int64_t breaks a rule that
+  // alignment and normalization cannot repair: tryCompile must report
+  // it, with every violation in the findings, instead of dying.
+  ir::Program P("unreachable");
+  const ir::Region *R = P.internRegion(
+      ir::Region({1}, {std::numeric_limits<int64_t>::max()}));
+  ir::ArraySymbol *A = P.makeArray("A", 1);
+  ir::ArraySymbol *B = P.makeArray("B", 1);
+  P.assign(R, A, ir::aref(B, {1}));
+  P.assign(R, B, ir::aref(A, {1}));
+  Pipeline PL(P);
   CompileStatus St = PL.tryCompile(CompileRequest());
   EXPECT_EQ(St.Code, CompileCode::InvalidProgram);
   EXPECT_FALSE(St.ok());
-  EXPECT_FALSE(St.Message.empty());
+  EXPECT_EQ(St.Message, "S0: B@(1) reaches an index that does not fit int64_t");
+  ASSERT_EQ(St.Findings.Findings.size(), 2u) << St.Findings.str();
+  EXPECT_EQ(St.Findings.Findings[0].Pass, "structure");
+  EXPECT_EQ(St.Findings.Findings[0].Message, St.Message);
+  EXPECT_EQ(St.Findings.Findings[1].Message,
+            "S1: A@(1) reaches an index that does not fit int64_t");
   EXPECT_FALSE(St.Artifact.has_value());
+}
+
+// tests/inputs/target_offset_fuses.zpl: [R0] T@(1,0) := A@(1,0);
+// [R1] B := T; with R0 = R1 + (-1,0). Aligned, both statements compute
+// over R1, so they fuse and T contracts, as zplc and alfd find.
+TEST(TryCompileTest, TargetOffsetIsAlignedBeforeFusion) {
+  ir::Program P("target_offset_fuses");
+  const ir::Region *R0 = P.internRegion(ir::Region({1, 1}, {8, 8}));
+  const ir::Region *R1 = P.internRegion(ir::Region({2, 1}, {9, 8}));
+  ir::ArraySymbol *A = P.makeArray("A", 2);
+  ir::ArraySymbol *B = P.makeArray("B", 2);
+  ir::ArraySymbol *T = P.makeUserTemp("T", 2);
+  P.assign(R0, T, ir::Offset({1, 0}), ir::aref(A, ir::Offset({1, 0})));
+  P.assign(R1, B, ir::aref(T));
+  Pipeline PL(P);
+  CompileStatus St = PL.tryCompile(CompileRequest{Strategy::C2});
+  ASSERT_TRUE(St.ok()) << St.Message;
+  EXPECT_EQ(St.Artifact->NumClusters, 1u);
+  EXPECT_EQ(St.Artifact->ContractedNames, std::vector<std::string>{"T"});
+
+  CompileStatus Base = PL.tryCompile(CompileRequest{Strategy::Baseline});
+  ASSERT_TRUE(Base.ok()) << Base.Message;
+  RunResult Want = Base.Artifact->run(7);
+  RunResult Got = St.Artifact->run(7);
+  EXPECT_EQ(Got.LiveOut, Want.LiveOut);
+  EXPECT_EQ(Got.ScalarsOut, Want.ScalarsOut);
 }
 
 TEST(TryCompileTest, VerifyRejectedOnACorruptedSolver) {

@@ -111,14 +111,22 @@ double knnReference(unsigned C) {
 // Harness
 //===----------------------------------------------------------------------===//
 
-driver::PipelineOptions zooOptions(verify::VerifyReport &Collected) {
+driver::PipelineOptions zooOptions() {
   driver::PipelineOptions PO;
   PO.Verify = verify::VerifyLevel::Full;
-  PO.OnVerifyError = [&Collected](const verify::VerifyReport &R) {
-    for (const verify::VerifyFinding &F : R.Findings)
-      Collected.Findings.push_back(F);
-  };
   return PO;
+}
+
+/// The loop program tryCompile produces for \p S. Its findings go to
+/// \p Collected; a rejection also fails the test and yields a program
+/// with no nests.
+lir::LoopProgram zooCompile(driver::Pipeline &PL, Strategy S,
+                            verify::VerifyReport &Collected) {
+  driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S});
+  Collected.take(St.Findings);
+  EXPECT_TRUE(St.ok()) << getStrategyName(S) << ": " << St.Message;
+  return St.Artifact ? std::move(St.Artifact->LP)
+                     : lir::LoopProgram(PL.program());
 }
 
 const ArraySymbol *arrayNamed(const Program &P, const std::string &Name) {
@@ -161,12 +169,12 @@ void checkPivotSweep(std::unique_ptr<Program> P,
                      double (*In)(int64_t, int64_t),
                      const std::vector<double> &Ref) {
   verify::VerifyReport Collected;
-  driver::Pipeline PL(*P, zooOptions(Collected));
+  driver::Pipeline PL(*P, zooOptions());
 
   // Sequential interpreter under every strategy: baseline (nothing
   // fused), greedy contraction, and contraction + width-limited fusion.
   for (Strategy S : {Strategy::Baseline, Strategy::C2, Strategy::C2F3}) {
-    lir::LoopProgram LP = PL.scalarize(S);
+    lir::LoopProgram LP = zooCompile(PL, S, Collected);
     Storage Store = allocateStorage(LP, /*Seed=*/1);
     fillRows(PL.program(), Store, In);
     runOnStorage(LP, Store);
@@ -176,7 +184,7 @@ void checkPivotSweep(std::unique_ptr<Program> P,
 
   // Parallel executor on the contracted program.
   {
-    lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+    lir::LoopProgram LP = zooCompile(PL, Strategy::C2F3, Collected);
     ParallelSchedule Sched = planParallelism(LP);
     Collected.take(verify::verifyParallelSafety(LP, Sched));
     ParallelOptions Opts;
@@ -189,7 +197,7 @@ void checkPivotSweep(std::unique_ptr<Program> P,
 
   // Native JIT on the contracted program.
   if (JitEngine::compilerAvailable()) {
-    lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+    lir::LoopProgram LP = zooCompile(PL, Strategy::C2F3, Collected);
     std::string Dir =
         formatString("/tmp/alf_zoo_jit_%d", static_cast<int>(getpid()));
     JitOptions JO;
@@ -211,7 +219,7 @@ void checkPivotSweep(std::unique_ptr<Program> P,
   // Exact and lane-splitting the reductions must still reproduce the
   // scalar reference to the bit — no ULP allowance.
   if (JitEngine::compilerAvailable()) {
-    lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+    lir::LoopProgram LP = zooCompile(PL, Strategy::C2F3, Collected);
     EXPECT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
     std::string Dir =
         formatString("/tmp/alf_zoo_simd_%d", static_cast<int>(getpid()));
@@ -251,10 +259,10 @@ TEST(SemiringZooTest, TransitiveClosureMatchesScalarReferenceEverywhere) {
 TEST(SemiringZooTest, KnnBestScoresMatchScalarReference) {
   auto P = buildKnn(N);
   verify::VerifyReport Collected;
-  driver::Pipeline PL(*P, zooOptions(Collected));
+  driver::Pipeline PL(*P, zooOptions());
 
   for (Strategy S : {Strategy::Baseline, Strategy::C2F3}) {
-    lir::LoopProgram LP = PL.scalarize(S);
+    lir::LoopProgram LP = zooCompile(PL, S, Collected);
     Storage Store = allocateStorage(LP, /*Seed=*/1);
     const ArraySymbol *F = arrayNamed(PL.program(), "f");
     ASSERT_NE(F, nullptr);
@@ -276,7 +284,7 @@ TEST(SemiringZooTest, KnnBestScoresMatchScalarReference) {
   // semiring (⊕ selects an operand), so the lane-split accumulators must
   // still land on the reference bit-for-bit.
   if (JitEngine::compilerAvailable()) {
-    lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+    lir::LoopProgram LP = zooCompile(PL, Strategy::C2F3, Collected);
     EXPECT_EQ(scalarize::simdToleranceFor(LP), support::Tolerance::Exact);
     std::string Dir =
         formatString("/tmp/alf_zoo_knn_simd_%d", static_cast<int>(getpid()));

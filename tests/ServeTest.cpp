@@ -28,7 +28,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -444,6 +446,24 @@ TEST_F(ServerTest, CompileMissThenHit) {
   json::Value Third =
       roundTrip(Client::makeCompile(ServerSource, "baseline"));
   EXPECT_EQ(Third.getString("cache").value_or(""), "miss");
+}
+
+// alfd compiles through the same front door as zplc and tryCompile: the
+// offset target is aligned, so both statements fuse and T contracts.
+TEST_F(ServerTest, TargetOffsetIsAlignedBeforeFusion) {
+  std::ifstream In(ALF_TEST_INPUTS_DIR "/target_offset_fuses.zpl");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  json::Value Resp = roundTrip(Client::makeCompile(Source.str(), "c2"));
+  ASSERT_EQ(Resp.getBool("ok").value_or(false), true)
+      << Resp.getString("message").value_or("");
+  EXPECT_EQ(Resp.getNumber("clusters").value_or(0), 1);
+  const json::Value *Contracted = Resp.get("contracted");
+  ASSERT_NE(Contracted, nullptr);
+  ASSERT_TRUE(Contracted->isArray());
+  ASSERT_EQ(Contracted->size(), 1u);
+  EXPECT_EQ(Contracted->items()[0].asString(), "T");
 }
 
 TEST_F(ServerTest, ExecuteIsDeterministic) {

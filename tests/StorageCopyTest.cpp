@@ -73,7 +73,10 @@ TEST(StorageCopyTest, RunPathsCopyNoBytes) {
     const uint64_t Seed = 3;
     uint64_t Before = bytesCopied();
 
-    lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+    driver::CompileStatus Seq =
+        PL.tryCompile(driver::CompileRequest{Strategy::C2F3});
+    ASSERT_TRUE(Seq.ok()) << Info.Name << ": " << Seq.Message;
+    const lir::LoopProgram &LP = Seq.Artifact->LP;
     RunResult Ref = exec::run(LP, Seed);
     Moved += liveOutElements(Ref);
     Storage Store = allocateStorage(LP, Seed);
@@ -169,7 +172,10 @@ TEST(StorageCopyTest, ExecModesAgreeAtSlabSize) {
     driver::Pipeline PL(*P, PO);
     const uint64_t Seed = 9;
     uint64_t SlabBefore = obs::counterValue("exec.storage.slab_bytes");
-    RunResult Ref = exec::run(PL.scalarize(Strategy::C2F3), Seed);
+    driver::CompileStatus Seq =
+        PL.tryCompile(driver::CompileRequest{Strategy::C2F3});
+    ASSERT_TRUE(Seq.ok()) << Info->Name << ": " << Seq.Message;
+    RunResult Ref = exec::run(Seq.Artifact->LP, Seed);
     ASSERT_GT(obs::counterValue("exec.storage.slab_bytes"), SlabBefore)
         << Info->Name << " at N = " << N << " fits below one huge page";
     for (ExecMode M : {ExecMode::Sequential, ExecMode::Parallel,

@@ -68,24 +68,16 @@ GeneratorConfig sweepConfig(uint64_t Seed) {
 
 class StressSweepTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// Pipeline options for the sweep: full translation validation, findings
-/// collected into \p Collected instead of aborting so the test can print
-/// them with the offending program attached.
-driver::PipelineOptions fullVerifyOptions(verify::VerifyReport &Collected,
-                                          unsigned NumThreads = 1) {
+/// Pipeline options for the sweep: full translation validation.
+driver::PipelineOptions fullVerifyOptions(unsigned NumThreads = 1) {
   driver::PipelineOptions PO;
   PO.Verify = verify::VerifyLevel::Full;
   PO.Parallel.NumThreads = NumThreads;
-  PO.OnVerifyError = [&Collected](const verify::VerifyReport &R) {
-    for (const verify::VerifyFinding &F : R.Findings)
-      Collected.Findings.push_back(F);
-  };
   return PO;
 }
 
 /// tryCompile of \p S prepared for \p Mode. Findings go to \p Collected,
-/// as fullVerifyOptions' handler sends those of the pipeline's other
-/// entry points.
+/// so the test can print them with the offending program attached.
 driver::CompileStatus compileFor(driver::Pipeline &PL, Strategy S,
                                  ExecMode Mode,
                                  verify::VerifyReport &Collected) {
@@ -94,19 +86,28 @@ driver::CompileStatus compileFor(driver::Pipeline &PL, Strategy S,
   return St;
 }
 
+/// The unfused oracle: the interpreter's result for the Baseline loop
+/// program.
+RunResult baselineRun(driver::Pipeline &PL, uint64_t RunSeed,
+                      verify::VerifyReport &Collected) {
+  driver::CompileStatus St = compileFor(PL, Strategy::Baseline,
+                                        ExecMode::Sequential, Collected);
+  EXPECT_TRUE(St.Artifact) << St.Message;
+  return St.Artifact ? run(St.Artifact->LP, RunSeed) : RunResult();
+}
+
 TEST_P(StressSweepTest, AllStrategiesAndExecutorsAgree) {
   uint64_t Seed = GetParam();
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
   verify::VerifyReport Collected;
   unsigned NumThreads = 1 + static_cast<unsigned>(Seed % 4); // 1..4
-  driver::Pipeline PL(*P, fullVerifyOptions(Collected, NumThreads));
+  driver::Pipeline PL(*P, fullVerifyOptions(NumThreads));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
   const ASDG &G = PL.asdg();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  auto Base = PL.scalarize(Strategy::Baseline);
-  RunResult BaseRes = run(Base, RunSeed);
+  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
 
   // Every strategy, sequential and parallel, against the baseline oracle.
   // An artifact prepared for ExecMode::Parallel race-checked its schedule
@@ -168,12 +169,11 @@ TEST_P(StressSweepTest, SemiringAgrees) {
   auto P = generateRandomProgram(Cfg);
   verify::VerifyReport Collected;
   unsigned NumThreads = 1 + static_cast<unsigned>(Seed % 4); // 1..4
-  driver::Pipeline PL(*P, fullVerifyOptions(Collected, NumThreads));
+  driver::Pipeline PL(*P, fullVerifyOptions(NumThreads));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xabcd;
-  auto Base = PL.scalarize(Strategy::Baseline);
-  RunResult BaseRes = run(Base, RunSeed);
+  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
 
   for (Strategy S : allStrategiesForTest()) {
     driver::CompileStatus St =
@@ -222,12 +222,11 @@ TEST_P(StressSweepTest, NativeJitAgrees) {
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
   verify::VerifyReport Collected;
-  driver::Pipeline PL(*P, fullVerifyOptions(Collected));
+  driver::Pipeline PL(*P, fullVerifyOptions());
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  auto Base = PL.scalarize(Strategy::Baseline);
-  RunResult BaseRes = run(Base, RunSeed);
+  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
 
   for (Strategy S : {Strategy::Baseline, Strategy::C2, Strategy::C2F3}) {
     driver::CompileStatus St =
@@ -343,11 +342,11 @@ TEST(StressSweepSimdTest, SimdAgrees) {
     }
     auto P = generateRandomProgram(Cfg);
     verify::VerifyReport Collected;
-    driver::Pipeline PL(*P, fullVerifyOptions(Collected));
+    driver::Pipeline PL(*P, fullVerifyOptions());
     ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
     uint64_t RunSeed = Seed ^ 0x51fd;
-    RunResult BaseRes = run(PL.scalarize(Strategy::Baseline), RunSeed);
+    RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
 
     bool Vectorized = false, Reassociated = false, FellBack = false;
     for (Strategy S : {Strategy::Baseline, Strategy::C2}) {
@@ -391,10 +390,12 @@ TEST(StressSweepSimdTest, SimdAgrees) {
     // process — vector loads, stores and the peeled remainder must be
     // as in-bounds as the scalar kernel the analyzer certified.
     if (Seed % 10 == 0) {
-      auto LP = PL.scalarize(Strategy::C2);
+      driver::CompileStatus St = compileFor(PL, Strategy::C2,
+                                            ExecMode::Sequential, Collected);
+      ASSERT_TRUE(St.Artifact) << St.Message;
       JitOptions JO;
       JO.Vectorize = true;
-      SanitizedRunResult San = runSanitized(LP, RunSeed, JO);
+      SanitizedRunResult San = runSanitized(St.Artifact->LP, RunSeed, JO);
       ASSERT_TRUE(San.Ran)
           << "sanitizer oracle did not run: " << San.Output;
       EXPECT_TRUE(San.Clean)
@@ -436,12 +437,11 @@ TEST_P(StressSweepTest, IlpStrategyAgrees) {
   auto P = generateRandomProgram(Cfg);
   verify::VerifyReport Collected;
   unsigned NumThreads = 1 + static_cast<unsigned>(Seed % 4); // 1..4
-  driver::Pipeline PL(*P, fullVerifyOptions(Collected, NumThreads));
+  driver::Pipeline PL(*P, fullVerifyOptions(NumThreads));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  auto Base = PL.scalarize(Strategy::Baseline);
-  RunResult BaseRes = run(Base, RunSeed);
+  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
 
   driver::CompileStatus GreedySt =
       compileFor(PL, Strategy::C2, ExecMode::Sequential, Collected);
@@ -670,7 +670,7 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
   verify::VerifyReport Collected;
-  driver::Pipeline PL(*P, fullVerifyOptions(Collected, 4));
+  driver::Pipeline PL(*P, fullVerifyOptions(4));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
   uint64_t RunSeed = Seed ^ 0xfeed;
 

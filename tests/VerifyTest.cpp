@@ -325,20 +325,18 @@ TEST(VerifyTest, RaceDetectorRejectsForcedParallelSchedule) {
   EXPECT_TRUE(hasFindingFrom(Rep, "race")) << Rep.str();
 }
 
-TEST(VerifyTest, PipelineCollectsFindingsThroughHandler) {
-  // With a handler installed, a rejected proof surfaces through
-  // OnVerifyError and verifyFindings() instead of aborting; a clean
-  // program accumulates nothing at full level.
+TEST(VerifyTest, PipelineCertifiesEveryStrategyAtFullLevel) {
+  // Findings reach a caller only through CompileStatus: a clean program
+  // compiles at full level under every strategy with none.
   auto P = tp::makeTomcatvFragment();
   driver::PipelineOptions PO;
   PO.Verify = verify::VerifyLevel::Full;
-  unsigned Calls = 0;
-  PO.OnVerifyError = [&Calls](const verify::VerifyReport &) { ++Calls; };
   driver::Pipeline PL(*P, PO);
-  for (Strategy S : allStrategiesForTest())
-    (void)PL.scalarize(S);
-  EXPECT_EQ(Calls, 0u);
-  EXPECT_TRUE(PL.verifyFindings().ok()) << PL.verifyFindings().str();
+  for (Strategy S : allStrategiesForTest()) {
+    driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S});
+    EXPECT_TRUE(St.ok()) << getStrategyName(S) << ": " << St.Message;
+    EXPECT_TRUE(St.Findings.ok()) << St.Findings.str();
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -116,12 +116,15 @@ std::string lowerName(std::string S) {
   return S;
 }
 
-/// The pinned suite's programs always compile; a failure is a bug.
+/// The pinned suite's programs always compile; a rejection is a bug
+/// and ends the run with exit status 1.
 driver::CompiledProgram compileOrDie(driver::Pipeline &PL, Strategy S,
                                      ExecMode Mode) {
   driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S, Mode});
-  if (!St.ok() || !St.Artifact)
-    reportFatalError(("compile failed: " + St.Message).c_str());
+  if (!St.ok()) {
+    std::cerr << "alf_bench: compile failed: " << St.Message << '\n';
+    std::exit(1);
+  }
   return std::move(*St.Artifact);
 }
 
@@ -184,7 +187,8 @@ Case jitColdCase(const BenchmarkInfo &B, int64_t N) {
             }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
-            lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+            lir::LoopProgram LP =
+                compileOrDie(PL, Strategy::C2F3, ExecMode::Sequential).LP;
             for (unsigned I = 0; I < Repeats; ++I) {
               std::string Dir = formatString(
                   "/tmp/alf_bench_cold_%d_%u", getpid(), I);
@@ -221,7 +225,8 @@ Case jitWarmCase(const BenchmarkInfo &B, int64_t N) {
             }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
-            lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+            lir::LoopProgram LP =
+                compileOrDie(PL, Strategy::C2F3, ExecMode::Sequential).LP;
             std::string Dir = formatString("/tmp/alf_bench_warm_%d",
                                            getpid());
             JitOptions JO;
@@ -266,7 +271,8 @@ Case jitTierCase(const BenchmarkInfo &B, int64_t N, bool Vectorize,
             }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
-            lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+            lir::LoopProgram LP =
+                compileOrDie(PL, Strategy::C2F3, ExecMode::Sequential).LP;
             std::string Dir = formatString("/tmp/alf_bench_tier_%d_%d",
                                            getpid(), Vectorize ? 1 : 0);
             JitOptions JO;
@@ -351,7 +357,8 @@ Case obsLevelCase(const BenchmarkInfo &B, int64_t N, obs::ObsLevel L) {
   return {Name, [&B, N, L](unsigned Repeats) {
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
-            lir::LoopProgram LP = PL.scalarize(Strategy::C2F3);
+            lir::LoopProgram LP =
+                compileOrDie(PL, Strategy::C2F3, ExecMode::Sequential).LP;
             CaseResult R;
             obs::ScopedLevel Scoped(L);
             for (unsigned I = 0; I < Repeats; ++I) {
