@@ -114,14 +114,13 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
 
   // Run the chain to completion even when a proof rejects, so every
   // pass reports, but prepare no kernel for a rejected program.
-  verify::VerifyReport &Found = St.Findings;
   StrategyResult SR = [&] {
     obs::Span Sp("pipeline.strategy", xform::getStrategyName(Req.Strat));
     return applyStrategy(*G, Req.Strat);
   }();
   if (Opts.Verify >= verify::VerifyLevel::Full) {
     obs::Span Sp("pipeline.verify", "strategy");
-    absorb(Found, verify::verifyStrategy(*G, SR));
+    absorb(St.Findings, verify::verifyStrategy(*G, SR));
   }
   lir::LoopProgram LP = [&] {
     obs::Span S("pipeline.scalarize");
@@ -133,7 +132,7 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   }
   if (Opts.Verify >= verify::VerifyLevel::Safety) {
     obs::Span S("pipeline.verify", "safety");
-    absorb(Found, verify::verifySafety(LP, &*G));
+    absorb(St.Findings, verify::verifySafety(LP, &*G));
   }
 
   CompiledProgram CP(std::move(LP));
@@ -149,7 +148,7 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
     CP.Sched = planParallelism(CP.LP);
     if (Opts.Verify >= verify::VerifyLevel::Full) {
       obs::Span S("pipeline.verify", "parallel-safety");
-      absorb(Found, verify::verifyParallelSafety(CP.LP, *CP.Sched));
+      absorb(St.Findings, verify::verifyParallelSafety(CP.LP, *CP.Sched));
     }
   } else if (Req.Mode == ExecMode::NativeJit ||
              Req.Mode == ExecMode::NativeJitSimd) {
@@ -158,10 +157,10 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
     // no kernel: the compiler is not run on code whose proofs failed.
     if (Opts.Verify >= verify::VerifyLevel::Full) {
       obs::Span S("pipeline.verify", "jit-parallel-safety");
-      absorb(Found,
+      absorb(St.Findings,
              verify::verifyParallelSafety(CP.LP, lir::splitSchedule(CP.LP)));
     }
-    if (Found.ok()) {
+    if (St.Findings.ok()) {
       JitOptions JO = Opts.Jit;
       if (Req.Mode == ExecMode::NativeJitSimd)
         JO.Vectorize = true;
@@ -175,13 +174,13 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   St.Artifact.emplace(std::move(CP));
   St.SR = std::move(SR);
 
-  if (!Found.ok()) {
-    St.Message = Found.Findings.front().str();
+  if (!St.Findings.ok()) {
+    St.Message = St.Findings.Findings.front().str();
     // A safety-only rejection gets its own stable wire code so serving
     // clients can tell "your program is memory-unsafe" apart from "the
     // compiler failed its own proof". Any legality finding dominates.
     bool AllSafety = true;
-    for (const verify::VerifyFinding &F : Found.Findings)
+    for (const verify::VerifyFinding &F : St.Findings.Findings)
       if (F.Pass.rfind("safety", 0) != 0)
         AllSafety = false;
     St.Code = AllSafety ? CompileCode::UnsafeProgram
