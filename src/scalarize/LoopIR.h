@@ -213,11 +213,21 @@ struct StorageLayout {
 /// topological order, the scalars created by contraction, and the storage
 /// layout every backend allocates and addresses arrays by.
 class LoopProgram {
+  /// Orders arrays by creation, not by where the allocator placed them,
+  /// so print() lists the contracted scalars in the same order on every
+  /// allocator.
+  struct ByCreation {
+    bool operator()(const ir::ArraySymbol *A, const ir::ArraySymbol *B) const {
+      return A->getId() < B->getId();
+    }
+  };
+
   const ir::Program *Src = nullptr;
   std::vector<std::unique_ptr<LNode>> Nodes;
   std::vector<std::unique_ptr<ir::ScalarSymbol>> OwnedScalars;
   std::vector<std::unique_ptr<ir::Region>> OwnedRegions;
-  std::map<const ir::ArraySymbol *, const ir::ScalarSymbol *> ContractionMap;
+  std::map<const ir::ArraySymbol *, const ir::ScalarSymbol *, ByCreation>
+      ContractionMap;
   std::map<const ir::ArraySymbol *, xform::PartialPlan> PartialMap;
   analysis::FootprintInfo Footprints;
   std::map<const ir::ArraySymbol *, ir::Region> BufferBounds; ///< partial
