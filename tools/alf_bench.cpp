@@ -39,7 +39,6 @@
 #include "ir/Region.h"
 #include "obs/Obs.h"
 #include "runtime/Runtime.h"
-#include "support/ErrorHandling.h"
 #include "support/Json.h"
 #include "support/StringUtil.h"
 #include "xform/IlpStrategy.h"
