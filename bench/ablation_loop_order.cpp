@@ -9,18 +9,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
-#include "exec/PerfModel.h"
-#include "ir/Program.h"
-#include "scalarize/Scalarize.h"
+#include "FigureCommon.h"
+
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
-#include "xform/Strategy.h"
 
 #include <iostream>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 using namespace alf::lir;
@@ -72,9 +68,11 @@ int main() {
 
   for (const MachineDesc &M : allMachines()) {
     auto P = makeStencil(N);
-    ASDG G = ASDG::build(*P);
-    auto Good = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
-    auto Bad = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+    driver::Pipeline PL(*P);
+    driver::CompileStatus GoodSt = figures::compileOrExit(PL, Strategy::C2F3);
+    driver::CompileStatus BadSt = figures::compileOrExit(PL, Strategy::C2F3);
+    const LoopProgram &Good = GoodSt.Artifact->LP;
+    LoopProgram &Bad = BadSt.Artifact->LP;
     reverseLoopOrders(Bad);
 
     ProcGrid Grid = ProcGrid::make(1, 2);

@@ -8,8 +8,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ASDG.h"
+#include "driver/Pipeline.h"
 #include "ir/Generator.h"
-#include "ir/Normalize.h"
 #include "xform/Fusion.h"
 #include "xform/LoopStructure.h"
 
@@ -30,7 +30,7 @@ std::unique_ptr<Program> makeProgram(unsigned NumStmts) {
   Cfg.NumTemps = NumStmts / 3 + 1;
   Cfg.Extent = 4;
   auto P = generateRandomProgram(Cfg);
-  normalizeProgram(*P);
+  driver::Pipeline(*P).program(); // normal form in place
   return P;
 }
 

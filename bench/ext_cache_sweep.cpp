@@ -12,20 +12,15 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
-#include "benchprogs/Benchmarks.h"
-#include "exec/PerfModel.h"
-#include "ir/Normalize.h"
-#include "scalarize/Scalarize.h"
+#include "FigureCommon.h"
+
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
 #include <iostream>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
-using namespace alf::ir;
 using namespace alf::machine;
 using namespace alf::xform;
 
@@ -34,10 +29,11 @@ int main() {
                "(Tomcatv, 48x48 per processor)\n\n";
 
   auto P = benchprogs::buildTomcatv(48);
-  normalizeProgram(*P);
-  ASDG G = ASDG::build(*P);
-  auto Baseline = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto C2 = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  driver::Pipeline PL(*P);
+  driver::CompileStatus BaseSt = figures::compileOrExit(PL, Strategy::Baseline);
+  driver::CompileStatus C2St = figures::compileOrExit(PL, Strategy::C2);
+  const lir::LoopProgram &Baseline = BaseSt.Artifact->LP;
+  const lir::LoopProgram &C2 = C2St.Artifact->LP;
 
   TextTable Table;
   Table.setHeader({"L1 size", "baseline miss", "c2 miss", "baseline (ms)",

@@ -13,8 +13,8 @@
 #include "benchprogs/Benchmarks.h"
 
 #include "analysis/ASDG.h"
+#include "driver/Pipeline.h"
 #include "exec/PerfModel.h"
-#include "ir/Normalize.h"
 #include "scalarize/Scalarize.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
@@ -58,10 +58,10 @@ int main() {
   for (const BenchmarkInfo &B : allBenchmarks()) {
     int64_t N = B.Rank == 1 ? 2048 : 24;
     auto P = B.Build(N);
-    normalizeProgram(*P);
-    ASDG G = ASDG::build(*P);
+    driver::Pipeline PL(*P);
+    const ASDG &G = PL.asdg();
 
-    auto Full = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+    auto Full = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
     auto Partial =
         scalarize::scalarizeWithPartialContraction(G, Strategy::C2, Seq);
 

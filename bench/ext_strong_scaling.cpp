@@ -11,12 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
-#include "benchprogs/Benchmarks.h"
-#include "comm/CommInsertion.h"
-#include "exec/PerfModel.h"
-#include "ir/Normalize.h"
-#include "scalarize/Scalarize.h"
+#include "FigureCommon.h"
+
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
@@ -24,9 +20,7 @@
 #include <iostream>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
-using namespace alf::ir;
 using namespace alf::machine;
 using namespace alf::xform;
 
@@ -45,17 +39,16 @@ int main() {
     int64_t LocalN = GlobalN / static_cast<int64_t>(
                                    std::lround(std::sqrt(double(Procs))));
     auto P = benchprogs::buildTomcatv(LocalN);
-    normalizeProgram(*P);
-    ASDG G = ASDG::build(*P);
+    driver::PipelineOptions Opts;
+    Opts.Comm = driver::CommPolicy::LoopLevel;
+    driver::Pipeline PL(*P, Opts);
     ProcGrid Grid = ProcGrid::make(Procs, 2);
 
-    auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-    comm::insertLoopLevelComm(Base);
-    PerfStats SB = simulate(Base, M, Grid);
-
-    auto C2 = scalarize::scalarizeWithStrategy(G, Strategy::C2);
-    comm::insertLoopLevelComm(C2);
-    PerfStats SC = simulate(C2, M, Grid);
+    driver::CompileStatus BaseSt =
+        figures::compileOrExit(PL, Strategy::Baseline);
+    PerfStats SB = simulate(BaseSt.Artifact->LP, M, Grid);
+    driver::CompileStatus C2St = figures::compileOrExit(PL, Strategy::C2);
+    PerfStats SC = simulate(C2St.Artifact->LP, M, Grid);
 
     Table.addRow(
         {formatString("%u", Procs),

@@ -13,12 +13,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
-#include "benchprogs/Benchmarks.h"
+#include "FigureCommon.h"
+
 #include "exec/Interpreter.h"
 #include "exec/ParallelExecutor.h"
-#include "ir/Normalize.h"
-#include "scalarize/Scalarize.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
@@ -28,9 +26,7 @@
 #include <thread>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
-using namespace alf::ir;
 using namespace alf::xform;
 
 namespace {
@@ -68,9 +64,9 @@ int main(int argc, char **argv) {
     if (B.Rank != 2)
       continue;
     auto P = B.Build(N);
-    normalizeProgram(*P);
-    ASDG G = ASDG::build(*P);
-    auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F4);
+    driver::Pipeline PL(*P);
+    driver::CompileStatus St = figures::compileOrExit(PL, Strategy::C2F4);
+    const lir::LoopProgram &LP = St.Artifact->LP;
     ParallelSchedule Sched = planParallelism(LP);
 
     std::cout << B.Name << ": " << Sched.numParallelNests()

@@ -9,20 +9,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
-#include "exec/PerfModel.h"
-#include "ir/Program.h"
-#include "scalarize/Scalarize.h"
+#include "FigureCommon.h"
+
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 #include "xform/StatementMerge.h"
-#include "xform/Strategy.h"
 
 #include <iostream>
 #include <memory>
 
 using namespace alf;
-using namespace alf::analysis;
 using namespace alf::exec;
 using namespace alf::ir;
 using namespace alf::xform;
@@ -75,8 +71,9 @@ int main() {
   for (unsigned K : {1u, 2u, 4u, 8u}) {
     // Contraction pipeline (the paper's approach).
     auto PC = makeDiamond(K, N);
-    ASDG GC = ASDG::build(*PC);
-    auto Contracted = scalarize::scalarizeWithStrategy(GC, Strategy::C2F3);
+    driver::Pipeline PLC(*PC);
+    driver::CompileStatus CSt = figures::compileOrExit(PLC, Strategy::C2F3);
+    const lir::LoopProgram &Contracted = CSt.Artifact->LP;
     PerfStats SC = simulate(Contracted, M, Grid);
 
     // Statement merge + dead code elimination (the related-work
@@ -84,8 +81,9 @@ int main() {
     auto PM = makeDiamond(K, N);
     mergeStatements(*PM);
     eliminateDeadStatements(*PM);
-    ASDG GM = ASDG::build(*PM);
-    auto Merged = scalarize::scalarizeWithStrategy(GM, Strategy::C2F3);
+    driver::Pipeline PLM(*PM);
+    driver::CompileStatus MSt = figures::compileOrExit(PLM, Strategy::C2F3);
+    const lir::LoopProgram &Merged = MSt.Artifact->LP;
     PerfStats SM = simulate(Merged, M, Grid);
 
     Table.addRow(

@@ -68,7 +68,7 @@ int main() {
   auto FavorFusion = [&](unsigned Procs) {
     auto P = makePipeline(N);
     analysis::ASDG G = analysis::ASDG::build(*P);
-    auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
     comm::CommPlan Plan = comm::insertLoopLevelComm(LP);
     exec::PerfStats Stats =
         exec::simulate(LP, M, machine::ProcGrid::make(Procs, 2));

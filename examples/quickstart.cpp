@@ -47,8 +47,8 @@ int main() {
   G.print(std::cout);
 
   // 3. Baseline scalarization: one loop nest per statement, B allocated.
-  auto Baseline =
-      scalarize::scalarizeWithStrategy(G, xform::Strategy::Baseline);
+  auto Baseline = scalarize::scalarize(
+      G, xform::applyStrategy(G, xform::Strategy::Baseline));
   std::cout << "\n=== Scalarized, baseline ===\n" << Baseline.str();
 
   // 4. The paper's c2 strategy: FUSION-FOR-CONTRACTION over compiler and

@@ -11,13 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
 #include "comm/CommInsertion.h"
 #include "distsim/DistInterpreter.h"
+#include "driver/Pipeline.h"
 #include "exec/Interpreter.h"
 #include "frontend/Parser.h"
-#include "ir/Normalize.h"
-#include "scalarize/Scalarize.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
@@ -53,11 +51,14 @@ int main(int argc, char **argv) {
       std::cerr << E << '\n';
     return 1;
   }
-  ir::Program &P = *Result.Prog;
-  ir::normalizeProgram(P);
-
-  analysis::ASDG G = analysis::ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, xform::Strategy::C2F3);
+  driver::Pipeline PL(*Result.Prog);
+  driver::CompileStatus St =
+      PL.tryCompile(driver::CompileRequest{xform::Strategy::C2F3});
+  if (!St.ok()) {
+    std::cerr << "compile failed: " << St.Message << '\n';
+    return 1;
+  }
+  lir::LoopProgram &LP = St.Artifact->LP;
   comm::CommPlan Plan = comm::insertLoopLevelComm(LP);
 
   std::cout << "=== Compiled program ===\n" << LP.str();

@@ -12,14 +12,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ASDG.h"
 #include "benchprogs/Benchmarks.h"
+#include "driver/Pipeline.h"
 #include "exec/PerfModel.h"
-#include "ir/Normalize.h"
-#include "scalarize/Scalarize.h"
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
+#include <cstdlib>
 #include <iostream>
 
 using namespace alf;
@@ -33,20 +32,32 @@ int main() {
             << " statements) ===\n";
   P->print(std::cout);
 
-  unsigned Temps = normalizeProgram(*P);
+  // The pipeline builds the normal form: each compiler temporary it adds
+  // is a new array.
+  size_t ArraysBefore = P->arrays().size();
+  driver::Pipeline PL(*P);
+  size_t Temps = PL.program().arrays().size() - ArraysBefore;
   std::cout << "\nnormalization inserted " << Temps
             << " compiler temporaries (the four self-updates of RX, RY, "
                "X and Y)\n";
 
-  analysis::ASDG G = analysis::ASDG::build(*P);
-  StrategyResult SR = applyStrategy(G, Strategy::C2);
+  auto compile = [&PL](Strategy S) {
+    driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S});
+    if (!St.ok()) {
+      std::cerr << "compile failed: " << St.Message << '\n';
+      std::exit(1);
+    }
+    return St;
+  };
+  driver::CompileStatus C2 = compile(Strategy::C2);
+  const StrategyResult &SR = *C2.SR;
   std::cout << "\ncontracted under c2 (" << SR.Contracted.size()
             << " arrays):";
   for (const ArraySymbol *A : SR.Contracted)
     std::cout << ' ' << A->getName();
   std::cout << "\n  -> r becomes a scalar, exactly as in Figure 1(b).\n";
 
-  auto LP = scalarize::scalarize(G, SR);
+  const lir::LoopProgram &LP = C2.Artifact->LP;
   std::cout << "\n=== Scalarized under c2 (excerpt) ===\n";
   std::string Text = LP.str();
   std::cout << Text.substr(0, Text.find("for")) << "...\n";
@@ -59,7 +70,8 @@ int main() {
                    "vs baseline"});
   exec::PerfStats Base;
   for (Strategy S : allStrategies()) {
-    auto SP = scalarize::scalarizeWithStrategy(G, S);
+    driver::CompileStatus St = compile(S);
+    const lir::LoopProgram &SP = St.Artifact->LP;
     exec::PerfStats Stats = exec::simulate(SP, M, Grid);
     size_t Stored = 0;
     for (const ir::ArraySymbol *A : SP.source().arrays())

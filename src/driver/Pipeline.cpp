@@ -113,7 +113,7 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
   }
 
   // Run the chain to completion even when a proof rejects, so every
-  // pass reports, but prepare no kernel for a rejected program.
+  // pass reports, but hand out no artifact for a rejected program.
   StrategyResult SR = [&] {
     obs::Span Sp("pipeline.strategy", xform::getStrategyName(Req.Strat));
     return applyStrategy(*G, Req.Strat);
@@ -165,27 +165,24 @@ CompileStatus Pipeline::tryCompile(const CompileRequest &Req) {
       if (Req.Mode == ExecMode::NativeJitSimd)
         JO.Vectorize = true;
       CP.Kernel = sharedJitEngine(JO).prepare(CP.LP);
-    } else {
-      CP.Kernel.emplace();
-      CP.Kernel->Info.FallbackReason =
-          "kernel not prepared: the compile was rejected";
     }
   }
-  St.Artifact.emplace(std::move(CP));
   St.SR = std::move(SR);
 
-  if (!St.Findings.ok()) {
-    St.Message = St.Findings.Findings.front().str();
-    // A safety-only rejection gets its own stable wire code so serving
-    // clients can tell "your program is memory-unsafe" apart from "the
-    // compiler failed its own proof". Any legality finding dominates.
-    bool AllSafety = true;
-    for (const verify::VerifyFinding &F : St.Findings.Findings)
-      if (F.Pass.rfind("safety", 0) != 0)
-        AllSafety = false;
-    St.Code = AllSafety ? CompileCode::UnsafeProgram
-                        : CompileCode::VerifyRejected;
+  if (St.Findings.ok()) {
+    St.Artifact.emplace(std::move(CP));
+    return St;
   }
+  St.Message = St.Findings.Findings.front().str();
+  // A safety-only rejection gets its own stable wire code so serving
+  // clients can tell "your program is memory-unsafe" apart from "the
+  // compiler failed its own proof". Any legality finding dominates.
+  bool AllSafety = true;
+  for (const verify::VerifyFinding &F : St.Findings.Findings)
+    if (F.Pass.rfind("safety", 0) != 0)
+      AllSafety = false;
+  St.Code =
+      AllSafety ? CompileCode::UnsafeProgram : CompileCode::VerifyRejected;
   return St;
 }
 

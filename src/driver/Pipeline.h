@@ -103,8 +103,7 @@ struct CompiledProgram {
   std::optional<exec::ParallelSchedule> Sched;
 
   /// ExecMode::NativeJit/NativeJitSimd: the kernel emitted, hashed and
-  /// loaded once. Not prepared when a proof rejected the compile; runs
-  /// then fall back to the interpreter with the reason recorded.
+  /// loaded once.
   std::optional<exec::PreparedKernel> Kernel;
 
   /// Executes the artifact in place on \p Store under Mode. \p Info, when
@@ -143,12 +142,9 @@ enum class CompileCode {
 /// serving layer, so they are stable.
 const char *getCompileCodeName(CompileCode C);
 
-/// The structured outcome of one Pipeline::tryCompile: status plus, when
-/// the chain ran to completion, the strategy result and the artifact.
-///
-/// On VerifyRejected and UnsafeProgram the artifact may still be present
-/// (the chain runs to completion so every pass gets to report) but MUST
-/// NOT be executed — a failed proof means the code is not certified.
+/// The structured outcome of one Pipeline::tryCompile: status plus the
+/// strategy result whenever analysis ran, and the artifact when every
+/// proof passed.
 struct CompileStatus {
   CompileCode Code = CompileCode::Ok;
 
@@ -165,7 +161,7 @@ struct CompileStatus {
   /// whenever analysis ran, so callers can inspect or report it.
   std::optional<xform::StrategyResult> SR;
 
-  /// The compiled artifact; see the class comment for the rejected case.
+  /// The compiled artifact; present exactly when ok().
   std::optional<CompiledProgram> Artifact;
 
   bool ok() const { return Code == CompileCode::Ok; }

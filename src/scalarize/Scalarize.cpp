@@ -303,11 +303,6 @@ lir::LoopProgram scalarize::scalarize(const ASDG &G, const StrategyResult &SR) {
   return std::move(*LP);
 }
 
-lir::LoopProgram scalarize::scalarizeWithStrategy(const ASDG &G, Strategy S) {
-  StrategyResult SR = applyStrategy(G, S);
-  return scalarize(G, SR);
-}
-
 lir::LoopProgram
 scalarize::scalarizeWithPartialContraction(const ASDG &G, Strategy S,
                                            const SequentialDims &Seq) {

@@ -42,10 +42,6 @@ std::optional<lir::LoopProgram>
 scalarizeChecked(const analysis::ASDG &G, const xform::StrategyResult &SR,
                  std::string *Error = nullptr);
 
-/// Convenience: apply \p S to \p G and scalarize the result.
-lir::LoopProgram scalarizeWithStrategy(const analysis::ASDG &G,
-                                       xform::Strategy S);
-
 /// Applies \p S plus the lower-dimensional contraction extension (paper
 /// section 5.2 future work): arrays whose dependences are carried only
 /// along the sequential dimensions in \p Seq become rolling buffers.

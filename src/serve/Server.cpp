@@ -334,7 +334,6 @@ json::Value Server::handleCompile(
         driver::PipelineOptions PO;
         PO.Verify = Key.Verify;
         PO.Jit = Opts.Jit;
-        PO.Parallel = Opts.Parallel;
         driver::Pipeline PL(*E.P, PO);
         driver::CompileStatus St =
             PL.tryCompile(driver::CompileRequest{Key.Strat, Key.Mode});

@@ -39,7 +39,6 @@
 #include "serve/Protocol.h"
 
 #include "exec/NativeJit.h"
-#include "exec/ParallelExecutor.h"
 #include "support/ThreadPool.h"
 #include "verify/Verify.h"
 
@@ -77,7 +76,6 @@ struct ServerOptions {
   verify::VerifyLevel Verify = verify::defaultVerifyLevel();
 
   exec::JitOptions Jit;
-  exec::ParallelOptions Parallel;
 };
 
 /// A running daemon. start() spawns the accept loop and returns; wait()

@@ -3,7 +3,7 @@
 #include "vendors/CompilerModel.h"
 
 #include "analysis/ASDG.h"
-#include "ir/Normalize.h"
+#include "driver/Pipeline.h"
 #include "vendors/Fragments.h"
 #include "xform/Fusion.h"
 
@@ -139,8 +139,8 @@ public:
 
 VendorRun vendors::runVendorPipeline(std::unique_ptr<Program> P,
                                      const VendorPolicy &Policy) {
-  normalizeProgram(*P);
-  ASDG G = ASDG::build(*P);
+  driver::Pipeline PL(*P);
+  const ASDG &G = PL.asdg();
   FusionPartition FP = FusionPartition::trivial(G);
   VendorEngine Engine(Policy, G, FP);
 

@@ -59,8 +59,9 @@ struct VendorRun {
   std::vector<unsigned> ClusterOf;   ///< final cluster per statement id
 };
 
-/// Normalizes \p P in place, runs the policy's fusion/contraction
-/// pipeline, and reports the outcome.
+/// Brings \p P into normal form in place (driver::Pipeline: aligned, then
+/// normalized), runs the policy's fusion/contraction pipeline on its
+/// graph, and reports the outcome.
 VendorRun runVendorPipeline(std::unique_ptr<ir::Program> P,
                             const VendorPolicy &Policy);
 

@@ -86,8 +86,8 @@ TEST(AlignTest, PreservesSemantics) {
   auto P2 = Build(true);
   ASDG G1 = ASDG::build(*P1);
   ASDG G2 = ASDG::build(*P2);
-  auto L1 = scalarize::scalarizeWithStrategy(G1, Strategy::Baseline);
-  auto L2 = scalarize::scalarizeWithStrategy(G2, Strategy::Baseline);
+  auto L1 = scalarize::scalarize(G1, applyStrategy(G1, Strategy::Baseline));
+  auto L2 = scalarize::scalarize(G2, applyStrategy(G2, Strategy::Baseline));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(L1, 3), run(L2, 3), 0.0, &Why)) << Why;
 }
@@ -217,10 +217,10 @@ TEST_P(AlignEquivalence, RandomProgramsWithOffsetTargets) {
 
   ASDG G1 = ASDG::build(*P1);
   ASDG G2 = ASDG::build(*P2);
-  auto Base = scalarize::scalarizeWithStrategy(G1, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G1, applyStrategy(G1, Strategy::Baseline));
   exec::RunResult BaseRes = exec::run(Base, GetParam() ^ 0xa11);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G2, S);
+    auto LP = scalarize::scalarize(G2, applyStrategy(G2, S));
     std::string Why;
     EXPECT_TRUE(exec::resultsMatch(BaseRes, exec::run(LP, GetParam() ^ 0xa11),
                                    0.0, &Why))

@@ -61,10 +61,10 @@ TEST_P(BenchmarkCensus, AllStrategiesPreserveSemantics) {
   auto P = B.Build(B.Rank == 1 ? 64 : 10);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult BaseRes = run(Base, 1234);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     std::string Why;
     EXPECT_TRUE(resultsMatch(BaseRes, run(LP, 1234), 1e-9, &Why))
         << B.Name << " under " << getStrategyName(S) << ": " << Why;

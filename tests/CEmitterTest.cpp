@@ -109,7 +109,7 @@ void checkProgram(Program &P, Strategy S, uint64_t Seed) {
     GTEST_SKIP() << "no system C compiler";
   normalizeProgram(P);
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, S);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, S));
   expectMatch(runEmitted(LP, Seed), interpreterChecksums(LP, Seed));
 }
 
@@ -120,7 +120,7 @@ TEST(CEmitterTest, EmitsCompilableSource) {
   ArraySymbol *B = P.makeArray("B", 2);
   P.assign(R, B, add(aref(A, {-1, 0}), cst(1.0)));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   std::string Src = scalarize::emitC(LP, "kernel").Source;
   EXPECT_NE(Src.find("void kernel(double *A_A, double *A_B)"),
             std::string::npos);
@@ -223,7 +223,7 @@ TEST(CEmitterTest, OverflowingStrideIsAnEmissionError) {
   ArraySymbol *B = P.makeArray("b", 3);
   P.assign(R, B, add(aref(A), cst(1.0)));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   scalarize::CModule M = scalarize::emitCModule(LP, "kernel");
   EXPECT_FALSE(M.ok());
   EXPECT_NE(M.Error.find("overflows"), std::string::npos) << M.Error;
@@ -274,7 +274,7 @@ TEST(CEmitterTest, EmittedTextIsPinned) {
     auto P = B[I].Build(Cases[I].N);
     normalizeProgram(*P);
     ASDG G = ASDG::build(*P);
-    auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
     for (bool Vectorize : {false, true}) {
       SCOPED_TRACE(Vectorize ? "vectorized" : "scalar");
       scalarize::CEmitOptions Opts;

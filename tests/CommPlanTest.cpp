@@ -30,7 +30,7 @@ CommPlan planFor(const BenchmarkInfo &B, Strategy S) {
   auto P = B.Build(B.Rank == 1 ? 64 : 8);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, S);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, S));
   return insertLoopLevelComm(LP);
 }
 
@@ -72,7 +72,7 @@ TEST(CommPlanTest, MessageBytesScaleWithBoundary) {
   ArraySymbol *B = P.makeArray("B", 2);
   P.assign(R, B, aref(A, {-2, 0}));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   insertLoopLevelComm(LP);
   exec::PerfStats Stats = exec::simulate(LP, machine::crayT3E(),
                                          machine::ProcGrid::make(4, 2));

@@ -60,7 +60,7 @@ TEST(LoopLevelCommTest, InsertsBeforeConsumingNest) {
   ArraySymbol *B = P.makeArray("B", 2);
   P.assign(R, B, add(aref(A, {-1, 0}), aref(A, {1, 0})));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   CommPlan Plan = insertLoopLevelComm(LP);
   EXPECT_EQ(Plan.Exchanges, 2u); // both directions along dim 0
   EXPECT_EQ(countCommOps(LP), 2u);
@@ -81,7 +81,7 @@ TEST(LoopLevelCommTest, RedundancyElimination) {
   P.assign(R, B, aref(A, {0, 1}));
   P.assign(R, C, aref(A, {0, 1}));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   CommPlan Plan = insertLoopLevelComm(LP);
   EXPECT_EQ(Plan.Exchanges, 1u);
   EXPECT_EQ(Plan.RedundantElided, 1u);
@@ -97,7 +97,7 @@ TEST(LoopLevelCommTest, WriteInvalidatesHalo) {
   P.assign(R, A, aref(B));         // rewrites A
   P.assign(R, C, aref(A, {0, 1})); // needs a fresh halo
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   CommPlan Plan = insertLoopLevelComm(LP);
   EXPECT_EQ(Plan.Exchanges, 2u);
   EXPECT_EQ(Plan.RedundantElided, 0u);
@@ -114,7 +114,7 @@ TEST(LoopLevelCommTest, ContractedArraysNeverCommunicate) {
   P.assign(R, T, aref(A, {1, 0}));
   P.assign(R, C, aref(T));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   CommPlan Plan = insertLoopLevelComm(LP);
   EXPECT_EQ(Plan.Exchanges, 1u); // only A's halo
   const auto *Comm = dyn_cast<CommOp>(LP.nodes()[0].get());

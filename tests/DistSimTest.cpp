@@ -72,7 +72,7 @@ TEST(BlockDistTest, OwnerInvertsSlices) {
 RunResult runDist(Program &P, Strategy S, unsigned Procs, uint64_t Seed,
                   bool WithComm = true) {
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, S);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, S));
   if (WithComm)
     comm::insertLoopLevelComm(LP);
   unsigned Rank = 0;
@@ -87,7 +87,7 @@ RunResult runDist(Program &P, Strategy S, unsigned Procs, uint64_t Seed,
 
 RunResult runSeq(Program &P, Strategy S, uint64_t Seed) {
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, S);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, S));
   return run(LP, Seed);
 }
 
@@ -201,7 +201,7 @@ TEST(DistSimTest, ArrayLevelPipelinedCommAgrees) {
   auto P = makeStencilChain(12, 12);
   comm::insertArrayLevelComm(*P, /*Pipelined=*/true);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   RunResult Dist = runDistributed(LP, ProcGrid::make(4, 2), 51);
 
   auto PSeq = makeStencilChain(12, 12);
@@ -289,10 +289,10 @@ TEST_P(DistBenchmarks, BenchmarksMatchSequential) {
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
 
-  auto Seq = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto Seq = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   RunResult SeqRes = run(Seq, 71);
 
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   comm::insertLoopLevelComm(LP);
   RunResult Dist = runDistributed(LP, ProcGrid::make(4, B.Rank), 71);
   std::string Why;

@@ -43,7 +43,7 @@ std::map<Strategy, double> improvements(const BenchmarkInfo &B,
   std::map<Strategy, double> Result;
   PerfStats Base;
   for (Strategy S : allStrategies()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     comm::insertLoopLevelComm(LP);
     PerfStats Stats = simulate(LP, M, Grid);
     if (S == Strategy::Baseline)
@@ -128,7 +128,7 @@ TEST(FigureShapeTest, FavoringCommunicationLosesOnTheBigApps) {
     auto PF = B.Build(N);
     normalizeProgram(*PF);
     ASDG GF = ASDG::build(*PF);
-    auto FF = scalarize::scalarizeWithStrategy(GF, Strategy::C2F3);
+    auto FF = scalarize::scalarize(GF, applyStrategy(GF, Strategy::C2F3));
     comm::insertLoopLevelComm(FF);
     PerfStats FavorFusion = simulate(FF, M, ProcGrid::make(16, 2));
 
@@ -136,7 +136,7 @@ TEST(FigureShapeTest, FavoringCommunicationLosesOnTheBigApps) {
     normalizeProgram(*PC);
     comm::insertArrayLevelComm(*PC, /*Pipelined=*/true);
     ASDG GC = ASDG::build(*PC);
-    auto FC = scalarize::scalarizeWithStrategy(GC, Strategy::C2F3);
+    auto FC = scalarize::scalarize(GC, applyStrategy(GC, Strategy::C2F3));
     PerfStats FavorComm = simulate(FC, M, ProcGrid::make(16, 2));
 
     EXPECT_GT(FavorComm.totalNs(), FavorFusion.totalNs()) << Name;
@@ -151,8 +151,8 @@ TEST(FigureShapeTest, ContractionBenefitIsCacheDriven) {
   auto P = B.Build(48);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto C2 = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
+  auto C2 = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   ProcGrid Grid = ProcGrid::make(1, 2);
   PerfStats SB = simulate(Base, M, Grid);
   PerfStats SC = simulate(C2, M, Grid);

@@ -32,7 +32,7 @@ TEST(GoldenTest, Figure1TomcatvFragmentUnderC2) {
   auto P = tp::makeTomcatvFragment(4);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   EXPECT_EQ(LP.str(),
             R"(// scalarized tomcatv-fragment
 double s_R; // contracted R
@@ -53,7 +53,7 @@ for (i1 = 1; i1 <= 4; ++i1)
 TEST(GoldenTest, Figure2ScalarizationUnderBaseline) {
   auto P = tp::makeFigure2(3, 3);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   EXPECT_EQ(LP.str(),
             R"(// scalarized figure2
 for (i1 = 1; i1 <= 3; ++i1)
@@ -117,7 +117,7 @@ array T : R temp;
 )");
   ASSERT_TRUE(Result.succeeded());
   ASDG G = ASDG::build(*Result.Prog);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   EXPECT_EQ(scalarize::emitC(LP, "kernel").Source,
             R"(/* generated by ALF from program 'main' */
 #include <math.h>

@@ -27,7 +27,7 @@ TEST(InterpreterTest, ComputesElementwiseValues) {
   ArraySymbol *B = P.makeArray("B", 1);
   P.assign(R, B, add(mul(aref(A), cst(2.0)), cst(1.0)));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult Res = run(LP, 42);
   ASSERT_TRUE(Res.LiveOut.count("A"));
   ASSERT_TRUE(Res.LiveOut.count("B"));
@@ -41,7 +41,7 @@ TEST(InterpreterTest, ComputesElementwiseValues) {
 TEST(InterpreterTest, SeedDeterminism) {
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult R1 = run(LP, 7);
   RunResult R2 = run(LP, 7);
   EXPECT_TRUE(resultsMatch(R1, R2));
@@ -58,7 +58,7 @@ TEST(InterpreterTest, OffsetReadsUseHaloValues) {
   ArraySymbol *B = P.makeArray("B", 1);
   P.assign(R, B, aref(A, {-1}));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult Res = run(LP, 3);
   const auto &AData = Res.LiveOut.at("A"); // bounds [0..3]: 4 elements
   const auto &BData = Res.LiveOut.at("B"); // bounds [1..4]: 4 elements
@@ -71,8 +71,8 @@ TEST(InterpreterTest, OffsetReadsUseHaloValues) {
 TEST(InterpreterTest, ContractionPreservesResults) {
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto Opt = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
+  auto Opt = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(Base, 11), run(Opt, 11), 0.0, &Why)) << Why;
 }
@@ -87,8 +87,8 @@ TEST(InterpreterTest, NormalizedSelfUpdatePreservesResults) {
   P.assign(R, A, add(aref(A, {-1, 0}), aref(A, {-1, 0})));
   normalizeProgram(P);
   ASDG G = ASDG::build(P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto Opt = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
+  auto Opt = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(Base, 5), run(Opt, 5), 0.0, &Why)) << Why;
 }
@@ -97,10 +97,10 @@ TEST(InterpreterTest, TomcatvAllStrategiesAgree) {
   auto P = tp::makeTomcatvFragment(32);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult BaseRes = run(Base, 99);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     std::string Why;
     EXPECT_TRUE(resultsMatch(BaseRes, run(LP, 99), 0.0, &Why))
         << getStrategyName(S) << ": " << Why;
@@ -114,8 +114,8 @@ TEST(InterpreterTest, OpaqueStatementsDeterministic) {
   auto P = generateRandomProgram(Cfg);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto Opt = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
+  auto Opt = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(Base, 23), run(Opt, 23), 0.0, &Why)) << Why;
 }
@@ -150,7 +150,7 @@ TEST_P(StrategyEquivalence, AllStrategiesPreserveSemantics) {
   ASSERT_TRUE(isWellFormed(*P));
 
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult BaseRes = run(Base, C.Seed ^ 0xabcdef);
 
   for (Strategy S : allStrategiesForTest()) {

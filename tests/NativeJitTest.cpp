@@ -59,7 +59,7 @@ struct TempCacheDir {
 lir::LoopProgram makeLoopProgram(ir::Program &P, Strategy S = Strategy::C2) {
   ir::normalizeProgram(P);
   ASDG G = ASDG::build(P);
-  return scalarize::scalarizeWithStrategy(G, S);
+  return scalarize::scalarize(G, applyStrategy(G, S));
 }
 
 TEST(NativeJitTest, BitIdenticalToInterpreterAcrossStrategies) {
@@ -74,7 +74,7 @@ TEST(NativeJitTest, BitIdenticalToInterpreterAcrossStrategies) {
   ir::normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     RunResult Interp = run(LP, 7);
     JitRunInfo Info;
     RunResult Jit = Engine.run(LP, 7, &Info);

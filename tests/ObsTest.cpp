@@ -410,7 +410,8 @@ TEST_F(ObsTest, PassesReportTheirWork) {
   auto P = tp::makeTomcatvFragment(8);
   ir::normalizeProgram(*P);
   analysis::ASDG G = analysis::ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, xform::Strategy::C2);
+  auto LP =
+      scalarize::scalarize(G, xform::applyStrategy(G, xform::Strategy::C2));
   (void)LP;
   EXPECT_EQ(obs::counterValue("normalize.compiler_temps"), 2u);
   EXPECT_GE(obs::counterValue("fusion.merges"), 1u);

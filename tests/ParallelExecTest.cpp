@@ -317,7 +317,7 @@ TEST(ParallelExecTest, ElementwiseProgramMatchesAllThreadCounts) {
   auto P = tp::makeFigure2(12, 9);
   ASDG G = ASDG::build(*P);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     expectParallelMatches(LP, 101);
   }
 }
@@ -327,7 +327,7 @@ TEST(ParallelExecTest, ContractedTempStaysThreadPrivate) {
   // its own copy or tiles would clobber each other's element values.
   auto P = tp::makeUserTempPair(33); // not divisible by 2 or 4: ragged tiles
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
 
   // The temp really is contracted, and its nest really runs parallel —
   // otherwise this test exercises nothing.
@@ -408,7 +408,7 @@ TEST(ParallelExecTest, ReductionNestMatchesBitwise) {
   ScalarSymbol *S = P.makeScalar("s");
   P.reduce(R, S, ReduceStmt::ReduceOpKind::Sum, aref(A));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
 
   ParallelSchedule Sched = planParallelism(LP);
   const NestParallelPlan *Plan = Sched.planForNest(LP, 0);
@@ -444,7 +444,7 @@ TEST(ParallelExecTest, RandomProgramsMatchOnAllThreadCounts) {
     normalizeProgram(*P);
     ASDG G = ASDG::build(*P);
     for (Strategy S : {Strategy::Baseline, Strategy::C2, Strategy::C2F4}) {
-      auto LP = scalarize::scalarizeWithStrategy(G, S);
+      auto LP = scalarize::scalarize(G, applyStrategy(G, S));
       expectParallelMatches(LP, Seed ^ 0xabcd);
     }
   }
@@ -483,7 +483,7 @@ TEST(ParallelExecTest, ScheduleIsReportedAndCounted) {
   obs::reset();
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   ParallelSchedule Sched = planParallelism(LP);
 
   std::string Report = describeSchedule(LP, Sched);
@@ -512,7 +512,7 @@ TEST(ParallelExecTest, SecondRunStartsNoThread) {
   // run is seen too.
   auto P = tp::makeFigure2(400, 400);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   ParallelSchedule Sched = planParallelism(LP);
   ASSERT_GE(Sched.numParallelNests(), 1u);
   ParallelOptions Opts;

@@ -121,7 +121,7 @@ TEST(PartialPlanTest, WrapMapsCoordinatesModulo) {
 TEST(PartialContractionTest, InterpreterEquivalenceOuterCarry) {
   auto P = makeCarriedPair({-1, 0}, 10);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0}));
   EXPECT_EQ(Partial.partialPlans().size(), 1u);
@@ -133,7 +133,7 @@ TEST(PartialContractionTest, InterpreterEquivalenceOuterCarry) {
 TEST(PartialContractionTest, InterpreterEquivalenceInnerCarry) {
   auto P = makeCarriedPair({0, -1}, 10);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({1}));
   EXPECT_EQ(Partial.partialPlans().size(), 1u);
@@ -155,7 +155,7 @@ TEST(PartialContractionTest, ForwardSubstitutionSweep) {
   P.assign(R, T, mul(aref(Z, {-2, 0}), cst(0.25))); // distance 2 in dim 0
   P.assign(R, V, add(aref(T), aref(U)));
   ASDG G = ASDG::build(P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0}));
   // T contracts fully; Z becomes a 3-plane rolling buffer.
@@ -181,7 +181,7 @@ TEST(PartialContractionTest, NoSequentialDimsMeansNoPlans) {
 TEST(PartialContractionTest, ReducesSimulatedFootprintTraffic) {
   auto P = makeCarriedPair({-1, 0}, 64);
   ASDG G = ASDG::build(*P);
-  auto Full = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto Full = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0}));
   machine::MachineDesc M = machine::crayT3E();
@@ -206,7 +206,7 @@ TEST_P(PartialEquivalence, RandomProgramsPreserveSemantics) {
   auto P = generateRandomProgram(Cfg);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0, 1}));
   std::string Why;

@@ -26,7 +26,7 @@ namespace {
 PerfStats simulateStrategy(const Program &P, Strategy S, const MachineDesc &M,
                            unsigned Procs, bool WithComm = false) {
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, S);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, S));
   if (WithComm)
     insertLoopLevelComm(LP);
   return simulate(LP, M, ProcGrid::make(Procs, 2));
@@ -108,14 +108,14 @@ TEST(PerfModelTest, PipelinedSendRecvOverlaps) {
   Build(Split);
   insertArrayLevelComm(Split, /*Pipelined=*/true);
   ASDG GS = ASDG::build(Split);
-  auto LPS = scalarize::scalarizeWithStrategy(GS, Strategy::Baseline);
+  auto LPS = scalarize::scalarize(GS, applyStrategy(GS, Strategy::Baseline));
   PerfStats Piped = simulate(LPS, M, Grid);
 
   Program Whole("whole");
   Build(Whole);
   insertArrayLevelComm(Whole, /*Pipelined=*/false);
   ASDG GW = ASDG::build(Whole);
-  auto LPW = scalarize::scalarizeWithStrategy(GW, Strategy::Baseline);
+  auto LPW = scalarize::scalarize(GW, applyStrategy(GW, Strategy::Baseline));
   PerfStats Plain = simulate(LPW, M, Grid);
 
   EXPECT_LT(Piped.CommNs, Plain.CommNs);
@@ -130,7 +130,7 @@ TEST(PerfModelTest, GlobalReductionScalesWithLogP) {
   P.opaque("global-sum", R, {A}, {}, {}, {S}, 1.0, /*GlobalReduction=*/true);
   MachineDesc M = crayT3E();
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   PerfStats P1 = simulate(LP, M, ProcGrid::make(1, 1));
   PerfStats P16 = simulate(LP, M, ProcGrid::make(16, 1));
   PerfStats P64 = simulate(LP, M, ProcGrid::make(64, 1));
@@ -146,7 +146,7 @@ TEST(PerfModelTest, SimulationAllocatesNoStorage) {
   auto P = benchprogs::buildFibro(512);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   ASSERT_GE(LP.storageLayout().SpanBytes, uint64_t(2) << 20);
   uint64_t Before = obs::counterValue("exec.storage.slab_bytes");
   PerfStats S = simulate(LP, crayT3E(), ProcGrid::make(1, 2));

@@ -53,7 +53,7 @@ TEST(PipelineTest, MatchesHandAssembledChain) {
   Pipeline PL(*Facade);
 
   for (Strategy S : allStrategiesForTest()) {
-    auto Expected = scalarize::scalarizeWithStrategy(G, S);
+    auto Expected = scalarize::scalarize(G, applyStrategy(G, S));
     EXPECT_EQ(compiledText(PL, S), Expected.str()) << getStrategyName(S);
   }
 }
@@ -62,7 +62,7 @@ TEST(PipelineTest, LoopLevelCommPolicyMatchesManualInsertion) {
   auto Manual = tp::makeFigure2();
   normalizeByHand(*Manual);
   analysis::ASDG G = analysis::ASDG::build(*Manual);
-  auto Expected = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto Expected = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   comm::insertLoopLevelComm(Expected);
 
   auto Facade = tp::makeFigure2();
@@ -77,7 +77,7 @@ TEST(PipelineTest, ArrayLevelCommPolicyMatchesManualInsertion) {
   normalizeByHand(*Manual);
   comm::insertArrayLevelComm(*Manual, /*Pipelined=*/true);
   analysis::ASDG G = analysis::ASDG::build(*Manual);
-  auto Expected = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto Expected = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
 
   auto Facade = tp::makeFigure2();
   PipelineOptions Opts;
@@ -138,7 +138,7 @@ TEST(TryCompileTest, OkProducesStatusWithArtifactAndStrategy) {
   normalizeByHand(*Q);
   analysis::ASDG G = analysis::ASDG::build(*Q);
   EXPECT_EQ(St.Artifact->LP.str(),
-            scalarize::scalarizeWithStrategy(G, Strategy::C2).str());
+            scalarize::scalarize(G, applyStrategy(G, Strategy::C2)).str());
 }
 
 TEST(TryCompileTest, ReentrantAcrossStrategies) {
@@ -270,7 +270,7 @@ TEST(PipelineTest, OneShotRunProgram) {
   auto B = tp::makeTomcatvFragment();
   ir::normalizeProgram(*B);
   analysis::ASDG G = analysis::ASDG::build(*B);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::F1);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::F1));
   Pipeline PL(*A);
   CompileStatus St = PL.tryCompile(CompileRequest{Strategy::F1});
   ASSERT_TRUE(St.ok()) << St.Message;

@@ -55,10 +55,10 @@ TEST(Rank3Test, ContractionAndStrategies) {
   EXPECT_EQ(SR.Contracted.size(), 3u);
   EXPECT_TRUE(isValidPartition(SR.Partition));
 
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult BaseRes = run(Base, 303);
   for (Strategy S : allStrategiesForTest()) {
-    auto LP = scalarize::scalarizeWithStrategy(G, S);
+    auto LP = scalarize::scalarize(G, applyStrategy(G, S));
     std::string Why;
     EXPECT_TRUE(resultsMatch(BaseRes, run(LP, 303), 0.0, &Why))
         << getStrategyName(S) << ": " << Why;
@@ -69,10 +69,10 @@ TEST(Rank3Test, DistributedMatchesSequentialOn2x2x2) {
   auto P = make3D(8);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto Seq = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto Seq = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   RunResult SeqRes = run(Seq, 71);
 
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   comm::CommPlan Plan = comm::insertLoopLevelComm(LP);
   EXPECT_GE(Plan.Exchanges, 6u); // all six stencil directions
   RunResult Dist = distsim::runDistributed(
@@ -92,7 +92,7 @@ TEST(Rank3Test, PartialContractionRollingPlane) {
   P.assign(R, T, add(aref(A), cst(1.0)));
   P.assign(R, B, add(aref(T, {-1, 0, 0}), aref(T)));
   ASDG G = ASDG::build(P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   auto Partial = scalarize::scalarizeWithPartialContraction(
       G, Strategy::C2, SequentialDims::dims({0}));
   const auto *TS = cast<ArraySymbol>(P.findSymbol("T"));
@@ -108,7 +108,7 @@ TEST(Rank3Test, BackendsEmitTripleNests) {
   auto P = make3D(4);
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   std::string C = scalarize::emitC(LP, "kernel3d").Source;
   EXPECT_NE(C.find("for (i3 ="), std::string::npos);
   EXPECT_NE(C.find("[(i1+0 - (0))*36"), std::string::npos) << C;

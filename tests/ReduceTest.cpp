@@ -68,7 +68,7 @@ TEST(ReduceTest, InterpreterComputesSum) {
   P.assign(R, T, cst(2.5));
   P.reduce(R, S, ReduceStmt::ReduceOpKind::Sum, aref(T));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult Res = run(LP, 1);
   EXPECT_DOUBLE_EQ(Res.ScalarsOut.at("total"), 25.0);
 }
@@ -82,7 +82,7 @@ TEST(ReduceTest, MinMaxReductions) {
   P.reduce(R, Lo, ReduceStmt::ReduceOpKind::Min, aref(A));
   P.reduce(R, Hi, ReduceStmt::ReduceOpKind::Max, aref(A));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult Res = run(LP, 5);
   const auto &AData = Res.LiveOut.at("A");
   double Min = 1e300, Max = -1e300;
@@ -105,8 +105,8 @@ TEST(ReduceTest, ContractionPreservesReductionValue) {
   P.assign(R, T2, add(aref(T1), cst(1.0)));
   P.reduce(R, S, ReduceStmt::ReduceOpKind::Sum, aref(T2));
   ASDG G = ASDG::build(P);
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
-  auto Opt = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
+  auto Opt = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(Base, 9), run(Opt, 9), 1e-9, &Why)) << Why;
   // Both temps contracted: only A allocated.
@@ -122,7 +122,7 @@ TEST(ReduceTest, ScalarInitEmittedInPrinter) {
   ScalarSymbol *S = P.makeScalar("acc");
   P.reduce(R, S, ReduceStmt::ReduceOpKind::Sum, aref(A));
   ASDG G = ASDG::build(P);
-  auto LP = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto LP = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   std::string Text = LP.str();
   EXPECT_NE(Text.find("acc = 0;"), std::string::npos);
   EXPECT_NE(Text.find("acc += A[i1];"), std::string::npos);

@@ -37,7 +37,8 @@ unsigned countStoredArrays(const LoopProgram &LP) {
 TEST(ScalarizeTest, BaselineOneNestPerStatement) {
   auto P = tp::makeFigure2();
   ASDG G = ASDG::build(*P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::Baseline);
+  LoopProgram LP =
+      scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   EXPECT_EQ(countLoopNests(LP), 3u);
   EXPECT_EQ(countStoredArrays(LP), 3u);
 }
@@ -45,7 +46,7 @@ TEST(ScalarizeTest, BaselineOneNestPerStatement) {
 TEST(ScalarizeTest, UserTempPairBecomesOneNestWithScalar) {
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   ASSERT_EQ(countLoopNests(LP), 1u);
   const auto *Nest = cast<LoopNest>(LP.nodes().front().get());
   ASSERT_EQ(Nest->Body.size(), 2u);
@@ -65,7 +66,7 @@ TEST(ScalarizeTest, StatementsOrderedByDependences) {
   auto P = tp::makeTomcatvFragment();
   normalizeProgram(*P);
   ASDG G = ASDG::build(*P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   // All six statements fuse into one nest; the R definition must precede
   // every consumer of s_R.
   ASSERT_EQ(countLoopNests(LP), 1u);
@@ -93,7 +94,7 @@ TEST(ScalarizeTest, ReversedLoopForAntiDependence) {
   P.assign(R, A, add(aref(A, {-1, 0}), aref(A, {-1, 0})));
   normalizeProgram(P);
   ASDG G = ASDG::build(P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   ASSERT_EQ(countLoopNests(LP), 1u);
   const auto *Nest = cast<LoopNest>(LP.nodes().front().get());
   EXPECT_EQ(Nest->LSV, LoopStructureVector({-1, 2}));
@@ -111,7 +112,7 @@ TEST(ScalarizeTest, CommAndOpaqueNodesPreserved) {
   P.assign(R, B, aref(A, {1}));
   P.opaque("checksum", R, {B}, {});
   ASDG G = ASDG::build(P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2F3);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F3));
   ASSERT_EQ(LP.nodes().size(), 4u);
   EXPECT_TRUE(isa<LoopNest>(LP.nodes()[0].get()));
   EXPECT_TRUE(isa<CommOp>(LP.nodes()[1].get()));
@@ -159,7 +160,7 @@ TEST(ScalarizeTest, StorageBoundsCoverEveryCase) {
 TEST(ScalarizeTest, PrinterEmitsCLikeLoops) {
   auto P = tp::makeUserTempPair();
   ASDG G = ASDG::build(*P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2));
   std::string Text = LP.str();
   EXPECT_NE(Text.find("for (i1 = 1; i1 <= 16; ++i1)"), std::string::npos);
   EXPECT_NE(Text.find("s_B = (A[i1][i2] + A[i1][i2]);"), std::string::npos);
@@ -178,7 +179,7 @@ TEST(ScalarizeTest, NestOrderRespectsInterClusterDeps) {
   P.assign(R1, B, aref(A));
   P.assign(R2, C, aref(B));
   ASDG G = ASDG::build(P);
-  LoopProgram LP = scalarizeWithStrategy(G, Strategy::C2F4);
+  LoopProgram LP = scalarize::scalarize(G, applyStrategy(G, Strategy::C2F4));
   ASSERT_EQ(countLoopNests(LP), 2u);
   const auto *First = cast<LoopNest>(LP.nodes()[0].get());
   EXPECT_EQ(First->Body.front().SrcStmtId, 0u);

@@ -150,8 +150,8 @@ TEST_P(MergePreservesSemantics, RandomPrograms) {
 
   ASDG G1 = ASDG::build(*P1);
   ASDG G2 = ASDG::build(*P2);
-  auto L1 = scalarize::scalarizeWithStrategy(G1, Strategy::Baseline);
-  auto L2 = scalarize::scalarizeWithStrategy(G2, Strategy::Baseline);
+  auto L1 = scalarize::scalarize(G1, applyStrategy(G1, Strategy::Baseline));
+  auto L2 = scalarize::scalarize(G2, applyStrategy(G2, Strategy::Baseline));
   std::string Why;
   EXPECT_TRUE(resultsMatch(run(L1, GetParam()), run(L2, GetParam()), 0.0,
                            &Why))

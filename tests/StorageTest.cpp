@@ -200,7 +200,7 @@ struct Compiled {
   static lir::LoopProgram scalarize(Program &P, xform::Strategy Strat) {
     normalizeProgram(P);
     analysis::ASDG G = analysis::ASDG::build(P);
-    return scalarize::scalarizeWithStrategy(G, Strat);
+    return scalarize::scalarize(G, xform::applyStrategy(G, Strat));
   }
 };
 

@@ -76,24 +76,20 @@ driver::PipelineOptions fullVerifyOptions(unsigned NumThreads = 1) {
   return PO;
 }
 
-/// tryCompile of \p S prepared for \p Mode. Findings go to \p Collected,
-/// so the test can print them with the offending program attached.
+/// tryCompile of \p S prepared for \p Mode.
 driver::CompileStatus compileFor(driver::Pipeline &PL, Strategy S,
-                                 ExecMode Mode,
-                                 verify::VerifyReport &Collected) {
-  driver::CompileStatus St = PL.tryCompile(driver::CompileRequest{S, Mode});
-  Collected.take(St.Findings);
-  return St;
+                                 ExecMode Mode) {
+  return PL.tryCompile(driver::CompileRequest{S, Mode});
 }
 
-/// The unfused oracle: the interpreter's result for the Baseline loop
-/// program.
-RunResult baselineRun(driver::Pipeline &PL, uint64_t RunSeed,
-                      verify::VerifyReport &Collected) {
-  driver::CompileStatus St = compileFor(PL, Strategy::Baseline,
-                                        ExecMode::Sequential, Collected);
-  EXPECT_TRUE(St.Artifact) << St.Message;
-  return St.Artifact ? run(St.Artifact->LP, RunSeed) : RunResult();
+/// Success when \p St is certified (only then does it carry an
+/// artifact); otherwise a failure listing every finding of the rejection.
+::testing::AssertionResult certified(const driver::CompileStatus &St) {
+  if (St.ok())
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << driver::getCompileCodeName(St.Code) << ":\n"
+         << St.Findings.str();
 }
 
 TEST_P(StressSweepTest, AllStrategiesAndExecutorsAgree) {
@@ -107,16 +103,17 @@ TEST_P(StressSweepTest, AllStrategiesAndExecutorsAgree) {
   const ASDG &G = PL.asdg();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
+  driver::CompileStatus BaseSt =
+      compileFor(PL, Strategy::Baseline, ExecMode::Sequential);
+  ASSERT_TRUE(certified(BaseSt)) << "baseline\n" << P->str();
+  RunResult BaseRes = run(BaseSt.Artifact->LP, RunSeed);
 
   // Every strategy, sequential and parallel, against the baseline oracle.
   // An artifact prepared for ExecMode::Parallel race-checked its schedule
   // at compile time.
   for (Strategy S : allStrategiesForTest()) {
-    driver::CompileStatus St =
-        compileFor(PL, S, ExecMode::Parallel, Collected);
-    ASSERT_TRUE(St.Artifact && St.SR)
-        << getStrategyName(S) << ": " << St.Message << "\n" << P->str();
+    driver::CompileStatus St = compileFor(PL, S, ExecMode::Parallel);
+    ASSERT_TRUE(certified(St)) << getStrategyName(S) << "\n" << P->str();
     ASSERT_TRUE(isValidPartition(St.SR->Partition))
         << getStrategyName(S) << "\n" << P->str();
     const auto &LP = St.Artifact->LP;
@@ -167,19 +164,19 @@ TEST_P(StressSweepTest, SemiringAgrees) {
   Cfg.NumReduce = 1 + static_cast<unsigned>(Seed % 2);
   Cfg.ReduceSemiring = Regs[Seed % Regs.size()];
   auto P = generateRandomProgram(Cfg);
-  verify::VerifyReport Collected;
   unsigned NumThreads = 1 + static_cast<unsigned>(Seed % 4); // 1..4
   driver::Pipeline PL(*P, fullVerifyOptions(NumThreads));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xabcd;
-  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
+  driver::CompileStatus BaseSt =
+      compileFor(PL, Strategy::Baseline, ExecMode::Sequential);
+  ASSERT_TRUE(certified(BaseSt)) << "baseline\n" << P->str();
+  RunResult BaseRes = run(BaseSt.Artifact->LP, RunSeed);
 
   for (Strategy S : allStrategiesForTest()) {
-    driver::CompileStatus St =
-        compileFor(PL, S, ExecMode::Parallel, Collected);
-    ASSERT_TRUE(St.Artifact && St.SR)
-        << getStrategyName(S) << ": " << St.Message << "\n" << P->str();
+    driver::CompileStatus St = compileFor(PL, S, ExecMode::Parallel);
+    ASSERT_TRUE(certified(St)) << getStrategyName(S) << "\n" << P->str();
     ASSERT_TRUE(isValidPartition(St.SR->Partition))
         << getStrategyName(S) << "\n" << P->str();
     const auto &LP = St.Artifact->LP;
@@ -193,10 +190,11 @@ TEST_P(StressSweepTest, SemiringAgrees) {
   }
 
   if (Seed % 10 == 0 && JitEngine::compilerAvailable()) {
+    driver::CompileStatus St =
+        compileFor(PL, Strategy::C2, ExecMode::NativeJit);
+    ASSERT_TRUE(certified(St)) << "c2 jit\n" << P->str();
     JitRunInfo Info;
-    RunResult JitRes =
-        compileFor(PL, Strategy::C2, ExecMode::NativeJit, Collected)
-            .Artifact->run(RunSeed, &Info);
+    RunResult JitRes = St.Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit)
         << "jit fell back: " << Info.FallbackReason << "\n" << P->str();
     std::string Why;
@@ -204,9 +202,6 @@ TEST_P(StressSweepTest, SemiringAgrees) {
         << "jit diverged under " << Cfg.ReduceSemiring->Name << ": " << Why
         << "\n" << P->str();
   }
-
-  EXPECT_TRUE(Collected.ok())
-      << "verification findings:\n" << Collected.str() << P->str();
 }
 
 // The same sweep through the native JIT backend. A strategy subset keeps
@@ -221,17 +216,18 @@ TEST_P(StressSweepTest, NativeJitAgrees) {
   uint64_t Seed = GetParam();
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
-  verify::VerifyReport Collected;
   driver::Pipeline PL(*P, fullVerifyOptions());
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
+  driver::CompileStatus BaseSt =
+      compileFor(PL, Strategy::Baseline, ExecMode::Sequential);
+  ASSERT_TRUE(certified(BaseSt)) << "baseline\n" << P->str();
+  RunResult BaseRes = run(BaseSt.Artifact->LP, RunSeed);
 
   for (Strategy S : {Strategy::Baseline, Strategy::C2, Strategy::C2F3}) {
-    driver::CompileStatus St =
-        compileFor(PL, S, ExecMode::NativeJit, Collected);
-    ASSERT_TRUE(St.Artifact) << getStrategyName(S) << ": " << St.Message;
+    driver::CompileStatus St = compileFor(PL, S, ExecMode::NativeJit);
+    ASSERT_TRUE(certified(St)) << getStrategyName(S) << "\n" << P->str();
     JitRunInfo Info;
     RunResult JitRes = St.Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit)
@@ -243,9 +239,6 @@ TEST_P(StressSweepTest, NativeJitAgrees) {
         << getStrategyName(S) << " jit diverged: " << Why << "\n"
         << P->str();
   }
-
-  EXPECT_TRUE(Collected.ok())
-      << "verification findings:\n" << Collected.str() << P->str();
 }
 
 /// ULP-aware counterpart of exec::resultsMatch for the vectorizing
@@ -341,18 +334,19 @@ TEST(StressSweepSimdTest, SimdAgrees) {
       Cfg.ReduceSemiring = Regs[(Seed / 2) % Regs.size()];
     }
     auto P = generateRandomProgram(Cfg);
-    verify::VerifyReport Collected;
     driver::Pipeline PL(*P, fullVerifyOptions());
     ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
     uint64_t RunSeed = Seed ^ 0x51fd;
-    RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
+    driver::CompileStatus BaseSt =
+        compileFor(PL, Strategy::Baseline, ExecMode::Sequential);
+    ASSERT_TRUE(certified(BaseSt)) << "baseline\n" << P->str();
+    RunResult BaseRes = run(BaseSt.Artifact->LP, RunSeed);
 
     bool Vectorized = false, Reassociated = false, FellBack = false;
     for (Strategy S : {Strategy::Baseline, Strategy::C2}) {
-      driver::CompileStatus St =
-          compileFor(PL, S, ExecMode::NativeJitSimd, Collected);
-      ASSERT_TRUE(St.Artifact) << getStrategyName(S) << ": " << St.Message;
+      driver::CompileStatus St = compileFor(PL, S, ExecMode::NativeJitSimd);
+      ASSERT_TRUE(certified(St)) << getStrategyName(S) << "\n" << P->str();
       support::Tolerance Tol = scalarize::simdToleranceFor(St.Artifact->LP);
       JitRunInfo Info;
       RunResult SimdRes = St.Artifact->run(RunSeed, &Info);
@@ -390,9 +384,9 @@ TEST(StressSweepSimdTest, SimdAgrees) {
     // process — vector loads, stores and the peeled remainder must be
     // as in-bounds as the scalar kernel the analyzer certified.
     if (Seed % 10 == 0) {
-      driver::CompileStatus St = compileFor(PL, Strategy::C2,
-                                            ExecMode::Sequential, Collected);
-      ASSERT_TRUE(St.Artifact) << St.Message;
+      driver::CompileStatus St =
+          compileFor(PL, Strategy::C2, ExecMode::Sequential);
+      ASSERT_TRUE(certified(St)) << "c2\n" << P->str();
       JitOptions JO;
       JO.Vectorize = true;
       SanitizedRunResult San = runSanitized(St.Artifact->LP, RunSeed, JO);
@@ -402,9 +396,6 @@ TEST(StressSweepSimdTest, SimdAgrees) {
           << "vectorized kernel tripped the sanitizer (exit "
           << San.ExitCode << "):\n" << San.Output << P->str();
     }
-
-    EXPECT_TRUE(Collected.ok())
-        << "verification findings:\n" << Collected.str() << P->str();
   }
 
   // The sweep is only evidence if SIMD code actually ran: at least one
@@ -435,20 +426,22 @@ TEST_P(StressSweepTest, IlpStrategyAgrees) {
   uint64_t Seed = GetParam();
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
-  verify::VerifyReport Collected;
   unsigned NumThreads = 1 + static_cast<unsigned>(Seed % 4); // 1..4
   driver::Pipeline PL(*P, fullVerifyOptions(NumThreads));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
 
   uint64_t RunSeed = Seed ^ 0xfeed;
-  RunResult BaseRes = baselineRun(PL, RunSeed, Collected);
+  driver::CompileStatus BaseSt =
+      compileFor(PL, Strategy::Baseline, ExecMode::Sequential);
+  ASSERT_TRUE(certified(BaseSt)) << "baseline\n" << P->str();
+  RunResult BaseRes = run(BaseSt.Artifact->LP, RunSeed);
 
   driver::CompileStatus GreedySt =
-      compileFor(PL, Strategy::C2, ExecMode::Sequential, Collected);
+      compileFor(PL, Strategy::C2, ExecMode::Sequential);
+  ASSERT_TRUE(certified(GreedySt)) << "c2\n" << P->str();
   driver::CompileStatus IlpSt =
-      compileFor(PL, Strategy::IlpOptimal, ExecMode::Parallel, Collected);
-  ASSERT_TRUE(GreedySt.Artifact && IlpSt.Artifact)
-      << GreedySt.Message << IlpSt.Message << "\n" << P->str();
+      compileFor(PL, Strategy::IlpOptimal, ExecMode::Parallel);
+  ASSERT_TRUE(certified(IlpSt)) << "ilp\n" << P->str();
   const StrategyResult &Greedy = *GreedySt.SR;
   const StrategyResult &Ilp = *IlpSt.SR;
   ASSERT_TRUE(isValidPartition(Ilp.Partition)) << P->str();
@@ -473,18 +466,16 @@ TEST_P(StressSweepTest, IlpStrategyAgrees) {
       << "ilp parallel (" << NumThreads << " threads) diverged: " << Why
       << "\n" << P->str();
   if (Seed % 10 == 0 && JitEngine::compilerAvailable()) {
+    driver::CompileStatus JitSt =
+        compileFor(PL, Strategy::IlpOptimal, ExecMode::NativeJit);
+    ASSERT_TRUE(certified(JitSt)) << "ilp jit\n" << P->str();
     JitRunInfo Info;
-    RunResult JitRes =
-        compileFor(PL, Strategy::IlpOptimal, ExecMode::NativeJit, Collected)
-            .Artifact->run(RunSeed, &Info);
+    RunResult JitRes = JitSt.Artifact->run(RunSeed, &Info);
     ASSERT_TRUE(Info.UsedJit) << "ilp jit fell back: " << Info.FallbackReason
                               << "\n" << P->str();
     ASSERT_TRUE(resultsMatch(BaseRes, JitRes, 0.0, &Why))
         << "ilp jit diverged: " << Why << "\n" << P->str();
   }
-
-  EXPECT_TRUE(Collected.ok())
-      << "verification findings:\n" << Collected.str() << P->str();
 }
 
 /// Rebuilds an IR right-hand side as a runtime expression over the given
@@ -566,7 +557,7 @@ TEST_P(StressSweepTest, RuntimeEngineAgrees) {
   normalizeProgram(*NP);
   ASDG G = ASDG::build(*NP);
   uint64_t RunSeed = Seed ^ 0xfeed;
-  auto Base = scalarize::scalarizeWithStrategy(G, Strategy::Baseline);
+  auto Base = scalarize::scalarize(G, applyStrategy(G, Strategy::Baseline));
   RunResult BaseRes = run(Base, RunSeed);
 
   // The exact storage the eager run started from: footprint bounds and
@@ -669,7 +660,6 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
 
   GeneratorConfig Cfg = sweepConfig(Seed);
   auto P = generateRandomProgram(Cfg);
-  verify::VerifyReport Collected;
   driver::Pipeline PL(*P, fullVerifyOptions(4));
   ASSERT_TRUE(isWellFormed(PL.program())) << P->str();
   uint64_t RunSeed = Seed ^ 0xfeed;
@@ -677,8 +667,9 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
   // Compile and run under the current obs level, so preparation (the JIT
   // emission included) is traced along with the run.
   auto RunMode = [&](ExecMode Mode) {
-    return compileFor(PL, Strategy::C2F3, Mode, Collected)
-        .Artifact->run(RunSeed);
+    driver::CompileStatus St = compileFor(PL, Strategy::C2F3, Mode);
+    EXPECT_TRUE(certified(St)) << getExecModeName(Mode) << "\n" << P->str();
+    return St.ok() ? St.Artifact->run(RunSeed) : RunResult();
   };
 
   std::vector<ExecMode> Modes = {ExecMode::Sequential, ExecMode::Parallel};
@@ -714,8 +705,9 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
     Cfg.AddOpaque = false;
     auto RP = generateRandomProgram(Cfg);
     normalizeProgram(*RP);
-    auto Base = scalarize::scalarizeWithStrategy(ASDG::build(*RP),
-                                                 Strategy::Baseline);
+    ASDG RG = ASDG::build(*RP);
+    auto Base =
+        scalarize::scalarize(RG, applyStrategy(RG, Strategy::Baseline));
     Storage Init = allocateStorage(Base, RunSeed);
     std::map<std::string, const ArrayBuffer *> InitBuf;
     for (const ArraySymbol *A : Base.source().arrays())
@@ -764,9 +756,6 @@ TEST_P(StressSweepTest, TracedRunsAreBitIdentical) {
             << Pristine->str();
     }
   }
-
-  EXPECT_TRUE(Collected.ok())
-      << "verification findings:\n" << Collected.str() << P->str();
 }
 
 // The safety-tier soak: every seed's program (with reductions appended so

@@ -111,6 +111,36 @@ TEST(ToolOptionsTest, SeedIsAWholeUint64) {
   }
 }
 
+TEST(ToolOptionsTest, NumberFlagsAreWholeValues) {
+  std::string Error;
+  unsigned Count = 7;
+  EXPECT_TRUE(parseNumberFlag("--count=4294967295", Count, Error));
+  EXPECT_EQ(Count, 4294967295u);
+  EXPECT_TRUE(parseNumberFlag("--count=0", Count, Error));
+  EXPECT_EQ(Count, 0u);
+  for (const char *Bad : {"abc", "12x", "", "-1", "+5", " 7", "4294967296"}) {
+    SCOPED_TRACE(Bad);
+    Count = 7;
+    EXPECT_FALSE(parseNumberFlag(std::string("--count=") + Bad, Count, Error));
+    EXPECT_EQ(Error, std::string("invalid --count '") + Bad + "'");
+    EXPECT_EQ(Count, 7u);
+  }
+
+  double Tolerance = 2.0;
+  EXPECT_TRUE(parseNumberFlag("--tolerance=0.25", Tolerance, Error));
+  EXPECT_EQ(Tolerance, 0.25);
+  EXPECT_TRUE(parseNumberFlag("--tolerance=8", Tolerance, Error));
+  EXPECT_EQ(Tolerance, 8.0);
+  for (const char *Bad : {"x", "1.5x", "", " 1"}) {
+    SCOPED_TRACE(Bad);
+    Tolerance = 2.0;
+    EXPECT_FALSE(
+        parseNumberFlag(std::string("--tolerance=") + Bad, Tolerance, Error));
+    EXPECT_EQ(Error, std::string("invalid --tolerance '") + Bad + "'");
+    EXPECT_EQ(Tolerance, 2.0);
+  }
+}
+
 TEST(ToolOptionsTest, GoldenHelpText) {
   // The full surface, in its pinned order. Tools embed this text in
   // their --help/usage output, so a change here changes every tool.

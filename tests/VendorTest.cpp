@@ -3,9 +3,14 @@
 #include "vendors/CompilerModel.h"
 #include "vendors/Fragments.h"
 
+#include "frontend/Parser.h"
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <set>
+#include <sstream>
 
 using namespace alf;
 using namespace alf::ir;
@@ -108,6 +113,36 @@ TEST(VendorTest, CrayFailsOnAntiDependenceFusion) {
   EXPECT_NE(Run3.ClusterOf[0], Run3.ClusterOf[1]);
   VendorRun Run7 = runVendorPipeline(buildFragment(7), policyNamed("Cray"));
   EXPECT_FALSE(Run7.ContractedNames.count("B"));
+}
+
+// The vendor models compile the same normal form as zplc and tryCompile:
+// the offset target is aligned first, so the two statements share one
+// region. Each policy then decides from its own rules.
+TEST(VendorTest, TargetOffsetIsAlignedBeforeFusion) {
+  std::ifstream In(ALF_TEST_INPUTS_DIR "/target_offset_fuses.zpl");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  struct Expected {
+    const char *Policy;
+    size_t Clusters;
+    std::set<std::string> Contracted;
+  };
+  const Expected Cases[] = {{"PGI", 2, {}},
+                            {"IBM", 2, {}},
+                            {"APR", 1, {}},
+                            {"Cray", 1, {"T"}},
+                            {"ZPL", 1, {"T"}}};
+  for (const Expected &E : Cases) {
+    frontend::ParseResult PR =
+        frontend::parseProgram(Source.str(), "target_offset_fuses");
+    ASSERT_TRUE(PR.succeeded());
+    VendorRun Run =
+        runVendorPipeline(std::move(PR.Prog), policyNamed(E.Policy));
+    std::set<unsigned> Clusters(Run.ClusterOf.begin(), Run.ClusterOf.end());
+    EXPECT_EQ(Clusters.size(), E.Clusters) << E.Policy;
+    EXPECT_EQ(Run.ContractedNames, E.Contracted) << E.Policy;
+  }
 }
 
 } // namespace

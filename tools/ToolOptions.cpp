@@ -81,6 +81,33 @@ FlagParse tool::parseToolFlag(const std::string &Arg, unsigned Flags,
   return FlagParse::NotMine;
 }
 
+/// Parses the whole text after the '=' of \p Arg into \p Out.
+template <typename T>
+static bool parseWholeValue(const std::string &Arg, T &Out,
+                            std::string &Error) {
+  size_t Eq = Arg.find('=');
+  std::string Text = Eq == std::string::npos ? "" : Arg.substr(Eq + 1);
+  const char *Last = Text.data() + Text.size();
+  T Value{};
+  auto [End, Ec] = std::from_chars(Text.data(), Last, Value);
+  if (Ec != std::errc() || End != Last) {
+    Error = "invalid " + Arg.substr(0, Eq) + " '" + Text + "'";
+    return false;
+  }
+  Out = Value;
+  return true;
+}
+
+bool tool::parseNumberFlag(const std::string &Arg, unsigned &Out,
+                           std::string &Error) {
+  return parseWholeValue(Arg, Out, Error);
+}
+
+bool tool::parseNumberFlag(const std::string &Arg, double &Out,
+                           std::string &Error) {
+  return parseWholeValue(Arg, Out, Error);
+}
+
 std::string tool::toolFlagsHelp(unsigned Flags,
                                 const std::string &VerifyDefault) {
   std::string S;

@@ -85,6 +85,15 @@ enum class FlagParse {
 FlagParse parseToolFlag(const std::string &Arg, unsigned Flags,
                         ToolOptions &Opts, std::string &Error);
 
+/// Reads the value of \p Arg, a `--name=VALUE` flag, into \p Out. The
+/// value must be a whole decimal number in \p Out's range: no sign on an
+/// unsigned, no trailing text, no wrap-around. On a bad value, returns
+/// false with \p Error set to "invalid --name 'VALUE'" (the tool adds its
+/// name). Every numeric flag of every tool is read through these.
+bool parseNumberFlag(const std::string &Arg, unsigned &Out,
+                     std::string &Error);
+bool parseNumberFlag(const std::string &Arg, double &Out, std::string &Error);
+
 /// The usage lines for the flags enabled in \p Flags, two-space
 /// indented, one flag per line — golden-tested, keep stable.
 /// \p VerifyDefault names what the tool verifies at when --verify is

@@ -31,7 +31,6 @@
 #include "analysis/ASDG.h"
 #include "benchprogs/Benchmarks.h"
 #include "driver/Pipeline.h"
-#include "ir/Normalize.h"
 #include "exec/Eval.h"
 #include "exec/Interpreter.h"
 #include "exec/NativeJit.h"
@@ -379,8 +378,8 @@ Case strategyCase(const BenchmarkInfo &B, int64_t N, Strategy S,
                   std::string Label) {
   return {"strategy." + std::move(Label), [&B, N, S](unsigned Repeats) {
             auto P = B.Build(N);
-            ir::normalizeProgram(*P);
-            analysis::ASDG G = analysis::ASDG::build(*P);
+            driver::Pipeline PL(*P);
+            const analysis::ASDG &G = PL.asdg();
             CaseResult R;
             for (unsigned I = 0; I < Repeats; ++I) {
               uint64_t T0 = nowNs();
@@ -704,14 +703,15 @@ int main(int argc, char **argv) {
     case tool::FlagParse::NotMine:
       break;
     }
+    bool NumberOK = true;
     if (Arg.rfind("--out=", 0) == 0)
       OutFile = Arg.substr(6);
     else if (Arg.rfind("--compare=", 0) == 0)
       CompareFile = Arg.substr(10);
     else if (Arg.rfind("--tolerance=", 0) == 0)
-      Tolerance = std::atof(Arg.c_str() + 12);
+      NumberOK = tool::parseNumberFlag(Arg, Tolerance, FlagError);
     else if (Arg.rfind("--repeat=", 0) == 0)
-      Repeats = static_cast<unsigned>(std::atoi(Arg.c_str() + 9));
+      NumberOK = tool::parseNumberFlag(Arg, Repeats, FlagError);
     else if (Arg.rfind("--filter=", 0) == 0)
       Filter = Arg.substr(9);
     else if (Arg == "--reduced")
@@ -728,8 +728,12 @@ int main(int argc, char **argv) {
                 << tool::toolFlagsHelp(BenchFlags);
       return 2;
     }
+    if (!NumberOK) {
+      std::cerr << "alf_bench: " << FlagError << '\n';
+      return 2;
+    }
   }
-  if (Repeats == 0 || Tolerance <= 0) {
+  if (Repeats == 0 || !(Tolerance > 0)) {
     std::cerr << "alf_bench: --repeat and --tolerance must be positive\n";
     return 2;
   }

@@ -49,7 +49,6 @@
 
 #include "ToolOptions.h"
 
-#include "comm/CommInsertion.h"
 #include "distsim/DistInterpreter.h"
 #include "driver/Pipeline.h"
 #include "exec/Interpreter.h"
@@ -166,12 +165,13 @@ int main(int argc, char **argv) {
     case tool::FlagParse::NotMine:
       break;
     }
+    bool NumberOK = true;
     if (Arg.rfind("--count=", 0) == 0)
-      Count = static_cast<unsigned>(std::atoi(Arg.c_str() + 8));
+      NumberOK = tool::parseNumberFlag(Arg, Count, FlagError);
     else if (Arg.rfind("--procs=", 0) == 0)
-      Procs = static_cast<unsigned>(std::atoi(Arg.c_str() + 8));
+      NumberOK = tool::parseNumberFlag(Arg, Procs, FlagError);
     else if (Arg.rfind("--threads=", 0) == 0)
-      Threads = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
+      NumberOK = tool::parseNumberFlag(Arg, Threads, FlagError);
     else if (Arg == "--emit-c")
       EmitC = true;
     else {
@@ -180,10 +180,13 @@ int main(int argc, char **argv) {
                 << tool::toolFlagsHelp(tool::TF_All);
       return 2;
     }
+    if (!NumberOK) {
+      std::cerr << "alf_stress: " << FlagError << '\n';
+      return 2;
+    }
   }
   uint64_t Seed = TO.Seed;
   ExecMode Mode = TO.Exec.value_or(ExecMode::Sequential);
-  std::optional<Strategy> OnlyStrategy = TO.Strat;
   verify::VerifyLevel VerifyLevel = TO.Verify;
 
   tool::applyObsLevel(TO);
@@ -237,14 +240,15 @@ int main(int argc, char **argv) {
       fail(*P, "normalized program failed verification");
     ++S.Programs;
 
-    // Every compile goes through the status-returning entry point: a
-    // rejected proof surfaces as CompileStatus instead of aborting, so
-    // the offending program can be printed for reproduction.
-    auto compileOrFail = [&](Strategy Strat,
+    // Every compile goes through the status-returning entry point, so
+    // --verify=full proves every program the sweep runs: a rejected proof
+    // surfaces as CompileStatus instead of aborting, and the offending
+    // program is printed for reproduction.
+    auto compileOrFail = [&](driver::Pipeline &On, Strategy Strat,
                              ExecMode M) -> driver::CompileStatus {
       driver::CompileStatus St =
-          PL.tryCompile(driver::CompileRequest{Strat, M});
-      if (!St.ok() || !St.Artifact || !St.SR)
+          On.tryCompile(driver::CompileRequest{Strat, M});
+      if (!St.ok())
         fail(*P, (St.Code == driver::CompileCode::VerifyRejected
                       ? "verification failed: "
                       : "compile failed: ") +
@@ -253,19 +257,28 @@ int main(int argc, char **argv) {
     };
 
     driver::CompileStatus BaseSt =
-        compileOrFail(Strategy::Baseline, ExecMode::Sequential);
-    const ASDG &G = PL.asdg();
+        compileOrFail(PL, Strategy::Baseline, ExecMode::Sequential);
     RunResult BaseRes = run(BaseSt.Artifact->LP, ProgSeed ^ 0xfeed);
 
+    // The c2 compile of the strategy loop also serves the ilp objective
+    // check and the emitted-C check; it is compiled on its own only when
+    // --strategy leaves c2 out.
+    std::optional<driver::CompileStatus> C2St;
+    auto c2Status = [&]() -> const driver::CompileStatus & {
+      if (!C2St)
+        C2St.emplace(compileOrFail(PL, Strategy::C2, ExecMode::Sequential));
+      return *C2St;
+    };
+
     std::vector<Strategy> Strategies = allStrategiesForTest();
-    if (OnlyStrategy)
-      Strategies = {*OnlyStrategy};
+    if (TO.Strat)
+      Strategies = {*TO.Strat};
     for (Strategy Strat : Strategies) {
       // The artifact is prepared for the parallel executor (schedule
       // planned and, under --verify=full, race-checked) when that stage
       // runs; its loop program also feeds the sequential oracle.
       driver::CompileStatus St = compileOrFail(
-          Strat, Threads > 0 ? ExecMode::Parallel : ExecMode::Sequential);
+          PL, Strat, Threads > 0 ? ExecMode::Parallel : ExecMode::Sequential);
       const StrategyResult &SR = *St.SR;
       if (!isValidPartition(SR.Partition))
         fail(*P, formatString("invalid partition under %s",
@@ -275,7 +288,7 @@ int main(int argc, char **argv) {
       // The optimal partitioner's contract: never a worse objective than
       // greedy FUSION-FOR-CONTRACTION on the same graph.
       if (Strat == Strategy::IlpOptimal) {
-        StrategyResult Greedy = applyStrategy(G, Strategy::C2);
+        const StrategyResult &Greedy = *c2Status().SR;
         double GreedyBytes =
             contractedBytes(Greedy.Partition, Greedy.Contracted);
         double IlpBytes = contractedBytes(SR.Partition, SR.Contracted);
@@ -305,7 +318,7 @@ int main(int argc, char **argv) {
                 support::Tolerance::ReassociatedFloat)
           JitTol = 1e-6;
         JitRunInfo Info;
-        RunResult JitRes = compileOrFail(Strat, Mode).Artifact->run(
+        RunResult JitRes = compileOrFail(PL, Strat, Mode).Artifact->run(
             ProgSeed ^ 0xfeed, &Info);
         if (!resultsMatch(BaseRes, JitRes, JitTol, &Why))
           fail(*P, formatString("%s jit diverged: %s", getStrategyName(Strat),
@@ -327,12 +340,15 @@ int main(int argc, char **argv) {
                                 getStrategyName(Strat), Threads, Why.c_str()));
         ++S.ParallelRuns;
       }
+      if (Strat == Strategy::C2)
+        C2St.emplace(std::move(St));
     }
 
-    // Partial contraction with every dimension sequential.
+    // Partial contraction with every dimension sequential. It has no
+    // pipeline entry, so it lowers the pipeline's graph directly.
     {
       auto LP = scalarize::scalarizeWithPartialContraction(
-          G, Strategy::C2, SequentialDims::dims({0, 1}));
+          PL.asdg(), Strategy::C2, SequentialDims::dims({0, 1}));
       S.PartialPlans += static_cast<unsigned>(LP.partialPlans().size());
       std::string Why;
       if (!resultsMatch(BaseRes, run(LP, ProgSeed ^ 0xfeed), 0.0, &Why))
@@ -356,11 +372,17 @@ int main(int argc, char **argv) {
       }
     }
 
-    // Distributed execution (no opaque statements or offset assignment
-    // targets there).
-    if (!Cfg.AddOpaque && !Cfg.AllowTargetOffsets) {
-      auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2F3);
-      comm::insertLoopLevelComm(LP);
+    // Distributed execution (no opaque statements there), compiled with
+    // loop-level halo exchanges on a second pipeline. The program is
+    // already in normal form, with every target aligned, so that
+    // pipeline's preparation changes nothing.
+    if (!Cfg.AddOpaque) {
+      driver::PipelineOptions DistPO = PO;
+      DistPO.Comm = driver::CommPolicy::LoopLevel;
+      driver::Pipeline DistPL(*P, DistPO);
+      driver::CompileStatus DistSt =
+          compileOrFail(DistPL, Strategy::C2F3, ExecMode::Sequential);
+      const lir::LoopProgram &LP = DistSt.Artifact->LP;
       // Without --procs each program draws its processor count, so the
       // small extents meet grids with zero- and one-cell interiors.
       static const unsigned ProcChoices[] = {2, 3, 4, 8, 12};
@@ -375,7 +397,7 @@ int main(int argc, char **argv) {
     }
 
     if (HaveCC) {
-      auto LP = scalarize::scalarizeWithStrategy(G, Strategy::C2);
+      const lir::LoopProgram &LP = c2Status().Artifact->LP;
       if (!checkEmittedC(LP, ProgSeed ^ 0xfeed, run(LP, ProgSeed ^ 0xfeed)))
         fail(*P, "emitted C diverged or failed to compile");
       ++S.CCompiles;

@@ -75,16 +75,15 @@ int main(int argc, char **argv) {
     case tool::FlagParse::NotMine:
       break;
     }
+    bool NumberOK = true;
     if (Arg.rfind("--socket=", 0) == 0) {
       SO.SocketPath = Arg.substr(9);
     } else if (Arg.rfind("--compile-threads=", 0) == 0) {
-      SO.CompileThreads =
-          static_cast<unsigned>(std::atoi(Arg.c_str() + 18));
+      NumberOK = tool::parseNumberFlag(Arg, SO.CompileThreads, Error);
     } else if (Arg.rfind("--max-inflight=", 0) == 0) {
-      SO.MaxInFlight = static_cast<unsigned>(std::atoi(Arg.c_str() + 15));
+      NumberOK = tool::parseNumberFlag(Arg, SO.MaxInFlight, Error);
     } else if (Arg.rfind("--max-program-bytes=", 0) == 0) {
-      SO.MaxProgramBytes =
-          static_cast<uint32_t>(std::atoll(Arg.c_str() + 20));
+      NumberOK = tool::parseNumberFlag(Arg, SO.MaxProgramBytes, Error);
     } else if (Arg == "--help" || Arg == "-h") {
       usage(std::cout);
       return 0;
@@ -92,6 +91,10 @@ int main(int argc, char **argv) {
       std::cerr << "alfd: unknown option '" << Arg << "'\n";
       usage(std::cerr);
       return 1;
+    }
+    if (!NumberOK) {
+      std::cerr << "alfd: " << Error << '\n';
+      return 2;
     }
   }
   if (SO.SocketPath.empty()) {

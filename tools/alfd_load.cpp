@@ -287,16 +287,17 @@ int main(int argc, char **argv) {
     case tool::FlagParse::NotMine:
       break;
     }
+    bool NumberOK = true;
     if (Arg.rfind("--socket=", 0) == 0)
       SocketPath = Arg.substr(9);
     else if (Arg.rfind("--alfd=", 0) == 0)
       AlfdPath = Arg.substr(7);
     else if (Arg.rfind("--clients=", 0) == 0)
-      NumClients = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
+      NumberOK = tool::parseNumberFlag(Arg, NumClients, Error);
     else if (Arg.rfind("--programs=", 0) == 0)
-      NumPrograms = static_cast<unsigned>(std::atoi(Arg.c_str() + 11));
+      NumberOK = tool::parseNumberFlag(Arg, NumPrograms, Error);
     else if (Arg.rfind("--requests=", 0) == 0)
-      Requests = static_cast<unsigned>(std::atoi(Arg.c_str() + 11));
+      NumberOK = tool::parseNumberFlag(Arg, Requests, Error);
     else if (Arg == "--identical")
       Identical = true;
     else if (Arg == "--warm")
@@ -319,6 +320,10 @@ int main(int argc, char **argv) {
                    "[--assert-no-failures] [--assert-warm-hits]\n"
                 << tool::toolFlagsHelp(tool::TF_Strategy | tool::TF_Exec);
       return 1;
+    }
+    if (!NumberOK) {
+      std::cerr << "alfd_load: " << Error << '\n';
+      return 2;
     }
   }
   if (SocketPath.empty() && AlfdPath.empty()) {
