@@ -28,7 +28,10 @@ namespace alf {
 namespace scalarize {
 
 /// Lowers \p SR's fusion partition over \p G's program into loop nests,
-/// contracting the arrays in \p SR.Contracted.
+/// contracting the arrays in \p SR.Contracted. A caller holding a graph
+/// and a strategy calls scalarize(G, xform::applyStrategy(G, S)); a
+/// compile of a whole program goes through driver::Pipeline::tryCompile,
+/// which also builds the normal form and proves each product.
 lir::LoopProgram scalarize(const analysis::ASDG &G,
                            const xform::StrategyResult &SR);
 
