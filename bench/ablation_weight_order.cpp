@@ -14,9 +14,10 @@
 // benefit achieved.
 //
 // Section "gap_study": how far the paper's greedy heuristic sits from
-// the true optimum. For each stress-sweep generator seed the
-// branch-and-bound partitioner (xform/IlpStrategy) solves the fusion
-// partitioning problem exactly and the per-seed record reports both
+// the true optimum. For each stress-sweep generator seed, on the normal
+// form every compile sees (driver::Pipeline), the branch-and-bound
+// partitioner (xform/IlpStrategy) solves the fusion partitioning
+// problem exactly and the per-seed record reports both
 // objectives (contracted bytes), the gap, and the solver effort. The
 // "handbuilt_tradeoff" entry is the documented construction on which
 // greedy is provably suboptimal (the ±1 anti-dependence fan-in
@@ -25,6 +26,8 @@
 // Usage: ablation_weight_order [--seeds=N] [--out=FILE]
 //
 //===----------------------------------------------------------------------===//
+
+#include "ToolOptions.h"
 
 #include "analysis/ASDG.h"
 #include "driver/Pipeline.h"
@@ -37,7 +40,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -193,7 +195,11 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--seeds=", 0) == 0) {
-      Seeds = static_cast<unsigned>(std::atoi(Arg.c_str() + 8));
+      std::string Error;
+      if (!tool::parseNumberFlag(Arg, Seeds, Error)) {
+        std::cerr << "ablation_weight_order: " << Error << '\n';
+        return 2;
+      }
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutFile = Arg.substr(6);
     } else {
@@ -211,10 +217,8 @@ int main(int argc, char **argv) {
   unsigned StrictlyBetter = 0, Equal = 0, Exhausted = 0;
   double MaxGap = 0.0, TotalMs = 0.0;
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-    // The sweep's programs go in as generated, without the normal form:
-    // the published per-seed numbers were measured that way.
     auto P = generateRandomProgram(sweepConfig(Seed));
-    json::Value Rec = gapRecord(ASDG::build(*P));
+    json::Value Rec = gapRecord(driver::Pipeline(*P).asdg());
     double Gap = *Rec.getNumber("gap_bytes");
     if (Gap > 0)
       ++StrictlyBetter;

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FigureCommon.h"
+#include "ToolOptions.h"
 
 #include "exec/Interpreter.h"
 #include "exec/ParallelExecutor.h"
@@ -21,7 +22,6 @@
 #include "support/TextTable.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 
@@ -49,8 +49,14 @@ double bestSecondsOf(const std::function<void()> &Fn) {
 } // namespace
 
 int main(int argc, char **argv) {
-  int64_t N = argc > 1 ? std::atoll(argv[1]) : 160;
-  unsigned MaxThreads = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
+  unsigned N = 160, MaxThreads = 8;
+  std::string Error;
+  if ((argc > 1 && !tool::parseNumberArg("N", argv[1], N, Error, 1)) ||
+      (argc > 2 &&
+       !tool::parseNumberArg("maxthreads", argv[2], MaxThreads, Error, 1))) {
+    std::cerr << "ext_thread_scaling: " << Error << '\n';
+    return 2;
+  }
   const uint64_t Seed = 0xa11f;
 
   std::cout << "Extension: thread scaling of the parallel executor "

@@ -11,6 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolOptions.h"
+
 #include "comm/CommInsertion.h"
 #include "distsim/DistInterpreter.h"
 #include "driver/Pipeline.h"
@@ -19,7 +21,6 @@
 #include "support/StringUtil.h"
 #include "support/TextTable.h"
 
-#include <cstdlib>
 #include <iostream>
 
 using namespace alf;
@@ -43,7 +44,12 @@ scalar energy;
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Procs = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
+  unsigned Procs = 4;
+  std::string Error;
+  if (argc > 1 && !tool::parseNumberArg("procs", argv[1], Procs, Error, 1)) {
+    std::cerr << "spmd_validation: " << Error << '\n';
+    return 2;
+  }
 
   frontend::ParseResult Result = frontend::parseProgram(Source, "spmd-demo");
   if (!Result.succeeded()) {

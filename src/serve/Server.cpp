@@ -65,9 +65,12 @@ json::Value statsGroup(
 
 } // namespace
 
-/// One live connection: the fd plus the thread draining it.
+/// One connection: the fd plus the thread draining it. The worker closes
+/// Fd and sets Closed under ConnMu, so teardown never shuts down an fd
+/// number the system may already have reused.
 struct Server::Conn {
   int Fd = -1;
+  bool Closed = false;
   std::thread Worker;
 };
 
@@ -147,16 +150,27 @@ void Server::acceptLoop() {
     ++NumConnections;
     // Register under the lock with the thread already started, so
     // teardown (which swaps the list under the same lock after joining
-    // this acceptor) always sees a joinable worker.
+    // this acceptor) always sees a joinable worker. Reap the finished
+    // workers first: each holds its thread's stack until joined.
     std::lock_guard<std::mutex> Lock(ConnMu);
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      if (!(*It)->Closed) {
+        ++It;
+        continue;
+      }
+      (*It)->Worker.join();
+      It = Conns.erase(It);
+    }
     auto C = std::make_unique<Conn>();
     C->Fd = Fd;
-    C->Worker = std::thread([this, Fd] { handleConnection(Fd); });
+    Conn *Raw = C.get();
+    C->Worker = std::thread([this, Raw] { handleConnection(*Raw); });
     Conns.push_back(std::move(C));
   }
 }
 
-void Server::handleConnection(int Fd) {
+void Server::handleConnection(Conn &C) {
+  const int Fd = C.Fd;
   for (;;) {
     json::Value Req;
     std::string Why;
@@ -180,8 +194,10 @@ void Server::handleConnection(int Fd) {
     if (Op && *Op == "shutdown")
       break;
   }
+  std::lock_guard<std::mutex> Lock(ConnMu);
   ::shutdown(Fd, SHUT_RDWR);
   ::close(Fd);
+  C.Closed = true;
 }
 
 json::Value Server::handleRequest(const json::Value &Req) {
@@ -484,14 +500,14 @@ void Server::wait() {
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
     ToJoin.swap(Conns);
+    // Unblock every live worker parked in readFrame; its own close()
+    // then runs on an already-shut-down fd, which is harmless.
+    for (auto &C : ToJoin)
+      if (!C->Closed)
+        ::shutdown(C->Fd, SHUT_RDWR);
   }
-  for (auto &C : ToJoin) {
-    // Unblock a worker parked in readFrame; its own close() then runs
-    // on an already-shut-down fd, which is harmless.
-    ::shutdown(C->Fd, SHUT_RDWR);
-    if (C->Worker.joinable())
-      C->Worker.join();
-  }
+  for (auto &C : ToJoin)
+    C->Worker.join();
   if (!Opts.SocketPath.empty())
     ::unlink(Opts.SocketPath.c_str());
 }

@@ -112,7 +112,7 @@ private:
   struct Conn;
 
   void acceptLoop();
-  void handleConnection(int Fd);
+  void handleConnection(Conn &C);
   json::Value handleRequest(const json::Value &Req);
   json::Value handleCompile(const json::Value &Req,
                             std::shared_ptr<const CompiledEntry> *OutEntry,

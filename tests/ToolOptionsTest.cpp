@@ -126,18 +126,12 @@ TEST(ToolOptionsTest, NumberFlagsAreWholeValues) {
     EXPECT_EQ(Count, 7u);
   }
 
-  double Tolerance = 2.0;
-  EXPECT_TRUE(parseNumberFlag("--tolerance=0.25", Tolerance, Error));
-  EXPECT_EQ(Tolerance, 0.25);
-  EXPECT_TRUE(parseNumberFlag("--tolerance=8", Tolerance, Error));
-  EXPECT_EQ(Tolerance, 8.0);
-  for (const char *Bad : {"x", "1.5x", "", " 1"}) {
-    SCOPED_TRACE(Bad);
-    Tolerance = 2.0;
-    EXPECT_FALSE(
-        parseNumberFlag(std::string("--tolerance=") + Bad, Tolerance, Error));
-    EXPECT_EQ(Error, std::string("invalid --tolerance '") + Bad + "'");
-    EXPECT_EQ(Tolerance, 2.0);
+  EXPECT_TRUE(parseNumberArg("procs", "12", Count, Error));
+  EXPECT_EQ(Count, 12u);
+  for (const char *Bad : {"4x", "0"}) {
+    EXPECT_FALSE(parseNumberArg("procs", Bad, Count, Error, /*Min=*/1));
+    EXPECT_EQ(Error, std::string("invalid procs '") + Bad + "'");
+    EXPECT_EQ(Count, 12u);
   }
 }
 

@@ -81,17 +81,13 @@ FlagParse tool::parseToolFlag(const std::string &Arg, unsigned Flags,
   return FlagParse::NotMine;
 }
 
-/// Parses the whole text after the '=' of \p Arg into \p Out.
-template <typename T>
-static bool parseWholeValue(const std::string &Arg, T &Out,
-                            std::string &Error) {
-  size_t Eq = Arg.find('=');
-  std::string Text = Eq == std::string::npos ? "" : Arg.substr(Eq + 1);
+bool tool::parseNumberArg(const std::string &Name, const std::string &Text,
+                          unsigned &Out, std::string &Error, unsigned Min) {
   const char *Last = Text.data() + Text.size();
-  T Value{};
+  unsigned Value = 0;
   auto [End, Ec] = std::from_chars(Text.data(), Last, Value);
-  if (Ec != std::errc() || End != Last) {
-    Error = "invalid " + Arg.substr(0, Eq) + " '" + Text + "'";
+  if (Ec != std::errc() || End != Last || Value < Min) {
+    Error = "invalid " + Name + " '" + Text + "'";
     return false;
   }
   Out = Value;
@@ -100,12 +96,10 @@ static bool parseWholeValue(const std::string &Arg, T &Out,
 
 bool tool::parseNumberFlag(const std::string &Arg, unsigned &Out,
                            std::string &Error) {
-  return parseWholeValue(Arg, Out, Error);
-}
-
-bool tool::parseNumberFlag(const std::string &Arg, double &Out,
-                           std::string &Error) {
-  return parseWholeValue(Arg, Out, Error);
+  size_t Eq = Arg.find('=');
+  return parseNumberArg(Arg.substr(0, Eq),
+                        Eq == std::string::npos ? "" : Arg.substr(Eq + 1),
+                        Out, Error);
 }
 
 std::string tool::toolFlagsHelp(unsigned Flags,

@@ -89,10 +89,15 @@ FlagParse parseToolFlag(const std::string &Arg, unsigned Flags,
 /// value must be a whole decimal number in \p Out's range: no sign on an
 /// unsigned, no trailing text, no wrap-around. On a bad value, returns
 /// false with \p Error set to "invalid --name 'VALUE'" (the tool adds its
-/// name). Every numeric flag of every tool is read through these.
+/// name). Every numeric flag of every tool is read through it.
 bool parseNumberFlag(const std::string &Arg, unsigned &Out,
                      std::string &Error);
-bool parseNumberFlag(const std::string &Arg, double &Out, std::string &Error);
+
+/// The same check for a positional argument: reads \p Text into \p Out,
+/// or returns false with \p Error set to "invalid NAME 'TEXT'". A value
+/// below \p Min is invalid too.
+bool parseNumberArg(const std::string &Name, const std::string &Text,
+                    unsigned &Out, std::string &Error, unsigned Min = 0);
 
 /// The usage lines for the flags enabled in \p Flags, two-space
 /// indented, one flag per line — golden-tested, keep stable.

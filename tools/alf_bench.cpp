@@ -3,23 +3,28 @@
 // Runs a pinned suite of end-to-end pipeline configurations — the
 // paper's six benchmarks compiled and executed under C2F3, a fig8-style
 // problem-size sweep, the parallel executor, native-JIT cold-compile vs
-// warm-dispatch, the runtime engine's steady state, and an
-// observability-overhead pair — and writes one BENCH_10.json with
-// per-benchmark medians plus the aggregated obs metrics table.
+// warm-dispatch, the runtime engine's steady state, an
+// observability-overhead pair, the strategy layer against the ASDG it
+// reads, and result collection against the kernel it follows — and
+// writes one BENCH_10.json with per-benchmark medians plus the
+// aggregated obs metrics table.
 //
-// Usage: alf_bench [--out=BENCH_10.json] [--compare=baseline.json]
-//                  [--tolerance=2.0] [--repeat=5] [--reduced]
+// Usage: alf_bench [--out=BENCH_10.json] [--repeat=5] [--reduced]
 //                  [--filter=substr] [--trace=out.json] [--metrics]
 //                  [--list] [--selftest]
 //
 // The suite, its names and its seeds are pinned: two runs of the same
 // binary execute exactly the same work, so medians are comparable run
-// to run and file to file. `--compare` reloads a previous BENCH_10.json
-// and exits 1 when any shared benchmark's median regressed by more than
-// the tolerance ratio (generous by default: wall time on shared CI is
-// noisy). Checksums are cross-checked with a relative tolerance and
-// reported — but never fail the run, since baselines may come from a
-// different libm.
+// to run and file to file.
+//
+// After a full-suite run, a fixed table of ratio gates decides whether
+// the build got slower: each gate divides the medians of two rows timed
+// in this process, so a faster or slower host moves both sides together.
+// Every gate is printed and written to the file's `gates` array; any
+// failed gate makes the run exit 1. A gate is evaluated when both of its
+// rows were selected; a selected row that skipped fails its gate unless
+// the host has no C compiler. A `--reduced` run evaluates no gate: its
+// rows are too small for stable ratios.
 //
 // `--selftest` re-parses the file just written and validates the pinned
 // schema; CI runs it so the schema stays load-bearing.
@@ -35,6 +40,7 @@
 #include "exec/Interpreter.h"
 #include "exec/NativeJit.h"
 #include "exec/ParallelExecutor.h"
+#include "ir/Generator.h"
 #include "ir/Region.h"
 #include "obs/Obs.h"
 #include "runtime/Runtime.h"
@@ -46,13 +52,11 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -100,6 +104,19 @@ struct Case {
   std::string Name;
   std::function<CaseResult(unsigned Repeats)> Run;
 };
+
+/// The skip reason of a JIT row on a host without a C compiler: the one
+/// skip that does not fail the row's gate.
+constexpr const char *NoCompiler = "no system C compiler";
+
+/// Marks \p R skipped when the host has no C compiler for the JIT.
+bool skipWithoutCompiler(CaseResult &R) {
+  if (JitEngine::compilerAvailable())
+    return false;
+  R.Skipped = true;
+  R.SkipReason = NoCompiler;
+  return true;
+}
 
 driver::PipelineOptions benchPipelineOptions() {
   driver::PipelineOptions PO;
@@ -178,11 +195,8 @@ Case jitColdCase(const BenchmarkInfo &B, int64_t N) {
   std::string Name = "jit." + lowerName(B.Name) + ".cold";
   return {Name, [&B, N](unsigned Repeats) {
             CaseResult R;
-            if (!JitEngine::compilerAvailable()) {
-              R.Skipped = true;
-              R.SkipReason = "no system C compiler";
+            if (skipWithoutCompiler(R))
               return R;
-            }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
             lir::LoopProgram LP =
@@ -216,11 +230,8 @@ Case jitWarmCase(const BenchmarkInfo &B, int64_t N) {
   std::string Name = "jit." + lowerName(B.Name) + ".warm";
   return {Name, [&B, N](unsigned Repeats) {
             CaseResult R;
-            if (!JitEngine::compilerAvailable()) {
-              R.Skipped = true;
-              R.SkipReason = "no system C compiler";
+            if (skipWithoutCompiler(R))
               return R;
-            }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
             lir::LoopProgram LP =
@@ -262,11 +273,8 @@ Case jitTierCase(const BenchmarkInfo &B, int64_t N, bool Vectorize,
                      std::move(Work) + ".warm";
   return {Name, [&B, N, Vectorize](unsigned Repeats) {
             CaseResult R;
-            if (!JitEngine::compilerAvailable()) {
-              R.Skipped = true;
-              R.SkipReason = "no system C compiler";
+            if (skipWithoutCompiler(R))
               return R;
-            }
             auto P = B.Build(N);
             driver::Pipeline PL(*P, benchPipelineOptions());
             lir::LoopProgram LP =
@@ -369,15 +377,32 @@ Case obsLevelCase(const BenchmarkInfo &B, int64_t N, obs::ObsLevel L) {
           }};
 }
 
+/// Builds the program a strategy.* or asdg.* row measures.
+using ProgramBuilder = std::function<std::unique_ptr<ir::Program>()>;
+
+ProgramBuilder benchBuilder(const BenchmarkInfo &B, int64_t N) {
+  return [&B, N] { return B.Build(N); };
+}
+
+/// bench/algo_scaling's program at its largest size.
+std::unique_ptr<ir::Program> buildGen512() {
+  ir::GeneratorConfig Cfg;
+  Cfg.Seed = 7;
+  Cfg.NumStmts = 512;
+  Cfg.NumPersistent = 4;
+  Cfg.NumTemps = Cfg.NumStmts / 3 + 1;
+  Cfg.Extent = 4;
+  return ir::generateRandomProgram(Cfg);
+}
+
 /// Times just the partitioning decision (applyStrategy on a prebuilt
 /// ASDG), isolating greedy FUSION-FOR-CONTRACTION vs the exact
 /// branch-and-bound so the solver's cost is visible in BENCH_10 metrics.
-/// Checksum = contracted bytes, so a baseline comparison also catches a
-/// solver that silently changes its answer.
-Case strategyCase(const BenchmarkInfo &B, int64_t N, Strategy S,
-                  std::string Label) {
-  return {"strategy." + std::move(Label), [&B, N, S](unsigned Repeats) {
-            auto P = B.Build(N);
+/// Checksum = contracted bytes, so a solver that silently changes its
+/// answer changes the row.
+Case strategyCase(std::string Label, ProgramBuilder Build, Strategy S) {
+  return {"strategy." + std::move(Label), [Build, S](unsigned Repeats) {
+            auto P = Build();
             driver::Pipeline PL(*P);
             const analysis::ASDG &G = PL.asdg();
             CaseResult R;
@@ -387,6 +412,69 @@ Case strategyCase(const BenchmarkInfo &B, int64_t N, Strategy S,
               R.Ns.push_back(nowNs() - T0);
               R.Checksum = contractedBytes(SR.Partition, SR.Contracted);
             }
+            return R;
+          }};
+}
+
+/// Times ASDG::build on the normal form of the same program: the
+/// denominator of the strategy/ASDG gates. Both sides are
+/// single-threaded CPU work over the same graph, so a strategy layer
+/// that rebuilds its quotient graph per query (hundreds of times the
+/// ASDG's cost) fails the gate on any host. Checksum = edge count.
+Case asdgCase(std::string Label, ProgramBuilder Build) {
+  return {"asdg." + std::move(Label), [Build](unsigned Repeats) {
+            auto P = Build();
+            driver::Pipeline PL(*P);
+            const ir::Program &Prog = PL.program();
+            CaseResult R;
+            for (unsigned I = 0; I < Repeats; ++I) {
+              uint64_t T0 = nowNs();
+              size_t Edges = analysis::ASDG::build(Prog).numEdges();
+              R.Ns.push_back(nowNs() - T0);
+              R.Checksum = static_cast<double>(Edges);
+            }
+            return R;
+          }};
+}
+
+/// The jit-simd kernel of one paper benchmark and the collectResults
+/// that follows it, on fresh storage per sample: the dispatch.* row
+/// times the kernel, the collect.* row the collection. Every array of
+/// tomcatv and fibro is live-out; a collectResults that moves the
+/// buffers into RunResult costs next to nothing, one that copies them
+/// costs several kernel runs.
+Case resultCase(const BenchmarkInfo &B, int64_t N, bool TimeCollect) {
+  std::string Name = std::string(TimeCollect ? "collect." : "dispatch.") +
+                     lowerName(B.Name);
+  return {Name, [&B, N, TimeCollect](unsigned Repeats) {
+            CaseResult R;
+            if (skipWithoutCompiler(R))
+              return R;
+            auto P = B.Build(N);
+            driver::PipelineOptions PO = benchPipelineOptions();
+            PO.Jit.CacheDir =
+                formatString("/tmp/alf_bench_result_%d", getpid());
+            driver::Pipeline PL(*P, PO);
+            driver::CompiledProgram CP =
+                compileOrDie(PL, Strategy::C2F3, ExecMode::NativeJitSimd);
+            for (unsigned I = 0; I < Repeats; ++I) {
+              exec::Storage Store = exec::allocateStorage(CP.LP, BenchSeed);
+              JitRunInfo Info;
+              uint64_t T0 = nowNs();
+              CP.run(Store, &Info);
+              uint64_t T1 = nowNs();
+              RunResult Res = collectResults(CP.LP, Store);
+              uint64_t T2 = nowNs();
+              if (!Info.UsedJit) {
+                R.Skipped = true;
+                R.SkipReason = "jit fell back: " + Info.FallbackReason;
+                break;
+              }
+              R.Ns.push_back(TimeCollect ? T2 - T1 : T1 - T0);
+              R.Checksum = checksum(Res);
+            }
+            std::error_code EC;
+            std::filesystem::remove_all(PO.Jit.CacheDir, EC);
             return R;
           }};
 }
@@ -438,8 +526,10 @@ std::vector<Case> buildSuite(bool Reduced) {
 
   // Greedy vs exact branch-and-bound partitioning on the same ASDG: the
   // price of optimality in the compile pipeline.
-  Suite.push_back(strategyCase(Tomcatv, N, Strategy::C2, "greedy"));
-  Suite.push_back(strategyCase(Tomcatv, N, Strategy::IlpOptimal, "ilp"));
+  Suite.push_back(
+      strategyCase("greedy", benchBuilder(Tomcatv, N), Strategy::C2));
+  Suite.push_back(
+      strategyCase("ilp", benchBuilder(Tomcatv, N), Strategy::IlpOptimal));
 
   // Semiring workload zoo (appended last per the BENCH_10 contract):
   // contracted execution of the non-(+,×) kernels — Floyd–Warshall under
@@ -493,8 +583,61 @@ std::vector<Case> buildSuite(bool Reduced) {
     Suite.push_back(jitTierCase(Tom, TomN, /*Vectorize=*/false, "tomcatv"));
     Suite.push_back(jitTierCase(Tom, TomN, /*Vectorize=*/true, "tomcatv"));
   }
+
+  // The strategy layer against the ASDG it reads, on SP and on a
+  // 512-statement generated program: the strategy/ASDG gates.
+  Suite.push_back(
+      strategyCase("sp.c2+f4", benchBuilder(SP, 8), Strategy::C2F4));
+  Suite.push_back(asdgCase("sp", benchBuilder(SP, 8)));
+  Suite.push_back(strategyCase("gen512.c2+f4", buildGen512, Strategy::C2F4));
+  Suite.push_back(asdgCase("gen512", buildGen512));
+
+  // Result collection against the kernel it follows: the collect/dispatch
+  // gates.
+  {
+    const int64_t ResultN = Reduced ? 96 : 384;
+    for (const BenchmarkInfo *B : {&Tomcatv, &allBenchmarks()[5]}) {
+      Suite.push_back(resultCase(*B, ResultN, /*TimeCollect=*/false));
+      Suite.push_back(resultCase(*B, ResultN, /*TimeCollect=*/true));
+    }
+  }
   return Suite;
 }
+
+/// One ratio gate: median(Num) / median(Den) must stay under Bound. Both
+/// rows are timed in the same process, so the ratio does not depend on
+/// the host. Bounds sit at least 1.3x (2x where the margin allows) above
+/// the worst ratio seen over 40 full-suite Release runs on a 4-core
+/// x86-64 host; docs/BENCHMARKS.md lists each measured range.
+struct Gate {
+  const char *Num;
+  const char *Den;
+  double Bound;
+};
+
+const Gate Gates[] = {
+    // A warm dispatch that runs the C compiler.
+    {"jit.tomcatv.warm", "jit.tomcatv.cold", 0.01},
+    // Tracing overhead.
+    {"obs.trace.tomcatv", "obs.off.tomcatv", 1.6},
+    // The cost of full translation validation.
+    {"compile.sp.c2+f3.verified", "compile.sp.c2+f3", 12.0},
+    // Branch-and-bound pruning.
+    {"strategy.ilp", "strategy.greedy", 10.0},
+    // The paper's claim: contraction speeds up execution. The n16 row is
+    // exec.tomcatv.c2+f3.seq's configuration timed next to the baseline
+    // row, so a burst of load on the host slows both sides alike.
+    {"exec.tomcatv.c2+f3.n16", "exec.tomcatv.baseline.seq", 0.8},
+    // The SIMD tier's speed-up on reduction-carrying loops.
+    {"jit.simd.knn.warm", "jit.scalar.knn.warm", 0.6},
+    {"jit.simd.fibro.warm", "jit.scalar.fibro.warm", 1.0},
+    // A strategy layer that redoes graph work per query.
+    {"strategy.sp.c2+f4", "asdg.sp", 36.0},
+    {"strategy.gen512.c2+f4", "asdg.gen512", 36.0},
+    // A collectResults that copies the live-outs.
+    {"collect.tomcatv", "dispatch.tomcatv", 1.0},
+    {"collect.fibro", "dispatch.fibro", 1.0},
+};
 
 uint64_t median(std::vector<uint64_t> V) {
   if (V.empty())
@@ -522,7 +665,8 @@ uint64_t meanOf(const std::vector<uint64_t> &V) {
 
 json::Value resultsToJson(const std::vector<Case> &Suite,
                           const std::vector<CaseResult> &Results,
-                          bool Reduced, unsigned Repeats) {
+                          json::Value GateRows, bool Reduced,
+                          unsigned Repeats) {
   json::Value Root = json::Value::object();
   Root.set("schema", json::Value::str("alf-bench/1"));
   Root.set("suite", json::Value::str(Reduced ? "reduced" : "full"));
@@ -547,6 +691,7 @@ json::Value resultsToJson(const std::vector<Case> &Suite,
     Benchmarks.push(std::move(B));
   }
   Root.set("benchmarks", std::move(Benchmarks));
+  Root.set("gates", std::move(GateRows));
 
   json::Value Metrics = json::Value::array();
   for (const obs::MetricRow &Row : obs::metricsTable()) {
@@ -559,7 +704,7 @@ json::Value resultsToJson(const std::vector<Case> &Suite,
 }
 
 /// Validates the pinned BENCH_10.json schema; the contract alf_bench
-/// --selftest and the CI compare step rely on.
+/// --selftest relies on.
 bool validateBenchJson(const json::Value &Root, std::string &Why) {
   auto Fail = [&Why](const std::string &Msg) {
     Why = Msg;
@@ -589,6 +734,21 @@ bool validateBenchJson(const json::Value &Root, std::string &Why) {
       return Fail("benchmark '" + *B.getString("name") +
                   "' missing skipped");
   }
+  const json::Value *GateRows = Root.get("gates");
+  if (!GateRows || !GateRows->isArray())
+    return Fail("gates missing");
+  for (const json::Value &G : GateRows->items()) {
+    if (!G.getString("num") || !G.getString("den"))
+      return Fail("gate entry without num or den");
+    std::string Name = *G.getString("num") + " / " + *G.getString("den");
+    const json::Value *Ratio = G.get("ratio");
+    if (!Ratio || !(Ratio->isNumber() || Ratio->isNull()))
+      return Fail("gate '" + Name + "' missing ratio");
+    if (!G.getNumber("bound"))
+      return Fail("gate '" + Name + "' missing bound");
+    if (!G.getBool("ok"))
+      return Fail("gate '" + Name + "' missing ok");
+  }
   const json::Value *Metrics = Root.get("metrics");
   if (!Metrics || !Metrics->isArray())
     return Fail("metrics missing");
@@ -604,87 +764,62 @@ bool validateBenchJson(const json::Value &Root, std::string &Why) {
 }
 
 //===----------------------------------------------------------------------===//
-// --compare
+// Ratio gates
 //===----------------------------------------------------------------------===//
 
-struct BaselineRow {
-  double MedianNs = 0;
-  double Checksum = 0;
-  bool Skipped = false;
-};
-
-int compareAgainst(const json::Value &Current, const std::string &Path,
-                   double Tolerance) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "alf_bench: cannot open baseline " << Path << '\n';
-    return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Error;
-  std::optional<json::Value> Base = json::parse(Buf.str(), &Error);
-  if (!Base) {
-    std::cerr << "alf_bench: malformed baseline " << Path << ": " << Error
-              << '\n';
-    return 1;
-  }
-  std::string Why;
-  if (!validateBenchJson(*Base, Why)) {
-    std::cerr << "alf_bench: baseline " << Path
-              << " fails schema validation: " << Why << '\n';
-    return 1;
-  }
-
-  std::map<std::string, BaselineRow> Rows;
-  for (const json::Value &B : Base->get("benchmarks")->items()) {
-    BaselineRow Row;
-    Row.MedianNs = B.getNumber("median_ns").value_or(0);
-    Row.Checksum = B.getNumber("checksum").value_or(0);
-    Row.Skipped = B.getBool("skipped").value_or(false);
-    Rows[*B.getString("name")] = Row;
-  }
-
-  unsigned Regressions = 0, Compared = 0;
-  std::cout << formatString("%-34s %12s %12s %8s\n", "benchmark",
-                            "base_ms", "now_ms", "ratio");
-  for (const json::Value &B : Current.get("benchmarks")->items()) {
-    std::string Name = *B.getString("name");
-    auto It = Rows.find(Name);
-    if (It == Rows.end() || It->second.Skipped ||
-        B.getBool("skipped").value_or(false))
+/// Evaluates every gate whose two rows were both selected and prints one
+/// line per gate. Returns the gates[] array; \p Failed counts failures.
+json::Value evaluateGates(const std::vector<Case> &Suite,
+                          const std::vector<CaseResult> &Results,
+                          unsigned &Failed) {
+  auto Find = [&](const char *Name) -> const CaseResult * {
+    for (size_t I = 0; I < Suite.size(); ++I)
+      if (Suite[I].Name == Name)
+        return &Results[I];
+    return nullptr;
+  };
+  json::Value Out = json::Value::array();
+  Failed = 0;
+  for (const Gate &G : Gates) {
+    const CaseResult *Num = Find(G.Num), *Den = Find(G.Den);
+    if (!Num || !Den)
       continue;
-    double Now = B.getNumber("median_ns").value_or(0);
-    double Before = It->second.MedianNs;
-    if (Before <= 0)
+    std::string Label = formatString("gate %s / %s", G.Num, G.Den);
+    const CaseResult *Skipped = Num->Skipped ? Num : Den->Skipped ? Den
+                                                                   : nullptr;
+    if (Skipped && Skipped->SkipReason == NoCompiler) {
+      std::cout << Label << ": not evaluated (" << NoCompiler << ")\n";
       continue;
-    double Ratio = Now / Before;
-    ++Compared;
-    bool Regressed = Ratio > Tolerance;
-    Regressions += Regressed;
-    std::cout << formatString("%-34s %12.3f %12.3f %7.2fx%s\n",
-                              Name.c_str(), Before / 1e6, Now / 1e6, Ratio,
-                              Regressed ? "  REGRESSED" : "");
-    double CS = B.getNumber("checksum").value_or(0);
-    double BaseCS = It->second.Checksum;
-    if (std::fabs(CS - BaseCS) > 1e-9 * (std::fabs(BaseCS) + 1.0))
-      std::cout << formatString(
-          "  note: %s checksum drifted (%.17g vs baseline %.17g)\n",
-          Name.c_str(), CS, BaseCS);
+    }
+    json::Value Entry = json::Value::object();
+    Entry.set("num", json::Value::str(G.Num));
+    Entry.set("den", json::Value::str(G.Den));
+    Entry.set("bound", json::Value::number(G.Bound));
+    bool Ok = false;
+    if (Skipped) {
+      Entry.set("ratio", json::Value::null());
+      std::cout << formatString("%s: FAILED (row skipped: %s)\n",
+                                Label.c_str(), Skipped->SkipReason.c_str());
+    } else {
+      double Ratio = static_cast<double>(median(Num->Ns)) /
+                     static_cast<double>(median(Den->Ns));
+      Ok = Ratio < G.Bound;
+      Entry.set("ratio", json::Value::number(Ratio));
+      std::cout << formatString("%s = %.4g (bound %.4g) %s\n", Label.c_str(),
+                                Ratio, G.Bound, Ok ? "ok" : "FAILED");
+    }
+    Entry.set("ok", json::Value::boolean(Ok));
+    Failed += !Ok;
+    Out.push(std::move(Entry));
   }
-  std::cout << formatString(
-      "compared %u benchmarks against %s (tolerance %.2fx): %u regressed\n",
-      Compared, Path.c_str(), Tolerance, Regressions);
-  return Regressions ? 1 : 0;
+  return Out;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   std::string OutFile = "BENCH_10.json";
-  std::string CompareFile;
   std::string Filter;
-  double Tolerance = 2.0;
   unsigned Repeats = 5;
   bool Reduced = false, List = false, SelfTest = false;
   constexpr unsigned BenchFlags =
@@ -706,10 +841,6 @@ int main(int argc, char **argv) {
     bool NumberOK = true;
     if (Arg.rfind("--out=", 0) == 0)
       OutFile = Arg.substr(6);
-    else if (Arg.rfind("--compare=", 0) == 0)
-      CompareFile = Arg.substr(10);
-    else if (Arg.rfind("--tolerance=", 0) == 0)
-      NumberOK = tool::parseNumberFlag(Arg, Tolerance, FlagError);
     else if (Arg.rfind("--repeat=", 0) == 0)
       NumberOK = tool::parseNumberFlag(Arg, Repeats, FlagError);
     else if (Arg.rfind("--filter=", 0) == 0)
@@ -721,10 +852,8 @@ int main(int argc, char **argv) {
     else if (Arg == "--selftest")
       SelfTest = true;
     else {
-      std::cerr << "usage: alf_bench [--out=BENCH_10.json] "
-                   "[--compare=baseline.json] [--tolerance=X] "
-                   "[--repeat=N] [--reduced] [--filter=substr] "
-                   "[--list] [--selftest]\n"
+      std::cerr << "usage: alf_bench [--out=BENCH_10.json] [--repeat=N] "
+                   "[--reduced] [--filter=substr] [--list] [--selftest]\n"
                 << tool::toolFlagsHelp(BenchFlags);
       return 2;
     }
@@ -733,8 +862,8 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (Repeats == 0 || !(Tolerance > 0)) {
-    std::cerr << "alf_bench: --repeat and --tolerance must be positive\n";
+  if (Repeats == 0) {
+    std::cerr << "alf_bench: --repeat must be positive\n";
     return 2;
   }
 
@@ -791,7 +920,12 @@ int main(int argc, char **argv) {
     Results.push_back(std::move(R));
   }
 
-  json::Value Root = resultsToJson(Suite, Results, Reduced, Repeats);
+  // Rows of a reduced run are too small for stable ratios.
+  unsigned GatesFailed = 0;
+  json::Value GateRows = Reduced ? json::Value::array()
+                                 : evaluateGates(Suite, Results, GatesFailed);
+  json::Value Root =
+      resultsToJson(Suite, Results, std::move(GateRows), Reduced, Repeats);
   {
     std::ofstream Out(OutFile);
     if (!Out) {
@@ -827,7 +961,9 @@ int main(int argc, char **argv) {
     std::cout << "selftest: schema OK\n";
   }
 
-  if (!CompareFile.empty())
-    return compareAgainst(Root, CompareFile, Tolerance);
+  if (GatesFailed) {
+    std::cerr << "alf_bench: " << GatesFailed << " gate(s) failed\n";
+    return 1;
+  }
   return 0;
 }

@@ -5,8 +5,9 @@
 // strategy equivalence, partition validity, multithreaded tiled
 // execution, distributed (SPMD) execution with compiler-inserted halo
 // exchanges, partial contraction, and (optionally) the C backend
-// compiled with the system compiler. Generated programs cycle through
-// ranks 1-3, explicit target offsets and mixed regions.
+// compiled with the system compiler and run under ASan and UBSan.
+// Generated programs cycle through ranks 1-3, explicit target offsets
+// and mixed regions.
 //
 // Usage: alf_stress [--count=N] [--seed=S] [--procs=P] [--threads=T]
 //                   [--emit-c] [--exec=sequential|parallel|jit|jit-simd]
@@ -65,13 +66,12 @@
 #include "xform/IlpStrategy.h"
 #include "xform/Strategy.h"
 
-#include <memory>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
 
 using namespace alf;
@@ -102,47 +102,43 @@ struct Stats {
   std::exit(1);
 }
 
+/// Runs \p LP's emitted C with its self-seeding harness under ASan and
+/// UBSan (exec::runSanitized) and checks every `name value` line the
+/// harness prints against the interpreter's \p Expected result. False
+/// with \p Why set on a build failure, a sanitizer report or a value off
+/// by more than 1e-9 relative.
 bool checkEmittedC(const lir::LoopProgram &LP, uint64_t Seed,
-                   const RunResult &Expected) {
-  static int Counter = 0;
-  scalarize::CEmitResult Src = scalarize::emitCWithHarness(LP, "kernel", Seed);
-  if (!Src.ok()) {
-    std::cerr << "error: " << Src.Error << '\n';
+                   const RunResult &Expected, std::string &Why) {
+  SanitizedRunResult San = runSanitized(LP, Seed);
+  if (!San.Clean) {
+    Why = "emitted C failed to build or run cleanly: " + San.Output;
     return false;
   }
-  std::string Base = formatString("/tmp/alf_stress_%d_%d", getpid(), Counter++);
-  {
-    std::ofstream Out(Base + ".c");
-    Out << Src.Source;
-  }
-  std::string Cmd = "cc -std=c99 -O1 -ffp-contract=off -o " + Base + ".exe " +
-                    Base + ".c -lm 2>&1";
-  if (std::system(Cmd.c_str()) != 0)
-    return false;
-  FILE *Pipe = popen((Base + ".exe").c_str(), "r");
-  if (!Pipe)
-    return false;
-  bool OK = true;
+  std::istringstream Lines(San.Output);
+  std::string Line;
   char Name[256];
   double Value;
-  while (std::fscanf(Pipe, "%255s %lf", Name, &Value) == 2) {
-    auto AIt = Expected.LiveOut.find(Name);
-    if (AIt != Expected.LiveOut.end()) {
-      double Sum = 0.0;
+  while (std::getline(Lines, Line)) {
+    if (std::sscanf(Line.c_str(), "%255s %lf", Name, &Value) != 2)
+      continue;
+    double Want;
+    if (auto AIt = Expected.LiveOut.find(Name); AIt != Expected.LiveOut.end()) {
+      Want = 0.0;
       for (double V : AIt->second)
-        Sum += V;
-      OK &= std::fabs(Sum - Value) <= 1e-9 * (std::fabs(Sum) + 1.0);
+        Want += V;
+    } else if (auto SIt = Expected.ScalarsOut.find(Name);
+               SIt != Expected.ScalarsOut.end()) {
+      Want = SIt->second;
+    } else {
       continue;
     }
-    auto SIt = Expected.ScalarsOut.find(Name);
-    if (SIt != Expected.ScalarsOut.end())
-      OK &= std::fabs(SIt->second - Value) <=
-            1e-9 * (std::fabs(SIt->second) + 1.0);
+    if (std::fabs(Want - Value) > 1e-9 * (std::fabs(Want) + 1.0)) {
+      Why = formatString("emitted C diverged on %s: %.17g, interpreter %.17g",
+                         Name, Value, Want);
+      return false;
+    }
   }
-  pclose(Pipe);
-  std::remove((Base + ".c").c_str());
-  std::remove((Base + ".exe").c_str());
-  return OK;
+  return true;
 }
 
 } // namespace
@@ -191,7 +187,7 @@ int main(int argc, char **argv) {
 
   tool::applyObsLevel(TO);
 
-  bool HaveCC = EmitC && std::system("cc --version > /dev/null 2>&1") == 0;
+  bool HaveCC = EmitC && JitEngine::compilerAvailable();
   if (EmitC && !HaveCC)
     std::cerr << "note: no system C compiler; skipping --emit-c checks\n";
 
@@ -398,8 +394,10 @@ int main(int argc, char **argv) {
 
     if (HaveCC) {
       const lir::LoopProgram &LP = c2Status().Artifact->LP;
-      if (!checkEmittedC(LP, ProgSeed ^ 0xfeed, run(LP, ProgSeed ^ 0xfeed)))
-        fail(*P, "emitted C diverged or failed to compile");
+      std::string Why;
+      if (!checkEmittedC(LP, ProgSeed ^ 0xfeed, run(LP, ProgSeed ^ 0xfeed),
+                         Why))
+        fail(*P, Why);
       ++S.CCompiles;
     }
 
